@@ -34,60 +34,71 @@ class RngStream:
         return np.random.default_rng((self.seed, self.stream_id, index))
 
 
-def ginibre(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+def ginibre(rng, n: int, k: int) -> np.ndarray:
     """n x k matrix with i.i.d. entries N(0,1) + i N(0,1).
 
     Each complex entry has E[z] = 0 and E[|z|^2] = 2 under this
-    convention (both quadratures carry unit variance).
+    convention (both quadratures carry unit variance). ``rng`` is a
+    Generator, or a sequence of them for an (N, n, k) stack with one
+    matrix drawn from each.
     """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be positive")
-    return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return np.stack([ginibre(g, n, k) for g in rng])
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+def haar_unitary(rng, n: int) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix.
 
     The raw QR factor is not Haar; multiplying each column by the phase
     of the matching diagonal entry of R removes the convention
-    dependence and restores the invariant distribution.
+    dependence and restores the invariant distribution. A sequence of
+    generators gives an (N, n, n) stack, factored in one stacked call.
     """
     q, r = np.linalg.qr(ginibre(rng, n, n))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_induced(rng: np.random.Generator, n: int = 4, k: int = 4) -> DensityMatrix:
+def _normalized(rng, m: np.ndarray):
+    # unit trace; a validated state for one generator, else the raw stack
+    m = m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return DensityMatrix(m) if isinstance(rng, np.random.Generator) else m
+
+
+def random_induced(rng, n: int = 4, k: int = 4):
     """Random density matrix from the induced measure with ancilla size k.
 
     Computed as G G^dag / tr(G G^dag) for an n x k Ginibre G; the result
     has rank exactly min(n, k), and k = n gives the Hilbert-Schmidt
-    ensemble.
+    ensemble. A sequence of generators gives the unvalidated stack.
     """
     if n != 4:
         raise ValueError("only two-qubit (n=4) states are supported")
     if not 1 <= k <= 4:
         raise ValueError(f"ancilla size k must lie in 1..4, got {k}")
     g = ginibre(rng, n, k)
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+    return _normalized(rng, g @ g.conj().swapaxes(-1, -2))
 
 
-def random_bures(rng: np.random.Generator, n: int = 4) -> DensityMatrix:
+def random_bures(rng, n: int = 4):
     """Random density matrix from the Bures measure:
-    (1+U) G G^dag (1+U^dag) normalized, with U Haar and G Ginibre."""
+    (1+U) G G^dag (1+U^dag) normalized, with U Haar and G Ginibre.
+    A sequence of generators gives the unvalidated stack."""
     if n != 4:
         raise ValueError("only two-qubit (n=4) states are supported")
     g = ginibre(rng, n, n)
     u = haar_unitary(rng, n)
     a = (np.eye(n) + u) @ g
-    m = a @ a.conj().T
-    return DensityMatrix(m / m.trace().real)
+    return _normalized(rng, a @ a.conj().swapaxes(-1, -2))
 
 
-def random_pure(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure two-qubit state: first column of a Haar unitary."""
-    return haar_unitary(rng, 4)[:, 0]
+def random_pure(rng) -> np.ndarray:
+    """Haar-random pure two-qubit state: first column of a Haar unitary
+    (an (N, 4) stack for a sequence of generators)."""
+    return haar_unitary(rng, 4)[..., 0]
 
 
 @dataclass(frozen=True)

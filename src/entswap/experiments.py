@@ -3,9 +3,9 @@ dual-path checks, with CSV/JSON emission.
 
 Every experiment derives one random substream per sample index, so
 results are reproducible bit-for-bit for a given seed regardless of how
-samples are partitioned across workers. Records are sorted by sample
-index (then outcome) before emission and floats are serialized with 17
-significant digits, making repeated runs byte-identical.
+samples are partitioned across workers. Chunks and their blocks emit
+records in sample-index (then outcome) order and floats are serialized
+with 17 significant digits, making repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,18 +28,32 @@ from .ensembles import (
     rank2_bell_mixture,
 )
 from .optics import swap_via_beamsplitter
-from .qstate import (
+# swap_general, swap_all_outcomes and concurrence stay importable here:
+# the benchmark's span tracer (perfbench/tracer.py) wraps them by name.
+from .qstate import (  # noqa: F401
     DEFAULT_RANK_TOL,
     BellLabel,
     DensityMatrix,
     bell_density,
     concurrence,
+    concurrence_batch,
     concurrence_x,
     numerical_rank,
+    pure_batch,
     pure_concurrence,
+    rank_batch,
     trace_distance,
+    validate_batch,
 )
-from .swap import swap_all_outcomes, swap_general, swap_x_params, ImpossibleOutcome
+from .swap import (  # noqa: F401
+    _OUTCOMES,
+    ImpossibleOutcome,
+    conditional_states,
+    swap_all_outcomes,
+    swap_batch,
+    swap_general,
+    swap_x_params,
+)
 
 # Hard assertion tolerances.
 CONSERVATION_TOL = 1e-9
@@ -61,7 +76,10 @@ EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
 # Fixed stream ids keep the experiments' draws disjoint under one seed.
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
-_OUTCOME_ORDER = {label: i for i, label in enumerate(BellLabel)}
+
+# Samples per stacked engine call on the general path: bounds the
+# engine's arrays (about 12 kB per sample) for any sample count.
+BLOCK_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -119,10 +137,6 @@ class BoundReport:
         return out
 
 
-def _sort_records(records: "list[ExperimentRecord]") -> "list[ExperimentRecord]":
-    return sorted(records, key=lambda r: (r.sample_index, _OUTCOME_ORDER[r.outcome]))
-
-
 def _chunk_ranges(n: int, n_chunks: int) -> "list[tuple[int, int]]":
     n_chunks = max(1, min(n_chunks, n))
     step = -(-n // n_chunks)
@@ -141,55 +155,90 @@ def _run_chunks(chunk_fn, n: int, workers: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
-def _draw_input(ensemble: str, rng: np.random.Generator) -> DensityMatrix:
-    if ensemble == "bures":
-        return random_bures(rng)
-    if ensemble == "pure":
-        return DensityMatrix.from_pure(random_pure(rng))
-    if ensemble.startswith("induced-"):
-        k = int(ensemble.split("-", 1)[1])
-        return random_induced(rng, 4, k)
-    raise ValueError(
-        f"unknown ensemble {ensemble!r}; expected bures, pure or induced-1..4"
-    )
+def _blocks(start: int, stop: int, group: "int | None" = None) -> list:
+    """[lo, hi) pieces of [start, stop) holding at most BLOCK_SAMPLES
+    samples; with ``group``, none straddles a multiple of it."""
+    edges = {*range(start, stop, BLOCK_SAMPLES), stop}
+    if group:
+        edges.update(range(start - start % group + group, stop, group))
+    edges = sorted(edges)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _substreams(name: str, seed: int, lo: int, hi: int) -> list:
+    stream = RngStream(seed, _STREAM_IDS[name])
+    return [stream.substream(i) for i in range(lo, hi)]
+
+
+def _where(lo: int, what: str):
+    """Name state n (outcome k) of the block starting at sample ``lo``."""
+    return lambda n, k=None: f"{what} of sample {lo + n}" + (
+        "" if k is None else f", outcome {_OUTCOMES[k]}")
+
+
+def _measure_inputs(lo, mats, rank_tol, what="input"):
+    """Validate a block of inputs; return their (concurrences, ranks)."""
+    eigs = validate_batch(mats, _where(lo, what))
+    return concurrence_batch(mats).tolist(), rank_batch(eigs, rank_tol).tolist()
+
+
+def _swap_chunk(start, stop, draw, rank_tol, group):
+    """Swap blocks of input pairs through all four outcomes; returns one
+    record per possible outcome and the number of impossible ones skipped.
+
+    ``draw(lo, hi)`` gives a block's stacked inputs rho_a and rho_b, their
+    (concurrences, ranks) and optionally a ratio column, by block position.
+    """
+    records, skipped = [], 0
+    for lo, hi in _blocks(start, stop, group):
+        rho_a, rho_b, (c_a, r_a), (c_b, r_b), *ratio = draw(lo, hi)
+        ratio = ratio[0] if ratio else [None] * (hi - lo)
+        raw, prob = swap_batch(rho_a, rho_b)
+        possible, states, eigs = conditional_states(raw, prob, _where(lo, "output"))
+        c_f = concurrence_batch(states).tolist()
+        r_f = rank_batch(eigs, rank_tol).tolist()
+        probs = prob[possible].tolist()
+        rows = np.argwhere(possible).tolist()
+        skipped += possible.size - len(rows)
+        records += [ExperimentRecord(lo + n, _OUTCOMES[k], c_a[n], c_b[n], c_f[j], probs[j],
+                                     r_a[n], r_b[n], r_f[j], ratio[n])
+                    for j, (n, k) in enumerate(rows)]
+    return records, skipped
+
+
+def _run_swaps(name, samples, seed, workers, rank_tol, draw, group=None):
+    """Run _swap_chunk over range(samples): records and a report with skips."""
+    chunks = _run_chunks(_swap_chunk, samples, workers, (draw, rank_tol, group))
+    records = [r for recs, _ in chunks for r in recs]
+    return records, BoundReport(name, samples, seed, skipped=sum(s for _, s in chunks))
 
 
 # --------------------------------------------------------------------------
 # conservation: swapping anything with a Bell state preserves concurrence
 
 
-def _conserve_chunk(start, stop, seed, ensemble, rank_tol):
-    stream = RngStream(seed, _STREAM_IDS["conserve"])
-    bell = bell_density(BellLabel.PHI_PLUS)
-    records, skipped = [], 0
-    for i in range(start, stop):
-        rng = stream.substream(i)
-        rho = _draw_input(ensemble, rng)
-        c_a = concurrence(rho)
-        r_a = numerical_rank(rho, rank_tol)
-        for res in swap_all_outcomes(rho, bell):
-            if res.state is None:
-                skipped += 1
-                continue
-            records.append(ExperimentRecord(
-                sample_index=i, outcome=res.outcome,
-                c_a=c_a, c_b=1.0, c_f=concurrence(res.state),
-                probability=res.probability,
-                rank_a=r_a, rank_b=1,
-                rank_f=numerical_rank(res.state, rank_tol),
-            ))
-    return records, skipped
+def _conserve_draw(seed, ensemble, rank_tol, lo, hi):
+    rngs = _substreams("conserve", seed, lo, hi)
+    if ensemble == "bures":
+        rho = random_bures(rngs)
+    elif ensemble == "pure":
+        rho = pure_batch(random_pure(rngs), _where(lo, "input"))
+    elif ensemble.startswith("induced-"):
+        rho = random_induced(rngs, 4, int(ensemble.split("-", 1)[1]))
+    else:
+        raise ValueError(
+            f"unknown ensemble {ensemble!r}; expected bures, pure or induced-1..4"
+        )
+    bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
+    return rho, bell, _measure_inputs(lo, rho, rank_tol), ([1.0] * (hi - lo), [1] * (hi - lo))
 
 
 def run_conservation(samples: int, seed: int, ensemble: str = "bures",
                      rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
     """Swap random states with phi+ and measure |C_F - C_A| per outcome."""
     t0 = time.perf_counter()
-    chunks = _run_chunks(_conserve_chunk, samples, workers,
-                         (seed, ensemble, rank_tol))
-    records = _sort_records([r for recs, _ in chunks for r in recs])
-    report = BoundReport("conserve", samples, seed,
-                         skipped=sum(s for _, s in chunks))
+    records, report = _run_swaps("conserve", samples, seed, workers, rank_tol,
+                                 partial(_conserve_draw, seed, ensemble, rank_tol))
     for r in records:
         deviation = abs(r.c_f - r.c_a)
         report.max_upper_excess = max(report.max_upper_excess, deviation)
@@ -269,7 +318,7 @@ def run_belldiag_bounds(samples: int, seed: int,
     the fitted linear floor is checked with slack and re-fitted."""
     t0 = time.perf_counter()
     chunks = _run_chunks(_belldiag_chunk, samples, workers, (seed, rank_tol))
-    records = _sort_records([r for recs, _ in chunks for r in recs])
+    records = [r for recs, _ in chunks for r in recs]
     report = BoundReport("belldiag", samples, seed,
                          skipped=sum(s for _, s in chunks))
     for r in records:
@@ -293,30 +342,19 @@ def run_belldiag_bounds(samples: int, seed: int,
 # pure pairs: C_F >= (C_A C_B)^2, exponential floor re-fitted
 
 
-def _pure_chunk(start, stop, seed, rank_tol):
-    stream = RngStream(seed, _STREAM_IDS["pure"])
-    records, skipped = [], 0
-    for i in range(start, stop):
-        rng = stream.substream(i)
-        va, vb = random_pure(rng), random_pure(rng)
-        rho_a = DensityMatrix.from_pure(va)
-        rho_b = DensityMatrix.from_pure(vb)
-        c_a, c_b = pure_concurrence(va), pure_concurrence(vb)
-        lo_c, hi_c = min(c_a, c_b), max(c_a, c_b)
-        ratio = hi_c / lo_c if lo_c > 0.0 else float("inf")
-        for res in swap_all_outcomes(rho_a, rho_b):
-            if res.state is None:
-                skipped += 1
-                continue
-            records.append(ExperimentRecord(
-                sample_index=i, outcome=res.outcome,
-                c_a=c_a, c_b=c_b, c_f=concurrence(res.state),
-                probability=res.probability,
-                rank_a=1, rank_b=1,
-                rank_f=numerical_rank(res.state, rank_tol),
-                ratio=ratio,
-            ))
-    return records, skipped
+def _pure_draw(seed, lo, hi):
+    rngs = _substreams("pure", seed, lo, hi)
+    va, vb = random_pure(rngs), random_pure(rngs)
+    c_a = [pure_concurrence(v) for v in va]
+    c_b = [pure_concurrence(v) for v in vb]
+    ratio = [max(a, b) / min(a, b) if min(a, b) > 0.0 else float("inf")
+             for a, b in zip(c_a, c_b)]
+    rho_a = pure_batch(va, _where(lo, "input a"))
+    rho_b = pure_batch(vb, _where(lo, "input b"))
+    validate_batch(rho_a, _where(lo, "input a"))
+    validate_batch(rho_b, _where(lo, "input b"))
+    ones = [1] * (hi - lo)
+    return rho_a, rho_b, (c_a, ones), (c_b, ones), ratio
 
 
 def _fit_lower_exponential(records) -> "dict | None":
@@ -346,10 +384,8 @@ def run_pure_bounds(samples: int, seed: int,
                     rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
     """Haar-random pure pairs; the squared-product lower bound is hard."""
     t0 = time.perf_counter()
-    chunks = _run_chunks(_pure_chunk, samples, workers, (seed, rank_tol))
-    records = _sort_records([r for recs, _ in chunks for r in recs])
-    report = BoundReport("pure", samples, seed,
-                         skipped=sum(s for _, s in chunks))
+    records, report = _run_swaps("pure", samples, seed, workers, rank_tol,
+                                 partial(_pure_draw, seed))
     for r in records:
         deficit = (r.c_a * r.c_b) ** 2 - r.c_f
         report.max_lower_deficit = max(report.max_lower_deficit, deficit)
@@ -365,30 +401,13 @@ def run_pure_bounds(samples: int, seed: int,
 # rank law: R_F >= max(R_A, R_B), equality when either input is pure
 
 
-def _rank_chunk(start, stop, seed, per_combo, rank_tol):
-    stream = RngStream(seed, _STREAM_IDS["rank"])
-    records, skipped = [], 0
-    for i in range(start, stop):
-        combo = i // per_combo
-        k1, k2 = combo // 4 + 1, combo % 4 + 1
-        rng = stream.substream(i)
-        rho_a = random_induced(rng, 4, k1)
-        rho_b = random_induced(rng, 4, k2)
-        c_a, c_b = concurrence(rho_a), concurrence(rho_b)
-        r_a = numerical_rank(rho_a, rank_tol)
-        r_b = numerical_rank(rho_b, rank_tol)
-        for res in swap_all_outcomes(rho_a, rho_b):
-            if res.state is None:
-                skipped += 1
-                continue
-            records.append(ExperimentRecord(
-                sample_index=i, outcome=res.outcome,
-                c_a=c_a, c_b=c_b, c_f=concurrence(res.state),
-                probability=res.probability,
-                rank_a=r_a, rank_b=r_b,
-                rank_f=numerical_rank(res.state, rank_tol),
-            ))
-    return records, skipped
+def _rank_draw(seed, per_combo, rank_tol, lo, hi):
+    rngs = _substreams("rank", seed, lo, hi)
+    combo = lo // per_combo  # blocks never straddle two combos
+    rho_a = random_induced(rngs, 4, combo // 4 + 1)
+    rho_b = random_induced(rngs, 4, combo % 4 + 1)
+    return (rho_a, rho_b, _measure_inputs(lo, rho_a, rank_tol, "input a"),
+            _measure_inputs(lo, rho_b, rank_tol, "input b"))
 
 
 def run_rank_relation(samples_per_combo: int, seed: int,
@@ -396,11 +415,9 @@ def run_rank_relation(samples_per_combo: int, seed: int,
     """Induced-measure pairs of every rank combination (k1, k2) in 1..4."""
     t0 = time.perf_counter()
     total = 16 * samples_per_combo
-    chunks = _run_chunks(_rank_chunk, total, workers,
-                         (seed, samples_per_combo, rank_tol))
-    records = _sort_records([r for recs, _ in chunks for r in recs])
-    report = BoundReport("rank", total, seed,
-                         skipped=sum(s for _, s in chunks))
+    records, report = _run_swaps("rank", total, seed, workers, rank_tol,
+                                 partial(_rank_draw, seed, samples_per_combo, rank_tol),
+                                 group=samples_per_combo)
     mismatches = 0
     for r in records:
         combo = r.sample_index // samples_per_combo
@@ -425,37 +442,30 @@ def run_rank_relation(samples_per_combo: int, seed: int,
 # rank-2 self-swap: C_F equals the squared input concurrence exactly
 
 
+def _rank2_draw(points, rank_tol, lo, hi):
+    alphas = [i / (points + 1) for i in range(lo + 1, hi + 1)]
+    sigma = np.stack([rank2_bell_mixture(alpha).mat for alpha in alphas])
+    cols = ([abs(2.0 * alpha - 1.0) for alpha in alphas],
+            rank_batch(validate_batch(sigma, _where(lo, "input")), rank_tol).tolist())
+    return sigma, sigma, cols, cols
+
+
 def run_rank2_selfswap(points: int = 99, seed: int = 0,
                        rank_tol: float = DEFAULT_RANK_TOL):
     """Swap alpha psi+ + (1-alpha) psi- with itself on an alpha grid."""
     if points < 1:
         raise ValueError(f"grid size must be at least 1, got {points}")
     t0 = time.perf_counter()
-    records = []
-    report = BoundReport("rank2-selfswap", points, seed)
-    for i in range(1, points + 1):
-        alpha = i / (points + 1)
-        sigma = rank2_bell_mixture(alpha)
-        c_a = abs(2.0 * alpha - 1.0)
-        r_a = numerical_rank(sigma, rank_tol)
-        for res in swap_all_outcomes(sigma, sigma):
-            if res.state is None:
-                report.skipped += 1
-                continue
-            c_f = concurrence(res.state)
-            records.append(ExperimentRecord(
-                sample_index=i - 1, outcome=res.outcome,
-                c_a=c_a, c_b=c_a, c_f=c_f, probability=res.probability,
-                rank_a=r_a, rank_b=r_a,
-                rank_f=numerical_rank(res.state, rank_tol),
-            ))
-            deviation = abs(c_f - c_a * c_a)
-            report.max_upper_excess = max(report.max_upper_excess, deviation)
-            if deviation > SELF_SWAP_TOL:
-                report.violations_upper += 1
+    records, report = _run_swaps("rank2-selfswap", points, seed, 1, rank_tol,
+                                 partial(_rank2_draw, points, rank_tol))
+    for r in records:
+        deviation = abs(r.c_f - r.c_a * r.c_a)
+        report.max_upper_excess = max(report.max_upper_excess, deviation)
+        if deviation > SELF_SWAP_TOL:
+            report.violations_upper += 1
     report.hard_violations = report.violations_upper
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return _sort_records(records), report
+    return records, report
 
 
 # --------------------------------------------------------------------------
@@ -463,24 +473,31 @@ def run_rank2_selfswap(points: int = 99, seed: int = 0,
 
 
 def _oracle_chunk(start, stop, seed, eta, rank_tol):
-    stream = RngStream(seed, _STREAM_IDS["oracle-equiv"])
+    psi = _OUTCOMES.index(BellLabel.PSI_MINUS)
     records, distances, prob_diffs = [], [], []
-    for i in range(start, stop):
-        rng = stream.substream(i)
-        rho_a, rho_b = random_bures(rng), random_bures(rng)
-        analytic = swap_general(rho_a, rho_b, BellLabel.PSI_MINUS)
-        physical = swap_via_beamsplitter(rho_a, rho_b, eta)
-        distances.append(trace_distance(analytic.state, physical.state))
-        prob_diffs.append(abs(analytic.probability - physical.probability))
-        records.append(ExperimentRecord(
-            sample_index=i, outcome=BellLabel.PSI_MINUS,
-            c_a=concurrence(rho_a), c_b=concurrence(rho_b),
-            c_f=concurrence(analytic.state),
-            probability=analytic.probability,
-            rank_a=numerical_rank(rho_a, rank_tol),
-            rank_b=numerical_rank(rho_b, rank_tol),
-            rank_f=numerical_rank(analytic.state, rank_tol),
-        ))
+    for lo, hi in _blocks(start, stop):
+        rngs = _substreams("oracle-equiv", seed, lo, hi)
+        mats_a, mats_b = random_bures(rngs), random_bures(rngs)
+        c_a, r_a = _measure_inputs(lo, mats_a, rank_tol, "input a")
+        c_b, r_b = _measure_inputs(lo, mats_b, rank_tol, "input b")
+        raw, prob = swap_batch(mats_a, mats_b)
+        possible, states, eigs = conditional_states(
+            raw[:, psi:psi + 1], prob[:, psi:psi + 1], lambda n, _: _where(lo, "output")(n, psi))
+        if not possible.all():  # the first sample swap_general would refuse
+            raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], psi][0])
+        c_f = concurrence_batch(states).tolist()
+        r_f = rank_batch(eigs, rank_tol).tolist()
+        probs = prob[:, psi].tolist()
+        for n in range(hi - lo):
+            # inputs and the analytic output were validated as stacks above
+            physical = swap_via_beamsplitter(
+                DensityMatrix(mats_a[n], validate=False),
+                DensityMatrix(mats_b[n], validate=False), eta)
+            analytic = DensityMatrix(states[n], validate=False)
+            distances.append(trace_distance(analytic, physical.state))
+            prob_diffs.append(abs(probs[n] - physical.probability))
+            records.append(ExperimentRecord(lo + n, BellLabel.PSI_MINUS, c_a[n], c_b[n],
+                                            c_f[n], probs[n], r_a[n], r_b[n], r_f[n]))
     return records, distances, prob_diffs
 
 
@@ -490,7 +507,7 @@ def run_oracle_equiv(samples: int, seed: int, eta: float = 0.5,
     t0 = time.perf_counter()
     chunks = _run_chunks(_oracle_chunk, samples, workers,
                          (seed, eta, rank_tol))
-    records = _sort_records([r for recs, _, _ in chunks for r in recs])
+    records = [r for recs, _, _ in chunks for r in recs]
     distances = [d for _, ds, _ in chunks for d in ds]
     prob_diffs = [p for _, _, ps in chunks for p in ps]
     report = BoundReport("oracle-equiv", samples, seed)

@@ -17,6 +17,8 @@ beamsplitter action is exactly unitary on this space.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qstate import BellLabel, DensityMatrix
@@ -63,8 +65,10 @@ def _single_photon_map(eta: float) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=16)
 def beamsplitter_unitary(eta: float) -> np.ndarray:
-    """10x10 unitary action of the beamsplitter on the two-photon space."""
+    """10x10 unitary action of the beamsplitter on the two-photon space,
+    cached per reflectivity and read-only."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"reflectivity must lie strictly in (0, 1), got {eta}")
     single = _single_photon_map(eta)
@@ -81,6 +85,7 @@ def beamsplitter_unitary(eta: float) -> np.ndarray:
                 else:
                     key = (e, f) if e < f else (f, e)
                     u[_PAIR_INDEX[key], col] += amp
+    u.setflags(write=False)
     return u
 
 

@@ -111,14 +111,76 @@ def partial_trace_23(rho1234: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def _psd_sqrt(hermitian: np.ndarray) -> np.ndarray:
-    # Hermitian-specialized square root; tiny negative eigenvalues from
-    # roundoff are clipped to zero.
+    # Hermitian-specialized square root of each matrix of a stack; tiny
+    # negative eigenvalues from roundoff are clipped to zero.
     w, v = np.linalg.eigh(hermitian)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
+    # ValidationError for the first flagged matrix of a stack
+    index = np.unravel_index(np.argmax(bad), bad.shape)
+    text = message.format(values[index])
+    if where is not None:
+        text += f" ({where(*(int(i) for i in index))})"
+    raise ValidationError(text)
+
+
+def validate_batch(mats: np.ndarray, where=None) -> np.ndarray:
+    """Check the density-matrix invariants on a stack (..., 4, 4).
+
+    Runs DensityMatrix's finiteness, Hermiticity, trace and eigenvalue
+    checks in that order over the whole stack; the first flagged matrix
+    raises ValidationError naming the invariant, the offending value and,
+    through ``where(*batch_index)`` if given, the input. Returns the
+    eigenvalues in descending order, shape (..., 4).
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2:] != (4, 4):
+        raise ValidationError(f"shape invariant violated: {mats.shape[-2:]} != (4, 4)")
+    # each check reduces the whole stack (initial= admits an empty one) and
+    # locates the culprit only on failure: a batch of one stays cheap
+    finite = np.isfinite(mats)
+    if not finite.all():
+        finite = finite.all(axis=(-2, -1))
+        _raise_first(finite, ~finite, "finiteness invariant violated: NaN or Inf entry", where)
+    herm_err = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    if herm_err.max(initial=0.0) > HERMITICITY_TOL:
+        herm_err = herm_err.max(axis=(-2, -1))
+        _raise_first(herm_err, herm_err > HERMITICITY_TOL,
+                     "hermiticity invariant violated: max |m_ij - conj(m_ji)| = {:.3e}", where)
+    trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+    if trace_err.max(initial=0.0) > TRACE_TOL:
+        _raise_first(trace_err, trace_err > TRACE_TOL,
+                     "trace invariant violated: |tr - 1| = {:.3e}", where)
+    # eigvalsh reads one triangle, which Hermiticity (checked above)
+    # makes equivalent to the Hermitized matrix to within tolerance
+    eigs = np.linalg.eigvalsh(mats)
+    if eigs[..., 0].min(initial=np.inf) < EIGENVALUE_FLOOR:
+        _raise_first(eigs[..., 0], eigs[..., 0] < EIGENVALUE_FLOOR,
+                     "eigenvalue invariant violated: min eigenvalue = {:.3e}", where)
+    return eigs[..., ::-1]
+
+
+def pure_batch(amplitudes: np.ndarray, where=None) -> np.ndarray:
+    """Projectors |psi><psi| onto amplitude vectors (..., 4), whose norms
+    must be 1 within 1e-12 (else ValidationError, named as in validate_batch)."""
+    v = np.asarray(amplitudes, dtype=complex)
+    norm = np.linalg.norm(v, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-12
+    if off.any():
+        _raise_first(norm, off, "norm invariant violated: ||psi|| = {!r}", where)
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 class DensityMatrix:
@@ -144,38 +206,19 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Re-check all invariants, raising ValidationError on failure."""
-        mat = self.mat
-        if mat.shape != (4, 4):
-            raise ValidationError(f"shape invariant violated: {mat.shape} != (4, 4)")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValidationError("finiteness invariant violated: NaN or Inf entry")
-        herm_err = np.abs(mat - mat.conj().T).max()
-        if herm_err > HERMITICITY_TOL:
-            raise ValidationError(
-                f"hermiticity invariant violated: max |m_ij - conj(m_ji)| = {herm_err:.3e}"
-            )
-        trace_err = abs(mat.trace() - 1.0)
-        if trace_err > TRACE_TOL:
-            raise ValidationError(f"trace invariant violated: |tr - 1| = {trace_err:.3e}")
-        # eigvalsh reads one triangle, which Hermiticity (checked above)
-        # makes equivalent to the Hermitized matrix to within tolerance
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"eigenvalue invariant violated: min eigenvalue = {eigs[0]:.3e}"
-            )
-        descending = eigs[::-1].copy()
-        descending.setflags(write=False)
-        object.__setattr__(self, "_eigs", descending)
+        object.__setattr__(self, "_eigs", _frozen(validate_batch(self.mat)))
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray, eigs: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that validate_batch accepted, with its eigenvalues."""
+        rho = cls(mat, validate=False)
+        object.__setattr__(rho, "_eigs", _frozen(eigs))
+        return rho
 
     @classmethod
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         """Projector |psi><psi| onto a four-component amplitude vector."""
-        v = np.asarray(amplitudes, dtype=complex).reshape(4)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"norm invariant violated: ||psi|| = {norm!r}")
-        return cls(np.outer(v, v.conj()))
+        return cls(pure_batch(np.asarray(amplitudes, dtype=complex).reshape(4)))
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
@@ -184,9 +227,8 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in descending order (cached by validate)."""
         if self._eigs is None:
-            eigs = np.linalg.eigvalsh(_hermitize(self.mat))[::-1].copy()
-            eigs.setflags(write=False)
-            object.__setattr__(self, "_eigs", eigs)
+            eigs = np.linalg.eigvalsh(_hermitize(self.mat))[::-1]
+            object.__setattr__(self, "_eigs", _frozen(eigs))
         return self._eigs
 
     def purity(self) -> float:
@@ -297,13 +339,18 @@ def concurrence(state: "DensityMatrix | XState") -> float:
     """
     if isinstance(state, XState):
         return concurrence_x(state)
-    rho = _hermitize(state.mat)
-    root = _psd_sqrt(rho)
+    return float(concurrence_batch(state.mat))
+
+
+def concurrence_batch(mats: np.ndarray) -> np.ndarray:
+    """``concurrence`` of each density matrix of a stack (N, 4, 4), or of
+    a single (4, 4) one."""
+    root = _psd_sqrt(_hermitize(mats))
     # sqrt commutes with the (sy x sy) conjugation, so sqrt(rho~) is the
     # signed anti-transpose of the conjugated sqrt(rho)
-    root_tilde = _YY_SIGNS * root[::-1, ::-1].conj()
-    lam = np.linalg.svd(root @ root_tilde, compute_uv=False)
-    return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
+    root_tilde = _YY_SIGNS * root[..., ::-1, ::-1].conj()
+    lam0, lam1, lam2, lam3 = np.linalg.svd(root @ root_tilde, compute_uv=False).T
+    return np.clip(lam0 - lam1 - lam2 - lam3, 0.0, 1.0)
 
 
 def concurrence_x(x: XState) -> float:
@@ -321,8 +368,14 @@ def pure_concurrence(amplitudes: np.ndarray) -> float:
 
 def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of eigenvalues above ``tol`` times the largest eigenvalue."""
-    eigs = state.eigenvalues()
-    return int(np.count_nonzero(eigs > tol * eigs[0]))
+    return int(rank_batch(state.eigenvalues(), tol))
+
+
+def rank_batch(eigs: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Numerical ranks from descending eigenvalues of shape (..., 4)."""
+    if eigs.ndim == 1:  # one spectrum: count_nonzero's fast path
+        return np.count_nonzero(eigs > tol * eigs[0])
+    return np.count_nonzero(eigs > tol * eigs[..., :1], axis=-1)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

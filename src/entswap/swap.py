@@ -23,20 +23,31 @@ from .qstate import (
     bell_vector,
     partial_trace_23,
     tensor,
+    validate_batch,
 )
 
 # A normalization at or below this is treated as an impossible outcome:
 # the conditional state 0/0 carries no information.
 NORMALIZATION_FLOOR = 1e-12
 
-_S2 = 1.0 / np.sqrt(2.0)
-# Bell amplitudes on (mode-2, mode-3) polarizations, H=0 / V=1.
-_BELL_AMPS = {
-    BellLabel.PHI_PLUS: (((0, 0), _S2), ((1, 1), _S2)),
-    BellLabel.PHI_MINUS: (((0, 0), _S2), ((1, 1), -_S2)),
-    BellLabel.PSI_PLUS: (((0, 1), _S2), ((1, 0), _S2)),
-    BellLabel.PSI_MINUS: (((0, 1), _S2), ((1, 0), -_S2)),
-}
+_OUTCOMES = tuple(BellLabel)
+
+
+def _kernel_tables():
+    # Outcome k projects modes (2, 3) onto the two nonzero amplitudes
+    # amps[k, t] of its Bell vector, at polarizations (p, q) = divmod(terms,
+    # 2), H=0 / V=1. Term pair (ket t, bra u) reads a[2 m1 + p_t, 2 m1' + p_u]
+    # and b[2 q_t + m4, 2 q_u + m4']; tables are laid out [t, u, k, m, m'].
+    vecs = np.array([bell_vector(label) for label in _OUTCOMES]).real
+    terms = np.array([np.flatnonzero(v) for v in vecs])
+    (p, q), amps = np.divmod(terms, 2), np.take_along_axis(vecs, terms, axis=1)
+    t, u, k, m, mp = np.ix_(range(2), range(2), range(4), range(2), range(2))
+    return ((2 * m + p[k, t]) * 4 + 2 * mp + p[k, u],
+            (2 * q[k, t] + m) * 4 + 2 * q[k, u] + mp,
+            (amps[k, t] * amps[k, u])[..., None, None])
+
+
+_GATHER_A, _GATHER_B, _WEIGHTS = _kernel_tables()
 
 
 class ImpossibleOutcome(Exception):
@@ -64,26 +75,43 @@ class SwapResult:
     outcome: BellLabel
 
 
-def _projected_14(a: np.ndarray, b: np.ndarray, outcome: BellLabel) -> np.ndarray:
-    """Unnormalized operator on modes (1, 4) after projecting modes (2, 3)
-    of a (x) b onto the chosen Bell state.
+def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """All four outcomes for a stack of input pairs a, b of shape (N, 4, 4).
 
-    Every output entry is the four-term bilinear combination of input
-    entries obtained by contracting the two Bell amplitudes; its trace is
-    the outcome probability.
+    Returns the unnormalized operators on modes (1, 4) left by projecting
+    modes (2, 3) of a (x) b onto each Bell state, shape (N, 4, 4, 4)
+    indexed [sample, outcome (BellLabel order), row, col], and their
+    traces, the outcome probabilities (N, 4). Each entry is the four-term
+    bilinear combination of input entries given by the two Bell
+    amplitudes, summed in a fixed order so it is reproducible bit for bit.
     """
-    a4 = a.reshape(2, 2, 2, 2)  # [m1, m2, m1', m2']
-    b4 = b.reshape(2, 2, 2, 2)  # [m3, m4, m3', m4']
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    amps = _BELL_AMPS[outcome]
-    for (p, q), w in amps:
-        for (r, s), v in amps:
-            slab_a = a4[:, p, :, r]  # over (m1, m1')
-            slab_b = b4[q, :, s, :]  # over (m4, m4')
-            out += (np.conj(w) * v) * (
-                slab_a[:, None, :, None] * slab_b[None, :, None, :]
-            )
-    return out.reshape(4, 4)
+    slab_a = np.asarray(a).reshape(-1, 16)[:, _GATHER_A]  # [n, t, u, k, m1, m1']
+    slab_b = np.asarray(b).reshape(-1, 16)[:, _GATHER_B]  # [n, t, u, k, m4, m4']
+    terms = _WEIGHTS * (slab_a[..., :, None, :, None] * slab_b[..., None, :, None, :])
+    out = np.zeros((len(terms), 4, 2, 2, 2, 2), dtype=complex)  # [n, k, m1, m4, m1', m4']
+    for t in range(2):
+        for u in range(2):
+            out += terms[:, t, u]
+    raw = out.reshape(-1, 4, 4, 4)
+    return raw, raw.trace(axis1=-2, axis2=-1).real
+
+
+def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
+    """Normalize and validate, as one stack, the outcomes of swap_batch
+    (or of a selection of its K outcome columns) whose normalization, twice
+    the probability, exceeds NORMALIZATION_FLOOR.
+
+    Returns their (N, K) mask, their states (M, 4, 4) in row-major mask
+    order and the states' descending eigenvalues (M, 4); ``where(n, k)``
+    names a state that fails validation.
+    """
+    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)
+    states = raw[possible] / prob[possible][:, None, None]
+    label = None
+    if where is not None:
+        rows = np.argwhere(possible)
+        label = lambda j: where(*rows[j])  # noqa: E731
+    return possible, states, validate_batch(states, label)
 
 
 def swap_general(
@@ -94,16 +122,12 @@ def swap_general(
     Raises ImpossibleOutcome when the outcome's normalization is at or
     below NORMALIZATION_FLOOR.
     """
-    raw = _projected_14(rho_a.mat, rho_b.mat, outcome)
-    probability = float(raw.trace().real)
-    normalization = 2.0 * probability
-    if normalization <= NORMALIZATION_FLOOR:
-        raise ImpossibleOutcome(outcome, normalization)
-    return SwapResult(
-        state=DensityMatrix(raw / probability),
-        probability=probability,
-        outcome=outcome,
-    )
+    k = _OUTCOMES.index(outcome)
+    raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
+    probability = float(prob[0, k])
+    if 2.0 * probability <= NORMALIZATION_FLOOR:
+        raise ImpossibleOutcome(outcome, 2.0 * probability)
+    return SwapResult(DensityMatrix(raw[0, k] / probability), probability, outcome)
 
 
 def swap_x_params(
@@ -167,13 +191,14 @@ def swap_all_outcomes(rho_a: DensityMatrix, rho_b: DensityMatrix) -> "list[SwapR
     state instead of raising, so the four probabilities always sum to 1
     (within roundoff).
     """
-    results = []
-    for outcome in BellLabel:
-        try:
-            results.append(swap_general(rho_a, rho_b, outcome))
-        except ImpossibleOutcome:
-            results.append(SwapResult(state=None, probability=0.0, outcome=outcome))
-    return results
+    raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
+    possible, states, eigs = conditional_states(raw, prob)
+    checked = map(DensityMatrix._checked, states, eigs)
+    return [
+        SwapResult(state=next(checked), probability=float(p), outcome=outcome)
+        if ok else SwapResult(state=None, probability=0.0, outcome=outcome)
+        for outcome, ok, p in zip(_OUTCOMES, possible[0], prob[0])
+    ]
 
 
 def bell_projector_16(outcome: BellLabel) -> np.ndarray:

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +169,41 @@ def test_zero_probability_outcomes_are_skipped_not_recorded():
     dead = [r for r in results if r.state is None]
     assert {r.outcome for r in dead} == {es.BellLabel.PSI_PLUS, es.BellLabel.PSI_MINUS}
     assert all(r.probability == 0.0 for r in dead)
+
+
+# ------------------------------------------------------------ batched path
+
+
+def test_batched_input_errors_name_the_sample(monkeypatch):
+    real = ex.random_bures
+
+    def broken(rngs):
+        mats = real(rngs)
+        mats[3] *= 2.0
+        return mats
+
+    monkeypatch.setattr(ex, "random_bures", broken)
+    with pytest.raises(es.ValidationError,
+                       match=r"^trace invariant violated: .*\(input of sample 3\)$"):
+        ex.run_conservation(6, seed=5)
+
+
+def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
+    monkeypatch.setattr(ex, "BLOCK_SAMPLES", 4)
+    assert ex._blocks(3, 13) == [(3, 7), (7, 11), (11, 13)]
+    grouped = ex._blocks(3, 13, group=5)
+    assert [lo for lo, _ in grouped[1:]] == [hi for _, hi in grouped[:-1]]
+    assert (grouped[0][0], grouped[-1][1]) == (3, 13)
+    assert all(0 < hi - lo <= 4 and lo // 5 == (hi - 1) // 5 for lo, hi in grouped)
+
+
+def test_benchmark_tracer_targets_stay_resolvable():
+    # the benchmark's span tracer wraps these attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("no benchmark tracer in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, _ in tracer._targets():
+        assert attr in vars(owner), attr

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from entswap import cli
+from entswap import cli, experiments
 
 # (experiment, samples, seed, extra CLI args, records format) ->
 # (records sha256, summary sha256 without runtime_ms)
@@ -89,6 +89,14 @@ def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers):
                          ids=lambda c: "-".join(map(str, (c[0], c[2], c[4], *c[3]))))
 def test_outputs_match_golden_hashes(tmp_path, case, workers):
     assert _run_hashes(tmp_path, *case, workers) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN),
+                         ids=lambda c: "-".join(map(str, (c[0], c[2], c[4], *c[3]))))
+def test_small_engine_blocks_keep_golden_hashes(tmp_path, monkeypatch, case):
+    # 7-sample blocks split each run into several stacked engine calls
+    monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 7)
+    assert _run_hashes(tmp_path, *case, 1) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -92,3 +92,20 @@ def test_unbalanced_splitter_still_yields_valid_states():
         res = es.swap_via_beamsplitter(rho_a, rho_b, eta=eta)
         res.state.validate()
         assert 0.0 < res.probability <= 1.0
+
+
+def test_beamsplitter_unitary_is_cached_and_read_only():
+    u = es.beamsplitter_unitary(0.37)
+    assert u is es.beamsplitter_unitary(0.37)
+    fresh = es.beamsplitter_unitary.__wrapped__(0.37)
+    assert fresh is not u and np.array_equal(fresh, u)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+
+
+def test_optics_oracle_stays_independent_of_the_swap_kernel():
+    from entswap import optics, swap
+
+    borrowed = {name for name, value in vars(optics).items()
+                if getattr(value, "__module__", None) == swap.__name__}
+    assert borrowed == {"SwapResult"}

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.qstate import _hermitize
+from entswap.qstate import (
+    _hermitize,
+    concurrence_batch,
+    pure_batch,
+    rank_batch,
+    validate_batch,
+)
+from entswap.swap import conditional_states
 
 
 def _random_complex(rng, rows, cols):
@@ -307,3 +314,81 @@ def test_json_rejects_malformed_entries():
     payload = {"basis": ",".join(es.BASIS_LABELS), "matrix": [[1, 2], [3, 4]]}
     with pytest.raises(ValueError):
         es.matrix_from_json_dict(payload)
+
+
+# ------------------------------------------------------ stacked validation
+
+
+def _broken_stack():
+    # three valid Bures states with the trace of the middle one broken
+    mats = es.random_bures([np.random.default_rng(i) for i in range(3)]).copy()
+    mats[1] *= 1.5
+    return mats
+
+
+def test_validate_batch_matches_scalar_eigenvalues():
+    rng = np.random.default_rng(60)
+    states = [es.random_bures(rng) for _ in range(20)]
+    eigs = validate_batch(np.stack([rho.mat for rho in states]))
+    for rho, row in zip(states, eigs):
+        assert np.array_equal(rho.eigenvalues(), row)
+
+
+def test_validate_batch_error_names_invariant_value_and_input():
+    mats = _broken_stack()
+    scalar = "trace invariant violated: |tr - 1| = 5.000e-01"
+    with pytest.raises(es.ValidationError) as excinfo:
+        validate_batch(mats, where=lambda n: f"input of sample {10 + n}")
+    assert str(excinfo.value) == scalar + " (input of sample 11)"
+    # the scalar path keeps its message text, without an input name
+    with pytest.raises(es.ValidationError) as excinfo:
+        es.DensityMatrix(mats[1])
+    assert str(excinfo.value) == scalar
+
+
+def test_validate_batch_names_swap_outputs_by_sample_and_outcome():
+    mats = _broken_stack()
+    raw = np.repeat(mats[:, None], 4, axis=1)  # (3, 4, 4, 4)
+    prob = np.full((3, 4), 1.0)
+    with pytest.raises(es.ValidationError, match=r"sample 1, outcome psi\+\)$"):
+        conditional_states(raw, prob, lambda n, k: f"sample {n}, outcome {list(es.BellLabel)[k]}")
+
+
+@pytest.mark.parametrize(
+    "mat,fragment",
+    [
+        (np.diag([0.5, 0.75, -0.25, 0.0]), "eigenvalue invariant violated: min eigenvalue = -2.500e-01"),
+        (np.diag([1.0, 0.0, 0.0, np.nan]), "finiteness invariant violated: NaN or Inf entry"),
+        (np.eye(4) / 4.0 + 0.01 * np.array([[0, 1j, 0, 0]] + [[0] * 4] * 3),
+         "hermiticity invariant violated: max |m_ij - conj(m_ji)| = 1.000e-02"),
+    ],
+)
+def test_validate_batch_reports_first_failing_sample(mat, fragment):
+    good = np.eye(4, dtype=complex) / 4.0
+    mats = np.stack([good, good, np.array(mat, dtype=complex), good])
+    with pytest.raises(es.ValidationError) as excinfo:
+        validate_batch(mats, where=lambda n: f"sample {n}")
+    assert str(excinfo.value) == f"{fragment} (sample 2)"
+
+
+def test_validate_batch_accepts_an_empty_stack():
+    assert validate_batch(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
+
+
+def test_pure_batch_names_unnormalized_vector():
+    vecs = np.eye(4, dtype=complex)
+    vecs[3] *= 2.0
+    with pytest.raises(es.ValidationError, match=r"norm invariant violated.*\(vector 3\)$"):
+        pure_batch(vecs, where=lambda n: f"vector {n}")
+
+
+def test_batched_measures_match_scalar_ones():
+    rng = np.random.default_rng(61)
+    states = [es.random_induced(rng, 4, k) for k in (1, 2, 3, 4) for _ in range(5)]
+    mats = np.stack([rho.mat for rho in states])
+    eigs = validate_batch(mats)
+    conc = concurrence_batch(mats)
+    ranks = rank_batch(eigs, 1e-10)
+    for i, rho in enumerate(states):
+        assert conc[i] == es.concurrence(rho)
+        assert ranks[i] == es.numerical_rank(rho)

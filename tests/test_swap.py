@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.swap import _projected_14, bell_projector_16, swap_x_params
+from entswap.swap import bell_projector_16, conditional_states, swap_batch, swap_x_params
 
 B = es.BellLabel
 
@@ -32,6 +32,12 @@ PSI_MINUS_LOOKUP = {
 
 def _rand_dm(rng):
     return es.random_bures(rng)
+
+
+def _projected(a, b, outcome):
+    """One outcome's unnormalized output of the batched kernel."""
+    raw, _ = swap_batch(a[None], b[None])
+    return raw[0, list(B).index(outcome)]
 
 
 # -------------------------------------------------- Bell-pair golden table
@@ -101,7 +107,7 @@ def test_unnormalized_entries_match_literal_forms(outcome, terms_table):
     for _ in range(25):
         a, b = _rand_dm(rng).mat, _rand_dm(rng).mat
         # the projected block is half the literal entry table
-        raw = 2.0 * _projected_14(a, b, outcome)
+        raw = 2.0 * _projected(a, b, outcome)
         for (row, col), terms in terms_table.items():
             expected = _eval_terms(terms, a, b, sign)
             assert raw[row - 1, col - 1] == pytest.approx(expected, abs=1e-12)
@@ -245,8 +251,8 @@ def test_projection_is_bilinear_in_the_inputs():
     for outcome in B:
         a1, a2, b = _rand_dm(rng).mat, _rand_dm(rng).mat, _rand_dm(rng).mat
         lam = 0.37
-        mixed = _projected_14(lam * a1 + (1 - lam) * a2, b, outcome)
-        parts = lam * _projected_14(a1, b, outcome) + (1 - lam) * _projected_14(
+        mixed = _projected(lam * a1 + (1 - lam) * a2, b, outcome)
+        parts = lam * _projected(a1, b, outcome) + (1 - lam) * _projected(
             a2, b, outcome
         )
         assert np.abs(mixed - parts).max() < 1e-14
@@ -359,3 +365,54 @@ def test_pure_swap_concurrence_probability_identity(re_a, im_a, re_b, im_b):
             continue
         lhs = es.concurrence(res.state) * res.probability
         assert lhs == pytest.approx(product / 4.0, abs=1e-9)
+
+
+# ------------------------------------------------------- batched engine
+
+
+def test_batched_engine_agrees_with_scalar_and_both_oracles():
+    rng = np.random.default_rng(41)
+    pairs = [(_rand_dm(rng), _rand_dm(rng)) for _ in range(50)]
+    raw, prob = swap_batch(np.stack([a.mat for a, _ in pairs]),
+                           np.stack([b.mat for _, b in pairs]))
+    possible, states, _ = conditional_states(raw, prob)
+    assert possible.all()
+    states = states.reshape(len(pairs), 4, 4, 4)
+    for n, (rho_a, rho_b) in enumerate(pairs):
+        scalar = es.swap_all_outcomes(rho_a, rho_b)
+        for k, outcome in enumerate(B):
+            # batch of one: the same code, so the same bits
+            assert np.array_equal(scalar[k].state.mat, states[n, k])
+            assert scalar[k].probability == prob[n, k]
+            oracle = es.swap_oracle_16(rho_a, rho_b, outcome)
+            assert np.abs(oracle.state.mat - states[n, k]).max() < 1e-12
+            assert oracle.probability == pytest.approx(prob[n, k], abs=1e-12)
+        physical = es.swap_via_beamsplitter(rho_a, rho_b, eta=0.5)
+        psi = list(B).index(B.PSI_MINUS)
+        assert np.abs(physical.state.mat - states[n, psi]).max() < 1e-12
+        assert physical.probability == pytest.approx(prob[n, psi], abs=1e-12)
+
+
+def test_batched_engine_skips_impossible_outcomes_like_the_scalar_path():
+    # |HH><HH| (x) |HH><HH| kills both psi outcomes; Bures pairs kill none
+    rng = np.random.default_rng(42)
+    hh = es.DensityMatrix.from_pure([1, 0, 0, 0])
+    pairs = [(_rand_dm(rng), _rand_dm(rng)), (hh, hh), (_rand_dm(rng), hh)]
+    raw, prob = swap_batch(np.stack([a.mat for a, _ in pairs]),
+                           np.stack([b.mat for _, b in pairs]))
+    possible, states, eigs = conditional_states(raw, prob)
+    assert possible.size - possible.sum() == 2
+    assert len(states) == len(eigs) == possible.sum()
+    rows = iter(zip(states, eigs))
+    for n, (rho_a, rho_b) in enumerate(pairs):
+        for k, (outcome, res) in enumerate(zip(B, es.swap_all_outcomes(rho_a, rho_b))):
+            assert possible[n, k] == (res.state is not None)
+            if res.state is None:
+                assert res.probability == 0.0
+                with pytest.raises(es.ImpossibleOutcome, match=str(outcome)):
+                    es.swap_general(rho_a, rho_b, outcome)
+                continue
+            state, eig = next(rows)
+            assert np.array_equal(res.state.mat, state)
+            assert np.array_equal(res.state.eigenvalues(), eig)
+            assert es.swap_general(rho_a, rho_b, outcome).probability == prob[n, k]
