@@ -78,7 +78,7 @@ _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
 # Samples per stacked engine call on the general path: bounds the
-# engine's arrays (about 12 kB per sample) for any sample count.
+# engine's arrays (about 10 kB per sample) for any sample count.
 BLOCK_SAMPLES = 256
 
 

@@ -44,7 +44,7 @@ def _kernel_tables():
     t, u, k, m, mp = np.ix_(range(2), range(2), range(4), range(2), range(2))
     return ((2 * m + p[k, t]) * 4 + 2 * mp + p[k, u],
             (2 * q[k, t] + m) * 4 + 2 * q[k, u] + mp,
-            (amps[k, t] * amps[k, u])[..., None, None])
+            (amps.T[:, None] * amps.T[None, :])[..., None, None, None, None])
 
 
 _GATHER_A, _GATHER_B, _WEIGHTS = _kernel_tables()
@@ -87,7 +87,8 @@ def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """
     slab_a = np.asarray(a).reshape(-1, 16)[:, _GATHER_A]  # [n, t, u, k, m1, m1']
     slab_b = np.asarray(b).reshape(-1, 16)[:, _GATHER_B]  # [n, t, u, k, m4, m4']
-    terms = _WEIGHTS * (slab_a[..., :, None, :, None] * slab_b[..., None, :, None, :])
+    terms = slab_a[..., :, None, :, None] * slab_b[..., None, :, None, :]
+    terms *= _WEIGHTS
     out = np.zeros((len(terms), 4, 2, 2, 2, 2), dtype=complex)  # [n, k, m1, m4, m1', m4']
     for t in range(2):
         for u in range(2):
@@ -105,7 +106,7 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
     order and the states' descending eigenvalues (M, 4); ``where(n, k)``
     names a state that fails validation.
     """
-    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)
+    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
     states = raw[possible] / prob[possible][:, None, None]
     label = None
     if where is not None:
