@@ -148,8 +148,8 @@ def validate_batch(mats: np.ndarray, where=None) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (4, 4):
         raise ValidationError(f"shape invariant violated: {mats.shape[-2:]} != (4, 4)")
-    # each check reduces the whole stack (initial= admits an empty one) and
-    # locates the culprit only on failure: a batch of one stays cheap
+    # each check first reduces the whole stack (initial= admits an empty
+    # one) and locates the culprit only on failure
     finite = np.isfinite(mats)
     if not finite.all():
         finite = finite.all(axis=(-2, -1))
