@@ -55,6 +55,15 @@ GOLDEN = {
         "7aedaa4ad8e2dcb18604dc89a88cd362f0c2514bb610dba20564e65ec96736e6",
         "7451b3d66c723c3d7803dab576bf4b40e7d2daf667b4e3c7e32bb8c145b09c03",
     ),
+    # several 256-sample blocks at workers=1, several pool chunks at 2
+    ("belldiag", 600, 7, (), "csv"): (
+        "8f93a0754e65f9538810466696103d9bc987d1d8cc3bb5027556448afeb48422",
+        "f229341c0d4100d65afdd81c7a0268ae765931bde3fcde34a3b6805e344eb8cc",
+    ),
+    ("belldiag", 600, 501, (), "csv"): (
+        "f1215ee75011852c4215c2de6e36c04b6b821e8fc2aadbe8daf939c856e00a8e",
+        "b94bd41ad9056a84fc43bf5d31a186cd600aff5efb6800f48c1553d709c2936d",
+    ),
     ("pure", 30, 7, (), "json"): (
         "5661426892f78d4e235b2e47b49b2df006be8c7eacb2ea1859697d44a0a22424",
         "8015772210f549dce56a6122a89b33899bec3a149f2ba1c0eb939901d4b87924",
