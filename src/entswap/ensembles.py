@@ -101,6 +101,16 @@ def random_pure(rng) -> np.ndarray:
     return haar_unitary(rng, 4)[..., 0]
 
 
+def _check_weights(w: np.ndarray) -> None:
+    # BellDiagonalParams' invariants on weights (..., 4); names the first bad row
+    total = w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3]
+    for bad, rule in ((w.min(axis=-1) < -1e-12, "be nonnegative"),
+                      (np.abs(total - 1.0) > 1e-12, "sum to 1")):
+        if bad.any():
+            row = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"weights must {rule}, got {tuple(w[row].tolist())}")
+
+
 @dataclass(frozen=True)
 class BellDiagonalParams:
     """Mixing weights (alpha, beta, gamma, delta) of psi+, psi-, phi+, phi-."""
@@ -111,31 +121,34 @@ class BellDiagonalParams:
     delta: float
 
     def __post_init__(self):
-        weights = (self.alpha, self.beta, self.gamma, self.delta)
-        if min(weights) < -1e-12:
-            raise ValueError(f"weights must be nonnegative, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
+        _check_weights(np.array([self.alpha, self.beta, self.gamma, self.delta]))
 
     def to_x_state(self) -> XState:
-        # psi+/- populate the inner parity block, phi+/- the outer one.
-        return XState(
-            c11=0.5 * (self.gamma + self.delta),
-            c22=0.5 * (self.alpha + self.beta),
-            c33=0.5 * (self.alpha + self.beta),
-            c44=0.5 * (self.gamma + self.delta),
-            c14=0.5 * (self.gamma - self.delta),
-            c23=0.5 * (self.alpha - self.beta),
-        )
+        diag, coh = bell_diagonal_x(np.array([self.alpha, self.beta, self.gamma, self.delta]))
+        return XState(*diag, *coh)
 
     def to_density_matrix(self) -> DensityMatrix:
         return self.to_x_state().to_density_matrix()
 
 
-def random_bell_diagonal(rng: np.random.Generator) -> BellDiagonalParams:
-    """Uniform sample from the 3-simplex of Bell mixing weights."""
-    w = rng.dirichlet(np.ones(4))
-    return BellDiagonalParams(alpha=w[0], beta=w[1], gamma=w[2], delta=w[3])
+def bell_diagonal_x(weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """X stack (diag, coh) of Bell mixtures with weights (..., 4) of psi+,
+    psi-, phi+, phi-: psi+/- populate the inner parity block, phi+/- the
+    outer one."""
+    w = np.asarray(weights, dtype=float)
+    return (0.5 * (w[..., [2, 0, 0, 2]] + w[..., [3, 1, 1, 3]]),
+            0.5 * (w[..., [2, 0]] - w[..., [3, 1]]))
+
+
+def random_bell_diagonal(rng):
+    """Uniform sample from the 3-simplex of Bell mixing weights. A sequence
+    of generators gives the (N, 4) weight stack, one draw from each,
+    checked once as a whole."""
+    if isinstance(rng, np.random.Generator):
+        return BellDiagonalParams(*random_bell_diagonal([rng])[0])
+    w = np.array([g.dirichlet(np.ones(4)) for g in rng]).reshape(-1, 4)
+    _check_weights(w)
+    return w
 
 
 def random_x_state(rng: np.random.Generator) -> XState:

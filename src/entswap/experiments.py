@@ -20,6 +20,7 @@ import numpy as np
 
 from .ensembles import (
     RngStream,
+    bell_diagonal_x,
     haar_unitary,
     random_bell_diagonal,
     random_bures,
@@ -28,8 +29,9 @@ from .ensembles import (
     rank2_bell_mixture,
 )
 from .optics import swap_via_beamsplitter
-# swap_general, swap_all_outcomes and concurrence stay importable here:
-# the benchmark's span tracer (perfbench/tracer.py) wraps them by name.
+# swap_general, swap_all_outcomes, swap_x_params, concurrence,
+# concurrence_x and numerical_rank stay importable here: the benchmark's
+# span tracer (perfbench/tracer.py) wraps them by name.
 from .qstate import (  # noqa: F401
     DEFAULT_RANK_TOL,
     BellLabel,
@@ -38,20 +40,25 @@ from .qstate import (  # noqa: F401
     concurrence,
     concurrence_batch,
     concurrence_x,
+    concurrence_x_batch,
     numerical_rank,
     pure_batch,
     pure_concurrence,
     rank_batch,
     trace_distance,
     validate_batch,
+    validate_x_batch,
+    x_eigenvalues_batch,
 )
 from .swap import (  # noqa: F401
     _OUTCOMES,
     ImpossibleOutcome,
     conditional_states,
+    conditional_x_states,
     swap_all_outcomes,
     swap_batch,
     swap_general,
+    swap_x_batch,
     swap_x_params,
 )
 
@@ -77,8 +84,8 @@ EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
-# Samples per stacked engine call on the general path: bounds the
-# engine's arrays (about 10 kB per sample) for any sample count.
+# Samples per stacked engine call: bounds the general engine's arrays
+# (about 10 kB per sample) for any sample count.
 BLOCK_SAMPLES = 256
 
 
@@ -182,20 +189,35 @@ def _measure_inputs(lo, mats, rank_tol, what="input"):
     return concurrence_batch(mats).tolist(), rank_batch(eigs, rank_tol).tolist()
 
 
-def _swap_chunk(start, stop, draw, rank_tol, group):
+def _general_outcomes(rho_a, rho_b, where):
+    """Swap a block of pairs: the possible outcomes' (N, 4) mask, all
+    probabilities, and the possible outputs' concurrences and eigenvalues."""
+    raw, prob = swap_batch(rho_a, rho_b)
+    possible, states, eigs = conditional_states(raw, prob, where)
+    return possible, prob, concurrence_batch(states), eigs
+
+
+def _x_outcomes(x_a, x_b, where):
+    """_general_outcomes for a block of X-stack pairs, in closed form."""
+    norm, out = swap_x_batch(x_a, x_b)
+    possible, x = conditional_x_states(norm, out, where)
+    return possible, norm / 2.0, concurrence_x_batch(*x), x_eigenvalues_batch(*x)
+
+
+def _swap_chunk(start, stop, draw, rank_tol, group, outcomes):
     """Swap blocks of input pairs through all four outcomes; returns one
     record per possible outcome and the number of impossible ones skipped.
 
-    ``draw(lo, hi)`` gives a block's stacked inputs rho_a and rho_b, their
-    (concurrences, ranks) and optionally a ratio column, by block position.
+    ``draw(lo, hi)`` gives a block's stacked inputs a and b, their
+    (concurrences, ranks) and optionally a ratio column, by block position;
+    ``outcomes`` is _general_outcomes or _x_outcomes.
     """
     records, skipped = [], 0
     for lo, hi in _blocks(start, stop, group):
-        rho_a, rho_b, (c_a, r_a), (c_b, r_b), *ratio = draw(lo, hi)
+        a, b, (c_a, r_a), (c_b, r_b), *ratio = draw(lo, hi)
         ratio = ratio[0] if ratio else [None] * (hi - lo)
-        raw, prob = swap_batch(rho_a, rho_b)
-        possible, states, eigs = conditional_states(raw, prob, _where(lo, "output"))
-        c_f = concurrence_batch(states).tolist()
+        possible, prob, c_f, eigs = outcomes(a, b, _where(lo, "output"))
+        c_f = c_f.tolist()
         r_f = rank_batch(eigs, rank_tol).tolist()
         probs = prob[possible].tolist()
         rows = np.argwhere(possible).tolist()
@@ -206,9 +228,10 @@ def _swap_chunk(start, stop, draw, rank_tol, group):
     return records, skipped
 
 
-def _run_swaps(name, samples, seed, workers, rank_tol, draw, group=None):
+def _run_swaps(name, samples, seed, workers, rank_tol, draw, group=None,
+               outcomes=_general_outcomes):
     """Run _swap_chunk over range(samples): records and a report with skips."""
-    chunks = _run_chunks(_swap_chunk, samples, workers, (draw, rank_tol, group))
+    chunks = _run_chunks(_swap_chunk, samples, workers, (draw, rank_tol, group, outcomes))
     records = [r for recs, _ in chunks for r in recs]
     return records, BoundReport(name, samples, seed, skipped=sum(s for _, s in chunks))
 
@@ -257,30 +280,16 @@ def _belldiag_lower(x: float) -> float:
     return max(0.0, 1.25 * x - 0.25)
 
 
-def _belldiag_chunk(start, stop, seed, rank_tol):
-    stream = RngStream(seed, _STREAM_IDS["belldiag"])
-    records, skipped = [], 0
-    for i in range(start, stop):
-        rng = stream.substream(i)
-        xa = random_bell_diagonal(rng).to_x_state()
-        xb = random_bell_diagonal(rng).to_x_state()
-        c_a, c_b = concurrence_x(xa), concurrence_x(xb)
-        r_a = numerical_rank(xa, rank_tol)
-        r_b = numerical_rank(xb, rank_tol)
-        for outcome in BellLabel:
-            try:
-                out, prob = swap_x_params(xa, xb, outcome)
-            except ImpossibleOutcome:
-                skipped += 1
-                continue
-            records.append(ExperimentRecord(
-                sample_index=i, outcome=outcome,
-                c_a=c_a, c_b=c_b, c_f=concurrence_x(out),
-                probability=prob,
-                rank_a=r_a, rank_b=r_b,
-                rank_f=numerical_rank(out, rank_tol),
-            ))
-    return records, skipped
+def _belldiag_draw(seed, rank_tol, lo, hi):
+    rngs = _substreams("belldiag", seed, lo, hi)
+    x_a = bell_diagonal_x(random_bell_diagonal(rngs))  # each substream draws a,
+    x_b = bell_diagonal_x(random_bell_diagonal(rngs))  # then b
+    measures = []
+    for x, what in ((x_a, "input a"), (x_b, "input b")):
+        validate_x_batch(*x, _where(lo, what))
+        measures.append((concurrence_x_batch(*x).tolist(),
+                         rank_batch(x_eigenvalues_batch(*x), rank_tol).tolist()))
+    return x_a, x_b, *measures
 
 
 def _envelope_minima(xs, ys, n_bins):
@@ -317,10 +326,9 @@ def run_belldiag_bounds(samples: int, seed: int,
     """Random Bell-diagonal pairs; product upper bound is asserted hard,
     the fitted linear floor is checked with slack and re-fitted."""
     t0 = time.perf_counter()
-    chunks = _run_chunks(_belldiag_chunk, samples, workers, (seed, rank_tol))
-    records = [r for recs, _ in chunks for r in recs]
-    report = BoundReport("belldiag", samples, seed,
-                         skipped=sum(s for _, s in chunks))
+    records, report = _run_swaps("belldiag", samples, seed, workers, rank_tol,
+                                 partial(_belldiag_draw, seed, rank_tol),
+                                 outcomes=_x_outcomes)
     for r in records:
         x = r.c_a * r.c_b
         excess = r.c_f - x
@@ -527,23 +535,19 @@ def run_oracle_equiv(samples: int, seed: int, eta: float = 0.5,
 
 
 def _haar_chunk(start, stop, seed):
+    """Per-sample (phase count, sum, sum of squares) of Haar 4x4 unitaries."""
     stream = RngStream(seed, _STREAM_IDS["haar-stats"])
-    count, total, total_sq = 0, 0.0, 0.0
-    for i in range(start, stop):
-        phases = np.angle(np.linalg.eigvals(haar_unitary(stream.substream(i), 4)))
-        count += phases.size
-        total += phases.sum()
-        total_sq += (phases ** 2).sum()
-    return count, total, total_sq
+    phases = (np.angle(np.linalg.eigvals(haar_unitary(stream.substream(i), 4)))
+              for i in range(start, stop))
+    return [(p.size, p.sum(), (p ** 2).sum()) for p in phases]
 
 
 def run_haar_stats(samples: int, seed: int, workers: int = 1):
     """Phase statistics of Haar 4x4 unitaries: mean 0, std pi/sqrt(3)."""
     t0 = time.perf_counter()
-    chunks = _run_chunks(_haar_chunk, samples, workers, (seed,))
-    count = sum(c for c, _, _ in chunks)
-    total = sum(t for _, t, _ in chunks)
-    total_sq = sum(s for _, _, s in chunks)
+    sums = [row for rows in _run_chunks(_haar_chunk, samples, workers, (seed,)) for row in rows]
+    # added in sample order, so the sums do not depend on the chunk layout
+    count, total, total_sq = (sum(column) for column in zip(*sums))
     mean = total / count
     std = float(np.sqrt(total_sq / count - mean * mean))
     report = BoundReport("haar-stats", samples, seed)

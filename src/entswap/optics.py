@@ -115,6 +115,18 @@ def bsm_operator(eta: float) -> np.ndarray:
     return k.conj().T @ beamsplitter_unitary(eta) @ k
 
 
+@functools.lru_cache(maxsize=16)
+def _lifted_operators(eta: float) -> tuple:
+    """W = K (x) I_14 with W^dag, U_BS (x) I_14 with its adjoint, and the
+    coincidence projector (x) I_14, cached per reflectivity and read-only."""
+    w, u, proj = (np.kron(op, np.eye(4)) for op in (
+        coincidence_isometry(), beamsplitter_unitary(eta), coincidence_projector()))
+    ops = (w, w.conj().T, u, u.conj().T, proj)
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def _reorder_1234_to_2314(rho16: np.ndarray) -> np.ndarray:
     # (m1,m2,m3,m4) -> (m2,m3,m1,m4) on both bra and ket indices
     r8 = rho16.reshape([2] * 8)
@@ -135,18 +147,16 @@ def swap_via_beamsplitter(
     both state and probability. Raises NoCoincidence when the
     coincidence probability is at or below 1e-12.
     """
+    w, w_dag, u, u_dag, proj = _lifted_operators(eta)
     joint = np.kron(rho_a.mat, rho_b.mat)          # modes (1,2,3,4)
     grouped = _reorder_1234_to_2314(joint)         # (H2 x H3) x (H1 x H4)
-    w = np.kron(coincidence_isometry(), np.eye(4))
-    in_mode_space = w @ grouped @ w.conj().T
-    u = np.kron(beamsplitter_unitary(eta), np.eye(4))
-    after_bs = u @ in_mode_space @ u.conj().T
-    proj = np.kron(coincidence_projector(), np.eye(4))
+    in_mode_space = w @ grouped @ w_dag
+    after_bs = u @ in_mode_space @ u_dag
     post_selected = proj @ after_bs @ proj
     probability = float(post_selected.trace().real)
     if probability <= 1e-12:
         raise NoCoincidence(probability)
-    back = w.conj().T @ post_selected @ w / probability
+    back = w_dag @ post_selected @ w / probability
     # trace out the (mode 2, mode 3) factor
     reduced = np.einsum("iaib->ab", back.reshape(4, 4, 4, 4))
     return SwapResult(

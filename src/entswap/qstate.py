@@ -26,18 +26,9 @@ DEFAULT_RANK_TOL = 1e-10
 # Modulus bound on the eight entries that must vanish in an X-state.
 X_ENTRY_TOL = 1e-10
 
-# sigma_y (x) sigma_y, the spin-flip kernel of the concurrence.
-_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-# Conjugation by _YY is a signed anti-transpose: (YY m YY)[i, j] equals
-# s_i s_j m[3-i, 3-j] with signs s = (-1, 1, 1, -1).
+# Conjugation by sigma_y (x) sigma_y, the spin flip of the concurrence, is
+# a signed anti-transpose: (YY m YY)[i, j] equals s_i s_j m[3-i, 3-j] with
+# signs s = (-1, 1, 1, -1).
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 _YY_SIGNS = np.outer(_YY_SIGNS, _YY_SIGNS)
 
@@ -130,7 +121,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
     # ValidationError for the first flagged matrix of a stack
     index = np.unravel_index(np.argmax(bad), bad.shape)
-    text = message.format(values[index])
+    text = message.format(values[index].item())
     if where is not None:
         text += f" ({where(*(int(i) for i in index))})"
     raise ValidationError(text)
@@ -266,16 +257,12 @@ class XState:
     c23: complex = 0.0
 
     def __post_init__(self):
-        diag = (self.c11, self.c22, self.c33, self.c44)
-        if min(diag) < -TRACE_TOL:
-            raise ValidationError(f"diagonal invariant violated: negative population {min(diag):.3e}")
-        total = sum(diag)
-        if abs(total - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace invariant violated: sum = {total!r}")
-        if abs(self.c14) ** 2 > self.c11 * self.c44 + TRACE_TOL:
-            raise ValidationError("eigenvalue invariant violated: |c14|^2 > c11*c44")
-        if abs(self.c23) ** 2 > self.c22 * self.c33 + TRACE_TOL:
-            raise ValidationError("eigenvalue invariant violated: |c23|^2 > c22*c33")
+        validate_x_batch(*self.to_stack())
+
+    def to_stack(self) -> "tuple[np.ndarray, np.ndarray]":
+        """This state as an X stack of one (see validate_x_batch)."""
+        return (np.array([[self.c11, self.c22, self.c33, self.c44]], dtype=float),
+                np.array([[self.c14, self.c23]]))
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -289,15 +276,40 @@ class XState:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, from the two 2x2 parity blocks."""
-        outer = _block_eigs(self.c11, self.c44, self.c14)
-        inner = _block_eigs(self.c22, self.c33, self.c23)
-        return np.sort(np.concatenate([outer, inner]))[::-1]
+        return x_eigenvalues_batch(*self.to_stack())[0]
 
 
-def _block_eigs(p: float, q: float, c: complex) -> np.ndarray:
+def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
+    """Check XState's invariants on an X stack: real populations diag
+    (..., 4) = (c11, c22, c33, c44) and real or complex coherences coh
+    (..., 2) = (c14, c23).
+
+    Populations must be nonnegative and sum to 1, and |c14|^2 <= c11 c44,
+    |c23|^2 <= c22 c33, all to TRACE_TOL. The first flagged state raises
+    ValidationError as in validate_batch (a disk's excess is named too).
+    """
+    low = diag.min(axis=-1)
+    total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
+    # the disks of (c14, c23) are (c11 c44, c22 c33)
+    weight, bound = np.abs(coh) ** 2, diag[..., :2] * diag[..., 3:1:-1]
+    disk, excess = weight > bound + TRACE_TOL, weight - bound
+    by = "" if where is None else " by {:.3e}"  # scalar messages give no excess
+    for values, bad, message in (
+            (low, low < -TRACE_TOL, "diagonal invariant violated: negative population {:.3e}"),
+            (total, np.abs(total - 1.0) > TRACE_TOL, "trace invariant violated: sum = {!r}"),
+            (excess[..., 0], disk[..., 0], "eigenvalue invariant violated: |c14|^2 > c11*c44" + by),
+            (excess[..., 1], disk[..., 1], "eigenvalue invariant violated: |c23|^2 > c22*c33" + by)):
+        if bad.any():
+            _raise_first(values, bad, message, where)
+
+
+def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues (..., 4) of an X stack, from the parity blocks
+    (c11, c44, c14) and (c22, c33, c23)."""
+    p, q = diag[..., :2], diag[..., 3:1:-1]
     half_sum = 0.5 * (p + q)
-    radius = np.hypot(0.5 * (p - q), abs(c))
-    return np.array([half_sum + radius, half_sum - radius])
+    radius = np.hypot(0.5 * (p - q), np.abs(coh))
+    return np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[..., ::-1]
 
 
 def as_x_state(rho: DensityMatrix, tol: float = X_ENTRY_TOL) -> XState:
@@ -355,15 +367,20 @@ def concurrence_batch(mats: np.ndarray) -> np.ndarray:
 
 def concurrence_x(x: XState) -> float:
     """Closed-form concurrence of an X-state."""
-    outer = abs(x.c14) - np.sqrt(max(x.c22 * x.c33, 0.0))
-    inner = abs(x.c23) - np.sqrt(max(x.c11 * x.c44, 0.0))
-    return float(np.clip(2.0 * max(0.0, outer, inner), 0.0, 1.0))
+    return float(concurrence_x_batch(*x.to_stack())[0])
+
+
+def concurrence_x_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
+    """Closed-form concurrence of each state of an X stack."""
+    # |c14| - sqrt(c22 c33) and |c23| - sqrt(c11 c44)
+    gap = np.abs(coh) - np.sqrt(np.maximum(diag[..., :2] * diag[..., 3:1:-1], 0.0))[..., ::-1]
+    return np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0)
 
 
 def pure_concurrence(amplitudes: np.ndarray) -> float:
     """Concurrence 2|a0 a3 - a1 a2| of a normalized pure state."""
     v = np.asarray(amplitudes, dtype=complex).reshape(4)
-    return float(np.clip(2.0 * abs(v[0] * v[3] - v[1] * v[2]), 0.0, 1.0))
+    return float(min(max(2.0 * abs(v[0] * v[3] - v[1] * v[2]), 0.0), 1.0))
 
 
 def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TOL) -> int:

@@ -24,6 +24,7 @@ from .qstate import (
     partial_trace_23,
     tensor,
     validate_batch,
+    validate_x_batch,
 )
 
 # A normalization at or below this is treated as an impossible outcome:
@@ -48,6 +49,17 @@ def _kernel_tables():
 
 
 _GATHER_A, _GATHER_B, _WEIGHTS = _kernel_tables()
+
+# X-state kernel, per outcome: the order in which it reads A's populations
+# and coherences (the psi outcomes exchange the parity partners c11 <-> c22,
+# c33 <-> c44 and c14 <-> c23) and the sign of the output coherences.
+_X_TABLE = {
+    BellLabel.PSI_PLUS: ((1, 0, 3, 2), (1, 0), 1.0),
+    BellLabel.PSI_MINUS: ((1, 0, 3, 2), (1, 0), -1.0),
+    BellLabel.PHI_PLUS: ((0, 1, 2, 3), (0, 1), 1.0),
+    BellLabel.PHI_MINUS: ((0, 1, 2, 3), (0, 1), -1.0),
+}
+_X_DIAG, _X_COH, _X_SIGN = map(np.array, zip(*(_X_TABLE[k] for k in _OUTCOMES)))
 
 
 class ImpossibleOutcome(Exception):
@@ -97,6 +109,14 @@ def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return raw, raw.trace(axis1=-2, axis2=-1).real
 
 
+def _flat_where(possible: np.ndarray, where):
+    # names the j-th selected state, in row-major mask order, as where(n, k)
+    if where is None:
+        return None
+    rows = np.argwhere(possible)
+    return lambda j: where(*rows[j])
+
+
 def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
     """Normalize and validate, as one stack, the outcomes of swap_batch
     (or of a selection of its K outcome columns) whose normalization, twice
@@ -108,11 +128,39 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
     """
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
     states = raw[possible] / prob[possible][:, None, None]
-    label = None
-    if where is not None:
-        rows = np.argwhere(possible)
-        label = lambda j: where(*rows[j])  # noqa: E731
-    return possible, states, validate_batch(states, label)
+    return possible, states, validate_batch(states, _flat_where(possible, where))
+
+
+def swap_x_batch(a, b):
+    """All four outcomes for X stacks a, b (see qstate.validate_x_batch) of
+    N input pairs; swapping X-states closes within the X family.
+
+    Returns the normalizations (N, 4), twice the outcome probabilities, and
+    the unnormalized output X stack (diag (N, 4, 4), coh (N, 4, 2)) indexed
+    [sample, outcome (BellLabel order), entry]; real coherences stay real.
+    """
+    (diag_a, coh_a), (diag_b, coh_b) = a, b
+    pa = diag_a[:, _X_DIAG].reshape(-1, 4, 2, 2)  # [n, k, i, p]: A[2i + p], outcome k's order
+    pb = diag_b.reshape(-1, 1, 2, 2)  # [n, -, p, j]: B[2p + j]
+    # output population 2i + j is A[2i] B[j] + A[2i + 1] B[2 + j]; every sum
+    # keeps the closed form's operand order, so results are reproducible
+    diag = pa[..., 0, None] * pb[..., None, 0, :] + pa[..., 1, None] * pb[..., None, 1, :]
+    sum_a, sum_b = pa[..., 0, :] + pa[..., 1, :], pb[..., 0] + pb[..., 1]
+    norm = sum_a[..., 0] * sum_b[..., 0] + sum_a[..., 1] * sum_b[..., 1]
+    pc, cb = coh_a[:, _X_COH], coh_b[:, None]
+    coh = _X_SIGN[:, None] * (pc[..., :1] * cb + pc[..., 1:] * cb[..., ::-1].conj())
+    return norm, (diag.reshape(-1, 4, 4), coh)
+
+
+def conditional_x_states(norm: np.ndarray, out, where=None):
+    """conditional_states for swap_x_batch: the (N, 4) mask of outcomes whose
+    normalization exceeds NORMALIZATION_FLOOR and their validated X stack
+    (M, 4), (M, 2) in row-major mask order."""
+    possible = ~(norm <= NORMALIZATION_FLOOR)
+    n = norm[possible][:, None]
+    x = out[0][possible] / n, out[1][possible] / n
+    validate_x_batch(*x, _flat_where(possible, where))
+    return possible, x
 
 
 def swap_general(
@@ -136,45 +184,14 @@ def swap_x_params(
 ) -> "tuple[XState, float]":
     """X-state fast path; returns the output X parameters and probability.
 
-    Swapping two X-states closes within the X family, so the whole
-    computation reduces to scalar arithmetic on the twelve parameters.
     Raises ImpossibleOutcome on a vanishing normalization.
     """
-    c, d = chi_a, chi_b
-    sign = 1.0 if outcome in (BellLabel.PSI_PLUS, BellLabel.PHI_PLUS) else -1.0
-    if outcome in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
-        n = (
-            (c.c22 + c.c44) * (d.c11 + d.c22)
-            + (c.c11 + c.c33) * (d.c33 + d.c44)
-        )
-        e11 = c.c22 * d.c11 + c.c11 * d.c33
-        e22 = c.c22 * d.c22 + c.c11 * d.c44
-        e33 = c.c44 * d.c11 + c.c33 * d.c33
-        e44 = c.c44 * d.c22 + c.c33 * d.c44
-        e14 = sign * (c.c23 * d.c14 + c.c14 * np.conj(d.c23))
-        e23 = sign * (c.c23 * d.c23 + c.c14 * np.conj(d.c14))
-    else:
-        n = (
-            (c.c11 + c.c33) * (d.c11 + d.c22)
-            + (c.c22 + c.c44) * (d.c33 + d.c44)
-        )
-        e11 = c.c11 * d.c11 + c.c22 * d.c33
-        e22 = c.c11 * d.c22 + c.c22 * d.c44
-        e33 = c.c33 * d.c11 + c.c44 * d.c33
-        e44 = c.c33 * d.c22 + c.c44 * d.c44
-        e14 = sign * (c.c14 * d.c14 + c.c23 * np.conj(d.c23))
-        e23 = sign * (c.c14 * d.c23 + c.c23 * np.conj(d.c14))
+    norm, (diag, coh) = swap_x_batch(chi_a.to_stack(), chi_b.to_stack())
+    k = _OUTCOMES.index(outcome)
+    n = norm[0, k]
     if n <= NORMALIZATION_FLOOR:
         raise ImpossibleOutcome(outcome, n)
-    out = XState(
-        c11=e11 / n,
-        c22=e22 / n,
-        c33=e33 / n,
-        c44=e44 / n,
-        c14=e14 / n,
-        c23=e23 / n,
-    )
-    return out, n / 2.0
+    return XState(*diag[0, k] / n, *coh[0, k] / n), n / 2.0
 
 
 def swap_x(chi_a: XState, chi_b: XState, outcome: BellLabel) -> SwapResult:

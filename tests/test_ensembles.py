@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import entswap as es
+from entswap.ensembles import bell_diagonal_x
 
 N_MOMENT = 100_000
 
@@ -151,6 +152,28 @@ def test_bell_diagonal_rejects_bad_weights():
         es.BellDiagonalParams(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         es.BellDiagonalParams(0.5, 0.4, 0.2, 0.2)
+
+
+def test_bell_diagonal_stack_matches_scalar_draws():
+    stack = es.random_bell_diagonal([_rng(s) for s in range(20, 30)])
+    scalar = [es.random_bell_diagonal(_rng(s)) for s in range(20, 30)]
+    assert np.array_equal(stack, [[p.alpha, p.beta, p.gamma, p.delta] for p in scalar])
+    diag, coh = bell_diagonal_x(stack)
+    for n, params in enumerate(scalar):
+        d, c = params.to_x_state().to_stack()
+        assert np.array_equal(d[0], diag[n]) and np.array_equal(c[0], coh[n])
+
+
+def test_bell_diagonal_stack_is_checked_as_a_whole():
+    class Skewed:
+        def __init__(self, seed):
+            self.g = _rng(seed)
+
+        def dirichlet(self, alpha):
+            return self.g.dirichlet(alpha) * 1.5
+
+    with pytest.raises(ValueError, match=r"^weights must sum to 1, got \("):
+        es.random_bell_diagonal([_rng(1), Skewed(2)])
 
 
 def test_random_x_states_are_valid():

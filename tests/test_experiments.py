@@ -188,6 +188,20 @@ def test_batched_input_errors_name_the_sample(monkeypatch):
         ex.run_conservation(6, seed=5)
 
 
+def test_belldiag_input_errors_name_the_sample(monkeypatch):
+    real = ex.random_bell_diagonal
+
+    def broken(rngs):
+        weights = real(rngs)
+        weights[4] *= 2.0
+        return weights
+
+    monkeypatch.setattr(ex, "random_bell_diagonal", broken)
+    with pytest.raises(es.ValidationError,
+                       match=r"^trace invariant violated: sum = 2\.0\d* \(input a of sample 4\)$"):
+        ex.run_belldiag_bounds(6, seed=5)
+
+
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
     monkeypatch.setattr(ex, "BLOCK_SAMPLES", 4)
     assert ex._blocks(3, 13) == [(3, 7), (7, 11), (11, 13)]

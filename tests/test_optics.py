@@ -103,6 +103,23 @@ def test_beamsplitter_unitary_is_cached_and_read_only():
         u[0, 0] = 0.0
 
 
+def test_lifted_operators_are_cached_and_read_only():
+    from entswap import optics
+
+    ops = optics._lifted_operators(0.37)
+    assert ops is optics._lifted_operators(0.37)
+    w, w_dag, u, u_dag, proj = ops
+    assert np.array_equal(w, np.kron(optics.coincidence_isometry(), np.eye(4)))
+    assert np.array_equal(u, np.kron(es.beamsplitter_unitary(0.37), np.eye(4)))
+    assert np.array_equal(proj, np.kron(optics.coincidence_projector(), np.eye(4)))
+    assert np.array_equal(w_dag, w.conj().T) and np.array_equal(u_dag, u.conj().T)
+    for op in ops:
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 0.0
+    with pytest.raises(ValueError, match="reflectivity"):
+        optics._lifted_operators(1.0)
+
+
 def test_optics_oracle_stays_independent_of_the_swap_kernel():
     from entswap import optics, swap
 

@@ -7,9 +7,12 @@ import entswap as es
 from entswap.qstate import (
     _hermitize,
     concurrence_batch,
+    concurrence_x_batch,
     pure_batch,
     rank_batch,
     validate_batch,
+    validate_x_batch,
+    x_eigenvalues_batch,
 )
 from entswap.swap import conditional_states
 
@@ -272,6 +275,51 @@ def test_x_state_eigenvalues_match_dense():
         x = es.random_x_state(rng)
         dense = np.linalg.eigvalsh(_hermitize(x.to_matrix()))[::-1]
         assert np.abs(x.eigenvalues() - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
+def test_stacked_x_measures_match_scalar_and_dense(kind):
+    rng = np.random.default_rng(27)
+    draw = (es.random_x_state if kind == "x"
+            else lambda g: es.random_bell_diagonal(g).to_x_state())
+    states = [draw(rng) for _ in range(100)]
+    diag = np.concatenate([x.to_stack()[0] for x in states])
+    coh = np.concatenate([x.to_stack()[1] for x in states])
+    validate_x_batch(diag, coh)
+    eigs = x_eigenvalues_batch(diag, coh)
+    dense = validate_batch(np.stack([x.to_matrix() for x in states]))
+    assert np.abs(eigs - dense).max() < 1e-12
+    conc = concurrence_x_batch(diag, coh)
+    for n, x in enumerate(states):
+        assert np.abs(x.eigenvalues() - eigs[n]).max() < 1e-12
+        assert es.concurrence_x(x) == conc[n]
+        assert es.numerical_rank(x) == rank_batch(eigs[n])
+    assert np.array_equal(rank_batch(eigs), rank_batch(dense))
+
+
+@pytest.mark.parametrize(
+    "row,scalar,excess",
+    [
+        ((-0.1, 0.4, 0.4, 0.3, 0.0, 0.0), "diagonal invariant violated: negative population -1.000e-01", ""),
+        ((0.5, 0.5, 0.25, 0.25, 0.0, 0.0), "trace invariant violated: sum = 1.5", ""),
+        ((0.25, 0.25, 0.25, 0.25, 0.4, 0.0), "eigenvalue invariant violated: |c14|^2 > c11*c44",
+         " by 9.750e-02"),
+        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.4j), "eigenvalue invariant violated: |c23|^2 > c22*c33",
+         " by 9.750e-02"),
+    ],
+)
+def test_validate_x_batch_names_invariant_value_and_sample(row, scalar, excess):
+    good = (0.25, 0.25, 0.25, 0.25, 0.1, -0.1j)
+    rows = [good, good, row, good]
+    diag = np.array([r[:4] for r in rows])
+    coh = np.array([r[4:] for r in rows])
+    with pytest.raises(es.ValidationError) as excinfo:
+        validate_x_batch(diag, coh, where=lambda n: f"input a of sample {n}")
+    assert str(excinfo.value) == f"{scalar}{excess} (input a of sample 2)"
+    # the scalar path keeps its message text, without an input name
+    with pytest.raises(es.ValidationError) as excinfo:
+        es.XState(*row)
+    assert str(excinfo.value) == scalar
 
 
 def test_x_state_round_trip():

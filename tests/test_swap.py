@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.swap import bell_projector_16, conditional_states, swap_batch, swap_x_params
+from entswap.qstate import concurrence_batch, concurrence_x_batch, x_eigenvalues_batch
+from entswap.swap import (
+    bell_projector_16,
+    conditional_states,
+    conditional_x_states,
+    swap_batch,
+    swap_x_batch,
+    swap_x_params,
+)
 
 B = es.BellLabel
 
@@ -240,6 +248,83 @@ def test_swap_x_bell_lookup():
         xb = es.as_x_state(es.bell_density(lb))
         res = es.swap_x(xa, xb, B.PSI_MINUS)
         assert es.trace_distance(res.state, es.bell_density(lout)) < 1e-12
+
+
+# ------------------------------------------------ stacked X-state kernel
+
+
+def _x_stack(states):
+    return (np.concatenate([x.to_stack()[0] for x in states]),
+            np.concatenate([x.to_stack()[1] for x in states]))
+
+
+def _x_pairs(kind, seed, n=40):
+    # complex coherences (random X-states) or real ones (Bell-diagonal)
+    rng = np.random.default_rng(seed)
+    draw = (es.random_x_state if kind == "x"
+            else lambda g: es.random_bell_diagonal(g).to_x_state())
+    return [(draw(rng), draw(rng)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
+def test_stacked_x_kernel_is_bit_equal_to_batch_of_one(kind):
+    pairs = _x_pairs(kind, 43)
+    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    possible, (diag, coh) = conditional_x_states(norm, out)
+    assert possible.all()
+    assert coh.dtype == (complex if kind == "x" else float)
+    diag, coh = diag.reshape(-1, 4, 4), coh.reshape(-1, 4, 2)
+    for n, (xa, xb) in enumerate(pairs):
+        for k, outcome in enumerate(B):
+            x, prob = swap_x_params(xa, xb, outcome)
+            assert prob == norm[n, k] / 2.0
+            assert np.array_equal(x.to_stack()[0][0], diag[n, k])
+            assert np.array_equal(x.to_stack()[1][0], coh[n, k])
+            assert es.concurrence_x(x) == concurrence_x_batch(diag[n, k], coh[n, k])
+            assert np.array_equal(x.eigenvalues(), x_eigenvalues_batch(diag[n, k], coh[n, k]))
+
+
+@pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
+def test_stacked_x_kernel_agrees_with_the_general_engine(kind):
+    pairs = _x_pairs(kind, 44)
+    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    _, (diag, coh) = conditional_x_states(norm, out)
+    raw, prob = swap_batch(np.stack([a.to_matrix() for a, _ in pairs]),
+                           np.stack([b.to_matrix() for _, b in pairs]))
+    _, states, _ = conditional_states(raw, prob)
+    embedded = np.stack([es.XState(*d, *c).to_matrix() for d, c in zip(diag, coh)])
+    assert np.abs(embedded - states).max() < 1e-12
+    assert np.abs(norm / 2.0 - prob).max() < 1e-12
+    assert np.abs(concurrence_x_batch(diag, coh) - concurrence_batch(states)).max() < 1e-12
+
+
+def test_stacked_x_kernel_skips_impossible_outcomes_like_the_scalar_path():
+    # the X-state |HH><HH| paired with itself kills both psi outcomes
+    hh = es.XState(1.0, 0.0, 0.0, 0.0)
+    pairs = [*_x_pairs("x", 45, n=2), (hh, hh), *_x_pairs("bell-diagonal", 46, n=2)]
+    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    possible, (diag, _) = conditional_x_states(norm, out)
+    assert possible.size - possible.sum() == 2
+    assert len(diag) == possible.sum()
+    for n, (xa, xb) in enumerate(pairs):
+        for k, outcome in enumerate(B):
+            if possible[n, k]:
+                assert swap_x_params(xa, xb, outcome)[1] == norm[n, k] / 2.0
+                continue
+            with pytest.raises(es.ImpossibleOutcome, match=str(outcome)) as excinfo:
+                swap_x_params(xa, xb, outcome)
+            assert excinfo.value.normalization == norm[n, k]
+
+
+def test_stacked_x_outputs_name_sample_and_outcome():
+    diag = np.full((3, 4, 4), 0.25)
+    diag[1, 2] = (0.5, 0.5, 0.5, -0.5)
+    coh = np.zeros((3, 4, 2))
+    with pytest.raises(es.ValidationError) as excinfo:
+        conditional_x_states(np.ones((3, 4)), (diag, coh),
+                             lambda n, k: f"output of sample {n}, outcome {list(B)[k]}")
+    assert str(excinfo.value) == ("diagonal invariant violated: negative population "
+                                  "-5.000e-01 (output of sample 1, outcome phi+)")
 
 
 # -------------------------------------------------------- all outcomes
