@@ -145,7 +145,7 @@ def random_bell_diagonal(rng):
     of generators gives the (N, 4) weight stack, one draw from each,
     checked once as a whole."""
     if isinstance(rng, np.random.Generator):
-        return BellDiagonalParams(*random_bell_diagonal([rng])[0])
+        return BellDiagonalParams(*rng.dirichlet(np.ones(4)))
     w = np.array([g.dirichlet(np.ones(4)) for g in rng]).reshape(-1, 4)
     _check_weights(w)
     return w
