@@ -68,6 +68,39 @@ GOLDEN = {
         "5661426892f78d4e235b2e47b49b2df006be8c7eacb2ea1859697d44a0a22424",
         "8015772210f549dce56a6122a89b33899bec3a149f2ba1c0eb939901d4b87924",
     ),
+    # JSON records tell 1 from 1.0, so they pin each column's int or float type
+    ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
+        "36f1492a9d4e6d4ed295211864f673b6997be0f1502efbfc2be3ce256d609a51",
+        "269d065ba2d1d59cd0da76a523966f4661b8ff2098c0acb5ec8ebd34e34e53ce",
+    ),
+    ("rank", 3, 77, (), "json"): (
+        "c8dcb1bfccd239c3c7494c2d395f273b3b99a513d467c3723673d1ee70319c7e",
+        "0d37e8ba8e84c078586173db508e0d2af9b9cacf3dfae832c2bf5732bed41bad",
+    ),
+    ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
+        "62141198502d2f77351368c0b03fa713ac66bbb94fc83734867e61cfe97000b0",
+        "1fbdee62af244bb0f6a9a944dd32c5da99a19147720fd6e77e00e04e614fd3ec",
+    ),
+    # an unbalanced beamsplitter: every sample is a hard violation
+    ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
+        "6fd59bff597c5705f34e20e57830833a6f8d874c3b031a710776e8a4696eaa79",
+        "aff2e5221aa614e2886d63f81040e5c28b6edbf13a53650e2254caabce388da6",
+    ),
+}
+
+# Cases that exit with a code other than EXIT_OK.
+EXIT_CODES = {("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): cli.EXIT_VIOLATION}
+
+# sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`.
+SAMPLE_GOLDEN = {
+    "bures": "9450a7658263e47c1c69adba3f59cd5f25f87de336c5730f82ce3a8fbb623be7",
+    "induced-1": "4a1b5296a2f689f4a9f913a67246678f3c94e9c70199f26ae48c059049874d34",
+    "induced-2": "1bde02c13b407231a0da49858bcfd614579ccfb9509184b3487bc070f1440e2e",
+    "induced-3": "4aae2612afee9f731e1212a08c024c07f0506ded3bc0dd98e670f74cefb6246f",
+    "induced-4": "6cd21cd8cf590b41162edc1c6230c69a00f8a7c658ee3622061a99c96b23ef7e",
+    "pure": "27b68b666083975ecb6c903f8cd6c5a5e342e3a82f971d9e65f540ab47eea2da",
+    "bell-diagonal": "0208fcef4edb3efe96f2cbf141d784853e9bda10c58146ffd52807f191ccc926",
+    "x": "715ca03d82482f579e0227cab9915fccb8a29d7e53b9f1be58073d46b56726b5",
 }
 
 # haar-stats writes header-only records; its phase sums are accumulated in
@@ -76,13 +109,13 @@ HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad
 HAAR_SUMMARY = "e60b915a4a1d827eb8ff5084b4340a1023a54270b7d9f255f1057a8cdf17c825"
 
 
-def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers):
+def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_OK):
     out = tmp_path / f"{name}.{fmt}"
     argv = ["experiment", name, "--samples", str(samples), "--seed", str(seed),
             "--workers", str(workers), "--out", str(out), "--format", fmt,
             *extra]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(argv) == rc
     summary = json.loads(out.with_suffix(".summary.json").read_text())
     del summary["runtime_ms"]
     canonical = json.dumps(summary, sort_keys=True).encode()
@@ -94,7 +127,8 @@ def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers):
 @pytest.mark.parametrize("case", sorted(GOLDEN),
                          ids=lambda c: "-".join(map(str, (c[0], c[2], c[4], *c[3]))))
 def test_outputs_match_golden_hashes(tmp_path, case, workers):
-    assert _run_hashes(tmp_path, *case, workers) == GOLDEN[case]
+    rc = EXIT_CODES.get(case, cli.EXIT_OK)
+    assert _run_hashes(tmp_path, *case, workers, rc) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN),
@@ -102,7 +136,8 @@ def test_outputs_match_golden_hashes(tmp_path, case, workers):
 def test_small_engine_blocks_keep_golden_hashes(tmp_path, monkeypatch, case):
     # 7-sample blocks split each run into several stacked engine calls
     monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 7)
-    assert _run_hashes(tmp_path, *case, 1) == GOLDEN[case]
+    rc = EXIT_CODES.get(case, cli.EXIT_OK)
+    assert _run_hashes(tmp_path, *case, 1, rc) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -110,3 +145,10 @@ def test_haar_stats_matches_golden_hashes(tmp_path, workers):
     records, summary = _run_hashes(tmp_path, "haar-stats", 500, 5, (), "csv",
                                    workers)
     assert (records, summary) == (HAAR_RECORDS, HAAR_SUMMARY)
+
+
+@pytest.mark.parametrize("ensemble", sorted(SAMPLE_GOLDEN))
+def test_sample_output_matches_golden_hashes(capsys, ensemble):
+    assert cli.main(["sample", ensemble, "--samples", "7", "--seed", "3"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_GOLDEN[ensemble]
