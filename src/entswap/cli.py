@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import ensembles, experiments
 from .qstate import (
     DEFAULT_RANK_TOL,
@@ -25,6 +23,7 @@ from .qstate import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     numerical_rank,
+    validate_batch,
 )
 from .swap import ImpossibleOutcome, swap_general
 from .optics import NoCoincidence
@@ -32,9 +31,6 @@ from .optics import NoCoincidence
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-SAMPLE_ENSEMBLES = ("bures", "induced-1", "induced-2", "induced-3",
-                    "induced-4", "pure", "bell-diagonal", "x")
 
 
 def _default_seed() -> int:
@@ -80,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "it is the mixing-grid size")
     add_common(p_exp)
     p_exp.add_argument("--ensemble", default="bures",
-                       help="input ensemble for 'conserve' "
-                            "(bures, pure, induced-1..4)")
+                       choices=ensembles.STATE_ENSEMBLES,
+                       help="input ensemble for 'conserve' (default bures)")
     p_exp.add_argument("--eta", type=float, default=0.5,
                        help="beamsplitter reflectivity for 'oracle-equiv'")
     p_exp.add_argument("--out", help="records file (default <name>.csv)")
@@ -98,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--eta", type=float, default=0.5)
 
     p_sample = sub.add_parser("sample", help="draw states from an ensemble")
-    p_sample.add_argument("ensemble", choices=SAMPLE_ENSEMBLES)
+    p_sample.add_argument("ensemble", choices=ensembles.STATE_ENSEMBLES)
     add_common(p_sample)
     p_sample.add_argument("--out", help="write JSON lines here instead of stdout")
 
@@ -174,8 +170,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     try:
-        _, report = experiments.run_oracle_equiv(
-            args.samples, args.seed, eta=args.eta,
+        _, report = experiments.run_experiment(
+            "oracle-equiv", args.samples, args.seed, eta=args.eta,
             rank_tol=args.rank_tol, workers=args.workers,
         )
     except NoCoincidence as exc:
@@ -187,25 +183,12 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
-def _draw_sample(name: str, rng: np.random.Generator) -> DensityMatrix:
-    if name == "bell-diagonal":
-        return ensembles.random_bell_diagonal(rng).to_density_matrix()
-    if name == "x":
-        return ensembles.random_x_state(rng).to_density_matrix()
-    if name == "pure":
-        return DensityMatrix.from_pure(ensembles.random_pure(rng))
-    if name == "bures":
-        return ensembles.random_bures(rng)
-    k = int(name.split("-", 1)[1])
-    return ensembles.random_induced(rng, 4, k)
-
-
 def _cmd_sample(args) -> int:
     stream = ensembles.RngStream(args.seed, stream_id=0)
-    lines = []
-    for i in range(args.samples):
-        rho = _draw_sample(args.ensemble, stream.substream(i))
-        lines.append(json.dumps(matrix_to_json_dict(rho)))
+    draw = ensembles.STATE_ENSEMBLES[args.ensemble]
+    mats = draw([stream.substream(i) for i in range(args.samples)])
+    validate_batch(mats, lambda n: f"sample {n}")
+    lines = [json.dumps(matrix_to_json_dict(DensityMatrix(m, validate=False))) for m in mats]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -8,10 +8,11 @@ any worker layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .qstate import BellLabel, DensityMatrix, XState, bell_vector
+from .qstate import BellLabel, DensityMatrix, XState, bell_vector, pure_batch, x_matrices
 
 
 @dataclass(frozen=True)
@@ -176,3 +177,14 @@ def rank2_bell_mixture(alpha: float, first: BellLabel = BellLabel.PSI_PLUS,
     va, vb = bell_vector(first), bell_vector(second)
     mat = alpha * np.outer(va, va.conj()) + (1.0 - alpha) * np.outer(vb, vb.conj())
     return DensityMatrix(mat)
+
+
+# Each state ensemble by name: a sequence of generators, one per sample,
+# to the unvalidated (N, 4, 4) stack of states drawn from them.
+STATE_ENSEMBLES = {
+    "bures": random_bures,
+    **{f"induced-{k}": partial(random_induced, n=4, k=k) for k in range(1, 5)},
+    "pure": lambda rngs: pure_batch(random_pure(rngs)),
+    "bell-diagonal": lambda rngs: x_matrices(*bell_diagonal_x(random_bell_diagonal(rngs))),
+    "x": lambda rngs: np.stack([random_x_state(g).to_matrix() for g in rngs]),
+}

@@ -6,6 +6,10 @@ results are reproducible bit-for-bit for a given seed regardless of how
 samples are partitioned across workers. Chunks and their blocks emit
 records in sample-index (then outcome) order and floats are serialized
 with 17 significant digits, making repeated runs byte-identical.
+
+Each swap experiment is one entry of ``EXPERIMENTS``: a block draw, the
+outcomes it keeps and its named checks over the record columns.
+``run_experiment`` runs any of them, and haar-stats, which swaps nothing.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ensembles import (
+    STATE_ENSEMBLES,
     RngStream,
     bell_diagonal_x,
     haar_unitary,
@@ -76,6 +81,7 @@ HAAR_STATS_TOL = 0.02
 
 CSV_COLUMNS = ("sample", "outcome", "c_a", "c_b", "c_f", "prob",
                "rank_a", "rank_b", "rank_f")
+_FLOAT_COLUMNS = {"c_a", "c_b", "c_f", "prob", "ratio"}
 
 EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
                     "rank2-selfswap", "oracle-equiv", "haar-stats")
@@ -83,26 +89,12 @@ EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
 # Fixed stream ids keep the experiments' draws disjoint under one seed.
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
+_ALL_OUTCOMES = np.arange(len(_OUTCOMES))
+_PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 
 # Samples per stacked engine call: bounds the general engine's arrays
 # (about 10 kB per sample) for any sample count.
 BLOCK_SAMPLES = 256
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One Monte Carlo row: input/output concurrences, ranks, outcome."""
-
-    sample_index: int
-    outcome: BellLabel
-    c_a: float
-    c_b: float
-    c_f: float
-    probability: float
-    rank_a: int
-    rank_b: int
-    rank_f: int
-    ratio: "float | None" = None
 
 
 @dataclass
@@ -124,24 +116,55 @@ class BoundReport:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "samples": self.samples,
-            "violations_upper": self.violations_upper,
-            "violations_lower": self.violations_lower,
-            "max_upper_excess": self.max_upper_excess,
-            "max_lower_deficit": self.max_lower_deficit,
-            "hard_violations": self.hard_violations,
-            "soft_violations": self.soft_violations,
-            "skipped": self.skipped,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-        }
-        if self.fit_params is not None:
-            out["fit_params"] = self.fit_params
-        if self.extras:
-            out["extras"] = self.extras
+        """Every field; fit_params only when set and extras only when
+        non-empty (summaries are written with sorted keys)."""
+        out = asdict(self)
+        if self.fit_params is None:
+            del out["fit_params"]
+        if not self.extras:
+            del out["extras"]
         return out
+
+
+class Args(NamedTuple):
+    """The parameters of one run, as draws and checks see them."""
+
+    samples: int
+    seed: int
+    ensemble: str
+    eta: float
+    rank_tol: float
+
+
+class Check(NamedTuple):
+    """A bound over the record columns: rows whose ``deviation(cols, args)``
+    exceeds ``tol`` violate it. Violations count on report ``side`` ("upper",
+    "lower", or else an extras key) and, when ``worst``, the largest
+    deviation, at least 0, is that side's max field."""
+
+    side: str
+    deviation: Callable
+    tol: float
+    hard: bool = True
+    worst: bool = True
+
+
+class Experiment(NamedTuple):
+    """A swap experiment.
+
+    ``draw(args, lo, hi)`` gives samples [lo, hi) as stacked inputs a and b
+    and their per-sample input columns; ``outcomes`` swaps them (see
+    _general_outcomes). A run has ``combos`` input classes of
+    ``args.samples`` samples each. ``fit(cols)`` gives the report's
+    fit_params and ``extras(report)`` adds to its extras.
+    """
+
+    draw: Callable
+    outcomes: Callable
+    checks: tuple
+    combos: int = 1
+    fit: "Callable | None" = None
+    extras: "Callable | None" = None
 
 
 def _chunk_ranges(n: int, n_chunks: int) -> "list[tuple[int, int]]":
@@ -183,113 +206,141 @@ def _where(lo: int, what: str):
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
-def _measure_inputs(lo, mats, rank_tol, what="input"):
-    """Validate a block of inputs; return their (concurrences, ranks)."""
-    eigs = validate_batch(mats, _where(lo, what))
-    return concurrence_batch(mats).tolist(), rank_batch(eigs, rank_tol).tolist()
+def _input_columns(lo, mats, args, side, what=None):
+    """Validate a block of general inputs; their columns c_<side> and
+    rank_<side>. Errors name each as ``what`` (default "input <side>")."""
+    eigs = validate_batch(mats, _where(lo, what or f"input {side}"))
+    return {f"c_{side}": concurrence_batch(mats), f"rank_{side}": rank_batch(eigs, args.rank_tol)}
 
 
-def _general_outcomes(rho_a, rho_b, where):
-    """Swap a block of pairs: the possible outcomes' (N, 4) mask, all
-    probabilities, and the possible outputs' concurrences and eigenvalues."""
+def _general_outcomes(rho_a, rho_b, where, args):
+    """Swap a block of pairs through all four outcomes. Returns the kept
+    outcomes' indices into _OUTCOMES, the (N, kept) masks of the possible
+    ones and their probabilities, the possible outputs' concurrences and
+    eigenvalues, and further per-sample columns."""
     raw, prob = swap_batch(rho_a, rho_b)
     possible, states, eigs = conditional_states(raw, prob, where)
-    return possible, prob, concurrence_batch(states), eigs
+    return _ALL_OUTCOMES, possible, prob, concurrence_batch(states), eigs, {}
 
 
-def _x_outcomes(x_a, x_b, where):
+def _x_outcomes(x_a, x_b, where, args):
     """_general_outcomes for a block of X-stack pairs, in closed form."""
     norm, out = swap_x_batch(x_a, x_b)
     possible, x = conditional_x_states(norm, out, where)
-    return possible, norm / 2.0, concurrence_x_batch(*x), x_eigenvalues_batch(*x)
+    return (_ALL_OUTCOMES, possible, norm / 2.0, concurrence_x_batch(*x),
+            x_eigenvalues_batch(*x), {})
 
 
-def _swap_chunk(start, stop, draw, rank_tol, group, outcomes):
-    """Swap blocks of input pairs through all four outcomes; returns one
-    record per possible outcome and the number of impossible ones skipped.
-
-    ``draw(lo, hi)`` gives a block's stacked inputs a and b, their
-    (concurrences, ranks) and optionally a ratio column, by block position;
-    ``outcomes`` is _general_outcomes or _x_outcomes.
-    """
-    records, skipped = [], 0
-    for lo, hi in _blocks(start, stop, group):
-        a, b, (c_a, r_a), (c_b, r_b), *ratio = draw(lo, hi)
-        ratio = ratio[0] if ratio else [None] * (hi - lo)
-        possible, prob, c_f, eigs = outcomes(a, b, _where(lo, "output"))
-        c_f = c_f.tolist()
-        r_f = rank_batch(eigs, rank_tol).tolist()
-        probs = prob[possible].tolist()
-        rows = np.argwhere(possible).tolist()
-        skipped += possible.size - len(rows)
-        records += [ExperimentRecord(lo + n, _OUTCOMES[k], c_a[n], c_b[n], c_f[j], probs[j],
-                                     r_a[n], r_b[n], r_f[j], ratio[n])
-                    for j, (n, k) in enumerate(rows)]
-    return records, skipped
+def _oracle_outcomes(rho_a, rho_b, where, args):
+    """_general_outcomes for psi- alone, also swapped by the beamsplitter
+    model at args.eta: the columns trace_distance and prob_diff compare
+    the two routes. An impossible psi- raises ImpossibleOutcome, as
+    swap_general would."""
+    raw, prob = swap_batch(rho_a, rho_b)
+    psi = slice(_PSI, _PSI + 1)
+    possible, states, eigs = conditional_states(raw[:, psi], prob[:, psi],
+                                                lambda n, _: where(n, _PSI))
+    if not possible.all():  # the first sample swap_general would refuse
+        raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
+    distance, prob_diff = np.empty((2, len(states)))
+    for n, state in enumerate(states):
+        # inputs and the analytic output were validated as stacks
+        physical = swap_via_beamsplitter(DensityMatrix(rho_a[n], validate=False),
+                                         DensityMatrix(rho_b[n], validate=False), args.eta)
+        distance[n] = trace_distance(DensityMatrix(state, validate=False), physical.state)
+        prob_diff[n] = abs(prob[n, _PSI] - physical.probability)
+    return (_ALL_OUTCOMES[psi], possible, prob[:, psi], concurrence_batch(states), eigs,
+            {"trace_distance": distance, "prob_diff": prob_diff})
 
 
-def _run_swaps(name, samples, seed, workers, rank_tol, draw, group=None,
-               outcomes=_general_outcomes):
-    """Run _swap_chunk over range(samples): records and a report with skips."""
-    chunks = _run_chunks(_swap_chunk, samples, workers, (draw, rank_tol, group, outcomes))
-    records = [r for recs, _ in chunks for r in recs]
-    return records, BoundReport(name, samples, seed, skipped=sum(s for _, s in chunks))
+def _swap_chunk(start, stop, name, args):
+    """Swap samples [start, stop) of experiment ``name`` block by block:
+    the record columns of the possible outcomes, and the number of
+    impossible ones skipped."""
+    spec = EXPERIMENTS[name]
+    parts, skipped = [], 0
+    # no block straddles two input classes of args.samples samples
+    for lo, hi in _blocks(start, stop, args.samples):
+        a, b, inputs = spec.draw(args, lo, hi)
+        kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
+        n, j = np.nonzero(possible)
+        skipped += possible.size - n.size
+        parts.append({"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
+                      "rank_f": rank_batch(eigs, args.rank_tol),
+                      **{key: column[n] for key, column in {**inputs, **extra}.items()}})
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}, skipped
 
 
 # --------------------------------------------------------------------------
-# conservation: swapping anything with a Bell state preserves concurrence
+# block draws
 
 
-def _conserve_draw(seed, ensemble, rank_tol, lo, hi):
-    rngs = _substreams("conserve", seed, lo, hi)
-    if ensemble == "bures":
-        rho = random_bures(rngs)
-    elif ensemble == "pure":
-        rho = pure_batch(random_pure(rngs), _where(lo, "input"))
-    elif ensemble.startswith("induced-"):
-        rho = random_induced(rngs, 4, int(ensemble.split("-", 1)[1]))
-    else:
-        raise ValueError(
-            f"unknown ensemble {ensemble!r}; expected bures, pure or induced-1..4"
-        )
+def _conserve_draw(args, lo, hi):
+    if args.ensemble not in STATE_ENSEMBLES:
+        raise ValueError(f"unknown ensemble {args.ensemble!r}; "
+                         f"expected one of {', '.join(STATE_ENSEMBLES)}")
+    rho = STATE_ENSEMBLES[args.ensemble](_substreams("conserve", args.seed, lo, hi))
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
-    return rho, bell, _measure_inputs(lo, rho, rank_tol), ([1.0] * (hi - lo), [1] * (hi - lo))
+    ones = np.ones(hi - lo, dtype=int)
+    return rho, bell, {**_input_columns(lo, rho, args, "a", "input"),
+                       "c_b": ones.astype(float), "rank_b": ones}
 
 
-def run_conservation(samples: int, seed: int, ensemble: str = "bures",
-                     rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Swap random states with phi+ and measure |C_F - C_A| per outcome."""
-    t0 = time.perf_counter()
-    records, report = _run_swaps("conserve", samples, seed, workers, rank_tol,
-                                 partial(_conserve_draw, seed, ensemble, rank_tol))
-    for r in records:
-        deviation = abs(r.c_f - r.c_a)
-        report.max_upper_excess = max(report.max_upper_excess, deviation)
-        if deviation > CONSERVATION_TOL:
-            report.violations_upper += 1
-    report.hard_violations = report.violations_upper
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
-
-
-# --------------------------------------------------------------------------
-# Bell-diagonal pairs: C_F <= C_A C_B, empirical floor max[0, 5x/4 - 1/4]
-
-
-def _belldiag_lower(x: float) -> float:
-    return max(0.0, 1.25 * x - 0.25)
-
-
-def _belldiag_draw(seed, rank_tol, lo, hi):
-    rngs = _substreams("belldiag", seed, lo, hi)
+def _belldiag_draw(args, lo, hi):
+    rngs = _substreams("belldiag", args.seed, lo, hi)
     x_a = bell_diagonal_x(random_bell_diagonal(rngs))  # each substream draws a,
     x_b = bell_diagonal_x(random_bell_diagonal(rngs))  # then b
-    measures = []
-    for x, what in ((x_a, "input a"), (x_b, "input b")):
-        validate_x_batch(*x, _where(lo, what))
-        measures.append((concurrence_x_batch(*x).tolist(),
-                         rank_batch(x_eigenvalues_batch(*x), rank_tol).tolist()))
-    return x_a, x_b, *measures
+    columns = {}
+    for side, x in (("a", x_a), ("b", x_b)):
+        validate_x_batch(*x, _where(lo, f"input {side}"))
+        columns[f"c_{side}"] = concurrence_x_batch(*x)
+        columns[f"rank_{side}"] = rank_batch(x_eigenvalues_batch(*x), args.rank_tol)
+    return x_a, x_b, columns
+
+
+def _pure_draw(args, lo, hi):
+    rngs = _substreams("pure", args.seed, lo, hi)
+    va, vb = random_pure(rngs), random_pure(rngs)
+    c_a = np.array([pure_concurrence(v) for v in va])
+    c_b = np.array([pure_concurrence(v) for v in vb])
+    low = np.minimum(c_a, c_b)
+    ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(hi - lo, np.inf), where=low > 0.0)
+    rho_a = pure_batch(va, _where(lo, "input a"))
+    rho_b = pure_batch(vb, _where(lo, "input b"))
+    validate_batch(rho_a, _where(lo, "input a"))
+    validate_batch(rho_b, _where(lo, "input b"))
+    ones = np.ones(hi - lo, dtype=int)
+    return rho_a, rho_b, {"c_a": c_a, "c_b": c_b, "rank_a": ones, "rank_b": ones, "ratio": ratio}
+
+
+def _rank_draw(args, lo, hi):
+    """Induced-measure pairs; combination c of ranks (c // 4 + 1, c % 4 + 1)
+    fills samples [c * args.samples, (c + 1) * args.samples)."""
+    rngs = _substreams("rank", args.seed, lo, hi)
+    combo = lo // args.samples  # blocks never straddle two combos
+    rho_a = random_induced(rngs, 4, combo // 4 + 1)
+    rho_b = random_induced(rngs, 4, combo % 4 + 1)
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
+                          **_input_columns(lo, rho_b, args, "b")}
+
+
+def _rank2_draw(args, lo, hi):
+    alphas = np.arange(lo + 1, hi + 1) / (args.samples + 1)
+    sigma = np.stack([rank2_bell_mixture(alpha).mat for alpha in alphas.tolist()])
+    c = np.abs(2.0 * alphas - 1.0)
+    r = rank_batch(validate_batch(sigma, _where(lo, "input")), args.rank_tol)
+    return sigma, sigma, {"c_a": c, "c_b": c, "rank_a": r, "rank_b": r}
+
+
+def _oracle_draw(args, lo, hi):
+    rngs = _substreams("oracle-equiv", args.seed, lo, hi)
+    rho_a, rho_b = random_bures(rngs), random_bures(rngs)
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
+                          **_input_columns(lo, rho_b, args, "b")}
+
+
+# --------------------------------------------------------------------------
+# fits of the empirical floors
 
 
 def _envelope_minima(xs, ys, n_bins):
@@ -305,11 +356,10 @@ def _envelope_minima(xs, ys, n_bins):
     return np.array(pts)
 
 
-def _fit_lower_line(records) -> "dict | None":
+def _fit_lower_line(cols) -> "dict | None":
     # least-squares line through the lower envelope of C_F over the
     # region where the floor is active
-    xs = np.array([r.c_a * r.c_b for r in records])
-    ys = np.array([r.c_f for r in records])
+    xs, ys = cols["c_a"] * cols["c_b"], cols["c_f"]
     active = xs >= 0.25
     if np.count_nonzero(active) < 24:
         return None
@@ -321,56 +371,11 @@ def _fit_lower_line(records) -> "dict | None":
     return {"slope": float(slope), "intercept": float(intercept)}
 
 
-def run_belldiag_bounds(samples: int, seed: int,
-                        rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Random Bell-diagonal pairs; product upper bound is asserted hard,
-    the fitted linear floor is checked with slack and re-fitted."""
-    t0 = time.perf_counter()
-    records, report = _run_swaps("belldiag", samples, seed, workers, rank_tol,
-                                 partial(_belldiag_draw, seed, rank_tol),
-                                 outcomes=_x_outcomes)
-    for r in records:
-        x = r.c_a * r.c_b
-        excess = r.c_f - x
-        deficit = _belldiag_lower(x) - r.c_f
-        report.max_upper_excess = max(report.max_upper_excess, excess)
-        report.max_lower_deficit = max(report.max_lower_deficit, deficit)
-        if excess > UPPER_BOUND_TOL:
-            report.violations_upper += 1
-        if deficit > EMPIRICAL_SLACK:
-            report.violations_lower += 1
-    report.hard_violations = report.violations_upper
-    report.soft_violations = report.violations_lower
-    report.fit_params = _fit_lower_line(records)
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
-
-
-# --------------------------------------------------------------------------
-# pure pairs: C_F >= (C_A C_B)^2, exponential floor re-fitted
-
-
-def _pure_draw(seed, lo, hi):
-    rngs = _substreams("pure", seed, lo, hi)
-    va, vb = random_pure(rngs), random_pure(rngs)
-    c_a = [pure_concurrence(v) for v in va]
-    c_b = [pure_concurrence(v) for v in vb]
-    ratio = [max(a, b) / min(a, b) if min(a, b) > 0.0 else float("inf")
-             for a, b in zip(c_a, c_b)]
-    rho_a = pure_batch(va, _where(lo, "input a"))
-    rho_b = pure_batch(vb, _where(lo, "input b"))
-    validate_batch(rho_a, _where(lo, "input a"))
-    validate_batch(rho_b, _where(lo, "input b"))
-    ones = [1] * (hi - lo)
-    return rho_a, rho_b, (c_a, ones), (c_b, ones), ratio
-
-
-def _fit_lower_exponential(records) -> "dict | None":
+def _fit_lower_exponential(cols) -> "dict | None":
     # offset + scale * exp(rate * x) through the lower envelope
     from scipy.optimize import curve_fit
 
-    xs = np.array([r.c_a * r.c_b for r in records])
-    ys = np.array([r.c_f for r in records])
+    xs, ys = cols["c_a"] * cols["c_b"], cols["c_f"]
     if xs.size < 60:
         return None
     n_bins = int(np.clip(xs.size // 20, 6, 30))
@@ -388,146 +393,83 @@ def _fit_lower_exponential(records) -> "dict | None":
             "rate": float(popt[2])}
 
 
-def run_pure_bounds(samples: int, seed: int,
-                    rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Haar-random pure pairs; the squared-product lower bound is hard."""
-    t0 = time.perf_counter()
-    records, report = _run_swaps("pure", samples, seed, workers, rank_tol,
-                                 partial(_pure_draw, seed))
-    for r in records:
-        deficit = (r.c_a * r.c_b) ** 2 - r.c_f
-        report.max_lower_deficit = max(report.max_lower_deficit, deficit)
-        if deficit > LOWER_BOUND_TOL:
-            report.violations_lower += 1
-    report.hard_violations = report.violations_lower
-    report.fit_params = _fit_lower_exponential(records)
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
-
-
 # --------------------------------------------------------------------------
-# rank law: R_F >= max(R_A, R_B), equality when either input is pure
+# the experiments
 
 
-def _rank_draw(seed, per_combo, rank_tol, lo, hi):
-    rngs = _substreams("rank", seed, lo, hi)
-    combo = lo // per_combo  # blocks never straddle two combos
-    rho_a = random_induced(rngs, 4, combo // 4 + 1)
-    rho_b = random_induced(rngs, 4, combo % 4 + 1)
-    return (rho_a, rho_b, _measure_inputs(lo, rho_a, rank_tol, "input a"),
-            _measure_inputs(lo, rho_b, rank_tol, "input b"))
+def _rank_floor(cols):
+    return np.maximum(cols["rank_a"], cols["rank_b"])
 
 
-def run_rank_relation(samples_per_combo: int, seed: int,
-                      rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Induced-measure pairs of every rank combination (k1, k2) in 1..4."""
-    t0 = time.perf_counter()
-    total = 16 * samples_per_combo
-    records, report = _run_swaps("rank", total, seed, workers, rank_tol,
-                                 partial(_rank_draw, seed, samples_per_combo, rank_tol),
-                                 group=samples_per_combo)
-    mismatches = 0
-    for r in records:
-        combo = r.sample_index // samples_per_combo
-        k1, k2 = combo // 4 + 1, combo % 4 + 1
-        if (r.rank_a, r.rank_b) != (k1, k2):
-            mismatches += 1
-        floor = max(r.rank_a, r.rank_b)
-        if r.rank_f < floor:
-            report.violations_upper += 1
-            report.max_upper_excess = max(report.max_upper_excess,
-                                          float(floor - r.rank_f))
-        if min(r.rank_a, r.rank_b) == 1 and r.rank_f != floor:
-            report.violations_lower += 1
-    report.hard_violations = (report.violations_upper
-                              + report.violations_lower + mismatches)
-    report.extras["input_rank_mismatches"] = mismatches
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
+def _rank_mismatch(cols, args):
+    combo = cols["sample"] // args.samples
+    return (cols["rank_a"] != combo // 4 + 1) | (cols["rank_b"] != combo % 4 + 1)
 
 
-# --------------------------------------------------------------------------
-# rank-2 self-swap: C_F equals the squared input concurrence exactly
+EXPERIMENTS = {
+    # swapping anything with a Bell state preserves concurrence
+    "conserve": Experiment(_conserve_draw, _general_outcomes, (
+        Check("upper", lambda c, _: np.abs(c["c_f"] - c["c_a"]), CONSERVATION_TOL),)),
+    # Bell-diagonal pairs: C_F <= C_A C_B hard; the empirical floor
+    # max[0, 5x/4 - 1/4] of x = C_A C_B with slack, and re-fitted
+    "belldiag": Experiment(_belldiag_draw, _x_outcomes, (
+        Check("upper", lambda c, _: c["c_f"] - c["c_a"] * c["c_b"], UPPER_BOUND_TOL),
+        Check("lower", lambda c, _: np.maximum(0.0, 1.25 * (c["c_a"] * c["c_b"]) - 0.25) - c["c_f"],
+              EMPIRICAL_SLACK, hard=False),
+    ), fit=_fit_lower_line),
+    # Haar pure pairs: C_F >= (C_A C_B)^2 hard, exponential floor re-fitted;
+    # float_power squares with C pow, as Python's float ** does (a product
+    # can differ in the last bit)
+    "pure": Experiment(_pure_draw, _general_outcomes, (
+        Check("lower", lambda c, _: np.float_power(c["c_a"] * c["c_b"], 2) - c["c_f"],
+              LOWER_BOUND_TOL),
+    ), fit=_fit_lower_exponential),
+    # every rank combination (k1, k2) in 1..4: R_F >= max(R_A, R_B), with
+    # equality when either input is pure, and the inputs have ranks k1, k2
+    "rank": Experiment(_rank_draw, _general_outcomes, (
+        Check("upper", lambda c, _: _rank_floor(c) - c["rank_f"], 0),
+        Check("lower", lambda c, _: (np.minimum(c["rank_a"], c["rank_b"]) == 1)
+              & (c["rank_f"] != _rank_floor(c)), 0, worst=False),
+        Check("input_rank_mismatches", _rank_mismatch, 0),
+    ), combos=16),
+    # rank-2 Bell mixtures swapped with themselves: C_F = C_in^2 exactly
+    "rank2-selfswap": Experiment(_rank2_draw, _general_outcomes, (
+        Check("upper", lambda c, _: np.abs(c["c_f"] - c["c_a"] * c["c_a"]), SELF_SWAP_TOL),)),
+    # the closed-form psi- swap against the beamsplitter route
+    "oracle-equiv": Experiment(_oracle_draw, _oracle_outcomes, (
+        Check("upper", lambda c, _: c["trace_distance"], ORACLE_TOL),
+        Check("lower", lambda c, _: c["prob_diff"], ORACLE_TOL),
+    ), extras=lambda r: {"max_trace_distance": r.max_upper_excess,
+                         "max_probability_diff": r.max_lower_deficit}),
+}
 
 
-def _rank2_draw(points, rank_tol, lo, hi):
-    alphas = [i / (points + 1) for i in range(lo + 1, hi + 1)]
-    sigma = np.stack([rank2_bell_mixture(alpha).mat for alpha in alphas])
-    cols = ([abs(2.0 * alpha - 1.0) for alpha in alphas],
-            rank_batch(validate_batch(sigma, _where(lo, "input")), rank_tol).tolist())
-    return sigma, sigma, cols, cols
-
-
-def run_rank2_selfswap(points: int = 99, seed: int = 0,
-                       rank_tol: float = DEFAULT_RANK_TOL):
-    """Swap alpha psi+ + (1-alpha) psi- with itself on an alpha grid."""
-    if points < 1:
-        raise ValueError(f"grid size must be at least 1, got {points}")
-    t0 = time.perf_counter()
-    records, report = _run_swaps("rank2-selfswap", points, seed, 1, rank_tol,
-                                 partial(_rank2_draw, points, rank_tol))
-    for r in records:
-        deviation = abs(r.c_f - r.c_a * r.c_a)
-        report.max_upper_excess = max(report.max_upper_excess, deviation)
-        if deviation > SELF_SWAP_TOL:
-            report.violations_upper += 1
-    report.hard_violations = report.violations_upper
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
-
-
-# --------------------------------------------------------------------------
-# dual-path equivalence: analytic psi- output vs beamsplitter model
-
-
-def _oracle_chunk(start, stop, seed, eta, rank_tol):
-    psi = _OUTCOMES.index(BellLabel.PSI_MINUS)
-    records, distances, prob_diffs = [], [], []
-    for lo, hi in _blocks(start, stop):
-        rngs = _substreams("oracle-equiv", seed, lo, hi)
-        mats_a, mats_b = random_bures(rngs), random_bures(rngs)
-        c_a, r_a = _measure_inputs(lo, mats_a, rank_tol, "input a")
-        c_b, r_b = _measure_inputs(lo, mats_b, rank_tol, "input b")
-        raw, prob = swap_batch(mats_a, mats_b)
-        possible, states, eigs = conditional_states(
-            raw[:, psi:psi + 1], prob[:, psi:psi + 1], lambda n, _: _where(lo, "output")(n, psi))
-        if not possible.all():  # the first sample swap_general would refuse
-            raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], psi][0])
-        c_f = concurrence_batch(states).tolist()
-        r_f = rank_batch(eigs, rank_tol).tolist()
-        probs = prob[:, psi].tolist()
-        for n in range(hi - lo):
-            # inputs and the analytic output were validated as stacks above
-            physical = swap_via_beamsplitter(
-                DensityMatrix(mats_a[n], validate=False),
-                DensityMatrix(mats_b[n], validate=False), eta)
-            analytic = DensityMatrix(states[n], validate=False)
-            distances.append(trace_distance(analytic, physical.state))
-            prob_diffs.append(abs(probs[n] - physical.probability))
-            records.append(ExperimentRecord(lo + n, BellLabel.PSI_MINUS, c_a[n], c_b[n],
-                                            c_f[n], probs[n], r_a[n], r_b[n], r_f[n]))
-    return records, distances, prob_diffs
-
-
-def run_oracle_equiv(samples: int, seed: int, eta: float = 0.5,
-                     rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Compare the closed-form psi- swap with the beamsplitter route."""
-    t0 = time.perf_counter()
-    chunks = _run_chunks(_oracle_chunk, samples, workers,
-                         (seed, eta, rank_tol))
-    records = [r for recs, _, _ in chunks for r in recs]
-    distances = [d for _, ds, _ in chunks for d in ds]
-    prob_diffs = [p for _, _, ps in chunks for p in ps]
-    report = BoundReport("oracle-equiv", samples, seed)
-    report.max_upper_excess = max(distances, default=0.0)
-    report.max_lower_deficit = max(prob_diffs, default=0.0)
-    report.violations_upper = sum(d > ORACLE_TOL for d in distances)
-    report.violations_lower = sum(p > ORACLE_TOL for p in prob_diffs)
-    report.hard_violations = report.violations_upper + report.violations_lower
-    report.extras["max_trace_distance"] = report.max_upper_excess
-    report.extras["max_probability_diff"] = report.max_lower_deficit
-    report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return records, report
+def _swap_report(name: str, args: Args, workers: int):
+    """Run swap experiment ``name``: its record columns and report."""
+    spec = EXPERIMENTS[name]
+    total = spec.combos * args.samples
+    chunks = _run_chunks(_swap_chunk, total, workers, (name, args))
+    cols = {key: np.concatenate([c[key] for c, _ in chunks]) for key in chunks[0][0]}
+    report = BoundReport(name, total, args.seed, skipped=sum(s for _, s in chunks))
+    for side, deviation, tol, hard, worst in spec.checks:
+        dev = deviation(cols, args)
+        count = int(np.count_nonzero(dev > tol))
+        if side in ("upper", "lower"):
+            setattr(report, f"violations_{side}", getattr(report, f"violations_{side}") + count)
+            if worst:
+                worst_field = "max_upper_excess" if side == "upper" else "max_lower_deficit"
+                setattr(report, worst_field, max(0.0, float(dev.max(initial=0.0))))
+        else:
+            report.extras[side] = count
+        if hard:
+            report.hard_violations += count
+        else:
+            report.soft_violations += count
+    if spec.fit:
+        report.fit_params = spec.fit(cols)
+    if spec.extras:
+        report.extras.update(spec.extras(report))
+    return cols, report
 
 
 # --------------------------------------------------------------------------
@@ -542,9 +484,8 @@ def _haar_chunk(start, stop, seed):
     return [(p.size, p.sum(), (p ** 2).sum()) for p in phases]
 
 
-def run_haar_stats(samples: int, seed: int, workers: int = 1):
+def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:
     """Phase statistics of Haar 4x4 unitaries: mean 0, std pi/sqrt(3)."""
-    t0 = time.perf_counter()
     sums = [row for rows in _run_chunks(_haar_chunk, samples, workers, (seed,)) for row in rows]
     # added in sample order, so the sums do not depend on the chunk layout
     count, total, total_sq = (sum(column) for column in zip(*sums))
@@ -558,50 +499,58 @@ def run_haar_stats(samples: int, seed: int, workers: int = 1):
     report.hard_violations = report.violations_upper + report.violations_lower
     report.extras = {"phase_mean": mean, "phase_std": std,
                      "target_std": HAAR_PHASE_STD}
+    return report
+
+
+def run_experiment(name: str, samples: int, seed: int, *,
+                   ensemble: str = "bures", eta: float = 0.5,
+                   rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
+    """Run an experiment by CLI name; returns (record columns, report).
+
+    For 'rank' ``samples`` counts pairs per rank combination, for
+    'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
+    records.
+    """
+    t0 = time.perf_counter()
+    if name == "haar-stats":
+        records, report = {}, _haar_report(samples, seed, workers)
+    elif name in EXPERIMENTS:
+        records, report = _swap_report(name, Args(samples, seed, ensemble, eta, rank_tol),
+                                       workers)
+    else:
+        raise ValueError(
+            f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
+        )
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return [], report
+    return records, report
 
 
 # --------------------------------------------------------------------------
 # emission
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+def _rows(cols: dict):
+    """The emitted column names, and the records as rows of Python values
+    (outcomes as labels), one row at a time."""
+    names = CSV_COLUMNS + (("ratio",) if "ratio" in cols else ())
+    lists = [cols[name].tolist() if cols else [] for name in names]
+    lists[1] = [_OUTCOMES[k].value for k in lists[1]]
+    return names, zip(*lists)
 
 
-def records_to_csv(records: "list[ExperimentRecord]") -> str:
-    """Render records as CSV text; a ratio column is appended when any
-    record carries one."""
-    with_ratio = any(r.ratio is not None for r in records)
-    header = ",".join(CSV_COLUMNS + (("ratio",) if with_ratio else ()))
-    lines = [header]
-    for r in records:
-        cells = [
-            str(r.sample_index), r.outcome.value,
-            _format_float(r.c_a), _format_float(r.c_b), _format_float(r.c_f),
-            _format_float(r.probability),
-            str(r.rank_a), str(r.rank_b), str(r.rank_f),
-        ]
-        if with_ratio:
-            cells.append(_format_float(r.ratio if r.ratio is not None else 0.0))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def records_to_csv(cols: dict) -> str:
+    """Render record columns as CSV text; a ratio column is appended when
+    the records carry one."""
+    names, rows = _rows(cols)
+    # '%.17g' % x formats as f"{x:.17g}" does
+    template = ",".join("%.17g" if name in _FLOAT_COLUMNS else "%s" for name in names)
+    return "\n".join([",".join(names), *(template % row for row in rows)]) + "\n"
 
 
-def records_to_json(records: "list[ExperimentRecord]") -> str:
-    rows = []
-    for r in records:
-        row = {
-            "sample": r.sample_index, "outcome": r.outcome.value,
-            "c_a": r.c_a, "c_b": r.c_b, "c_f": r.c_f,
-            "prob": r.probability,
-            "rank_a": r.rank_a, "rank_b": r.rank_b, "rank_f": r.rank_f,
-        }
-        if r.ratio is not None:
-            row["ratio"] = r.ratio
-        rows.append(row)
-    return json.dumps(rows, indent=None, separators=(",", ":")) + "\n"
+def records_to_json(cols: dict) -> str:
+    names, rows = _rows(cols)
+    return json.dumps([dict(zip(names, row)) for row in rows],
+                      indent=None, separators=(",", ":")) + "\n"
 
 
 def write_records(records, path, fmt: str = "csv") -> None:
@@ -614,32 +563,3 @@ def write_summary(report: BoundReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def run_experiment(name: str, samples: int, seed: int, *,
-                   ensemble: str = "bures", eta: float = 0.5,
-                   rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Dispatch an experiment by CLI name; returns (records, report)."""
-    if name == "conserve":
-        return run_conservation(samples, seed, ensemble=ensemble,
-                                rank_tol=rank_tol, workers=workers)
-    if name == "belldiag":
-        return run_belldiag_bounds(samples, seed, rank_tol=rank_tol,
-                                   workers=workers)
-    if name == "pure":
-        return run_pure_bounds(samples, seed, rank_tol=rank_tol,
-                               workers=workers)
-    if name == "rank":
-        return run_rank_relation(samples, seed, rank_tol=rank_tol,
-                                 workers=workers)
-    if name == "rank2-selfswap":
-        return run_rank2_selfswap(points=samples, seed=seed,
-                                  rank_tol=rank_tol)
-    if name == "oracle-equiv":
-        return run_oracle_equiv(samples, seed, eta=eta, rank_tol=rank_tol,
-                                workers=workers)
-    if name == "haar-stats":
-        return run_haar_stats(samples, seed, workers=workers)
-    raise ValueError(
-        f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
-    )

@@ -265,11 +265,7 @@ class XState:
                 np.array([[self.c14, self.c23]]))
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.c11, self.c22, self.c33, self.c44
-        m[0, 3], m[3, 0] = self.c14, np.conj(self.c14)
-        m[1, 2], m[2, 1] = self.c23, np.conj(self.c23)
-        return m
+        return x_matrices(*self.to_stack())[0]
 
     def to_density_matrix(self) -> DensityMatrix:
         return DensityMatrix(self.to_matrix())
@@ -286,8 +282,12 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
 
     Populations must be nonnegative and sum to 1, and |c14|^2 <= c11 c44,
     |c23|^2 <= c22 c33, all to TRACE_TOL. The first flagged state raises
-    ValidationError as in validate_batch (a disk's excess is named too).
+    ValidationError as in validate_batch (a disk's excess is named too);
+    a NaN or Inf entry fails first.
     """
+    finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
+    if not finite.all():
+        _raise_first(finite, ~finite, "finiteness invariant violated: NaN or Inf entry", where)
     low = diag.min(axis=-1)
     total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
     # the disks of (c14, c23) are (c11 c44, c22 c33)
@@ -301,6 +301,15 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
             (excess[..., 1], disk[..., 1], "eigenvalue invariant violated: |c23|^2 > c22*c33" + by)):
         if bad.any():
             _raise_first(values, bad, message, where)
+
+
+def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4) density matrices of an X stack."""
+    m = np.zeros(diag.shape[:-1] + (4, 4), dtype=complex)
+    m[..., range(4), range(4)] = diag
+    m[..., [0, 1], [3, 2]] = coh
+    m[..., [3, 2], [0, 1]] = np.conj(coh)
+    return m
 
 
 def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ def test_criterion_01_bell_pair_golden_table():
 
 def test_criterion_02_conservation_with_bell_state():
     t0 = time.perf_counter()
-    _, report = ex.run_conservation(10_000, seed=SEED + 2)
+    _, report = ex.run_experiment("conserve", 10_000, SEED + 2)
     elapsed = time.perf_counter() - t0
     ok = report.max_upper_excess < 1e-9 and report.skipped == 0 and elapsed < 30.0
     _report(2, ok, f"10^4 Bures states x 4 outcomes, "
@@ -47,7 +47,7 @@ def test_criterion_02_conservation_with_bell_state():
 
 def test_criterion_03_bell_diagonal_bounds():
     t0 = time.perf_counter()
-    _, report = ex.run_belldiag_bounds(100_000, seed=SEED + 3, workers=2)
+    _, report = ex.run_experiment("belldiag", 100_000, SEED + 3, workers=2)
     elapsed = time.perf_counter() - t0
     ok = (report.violations_upper == 0
           and report.max_lower_deficit <= 0.01
@@ -59,14 +59,14 @@ def test_criterion_03_bell_diagonal_bounds():
 
 
 def test_criterion_04_rank2_self_swap_grid():
-    _, report = ex.run_rank2_selfswap(points=99)
+    _, report = ex.run_experiment("rank2-selfswap", 99, 0)
     ok = report.violations_upper == 0 and report.max_upper_excess < 1e-12
     _report(4, ok, f"99-point mixing grid x 4 outcomes, "
                    f"max |C_F - C_in^2| = {report.max_upper_excess:.2e}")
 
 
 def test_criterion_05_pure_state_lower_bound():
-    _, report = ex.run_pure_bounds(100_000, seed=SEED + 5, workers=2)
+    _, report = ex.run_experiment("pure", 100_000, SEED + 5, workers=2)
     bound_ok = report.violations_lower == 0
 
     worst = 0.0
@@ -86,7 +86,7 @@ def test_criterion_05_pure_state_lower_bound():
 
 
 def test_criterion_06_rank_law():
-    _, report = ex.run_rank_relation(1000, seed=SEED + 6)
+    _, report = ex.run_experiment("rank", 1000, SEED + 6)
     ok = (report.violations_upper == 0
           and report.violations_lower == 0
           and report.extras["input_rank_mismatches"] == 0)
@@ -97,7 +97,7 @@ def test_criterion_06_rank_law():
 
 def test_criterion_07_beamsplitter_equivalence():
     t0 = time.perf_counter()
-    _, report = ex.run_oracle_equiv(1000, seed=SEED + 7)
+    _, report = ex.run_experiment("oracle-equiv", 1000, SEED + 7)
     elapsed = time.perf_counter() - t0
     ok = (report.extras["max_trace_distance"] < 1e-10
           and report.extras["max_probability_diff"] < 1e-10
@@ -108,7 +108,7 @@ def test_criterion_07_beamsplitter_equivalence():
 
 
 def test_criterion_08_haar_phase_statistics():
-    _, report = ex.run_haar_stats(100_000, seed=SEED + 8)
+    _, report = ex.run_experiment("haar-stats", 100_000, SEED + 8)
     mean = report.extras["phase_mean"]
     std = report.extras["phase_std"]
     ok = abs(mean) < 0.02 and abs(std - 1.8138) < 0.02

@@ -5,6 +5,7 @@ import pytest
 
 import entswap as es
 from entswap.cli import main
+from entswap.ensembles import STATE_ENSEMBLES
 
 
 def _write_state(path, rho):
@@ -146,6 +147,19 @@ def test_sample_command_all_ensembles(ensemble, capsys):
             assert es.numerical_rank(rho) == 2
         if ensemble in ("bell-diagonal", "x"):
             es.as_x_state(rho)
+
+
+def test_sample_command_names_the_failing_sample(monkeypatch):
+    real = STATE_ENSEMBLES["bures"]
+
+    def broken(rngs):
+        mats = real(rngs)
+        mats[2] *= 2.0
+        return mats
+
+    monkeypatch.setitem(STATE_ENSEMBLES, "bures", broken)
+    with pytest.raises(es.ValidationError, match=r"^trace invariant violated: .*\(sample 2\)$"):
+        main(["sample", "bures", "--samples", "4", "--seed", "1"])
 
 
 def test_seed_env_var_is_overridden_by_flag(tmp_path, monkeypatch, capsys):

@@ -7,26 +7,27 @@ import pytest
 
 import entswap as es
 from entswap import experiments as ex
+from entswap.ensembles import STATE_ENSEMBLES
 
 
 def test_conservation_small_run():
-    records, report = ex.run_conservation(100, seed=5)
+    records, report = ex.run_experiment("conserve", 100, 5)
     assert report.hard_violations == 0
     assert report.max_upper_excess < 1e-9
-    assert len(records) == 400  # four outcomes per sample
-    assert all(r.c_b == 1.0 and r.rank_b == 1 for r in records)
+    assert len(records["sample"]) == 400  # four outcomes per sample
+    assert np.all(records["c_b"] == 1.0) and np.all(records["rank_b"] == 1)
 
 
 def test_conservation_ensemble_choices():
-    for ensemble in ("bures", "pure", "induced-2"):
-        _, report = ex.run_conservation(20, seed=5, ensemble=ensemble)
+    for ensemble in STATE_ENSEMBLES:
+        _, report = ex.run_experiment("conserve", 20, 5, ensemble=ensemble)
         assert report.hard_violations == 0
     with pytest.raises(ValueError, match="ensemble"):
-        ex.run_conservation(2, seed=5, ensemble="ornstein")
+        ex.run_experiment("conserve", 2, 5, ensemble="ornstein")
 
 
 def test_belldiag_small_run():
-    records, report = ex.run_belldiag_bounds(2000, seed=5)
+    records, report = ex.run_experiment("belldiag", 2000, 5)
     assert report.violations_upper == 0
     assert report.max_lower_deficit <= ex.EMPIRICAL_SLACK
     assert report.soft_violations == 0
@@ -36,38 +37,38 @@ def test_belldiag_small_run():
 
 
 def test_pure_small_run():
-    records, report = ex.run_pure_bounds(300, seed=5)
+    records, report = ex.run_experiment("pure", 300, 5)
     assert report.hard_violations == 0
-    assert all(r.rank_a == 1 and r.rank_b == 1 for r in records)
-    assert all(r.ratio is not None and r.ratio >= 1.0 for r in records)
+    assert np.all(records["rank_a"] == 1) and np.all(records["rank_b"] == 1)
+    assert np.all(records["ratio"] >= 1.0)
 
 
 def test_rank_relation_small_run():
-    records, report = ex.run_rank_relation(8, seed=5)
+    records, report = ex.run_experiment("rank", 8, 5)
     assert report.samples == 128
     assert report.hard_violations == 0
     assert report.extras["input_rank_mismatches"] == 0
-    combos = {(r.rank_a, r.rank_b) for r in records}
+    combos = set(zip(records["rank_a"].tolist(), records["rank_b"].tolist()))
     assert combos == {(i, j) for i in range(1, 5) for j in range(1, 5)}
 
 
 def test_rank2_selfswap_grid():
-    records, report = ex.run_rank2_selfswap(points=19)
+    records, report = ex.run_experiment("rank2-selfswap", 19, 0)
     assert report.violations_upper == 0
     assert report.max_upper_excess < 1e-12
     # every outcome of every grid point is recorded
-    assert len(records) == 19 * 4
+    assert len(records["sample"]) == 19 * 4
 
 
 def test_oracle_equiv_small_run():
-    _, report = ex.run_oracle_equiv(25, seed=5)
+    _, report = ex.run_experiment("oracle-equiv", 25, 5)
     assert report.hard_violations == 0
     assert report.extras["max_trace_distance"] < 1e-10
     assert report.extras["max_probability_diff"] < 1e-10
 
 
 def test_haar_stats_small_run():
-    _, report = ex.run_haar_stats(5000, seed=5)
+    _, report = ex.run_experiment("haar-stats", 5000, 5)
     assert report.hard_violations == 0
     assert abs(report.extras["phase_mean"]) < ex.HAAR_STATS_TOL
     assert report.extras["phase_std"] == pytest.approx(
@@ -82,31 +83,31 @@ def test_dispatcher_rejects_unknown_name():
 
 def test_runners_reject_empty_sample_counts():
     with pytest.raises(ValueError, match="at least 1"):
-        ex.run_conservation(0, seed=1)
+        ex.run_experiment("conserve", 0, 1)
     with pytest.raises(ValueError, match="at least 1"):
-        ex.run_rank2_selfswap(points=0)
+        ex.run_experiment("rank2-selfswap", 0, 0)
 
 
 # ------------------------------------------------------------ determinism
 
 
 def test_records_reproducible():
-    a, _ = ex.run_belldiag_bounds(200, seed=17)
-    b, _ = ex.run_belldiag_bounds(200, seed=17)
-    assert a == b
-    c, _ = ex.run_belldiag_bounds(200, seed=18)
-    assert a != c
+    a, _ = ex.run_experiment("belldiag", 200, 17)
+    b, _ = ex.run_experiment("belldiag", 200, 17)
+    assert ex.records_to_csv(a) == ex.records_to_csv(b)
+    c, _ = ex.run_experiment("belldiag", 200, 18)
+    assert ex.records_to_csv(a) != ex.records_to_csv(c)
 
 
 def test_records_independent_of_worker_count():
-    one, _ = ex.run_conservation(60, seed=17, workers=1)
-    two, _ = ex.run_conservation(60, seed=17, workers=2)
-    assert one == two
+    one, _ = ex.run_experiment("conserve", 60, 17, workers=1)
+    two, _ = ex.run_experiment("conserve", 60, 17, workers=2)
+    assert ex.records_to_csv(one) == ex.records_to_csv(two)
 
 
 def test_csv_bytes_deterministic():
-    recs1, _ = ex.run_pure_bounds(40, seed=3)
-    recs2, _ = ex.run_pure_bounds(40, seed=3)
+    recs1, _ = ex.run_experiment("pure", 40, 3)
+    recs2, _ = ex.run_experiment("pure", 40, 3)
     assert ex.records_to_csv(recs1) == ex.records_to_csv(recs2)
 
 
@@ -114,18 +115,18 @@ def test_csv_bytes_deterministic():
 
 
 def test_csv_header_and_shape(tmp_path):
-    records, _ = ex.run_conservation(10, seed=2)
+    records, _ = ex.run_experiment("conserve", 10, 2)
     path = tmp_path / "out.csv"
     ex.write_records(records, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "sample,outcome,c_a,c_b,c_f,prob,rank_a,rank_b,rank_f"
-    assert len(lines) == 1 + len(records)
+    assert len(lines) == 1 + len(records["sample"])
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] in {l.value for l in es.BellLabel}
 
 
 def test_pure_csv_carries_ratio_column(tmp_path):
-    records, _ = ex.run_pure_bounds(5, seed=2)
+    records, _ = ex.run_experiment("pure", 5, 2)
     path = tmp_path / "pure.csv"
     ex.write_records(records, path)
     header = path.read_text().splitlines()[0]
@@ -133,25 +134,25 @@ def test_pure_csv_carries_ratio_column(tmp_path):
 
 
 def test_float_serialization_has_17_significant_digits():
-    records, _ = ex.run_belldiag_bounds(3, seed=2)
+    records, _ = ex.run_experiment("belldiag", 3, 2)
     text = ex.records_to_csv(records)
     row = text.splitlines()[1].split(",")
-    assert float(row[2]) == records[0].c_a  # round-trips exactly
+    assert float(row[2]) == records["c_a"][0]  # round-trips exactly
 
 
 def test_json_records_round_trip(tmp_path):
-    records, _ = ex.run_pure_bounds(4, seed=2)
+    records, _ = ex.run_experiment("pure", 4, 2)
     path = tmp_path / "out.json"
     ex.write_records(records, path, fmt="json")
     rows = json.loads(path.read_text())
-    assert len(rows) == len(records)
-    assert rows[0]["outcome"] == records[0].outcome.value
-    assert rows[0]["c_f"] == records[0].c_f
+    assert len(rows) == len(records["sample"])
+    assert rows[0]["outcome"] == list(es.BellLabel)[records["outcome"][0]].value
+    assert rows[0]["c_f"] == records["c_f"][0]
     assert "ratio" in rows[0]
 
 
 def test_summary_json_fields(tmp_path):
-    _, report = ex.run_belldiag_bounds(50, seed=2)
+    _, report = ex.run_experiment("belldiag", 50, 2)
     path = tmp_path / "summary.json"
     ex.write_summary(report, path)
     payload = json.loads(path.read_text())
@@ -175,17 +176,17 @@ def test_zero_probability_outcomes_are_skipped_not_recorded():
 
 
 def test_batched_input_errors_name_the_sample(monkeypatch):
-    real = ex.random_bures
+    real = STATE_ENSEMBLES["bures"]
 
     def broken(rngs):
         mats = real(rngs)
         mats[3] *= 2.0
         return mats
 
-    monkeypatch.setattr(ex, "random_bures", broken)
+    monkeypatch.setitem(STATE_ENSEMBLES, "bures", broken)
     with pytest.raises(es.ValidationError,
                        match=r"^trace invariant violated: .*\(input of sample 3\)$"):
-        ex.run_conservation(6, seed=5)
+        ex.run_experiment("conserve", 6, 5)
 
 
 def test_belldiag_input_errors_name_the_sample(monkeypatch):
@@ -199,7 +200,7 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
     monkeypatch.setattr(ex, "random_bell_diagonal", broken)
     with pytest.raises(es.ValidationError,
                        match=r"^trace invariant violated: sum = 2\.0\d* \(input a of sample 4\)$"):
-        ex.run_belldiag_bounds(6, seed=5)
+        ex.run_experiment("belldiag", 6, 5)
 
 
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):

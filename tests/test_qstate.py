@@ -306,6 +306,11 @@ def test_stacked_x_measures_match_scalar_and_dense(kind):
          " by 9.750e-02"),
         ((0.25, 0.25, 0.25, 0.25, 0.0, 0.4j), "eigenvalue invariant violated: |c23|^2 > c22*c33",
          " by 9.750e-02"),
+        # NaN fails every comparison, so finiteness is checked first
+        ((float("nan"), 0.25, 0.25, 0.25, 0.0, 0.0), "finiteness invariant violated: NaN or Inf entry",
+         ""),
+        ((0.25, 0.25, 0.25, 0.25, complex(0.0, float("nan")), 0.0),
+         "finiteness invariant violated: NaN or Inf entry", ""),
     ],
 )
 def test_validate_x_batch_names_invariant_value_and_sample(row, scalar, excess):
