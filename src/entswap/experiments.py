@@ -89,6 +89,9 @@ EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
 # Fixed stream ids keep the experiments' draws disjoint under one seed.
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
+# The report's field for the largest deviation of a check on each side.
+_MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
+
 _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
 _PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 
@@ -454,11 +457,10 @@ def _swap_report(name: str, args: Args, workers: int):
     for side, deviation, tol, hard, worst in spec.checks:
         dev = deviation(cols, args)
         count = int(np.count_nonzero(dev > tol))
-        if side in ("upper", "lower"):
-            setattr(report, f"violations_{side}", getattr(report, f"violations_{side}") + count)
+        if side in _MAX_FIELDS:  # a spec has at most one check per side
+            setattr(report, f"violations_{side}", count)
             if worst:
-                worst_field = "max_upper_excess" if side == "upper" else "max_lower_deficit"
-                setattr(report, worst_field, max(0.0, float(dev.max(initial=0.0))))
+                setattr(report, _MAX_FIELDS[side], max(0.0, float(dev.max(initial=0.0))))
         else:
             report.extras[side] = count
         if hard:
@@ -549,8 +551,7 @@ def records_to_csv(cols: dict) -> str:
 
 def records_to_json(cols: dict) -> str:
     names, rows = _rows(cols)
-    return json.dumps([dict(zip(names, row)) for row in rows],
-                      indent=None, separators=(",", ":")) + "\n"
+    return json.dumps([dict(zip(names, row)) for row in rows], separators=(",", ":")) + "\n"
 
 
 def write_records(records, path, fmt: str = "csv") -> None:
