@@ -6,10 +6,6 @@ results are reproducible bit-for-bit for a given seed regardless of how
 samples are partitioned across workers. Chunks and their blocks emit
 records in sample-index (then outcome) order and floats are serialized
 with 17 significant digits, making repeated runs byte-identical.
-
-Each swap experiment is one entry of ``EXPERIMENTS``: a block draw, the
-outcomes it keeps and its named checks over the record columns.
-``run_experiment`` runs any of them, and haar-stats, which swaps nothing.
 """
 
 from __future__ import annotations
@@ -89,7 +85,6 @@ EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
 # Fixed stream ids keep the experiments' draws disjoint under one seed.
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
-# The report's field for the largest deviation of a check on each side.
 _MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
 
 _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
