@@ -2,7 +2,8 @@
 dual-path oracle checks and ensemble sampling.
 
 Exit codes: 0 when every hard assertion passed, 1 on a bound violation
-(or an impossible measurement outcome), 2 on usage, parse or I/O errors.
+(or an impossible measurement outcome, or a derived state that failed an
+invariant check), 2 on usage, parse or I/O errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import ensembles, experiments
 from .qstate import (
@@ -153,6 +156,8 @@ def _cmd_experiment(args) -> int:
             ensemble=args.ensemble, eta=args.eta,
             rank_tol=args.rank_tol, workers=args.workers,
         )
+    except ValidationError:
+        raise  # a drawn or derived state, not the usage
     except ValueError as exc:
         raise _UsageFailure(str(exc))
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
@@ -177,6 +182,8 @@ def _cmd_oracle_check(args) -> int:
     except NoCoincidence as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except ValidationError:
+        raise  # a drawn or derived state, not the usage
     except ValueError as exc:
         raise _UsageFailure(str(exc))
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -186,7 +193,8 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_sample(args) -> int:
     stream = ensembles.RngStream(args.seed, stream_id=0)
     draw = ensembles.STATE_ENSEMBLES[args.ensemble]
-    mats = draw([stream.substream(i) for i in range(args.samples)])
+    mats = np.concatenate([draw(rng, hi - lo) for lo, hi, rng
+                           in experiments.draw_chunks(stream, 0, args.samples)])
     validate_batch(mats, lambda n: f"sample {n}")
     lines = [json.dumps(matrix_to_json_dict(DensityMatrix(m, validate=False))) for m in mats]
     text = "\n".join(lines) + "\n"
@@ -218,6 +226,9 @@ def main(argv=None) -> int:
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValidationError as exc:
+        print(f"entswap: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -8,11 +8,11 @@ any worker layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .qstate import BellLabel, DensityMatrix, XState, bell_vector, pure_batch, x_matrices
+from .qstate import (BellLabel, DensityMatrix, XState, bell_vector, pure_batch,
+                     validate_x_batch, x_matrices)
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,10 @@ class RngStream:
     """A named, splittable random stream.
 
     ``generator()`` yields the stream's own generator; ``substream(i)``
-    derives an independent generator keyed by (seed, stream_id, i),
-    which keeps per-sample draws reproducible no matter how samples are
-    partitioned across workers.
+    derives an independent generator keyed by (seed, stream_id, i). The
+    experiments key one per draw chunk by its first sample index, so
+    draws are reproducible no matter how the chunks are spread across
+    workers.
     """
 
     seed: int
@@ -35,71 +36,72 @@ class RngStream:
         return np.random.default_rng((self.seed, self.stream_id, index))
 
 
-def ginibre(rng, n: int, k: int) -> np.ndarray:
+def ginibre(rng: np.random.Generator, n: int, k: int, size: "int | None" = None) -> np.ndarray:
     """n x k matrix with i.i.d. entries N(0,1) + i N(0,1).
 
     Each complex entry has E[z] = 0 and E[|z|^2] = 2 under this
-    convention (both quadratures carry unit variance). ``rng`` is a
-    Generator, or a sequence of them for an (N, n, k) stack with one
-    matrix drawn from each.
+    convention (both quadratures carry unit variance). An int ``size``
+    gives a (size, n, k) stack.
     """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be positive")
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    return np.stack([ginibre(g, n, k) for g in rng])
+    shape = (n, k) if size is None else (size, n, k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def haar_unitary(rng, n: int) -> np.ndarray:
+def haar_unitary(rng: np.random.Generator, n: int, size: "int | None" = None) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix.
 
     The raw QR factor is not Haar; multiplying each column by the phase
     of the matching diagonal entry of R removes the convention
-    dependence and restores the invariant distribution. A sequence of
-    generators gives an (N, n, n) stack, factored in one stacked call.
+    dependence and restores the invariant distribution. An int ``size``
+    gives a (size, n, n) stack, factored in one stacked call.
     """
-    q, r = np.linalg.qr(ginibre(rng, n, n))
+    q, r = np.linalg.qr(ginibre(rng, n, n, size))
     diag = r.diagonal(axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def _normalized(rng, m: np.ndarray):
-    # unit trace; a validated state for one generator, else the raw stack
+def _normalized(m: np.ndarray, size: "int | None"):
+    # unit trace; a validated state, or for an int size the raw stack
     m = m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return DensityMatrix(m) if isinstance(rng, np.random.Generator) else m
+    return DensityMatrix(m) if size is None else m
 
 
-def random_induced(rng, n: int = 4, k: int = 4):
+def random_induced(rng: np.random.Generator, n: int = 4, k: int = 4,
+                   size: "int | None" = None):
     """Random density matrix from the induced measure with ancilla size k.
 
     Computed as G G^dag / tr(G G^dag) for an n x k Ginibre G; the result
     has rank exactly min(n, k), and k = n gives the Hilbert-Schmidt
-    ensemble. A sequence of generators gives the unvalidated stack.
+    ensemble. An int ``size`` gives the unvalidated (size, 4, 4) stack.
     """
     if n != 4:
         raise ValueError("only two-qubit (n=4) states are supported")
     if not 1 <= k <= 4:
         raise ValueError(f"ancilla size k must lie in 1..4, got {k}")
-    g = ginibre(rng, n, k)
-    return _normalized(rng, g @ g.conj().swapaxes(-1, -2))
+    g = ginibre(rng, n, k, size)
+    return _normalized(g @ g.conj().swapaxes(-1, -2), size)
 
 
-def random_bures(rng, n: int = 4):
+def random_bures(rng: np.random.Generator, n: int = 4, size: "int | None" = None):
     """Random density matrix from the Bures measure:
     (1+U) G G^dag (1+U^dag) normalized, with U Haar and G Ginibre.
-    A sequence of generators gives the unvalidated stack."""
+    An int ``size`` gives the unvalidated (size, 4, 4) stack."""
     if n != 4:
         raise ValueError("only two-qubit (n=4) states are supported")
-    g = ginibre(rng, n, n)
-    u = haar_unitary(rng, n)
+    g = ginibre(rng, n, n, size)
+    u = haar_unitary(rng, n, size)
     a = (np.eye(n) + u) @ g
-    return _normalized(rng, a @ a.conj().swapaxes(-1, -2))
+    return _normalized(a @ a.conj().swapaxes(-1, -2), size)
 
 
-def random_pure(rng) -> np.ndarray:
-    """Haar-random pure two-qubit state: first column of a Haar unitary
-    (an (N, 4) stack for a sequence of generators)."""
-    return haar_unitary(rng, 4)[..., 0]
+def random_pure(rng: np.random.Generator, size: "int | None" = None) -> np.ndarray:
+    """Haar-random pure two-qubit state: a normalized complex Gaussian
+    vector, whose distribution is unitarily invariant (a (size, 4) stack
+    for an int ``size``)."""
+    v = ginibre(rng, 4, 1, size)[..., 0]
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -141,31 +143,38 @@ def bell_diagonal_x(weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
             0.5 * (w[..., [2, 0]] - w[..., [3, 1]]))
 
 
-def random_bell_diagonal(rng):
-    """Uniform sample from the 3-simplex of Bell mixing weights. A sequence
-    of generators gives the (N, 4) weight stack, one draw from each,
-    checked once as a whole."""
-    if isinstance(rng, np.random.Generator):
-        return BellDiagonalParams(*rng.dirichlet(np.ones(4)))
-    w = np.array([g.dirichlet(np.ones(4)) for g in rng]).reshape(-1, 4)
+def random_bell_diagonal(rng: np.random.Generator, size: "int | None" = None):
+    """Uniform sample from the 3-simplex of Bell mixing weights. An int
+    ``size`` gives the (size, 4) weight stack, checked once as a whole."""
+    w = rng.dirichlet(np.ones(4), size)
+    if size is None:
+        return BellDiagonalParams(*w)
     _check_weights(w)
     return w
 
 
-def random_x_state(rng: np.random.Generator) -> XState:
+def random_x_state(rng: np.random.Generator, size: "int | None" = None):
     """Random X-state: Dirichlet diagonal, coherences uniform within the
-    positivity disks of the two parity blocks, phases uniform."""
-    d = rng.dirichlet(np.ones(4))
-    r14, r23 = rng.uniform(size=2)
-    ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(
-        c11=d[0],
-        c22=d[1],
-        c33=d[2],
-        c44=d[3],
-        c14=r14 * np.sqrt(d[0] * d[3]) * np.exp(1j * ph14),
-        c23=r23 * np.sqrt(d[1] * d[2]) * np.exp(1j * ph23),
-    )
+    positivity disks of the two parity blocks, phases uniform. An int
+    ``size`` gives the X stack (diag, coh), checked once as a whole."""
+    diag = rng.dirichlet(np.ones(4), size)
+    radii = rng.uniform(size=diag.shape[:-1] + (2,))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=radii.shape)
+    # the disks of (c14, c23) have radii sqrt(c11 c44), sqrt(c22 c33)
+    coh = radii * np.sqrt(diag[..., :2] * diag[..., 3:1:-1]) * np.exp(1j * phases)
+    if size is None:
+        return XState(*diag, *coh)
+    validate_x_batch(diag, coh)
+    return diag, coh
+
+
+def rank2_bell_mixtures(alphas: np.ndarray, first: BellLabel = BellLabel.PSI_PLUS,
+                        second: BellLabel = BellLabel.PSI_MINUS) -> np.ndarray:
+    """The unvalidated (N, 4, 4) stack alpha |first><first| +
+    (1-alpha) |second><second| over mixing weights ``alphas`` (N,)."""
+    va, vb = bell_vector(first), bell_vector(second)
+    return (alphas[:, None, None] * np.outer(va, va.conj())
+            + (1.0 - alphas)[:, None, None] * np.outer(vb, vb.conj()))
 
 
 def rank2_bell_mixture(alpha: float, first: BellLabel = BellLabel.PSI_PLUS,
@@ -174,17 +183,15 @@ def rank2_bell_mixture(alpha: float, first: BellLabel = BellLabel.PSI_PLUS,
     with concurrence |2 alpha - 1|."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
-    va, vb = bell_vector(first), bell_vector(second)
-    mat = alpha * np.outer(va, va.conj()) + (1.0 - alpha) * np.outer(vb, vb.conj())
-    return DensityMatrix(mat)
+    return DensityMatrix(rank2_bell_mixtures(np.array([alpha]), first, second)[0])
 
 
-# Each state ensemble by name: a sequence of generators, one per sample,
-# to the unvalidated (N, 4, 4) stack of states drawn from them.
+# Each state ensemble by name: (generator, n) to the unvalidated (n, 4, 4)
+# stack of n states drawn from it.
 STATE_ENSEMBLES = {
-    "bures": random_bures,
-    **{f"induced-{k}": partial(random_induced, n=4, k=k) for k in range(1, 5)},
-    "pure": lambda rngs: pure_batch(random_pure(rngs)),
-    "bell-diagonal": lambda rngs: x_matrices(*bell_diagonal_x(random_bell_diagonal(rngs))),
-    "x": lambda rngs: np.stack([random_x_state(g).to_matrix() for g in rngs]),
+    "bures": lambda rng, n: random_bures(rng, size=n),
+    **{f"induced-{k}": lambda rng, n, k=k: random_induced(rng, 4, k, n) for k in range(1, 5)},
+    "pure": lambda rng, n: pure_batch(random_pure(rng, n)),
+    "bell-diagonal": lambda rng, n: x_matrices(*bell_diagonal_x(random_bell_diagonal(rng, n))),
+    "x": lambda rng, n: x_matrices(*random_x_state(rng, n)),
 }

@@ -1,9 +1,10 @@
 """Monte Carlo harness: conservation, concurrence bounds, rank law and
 dual-path checks, with CSV/JSON emission.
 
-Every experiment derives one random substream per sample index, so
-results are reproducible bit-for-bit for a given seed regardless of how
-samples are partitioned across workers. Chunks and their blocks emit
+Every experiment draws its samples in fixed draw chunks, each from one
+random substream keyed by the chunk's first sample index, so results are
+reproducible bit-for-bit for a given seed regardless of how the chunks
+are partitioned across workers. Chunks and their blocks emit
 records in sample-index (then outcome) order and floats are serialized
 with 17 significant digits, making repeated runs byte-identical.
 """
@@ -27,7 +28,7 @@ from .ensembles import (
     random_bures,
     random_induced,
     random_pure,
-    rank2_bell_mixture,
+    rank2_bell_mixtures,
 )
 from .optics import swap_via_beamsplitter
 # swap_general, swap_all_outcomes, swap_x_params, concurrence,
@@ -90,8 +91,15 @@ _MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
 _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
 _PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 
+# Samples per draw chunk. A chunk draws all its samples in stacked calls
+# from one generator, keyed by its first sample index; chunk edges are the
+# multiples of this and of a run's input class size, counted from sample
+# 0. Changing it changes every drawn value.
+DRAW_SAMPLES = 256
+
 # Samples per stacked engine call: bounds the general engine's arrays
-# (about 10 kB per sample) for any sample count.
+# (about 10 kB per sample) for any sample count. It cuts draw chunks
+# further and moves no drawn value.
 BLOCK_SAMPLES = 256
 
 
@@ -150,10 +158,10 @@ class Check(NamedTuple):
 class Experiment(NamedTuple):
     """A swap experiment.
 
-    ``draw(args, lo, hi)`` gives samples [lo, hi) as stacked inputs a and b
-    and their per-sample input columns; ``outcomes`` swaps them (see
-    _general_outcomes). A run has ``combos`` input classes of
-    ``args.samples`` samples each. ``fit(cols)`` gives the report's
+    ``draw(args, rng, lo, hi)`` draws the samples [lo, hi) of one draw
+    chunk from ``rng``: stacked inputs a and b and their per-sample input
+    columns; ``outcomes`` swaps them (see _general_outcomes). A run has
+    ``combos`` input classes of ``args.samples`` samples each. ``fit(cols)`` gives the report's
     fit_params and ``extras(report)`` adds to its extras.
     """
 
@@ -165,17 +173,34 @@ class Experiment(NamedTuple):
     extras: "Callable | None" = None
 
 
-def _chunk_ranges(n: int, n_chunks: int) -> "list[tuple[int, int]]":
-    n_chunks = max(1, min(n_chunks, n))
-    step = -(-n // n_chunks)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _blocks(start: int, stop: int, group: "int | None" = None,
+            size: "int | None" = None) -> list:
+    """[lo, hi) pieces of [start, stop) cut at the multiples of ``size``
+    (default BLOCK_SAMPLES) and of ``group``, both counted from sample 0."""
+    edges = {start, stop}
+    for step in (size or BLOCK_SAMPLES, group):
+        if step:
+            edges.update(range(start - start % step + step, stop, step))
+    edges = sorted(edges)
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _run_chunks(chunk_fn, n: int, workers: int, args: tuple) -> list:
-    """Run chunk_fn(start, stop, *args) over a partition of range(n)."""
+def draw_chunks(stream: RngStream, start: int, stop: int, group: "int | None" = None):
+    """Each draw chunk [lo, hi) of samples [start, stop), none straddling a
+    multiple of ``group``, with the generator its samples are drawn from."""
+    for lo, hi in _blocks(start, stop, group, DRAW_SAMPLES):
+        yield lo, hi, stream.substream(lo)
+
+
+def _run_chunks(chunk_fn, n: int, workers: int, args: tuple, group: "int | None" = None) -> list:
+    """Run chunk_fn(start, stop, *args) over runs of whole draw chunks of
+    range(n) (see draw_chunks), in order."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    ranges = _chunk_ranges(n, workers * 4 if workers > 1 else 1)
+    chunks = _blocks(0, n, group, DRAW_SAMPLES)
+    tasks = min(len(chunks), workers * 4) if workers > 1 else 1
+    starts = [chunks[len(chunks) * t // tasks][0] for t in range(tasks)]
+    ranges = list(zip(starts, starts[1:] + [n]))
     if workers <= 1:
         return [chunk_fn(lo, hi, *args) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -183,19 +208,9 @@ def _run_chunks(chunk_fn, n: int, workers: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
-def _blocks(start: int, stop: int, group: "int | None" = None) -> list:
-    """[lo, hi) pieces of [start, stop) holding at most BLOCK_SAMPLES
-    samples; with ``group``, none straddles a multiple of it."""
-    edges = {*range(start, stop, BLOCK_SAMPLES), stop}
-    if group:
-        edges.update(range(start - start % group + group, stop, group))
-    edges = sorted(edges)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _substreams(name: str, seed: int, lo: int, hi: int) -> list:
-    stream = RngStream(seed, _STREAM_IDS[name])
-    return [stream.substream(i) for i in range(lo, hi)]
+def _take(stack, rows: slice):
+    """Rows of a stack of inputs, or of each array of an X stack."""
+    return tuple(part[rows] for part in stack) if isinstance(stack, tuple) else stack[rows]
 
 
 def _where(lo: int, what: str):
@@ -252,20 +267,25 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
 
 
 def _swap_chunk(start, stop, name, args):
-    """Swap samples [start, stop) of experiment ``name`` block by block:
-    the record columns of the possible outcomes, and the number of
-    impossible ones skipped."""
+    """Swap samples [start, stop), whole draw chunks, of experiment
+    ``name`` block by block: the record columns of the possible outcomes,
+    and the number of impossible ones skipped."""
     spec = EXPERIMENTS[name]
+    stream = RngStream(args.seed, _STREAM_IDS[name])
     parts, skipped = [], 0
-    # no block straddles two input classes of args.samples samples
-    for lo, hi in _blocks(start, stop, args.samples):
-        a, b, inputs = spec.draw(args, lo, hi)
-        kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
-        n, j = np.nonzero(possible)
-        skipped += possible.size - n.size
-        parts.append({"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
-                      "rank_f": rank_batch(eigs, args.rank_tol),
-                      **{key: column[n] for key, column in {**inputs, **extra}.items()}})
+    # no draw chunk straddles two input classes of args.samples samples
+    for lo, hi, rng in draw_chunks(stream, start, stop, args.samples):
+        a, b, inputs = spec.draw(args, rng, lo, hi)
+        for block_lo, block_hi in _blocks(lo, hi):
+            rows = slice(block_lo - lo, block_hi - lo)
+            kept, possible, prob, c_f, eigs, extra = spec.outcomes(
+                _take(a, rows), _take(b, rows), _where(block_lo, "output"), args)
+            n, j = np.nonzero(possible)
+            skipped += possible.size - n.size
+            parts.append({"sample": block_lo + n, "outcome": kept[j], "c_f": c_f,
+                          "prob": prob[n, j], "rank_f": rank_batch(eigs, args.rank_tol),
+                          **{key: column[rows][n] for key, column in inputs.items()},
+                          **{key: column[n] for key, column in extra.items()}})
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}, skipped
 
 
@@ -273,21 +293,20 @@ def _swap_chunk(start, stop, name, args):
 # block draws
 
 
-def _conserve_draw(args, lo, hi):
+def _conserve_draw(args, rng, lo, hi):
     if args.ensemble not in STATE_ENSEMBLES:
         raise ValueError(f"unknown ensemble {args.ensemble!r}; "
                          f"expected one of {', '.join(STATE_ENSEMBLES)}")
-    rho = STATE_ENSEMBLES[args.ensemble](_substreams("conserve", args.seed, lo, hi))
+    rho = STATE_ENSEMBLES[args.ensemble](rng, hi - lo)
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
     ones = np.ones(hi - lo, dtype=int)
     return rho, bell, {**_input_columns(lo, rho, args, "a", "input"),
                        "c_b": ones.astype(float), "rank_b": ones}
 
 
-def _belldiag_draw(args, lo, hi):
-    rngs = _substreams("belldiag", args.seed, lo, hi)
-    x_a = bell_diagonal_x(random_bell_diagonal(rngs))  # each substream draws a,
-    x_b = bell_diagonal_x(random_bell_diagonal(rngs))  # then b
+def _belldiag_draw(args, rng, lo, hi):
+    x_a = bell_diagonal_x(random_bell_diagonal(rng, hi - lo))
+    x_b = bell_diagonal_x(random_bell_diagonal(rng, hi - lo))
     columns = {}
     for side, x in (("a", x_a), ("b", x_b)):
         validate_x_batch(*x, _where(lo, f"input {side}"))
@@ -296,9 +315,8 @@ def _belldiag_draw(args, lo, hi):
     return x_a, x_b, columns
 
 
-def _pure_draw(args, lo, hi):
-    rngs = _substreams("pure", args.seed, lo, hi)
-    va, vb = random_pure(rngs), random_pure(rngs)
+def _pure_draw(args, rng, lo, hi):
+    va, vb = random_pure(rng, hi - lo), random_pure(rng, hi - lo)
     c_a = np.array([pure_concurrence(v) for v in va])
     c_b = np.array([pure_concurrence(v) for v in vb])
     low = np.minimum(c_a, c_b)
@@ -311,28 +329,26 @@ def _pure_draw(args, lo, hi):
     return rho_a, rho_b, {"c_a": c_a, "c_b": c_b, "rank_a": ones, "rank_b": ones, "ratio": ratio}
 
 
-def _rank_draw(args, lo, hi):
+def _rank_draw(args, rng, lo, hi):
     """Induced-measure pairs; combination c of ranks (c // 4 + 1, c % 4 + 1)
     fills samples [c * args.samples, (c + 1) * args.samples)."""
-    rngs = _substreams("rank", args.seed, lo, hi)
-    combo = lo // args.samples  # blocks never straddle two combos
-    rho_a = random_induced(rngs, 4, combo // 4 + 1)
-    rho_b = random_induced(rngs, 4, combo % 4 + 1)
+    combo = lo // args.samples  # draw chunks never straddle two combos
+    rho_a = random_induced(rng, 4, combo // 4 + 1, hi - lo)
+    rho_b = random_induced(rng, 4, combo % 4 + 1, hi - lo)
     return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
                           **_input_columns(lo, rho_b, args, "b")}
 
 
-def _rank2_draw(args, lo, hi):
+def _rank2_draw(args, rng, lo, hi):
     alphas = np.arange(lo + 1, hi + 1) / (args.samples + 1)
-    sigma = np.stack([rank2_bell_mixture(alpha).mat for alpha in alphas.tolist()])
+    sigma = rank2_bell_mixtures(alphas)
     c = np.abs(2.0 * alphas - 1.0)
     r = rank_batch(validate_batch(sigma, _where(lo, "input")), args.rank_tol)
     return sigma, sigma, {"c_a": c, "c_b": c, "rank_a": r, "rank_b": r}
 
 
-def _oracle_draw(args, lo, hi):
-    rngs = _substreams("oracle-equiv", args.seed, lo, hi)
-    rho_a, rho_b = random_bures(rngs), random_bures(rngs)
+def _oracle_draw(args, rng, lo, hi):
+    rho_a, rho_b = random_bures(rng, size=hi - lo), random_bures(rng, size=hi - lo)
     return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
                           **_input_columns(lo, rho_b, args, "b")}
 
@@ -446,7 +462,7 @@ def _swap_report(name: str, args: Args, workers: int):
     """Run swap experiment ``name``: its record columns and report."""
     spec = EXPERIMENTS[name]
     total = spec.combos * args.samples
-    chunks = _run_chunks(_swap_chunk, total, workers, (name, args))
+    chunks = _run_chunks(_swap_chunk, total, workers, (name, args), args.samples)
     cols = {key: np.concatenate([c[key] for c, _ in chunks]) for key in chunks[0][0]}
     report = BoundReport(name, total, args.seed, skipped=sum(s for _, s in chunks))
     for side, deviation, tol, hard, worst in spec.checks:
@@ -475,10 +491,12 @@ def _swap_report(name: str, args: Args, workers: int):
 
 def _haar_chunk(start, stop, seed):
     """Per-sample (phase count, sum, sum of squares) of Haar 4x4 unitaries."""
-    stream = RngStream(seed, _STREAM_IDS["haar-stats"])
-    phases = (np.angle(np.linalg.eigvals(haar_unitary(stream.substream(i), 4)))
-              for i in range(start, stop))
-    return [(p.size, p.sum(), (p ** 2).sum()) for p in phases]
+    rows = []
+    for lo, hi, rng in draw_chunks(RngStream(seed, _STREAM_IDS["haar-stats"]), start, stop):
+        phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
+        rows += zip([phases.shape[1]] * (hi - lo), phases.sum(axis=1).tolist(),
+                    (phases ** 2).sum(axis=1).tolist())
+    return rows
 
 
 def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:

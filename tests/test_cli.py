@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import entswap as es
-from entswap.cli import main
+from entswap.cli import EXIT_VIOLATION, main
 from entswap.ensembles import STATE_ENSEMBLES
 
 
@@ -149,17 +150,41 @@ def test_sample_command_all_ensembles(ensemble, capsys):
             es.as_x_state(rho)
 
 
-def test_sample_command_names_the_failing_sample(monkeypatch):
+def test_sample_command_names_the_failing_sample(monkeypatch, tmp_path, capsys):
     real = STATE_ENSEMBLES["bures"]
 
-    def broken(rngs):
-        mats = real(rngs)
+    def broken(rng, n):
+        mats = real(rng, n)
         mats[2] *= 2.0
         return mats
 
     monkeypatch.setitem(STATE_ENSEMBLES, "bures", broken)
-    with pytest.raises(es.ValidationError, match=r"^trace invariant violated: .*\(sample 2\)$"):
-        main(["sample", "bures", "--samples", "4", "--seed", "1"])
+    rc = main(["sample", "bures", "--samples", "4", "--seed", "1"])
+    assert rc == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"entswap: trace invariant violated: .*\(sample 2\)\n", captured.err)
+    # an experiment's draw fails the same way, not as a usage error
+    rc = main(["experiment", "conserve", "--samples", "4", "--out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_VIOLATION
+    assert re.fullmatch(r"entswap: trace invariant violated: .*\(input of sample 2\)\n",
+                        capsys.readouterr().err)
+
+
+def test_swap_command_reports_a_derived_state_failure(tmp_path, capsys):
+    # A carries an eigenvalue of -9e-11, inside EIGENVALUE_FLOOR; conditioning
+    # on psi- scales the roundoff past the floor (ROADMAP item 3)
+    rng = np.random.default_rng(8)
+    u = es.haar_unitary(rng, 4)
+    rho_a = es.DensityMatrix(u @ np.diag([0.5, 0.3, 0.2 + 9e-11, -9e-11]) @ u.conj().T)
+    rho_b = es.DensityMatrix.from_pure(es.random_pure(rng))
+    argv = ["swap", _write_state(tmp_path / "a.json", rho_a),
+            _write_state(tmp_path / "b.json", rho_b)]
+    assert main(argv) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"entswap: eigenvalue invariant violated: min eigenvalue = -1\.\d+e-10\n",
+                        captured.err)
 
 
 def test_seed_env_var_is_overridden_by_flag(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import entswap as es
-from entswap.ensembles import bell_diagonal_x
+from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
+from entswap.experiments import draw_chunks
+from entswap.qstate import concurrence_batch
 
 N_MOMENT = 100_000
 
@@ -155,8 +157,9 @@ def test_bell_diagonal_rejects_bad_weights():
 
 
 def test_bell_diagonal_stack_matches_scalar_draws():
-    stack = es.random_bell_diagonal([_rng(s) for s in range(20, 30)])
-    scalar = [es.random_bell_diagonal(_rng(s)) for s in range(20, 30)]
+    stack = es.random_bell_diagonal(_rng(20), size=10)
+    rng = _rng(20)
+    scalar = [es.random_bell_diagonal(rng) for _ in range(10)]
     assert np.array_equal(stack, [[p.alpha, p.beta, p.gamma, p.delta] for p in scalar])
     diag, coh = bell_diagonal_x(stack)
     for n, params in enumerate(scalar):
@@ -166,14 +169,13 @@ def test_bell_diagonal_stack_matches_scalar_draws():
 
 def test_bell_diagonal_stack_is_checked_as_a_whole():
     class Skewed:
-        def __init__(self, seed):
-            self.g = _rng(seed)
-
-        def dirichlet(self, alpha):
-            return self.g.dirichlet(alpha) * 1.5
+        def dirichlet(self, alpha, size):
+            w = _rng(2).dirichlet(alpha, size)
+            w[1] *= 1.5
+            return w
 
     with pytest.raises(ValueError, match=r"^weights must sum to 1, got \("):
-        es.random_bell_diagonal([_rng(1), Skewed(2)])
+        es.random_bell_diagonal(Skewed(), size=3)
 
 
 def test_random_x_states_are_valid():
@@ -189,6 +191,35 @@ def test_rank2_bell_mixture():
     assert es.concurrence(sigma) == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(ValueError):
         es.rank2_bell_mixture(1.2)
+
+
+def _purity(mats):
+    return np.einsum("nij,nji->n", mats, mats).real
+
+
+# Analytic means that no change of generator or draw order can move:
+# Bures purity (Osipov, Sommers, Zyczkowski 2010), induced-k purity
+# (4 + k) / (4k + 1), Bell-diagonal sum of squared Dirichlet weights, and
+# the Haar-pure concurrence 3 pi / 16.
+ANALYTIC_MEANS = {
+    "bures": (_purity, 81.0 / 144.0),
+    **{f"induced-{k}": (_purity, (4.0 + k) / (4.0 * k + 1.0)) for k in range(1, 5)},
+    "bell-diagonal": (_purity, 2.0 / 5.0),
+    "pure": (concurrence_batch, 3.0 * np.pi / 16.0),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(ANALYTIC_MEANS))
+def test_chunked_ensemble_draws_match_analytic_means(ensemble):
+    stream = es.RngStream(seed=31, stream_id=0)
+    mats = np.concatenate([STATE_ENSEMBLES[ensemble](rng, hi - lo)
+                           for lo, hi, rng in draw_chunks(stream, 0, 20_000)])
+    assert mats.shape == (20_000, 4, 4)
+    measure, mean = ANALYTIC_MEANS[ensemble]
+    values = measure(mats)
+    stderr = values.std() / np.sqrt(values.size)
+    # induced-1 states are pure: purity 1 up to roundoff
+    assert abs(values.mean() - mean) <= max(5.0 * stderr, 1e-12)
 
 
 def test_ensemble_determinism_across_generators():

@@ -100,9 +100,14 @@ def test_records_reproducible():
 
 
 def test_records_independent_of_worker_count():
-    one, _ = ex.run_experiment("conserve", 60, 17, workers=1)
-    two, _ = ex.run_experiment("conserve", 60, 17, workers=2)
-    assert ex.records_to_csv(one) == ex.records_to_csv(two)
+    # 700 samples span three draw chunks; rank's 300-sample combos put
+    # chunk edges off the multiples of DRAW_SAMPLES
+    for name, samples in (("conserve", 60), ("belldiag", 700), ("pure", 700),
+                          ("oracle-equiv", 700), ("rank", 300)):
+        one = ex.records_to_csv(ex.run_experiment(name, samples, 17, workers=1)[0])
+        for workers in (2, 3):
+            many, _ = ex.run_experiment(name, samples, 17, workers=workers)
+            assert ex.records_to_csv(many) == one, (name, workers)
 
 
 def test_csv_bytes_deterministic():
@@ -178,8 +183,8 @@ def test_zero_probability_outcomes_are_skipped_not_recorded():
 def test_batched_input_errors_name_the_sample(monkeypatch):
     real = STATE_ENSEMBLES["bures"]
 
-    def broken(rngs):
-        mats = real(rngs)
+    def broken(rng, n):
+        mats = real(rng, n)
         mats[3] *= 2.0
         return mats
 
@@ -192,8 +197,8 @@ def test_batched_input_errors_name_the_sample(monkeypatch):
 def test_belldiag_input_errors_name_the_sample(monkeypatch):
     real = ex.random_bell_diagonal
 
-    def broken(rngs):
-        weights = real(rngs)
+    def broken(rng, size):
+        weights = real(rng, size)
         weights[4] *= 2.0
         return weights
 
@@ -205,7 +210,9 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
 
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
     monkeypatch.setattr(ex, "BLOCK_SAMPLES", 4)
-    assert ex._blocks(3, 13) == [(3, 7), (7, 11), (11, 13)]
+    # edges are counted from sample 0, not from the start of the range
+    assert ex._blocks(3, 13) == [(3, 4), (4, 8), (8, 12), (12, 13)]
+    assert ex._blocks(3, 13, size=8) == [(3, 8), (8, 13)]
     grouped = ex._blocks(3, 13, group=5)
     assert [lo for lo, _ in grouped[1:]] == [hi for _, hi in grouped[:-1]]
     assert (grouped[0][0], grouped[-1][1]) == (3, 13)

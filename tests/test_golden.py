@@ -2,9 +2,10 @@
 
 For fixed seeds the CSV (or JSON) records and the summary JSON, with the
 wall-clock ``runtime_ms`` removed, must stay byte-identical across
-refactors and worker counts. The hashes below were taken from the
-per-sample reference implementation; a change that moves them changes
-the program's observable behaviour and has to say so.
+refactors, worker counts and engine block sizes. The hashes below were
+taken with samples drawn in 256-sample draw chunks, each from one
+generator keyed by its first sample index; a change that moves them
+changes the program's observable behaviour and has to say so.
 """
 
 import contextlib
@@ -20,27 +21,27 @@ from entswap import cli, experiments
 # (records sha256, summary sha256 without runtime_ms)
 GOLDEN = {
     ("conserve", 40, 5, ("--ensemble", "bures"), "csv"): (
-        "14ae93b459a5956003fff498f7e62a89312648b232f285013e4c3a90fef5dcce",
-        "269d065ba2d1d59cd0da76a523966f4661b8ff2098c0acb5ec8ebd34e34e53ce",
+        "14ba37b00913b0081d5a74298ffc8320aa9c710a96beee9cbf9019e8db83b7bd",
+        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
     ),
     ("conserve", 40, 5, ("--ensemble", "pure"), "csv"): (
-        "628659747e4ed3325e6a568ae4f7054b488a455aef890e7284744f37b0cd60dd",
-        "dfedc55c961111cf254258198ebefd1eb2511e35bd1ce2dc5e9d4202820e2f89",
+        "e989a2e29bff66cc8effa20a9f8ebaf0aaf9ef3c8e12032fb43bb13326b9daa5",
+        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
     ),
     ("conserve", 40, 5, ("--ensemble", "induced-2"), "csv"): (
-        "3f3b8dd006e37dba32164850f983705f792c76c64e384c9a6b6613f18bd12228",
-        "6125bc5525c4dfeba054d9cf23ccbb25c18d54735087e839c11011b6f3b3d986",
+        "f6bbbbcc65d400ac796c6de9ed7df36429d779e4f36490fc3a0c9bb3fba40357",
+        "0871eb320e3f10b3b6099d853fc97a8df23572d08aca7e80946649d4a1ef3bb1",
     ),
     ("pure", 60, 5, (), "csv"): (
-        "1a22a0ed90577403a96d2ab07165edbc976ee025cd301ab76ea720510f595747",
-        "56c81c924d226349d302441b9ebeadb89f9706f7fab6cd98417433d1a7dcc27b",
+        "6f401c26251383dd3be778e4611952c273583b0e5efefb36463889eb79528b7a",
+        "91ad473809df8020075b38805c74b376ff4ceb267894f8589c6a751a1e32390a",
     ),
     ("pure", 60, 501, (), "csv"): (
-        "5815c8f0c24c266404c58d823c9769a49057867ff52a953bc2ae3533156ac98a",
-        "2a4095b4ecd322bf2ba9eee613ef326aa834eb5c0de4efd758b92353db951b17",
+        "f734fb4bcb94fc3a6e50c14ec5dffb6af9a5a858e65137c17710d4127332761a",
+        "7430e61e8b5ac23b6459be10a8051a366659787ee25fdf427fb6470c85e23485",
     ),
     ("rank", 3, 77, (), "csv"): (
-        "2db6d27741dec406ee8b254ac857d127eb01a8f969802b5e10e0b9785de2928e",
+        "71071e15791d8a6f1da3d8df3123d83a888011e35d1a5de999cac86dd06fa501",
         "0d37e8ba8e84c078586173db508e0d2af9b9cacf3dfae832c2bf5732bed41bad",
     ),
     ("rank2-selfswap", 19, 5, (), "csv"): (
@@ -48,43 +49,43 @@ GOLDEN = {
         "3fac4377a1065de787ea198aa0af3eae8491d029ab2df67176894ae7cd81aee7",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "csv"): (
-        "d33036e50e0ebb1f9dfb4ee21a6afb7d2b458ecce183be30884f457b629b39af",
-        "1fbdee62af244bb0f6a9a944dd32c5da99a19147720fd6e77e00e04e614fd3ec",
+        "42e19a0fe3e6c605f1517f0de69bcec1dcfd93514a1ed6dcf1db3f4e4087fb14",
+        "dd5e7c091ff0234e50773e52bebc256db0959b9e27f8a48d91c95ae97296e94f",
     ),
     ("belldiag", 200, 5, (), "csv"): (
-        "7aedaa4ad8e2dcb18604dc89a88cd362f0c2514bb610dba20564e65ec96736e6",
+        "d54e5db17ef2a5cd621a87ebe5fb9efac6baae350e8b7f5a52c92474de964753",
         "7451b3d66c723c3d7803dab576bf4b40e7d2daf667b4e3c7e32bb8c145b09c03",
     ),
     # several 256-sample blocks at workers=1, several pool chunks at 2
     ("belldiag", 600, 7, (), "csv"): (
-        "8f93a0754e65f9538810466696103d9bc987d1d8cc3bb5027556448afeb48422",
+        "ca60e74b1a117518a22681b7984f14499627efe75c96e2a132e969512d6398f7",
         "f229341c0d4100d65afdd81c7a0268ae765931bde3fcde34a3b6805e344eb8cc",
     ),
     ("belldiag", 600, 501, (), "csv"): (
-        "f1215ee75011852c4215c2de6e36c04b6b821e8fc2aadbe8daf939c856e00a8e",
-        "b94bd41ad9056a84fc43bf5d31a186cd600aff5efb6800f48c1553d709c2936d",
+        "3dea2a042fa8617977f7d7688632929117e7e97212c139df0796caa22f234039",
+        "f212808ff265651e0efee834a851501d4bb27473e2abcfdc02f4a0a3b488dad2",
     ),
     ("pure", 30, 7, (), "json"): (
-        "5661426892f78d4e235b2e47b49b2df006be8c7eacb2ea1859697d44a0a22424",
-        "8015772210f549dce56a6122a89b33899bec3a149f2ba1c0eb939901d4b87924",
+        "5dea9440995c28f4a3db04dcd465416dde82d3052b1efedb890eb3b2db3141b5",
+        "1f57337ec982b7acf8dc7708073aa4747472fa7f01be7259d9ad6d105b52e364",
     ),
     # JSON records tell 1 from 1.0, so they pin each column's int or float type
     ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
-        "36f1492a9d4e6d4ed295211864f673b6997be0f1502efbfc2be3ce256d609a51",
-        "269d065ba2d1d59cd0da76a523966f4661b8ff2098c0acb5ec8ebd34e34e53ce",
+        "e23979ef302a9f2b0a5abab057968e9c76637297a4b563e72586d6bb320d8222",
+        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
     ),
     ("rank", 3, 77, (), "json"): (
-        "c8dcb1bfccd239c3c7494c2d395f273b3b99a513d467c3723673d1ee70319c7e",
+        "055c16d4778fb28aa2d49537f704486f4577449c2f2effaa7b4aec0cead093cf",
         "0d37e8ba8e84c078586173db508e0d2af9b9cacf3dfae832c2bf5732bed41bad",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
-        "62141198502d2f77351368c0b03fa713ac66bbb94fc83734867e61cfe97000b0",
-        "1fbdee62af244bb0f6a9a944dd32c5da99a19147720fd6e77e00e04e614fd3ec",
+        "69bbf52cb749ae5d2da2e95beb7954404a1ad60861892f77a09b6289fa913ed1",
+        "dd5e7c091ff0234e50773e52bebc256db0959b9e27f8a48d91c95ae97296e94f",
     ),
     # an unbalanced beamsplitter: every sample is a hard violation
     ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
-        "6fd59bff597c5705f34e20e57830833a6f8d874c3b031a710776e8a4696eaa79",
-        "aff2e5221aa614e2886d63f81040e5c28b6edbf13a53650e2254caabce388da6",
+        "07901b9ca21e0c9e20cff43423f6f50a9817ef94b45eadf1ab4177847977519d",
+        "c4da0975a24c3b76c7780dd67ac238705a7d91aae483322e670673e9ca758c17",
     ),
 }
 
@@ -93,20 +94,20 @@ EXIT_CODES = {("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): cli.EXIT_VIOLATI
 
 # sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`.
 SAMPLE_GOLDEN = {
-    "bures": "9450a7658263e47c1c69adba3f59cd5f25f87de336c5730f82ce3a8fbb623be7",
-    "induced-1": "4a1b5296a2f689f4a9f913a67246678f3c94e9c70199f26ae48c059049874d34",
-    "induced-2": "1bde02c13b407231a0da49858bcfd614579ccfb9509184b3487bc070f1440e2e",
-    "induced-3": "4aae2612afee9f731e1212a08c024c07f0506ded3bc0dd98e670f74cefb6246f",
-    "induced-4": "6cd21cd8cf590b41162edc1c6230c69a00f8a7c658ee3622061a99c96b23ef7e",
-    "pure": "27b68b666083975ecb6c903f8cd6c5a5e342e3a82f971d9e65f540ab47eea2da",
-    "bell-diagonal": "0208fcef4edb3efe96f2cbf141d784853e9bda10c58146ffd52807f191ccc926",
-    "x": "715ca03d82482f579e0227cab9915fccb8a29d7e53b9f1be58073d46b56726b5",
+    "bures": "14c65de6e837c5122347e51f070c8f4c41d9ec9910bb8219f8e9f93c59c23ca8",
+    "induced-1": "50b53635137890e96a575b9cbbbce2cbcbaf0b3a6e2d444602175a69ba309dfe",
+    "induced-2": "06bf737460a0b690b9fce128945905dbd4de63267318fc00a5f64378cbe39e67",
+    "induced-3": "cc8308bcc259b9afa60bec3cfdde4517758db2feda042c32ec621b62dcd5e955",
+    "induced-4": "b14fe6ab45af65a78df7a02fb3958f4bc06cac862ffa30716122d3cd88ca85b6",
+    "pure": "c9d5ec096321474b609b428c48f8e557df1ab37287def95e799a079ea865ea2d",
+    "bell-diagonal": "9d095e09138a8f8328a723a1a74350e44ad8ebc52a1adb82b0237f47a37e8dc3",
+    "x": "7c851c6f2fbdec09f640969c9640703c7f0b6a642129e9e509f0fd222d429358",
 }
 
 # haar-stats writes header-only records; its phase sums are accumulated in
 # sample order, so its summary is the same on any worker count.
 HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad"
-HAAR_SUMMARY = "e60b915a4a1d827eb8ff5084b4340a1023a54270b7d9f255f1057a8cdf17c825"
+HAAR_SUMMARY = "6b09768306eb16037ca575527a85139a01f0ff90f1123f58aee6ca18c3863737"
 
 
 def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_OK):

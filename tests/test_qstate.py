@@ -374,7 +374,7 @@ def test_json_rejects_malformed_entries():
 
 def _broken_stack():
     # three valid Bures states with the trace of the middle one broken
-    mats = es.random_bures([np.random.default_rng(i) for i in range(3)]).copy()
+    mats = es.random_bures(np.random.default_rng(0), size=3)
     mats[1] *= 1.5
     return mats
 
