@@ -126,11 +126,7 @@ def _cmd_swap(args) -> int:
     rho_a = _load_state(args.state_a)
     rho_b = _load_state(args.state_b)
     outcome = BellLabel.from_string(args.outcome)
-    try:
-        result = swap_general(rho_a, rho_b, outcome)
-    except ImpossibleOutcome as exc:
-        print(f"entswap: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    result = swap_general(rho_a, rho_b, outcome)
     payload = {
         "outcome": outcome.value,
         "probability": result.probability,
@@ -179,9 +175,6 @@ def _cmd_oracle_check(args) -> int:
             "oracle-equiv", args.samples, args.seed, eta=args.eta,
             rank_tol=args.rank_tol, workers=args.workers,
         )
-    except NoCoincidence as exc:
-        print(f"entswap: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except ValidationError:
         raise  # a drawn or derived state, not the usage
     except ValueError as exc:
@@ -226,7 +219,7 @@ def main(argv=None) -> int:
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
+    except (ValidationError, ImpossibleOutcome, NoCoincidence) as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -4,9 +4,9 @@ dual-path checks, with CSV/JSON emission.
 Every experiment draws its samples in fixed draw chunks, each from one
 random substream keyed by the chunk's first sample index, so results are
 reproducible bit-for-bit for a given seed regardless of how the chunks
-are partitioned across workers. Chunks and their blocks emit
-records in sample-index (then outcome) order and floats are serialized
-with 17 significant digits, making repeated runs byte-identical.
+are partitioned across workers. Chunks emit records in sample-index
+(then outcome) order and floats are serialized with 17 significant
+digits, making repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from .ensembles import (
     random_pure,
     rank2_bell_mixtures,
 )
-from .optics import swap_via_beamsplitter
-# swap_general, swap_all_outcomes, swap_x_params, concurrence,
-# concurrence_x and numerical_rank stay importable here: the benchmark's
-# span tracer (perfbench/tracer.py) wraps them by name.
+# swap_general, swap_all_outcomes, swap_x_params, swap_via_beamsplitter,
+# concurrence, concurrence_x, numerical_rank and trace_distance stay
+# importable here: the benchmark's span tracer (perfbench/tracer.py) wraps
+# them by name.
+from .optics import swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
 from .qstate import (  # noqa: F401
     DEFAULT_RANK_TOL,
     BellLabel,
-    DensityMatrix,
     bell_density,
     concurrence,
     concurrence_batch,
@@ -48,6 +48,7 @@ from .qstate import (  # noqa: F401
     pure_concurrence,
     rank_batch,
     trace_distance,
+    trace_distance_batch,
     validate_batch,
     validate_x_batch,
     x_eigenvalues_batch,
@@ -94,13 +95,9 @@ _PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 # Samples per draw chunk. A chunk draws all its samples in stacked calls
 # from one generator, keyed by its first sample index; chunk edges are the
 # multiples of this and of a run's input class size, counted from sample
-# 0. Changing it changes every drawn value.
+# 0. Changing it changes every drawn value. It also bounds the arrays of
+# a chunk's stacked engine calls (about 10 kB per sample).
 DRAW_SAMPLES = 256
-
-# Samples per stacked engine call: bounds the general engine's arrays
-# (about 10 kB per sample) for any sample count. It cuts draw chunks
-# further and moves no drawn value.
-BLOCK_SAMPLES = 256
 
 
 @dataclass
@@ -173,12 +170,11 @@ class Experiment(NamedTuple):
     extras: "Callable | None" = None
 
 
-def _blocks(start: int, stop: int, group: "int | None" = None,
-            size: "int | None" = None) -> list:
-    """[lo, hi) pieces of [start, stop) cut at the multiples of ``size``
-    (default BLOCK_SAMPLES) and of ``group``, both counted from sample 0."""
+def _blocks(start: int, stop: int, group: "int | None" = None) -> list:
+    """[lo, hi) pieces of [start, stop) cut at the multiples of DRAW_SAMPLES
+    and of ``group``, both counted from sample 0."""
     edges = {start, stop}
-    for step in (size or BLOCK_SAMPLES, group):
+    for step in (DRAW_SAMPLES, group):
         if step:
             edges.update(range(start - start % step + step, stop, step))
     edges = sorted(edges)
@@ -188,7 +184,7 @@ def _blocks(start: int, stop: int, group: "int | None" = None,
 def draw_chunks(stream: RngStream, start: int, stop: int, group: "int | None" = None):
     """Each draw chunk [lo, hi) of samples [start, stop), none straddling a
     multiple of ``group``, with the generator its samples are drawn from."""
-    for lo, hi in _blocks(start, stop, group, DRAW_SAMPLES):
+    for lo, hi in _blocks(start, stop, group):
         yield lo, hi, stream.substream(lo)
 
 
@@ -197,7 +193,7 @@ def _run_chunks(chunk_fn, n: int, workers: int, args: tuple, group: "int | None"
     range(n) (see draw_chunks), in order."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    chunks = _blocks(0, n, group, DRAW_SAMPLES)
+    chunks = _blocks(0, n, group)
     tasks = min(len(chunks), workers * 4) if workers > 1 else 1
     starts = [chunks[len(chunks) * t // tasks][0] for t in range(tasks)]
     ranges = list(zip(starts, starts[1:] + [n]))
@@ -208,26 +204,21 @@ def _run_chunks(chunk_fn, n: int, workers: int, args: tuple, group: "int | None"
         return [f.result() for f in futures]
 
 
-def _take(stack, rows: slice):
-    """Rows of a stack of inputs, or of each array of an X stack."""
-    return tuple(part[rows] for part in stack) if isinstance(stack, tuple) else stack[rows]
-
-
 def _where(lo: int, what: str):
-    """Name state n (outcome k) of the block starting at sample ``lo``."""
+    """Name state n (outcome k) of the draw chunk starting at sample ``lo``."""
     return lambda n, k=None: f"{what} of sample {lo + n}" + (
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
 def _input_columns(lo, mats, args, side, what=None):
-    """Validate a block of general inputs; their columns c_<side> and
+    """Validate a chunk of general inputs; their columns c_<side> and
     rank_<side>. Errors name each as ``what`` (default "input <side>")."""
     eigs = validate_batch(mats, _where(lo, what or f"input {side}"))
     return {f"c_{side}": concurrence_batch(mats), f"rank_{side}": rank_batch(eigs, args.rank_tol)}
 
 
 def _general_outcomes(rho_a, rho_b, where, args):
-    """Swap a block of pairs through all four outcomes. Returns the kept
+    """Swap a chunk of pairs through all four outcomes. Returns the kept
     outcomes' indices into _OUTCOMES, the (N, kept) masks of the possible
     ones and their probabilities, the possible outputs' concurrences and
     eigenvalues, and further per-sample columns."""
@@ -237,7 +228,7 @@ def _general_outcomes(rho_a, rho_b, where, args):
 
 
 def _x_outcomes(x_a, x_b, where, args):
-    """_general_outcomes for a block of X-stack pairs, in closed form."""
+    """_general_outcomes for a chunk of X-stack pairs, in closed form."""
     norm, out = swap_x_batch(x_a, x_b)
     possible, x = conditional_x_states(norm, out, where)
     return (_ALL_OUTCOMES, possible, norm / 2.0, concurrence_x_batch(*x),
@@ -248,49 +239,41 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
     """_general_outcomes for psi- alone, also swapped by the beamsplitter
     model at args.eta: the columns trace_distance and prob_diff compare
     the two routes. An impossible psi- raises ImpossibleOutcome, as
-    swap_general would."""
+    swap_general would, and a pair without coincidence NoCoincidence."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
     possible, states, eigs = conditional_states(raw[:, psi], prob[:, psi],
                                                 lambda n, _: where(n, _PSI))
     if not possible.all():  # the first sample swap_general would refuse
         raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
-    distance, prob_diff = np.empty((2, len(states)))
-    for n, state in enumerate(states):
-        # inputs and the analytic output were validated as stacks
-        physical = swap_via_beamsplitter(DensityMatrix(rho_a[n], validate=False),
-                                         DensityMatrix(rho_b[n], validate=False), args.eta)
-        distance[n] = trace_distance(DensityMatrix(state, validate=False), physical.state)
-        prob_diff[n] = abs(prob[n, _PSI] - physical.probability)
+    physical, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta,
+                                                        lambda n: where(n, _PSI))
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], concurrence_batch(states), eigs,
-            {"trace_distance": distance, "prob_diff": prob_diff})
+            {"trace_distance": trace_distance_batch(states, physical),
+             "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
 def _swap_chunk(start, stop, name, args):
     """Swap samples [start, stop), whole draw chunks, of experiment
-    ``name`` block by block: the record columns of the possible outcomes,
-    and the number of impossible ones skipped."""
+    ``name`` one chunk at a time: the record columns of the possible
+    outcomes, and the number of impossible ones skipped."""
     spec = EXPERIMENTS[name]
     stream = RngStream(args.seed, _STREAM_IDS[name])
     parts, skipped = [], 0
     # no draw chunk straddles two input classes of args.samples samples
     for lo, hi, rng in draw_chunks(stream, start, stop, args.samples):
         a, b, inputs = spec.draw(args, rng, lo, hi)
-        for block_lo, block_hi in _blocks(lo, hi):
-            rows = slice(block_lo - lo, block_hi - lo)
-            kept, possible, prob, c_f, eigs, extra = spec.outcomes(
-                _take(a, rows), _take(b, rows), _where(block_lo, "output"), args)
-            n, j = np.nonzero(possible)
-            skipped += possible.size - n.size
-            parts.append({"sample": block_lo + n, "outcome": kept[j], "c_f": c_f,
-                          "prob": prob[n, j], "rank_f": rank_batch(eigs, args.rank_tol),
-                          **{key: column[rows][n] for key, column in inputs.items()},
-                          **{key: column[n] for key, column in extra.items()}})
+        kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
+        n, j = np.nonzero(possible)
+        skipped += possible.size - n.size
+        parts.append({"sample": lo + n, "outcome": kept[j], "c_f": c_f,
+                      "prob": prob[n, j], "rank_f": rank_batch(eigs, args.rank_tol),
+                      **{key: column[n] for key, column in {**inputs, **extra}.items()}})
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}, skipped
 
 
 # --------------------------------------------------------------------------
-# block draws
+# chunk draws
 
 
 def _conserve_draw(args, rng, lo, hi):
@@ -317,8 +300,7 @@ def _belldiag_draw(args, rng, lo, hi):
 
 def _pure_draw(args, rng, lo, hi):
     va, vb = random_pure(rng, hi - lo), random_pure(rng, hi - lo)
-    c_a = np.array([pure_concurrence(v) for v in va])
-    c_b = np.array([pure_concurrence(v) for v in vb])
+    c_a, c_b = pure_concurrence(va), pure_concurrence(vb)
     low = np.minimum(c_a, c_b)
     ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(hi - lo, np.inf), where=low > 0.0)
     rho_a = pure_batch(va, _where(lo, "input a"))

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .qstate import BellLabel, DensityMatrix
+from .qstate import BellLabel, DensityMatrix, validate_batch
 from .swap import SwapResult
 
 MODE_LABELS = (
@@ -38,13 +38,18 @@ _PAIRS = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3),
 _PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
 
 
+# A coincidence probability at or below this is treated as no coincidence:
+# the post-selected state 0/0 carries no information.
+COINCIDENCE_FLOOR = 1e-12
+
+
 class NoCoincidence(Exception):
     """The coincidence probability vanishes: both photons always bunch."""
 
     def __init__(self, probability: float):
         self.probability = probability
         super().__init__(
-            f"coincidence probability {probability:.3e} <= 1e-12; "
+            f"coincidence probability {probability:.3e} <= {COINCIDENCE_FLOOR}; "
             "no post-selected state exists"
         )
 
@@ -115,52 +120,49 @@ def bsm_operator(eta: float) -> np.ndarray:
     return k.conj().T @ beamsplitter_unitary(eta) @ k
 
 
-@functools.lru_cache(maxsize=16)
-def _lifted_operators(eta: float) -> tuple:
-    """W = K (x) I_14 with W^dag, U_BS (x) I_14 with its adjoint, and the
-    coincidence projector (x) I_14, cached per reflectivity and read-only."""
-    w, u, proj = (np.kron(op, np.eye(4)) for op in (
-        coincidence_isometry(), beamsplitter_unitary(eta), coincidence_projector()))
-    ops = (w, w.conj().T, u, u.conj().T, proj)
-    for op in ops:
-        op.setflags(write=False)
-    return ops
+def swap_via_beamsplitter_batch(
+    a: np.ndarray, b: np.ndarray, eta: float, where=None
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The beamsplitter + coincidence swap of each input pair of the
+    stacks a (modes 1, 2) and b (modes 3, 4), shape (N, 4, 4).
 
+    With the 10x4 factor F = P U_BS K that embeds modes (2, 3) into the
+    mode space, applies the beamsplitter and post-selects a coincidence,
+    the post-selected joint state is F G F^dag for the joint state G of
+    each pair. Its trace over the mode space contracts G's (mode 2,
+    mode 3) factor with the Gram matrix F^dag F, so the mode-space array
+    is never formed. Returns the output states on modes (1, 4), checked
+    with validate_batch (``where(n)`` names a failing sample), and the
+    coincidence probabilities (N,).
 
-def _reorder_1234_to_2314(rho16: np.ndarray) -> np.ndarray:
-    # (m1,m2,m3,m4) -> (m2,m3,m1,m4) on both bra and ket indices
-    r8 = rho16.reshape([2] * 8)
-    return r8.transpose(1, 2, 0, 3, 5, 6, 4, 7).reshape(16, 16)
+    At eta = 1/2 the result equals swap_general(rho_a, rho_b, psi-) in
+    both state and probability. Raises NoCoincidence for the first pair
+    whose coincidence probability is at or below COINCIDENCE_FLOOR.
+    """
+    f = coincidence_projector() @ beamsplitter_unitary(eta) @ coincidence_isometry()
+    gram = (f.conj().T @ f).reshape(2, 2, 2, 2)  # [m2', m3', m2, m3]
+    # a[n, m1, m2, m1', m2'] and b[n, m3, m4, m3', m4'] -> out[n, m1, m4, m1', m4']
+    out = np.einsum("fgbc,nabef,ncdgh->nadeh", gram, np.reshape(a, (-1, 2, 2, 2, 2)),
+                    np.reshape(b, (-1, 2, 2, 2, 2)), optimize=True)
+    out = out.reshape(-1, 4, 4)
+    probability = out.trace(axis1=-2, axis2=-1).real
+    low = probability <= COINCIDENCE_FLOOR  # NaN stays, for validation
+    if low.any():
+        raise NoCoincidence(float(probability[np.argmax(low)]))
+    states = out / probability[:, None, None]
+    validate_batch(states, where)
+    return states, probability
 
 
 def swap_via_beamsplitter(
     rho_a: DensityMatrix, rho_b: DensityMatrix, eta: float = 0.5
 ) -> SwapResult:
-    """Entanglement swap via the physical beamsplitter + coincidence model.
-
-    Steps: embed modes (2, 3) into the 10-dim mode space with
-    W = K (x) I_14, apply the beamsplitter unitary, project onto the
-    coincidence subspace, map back with W^dag, trace out modes (2, 3)
-    and normalize by the coincidence probability.
-
-    At eta = 1/2 the result equals swap_general(rho_a, rho_b, psi-) in
-    both state and probability. Raises NoCoincidence when the
-    coincidence probability is at or below 1e-12.
-    """
-    w, w_dag, u, u_dag, proj = _lifted_operators(eta)
-    joint = np.kron(rho_a.mat, rho_b.mat)          # modes (1,2,3,4)
-    grouped = _reorder_1234_to_2314(joint)         # (H2 x H3) x (H1 x H4)
-    in_mode_space = w @ grouped @ w_dag
-    after_bs = u @ in_mode_space @ u_dag
-    post_selected = proj @ after_bs @ proj
-    probability = float(post_selected.trace().real)
-    if probability <= 1e-12:
-        raise NoCoincidence(probability)
-    back = w_dag @ post_selected @ w / probability
-    # trace out the (mode 2, mode 3) factor
-    reduced = np.einsum("iaib->ab", back.reshape(4, 4, 4, 4))
+    """Entanglement swap of one pair via the beamsplitter + coincidence
+    model; swap_via_beamsplitter_batch with a batch of 1."""
+    states, probability = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
+    # validated as a stack
     return SwapResult(
-        state=DensityMatrix(reduced),
-        probability=probability,
+        state=DensityMatrix(states[0], validate=False),
+        probability=float(probability[0]),
         outcome=BellLabel.PSI_MINUS,
     )

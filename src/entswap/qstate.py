@@ -386,10 +386,17 @@ def concurrence_x_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0)
 
 
-def pure_concurrence(amplitudes: np.ndarray) -> float:
-    """Concurrence 2|a0 a3 - a1 a2| of a normalized pure state."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(4)
-    return float(min(max(2.0 * abs(v[0] * v[3] - v[1] * v[2]), 0.0), 1.0))
+def pure_concurrence(amplitudes: np.ndarray) -> "float | np.ndarray":
+    """Concurrence 2|a0 a3 - a1 a2| of a normalized pure state, or of each
+    state of a stack (..., 4)."""
+    v = np.moveaxis(np.asarray(amplitudes, dtype=complex), -1, 0)
+    (r0, r1, r2, r3), (i0, i1, i2, i3) = v.real, v.imag
+    # the complex products written out on real and imaginary parts, as
+    # Python's complex * rounds them (numpy's complex * and abs can differ)
+    re = (r0 * r3 - i0 * i3) - (r1 * r2 - i1 * i2)
+    im = (r0 * i3 + i0 * r3) - (r1 * i2 + i1 * r2)
+    c = np.clip(2.0 * np.hypot(re, im), 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TOL) -> int:
@@ -406,8 +413,12 @@ def rank_batch(eigs: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b."""
-    diff = _hermitize(a.mat - b.mat)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(trace_distance_batch(a.mat, b.mat))
+
+
+def trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``trace_distance`` of each pair of matrices of two stacks (..., 4, 4)."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(_hermitize(a - b))).sum(axis=-1)
 
 
 def matrix_to_json_dict(rho: DensityMatrix) -> dict:

@@ -171,6 +171,24 @@ def test_sample_command_names_the_failing_sample(monkeypatch, tmp_path, capsys):
                         capsys.readouterr().err)
 
 
+def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, capsys):
+    # every drawn pair is |HH><HH| x |HH><HH|, whose psi- outcome is impossible
+    hh = es.DensityMatrix.from_pure([1, 0, 0, 0]).mat
+
+    def bunched(rng, size):
+        return np.broadcast_to(hh, (size, 4, 4)).copy()
+
+    monkeypatch.setattr("entswap.experiments.random_bures", bunched)
+    message = (r"entswap: outcome psi- has normalization 0\.000e\+00 <= 1e-12; "
+               r"the conditional state is undefined\n")
+    for argv in (["experiment", "oracle-equiv", "--out", str(tmp_path / "o.csv")],
+                 ["oracle-check"]):
+        assert main([*argv, "--samples", "3", "--seed", "1"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(message, captured.err)
+
+
 def test_swap_command_reports_a_derived_state_failure(tmp_path, capsys):
     # A carries an eigenvalue of -9e-11, inside EIGENVALUE_FLOOR; conditioning
     # on psi- scales the roundoff past the floor (ROADMAP item 3)

@@ -209,10 +209,9 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
 
 
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
-    monkeypatch.setattr(ex, "BLOCK_SAMPLES", 4)
+    monkeypatch.setattr(ex, "DRAW_SAMPLES", 4)
     # edges are counted from sample 0, not from the start of the range
     assert ex._blocks(3, 13) == [(3, 4), (4, 8), (8, 12), (12, 13)]
-    assert ex._blocks(3, 13, size=8) == [(3, 8), (8, 13)]
     grouped = ex._blocks(3, 13, group=5)
     assert [lo for lo, _ in grouped[1:]] == [hi for _, hi in grouped[:-1]]
     assert (grouped[0][0], grouped[-1][1]) == (3, 13)

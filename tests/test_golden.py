@@ -2,7 +2,7 @@
 
 For fixed seeds the CSV (or JSON) records and the summary JSON, with the
 wall-clock ``runtime_ms`` removed, must stay byte-identical across
-refactors, worker counts and engine block sizes. The hashes below were
+refactors and worker counts. The hashes below were
 taken with samples drawn in 256-sample draw chunks, each from one
 generator keyed by its first sample index; a change that moves them
 changes the program's observable behaviour and has to say so.
@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from entswap import cli, experiments
@@ -50,7 +51,7 @@ GOLDEN = {
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "csv"): (
         "42e19a0fe3e6c605f1517f0de69bcec1dcfd93514a1ed6dcf1db3f4e4087fb14",
-        "dd5e7c091ff0234e50773e52bebc256db0959b9e27f8a48d91c95ae97296e94f",
+        "cd17deaaa97b4312051341a095a246c9e6a7cae2889a5d43f14052d01b39c7a5",
     ),
     ("belldiag", 200, 5, (), "csv"): (
         "d54e5db17ef2a5cd621a87ebe5fb9efac6baae350e8b7f5a52c92474de964753",
@@ -80,7 +81,7 @@ GOLDEN = {
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
         "69bbf52cb749ae5d2da2e95beb7954404a1ad60861892f77a09b6289fa913ed1",
-        "dd5e7c091ff0234e50773e52bebc256db0959b9e27f8a48d91c95ae97296e94f",
+        "cd17deaaa97b4312051341a095a246c9e6a7cae2889a5d43f14052d01b39c7a5",
     ),
     # an unbalanced beamsplitter: every sample is a hard violation
     ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
@@ -132,11 +133,32 @@ def test_outputs_match_golden_hashes(tmp_path, case, workers):
     assert _run_hashes(tmp_path, *case, workers, rc) == GOLDEN[case]
 
 
+def _in_blocks(outcomes, size):
+    """An experiment's outcomes function run as stacked calls of at most
+    ``size`` pairs, its results joined as if from one call."""
+    def take(stack, rows):
+        return tuple(part[rows] for part in stack) if isinstance(stack, tuple) else stack[rows]
+
+    def split(a, b, where, args):
+        parts = []
+        for lo in range(0, len(b[0] if isinstance(b, tuple) else b), size):
+            rows = slice(lo, lo + size)
+            parts.append(outcomes(take(a, rows), take(b, rows),
+                                  lambda n, k=None, lo=lo: where(lo + n, k), args))
+        kept, *stacks, extra = zip(*parts)
+        return (kept[0], *map(np.concatenate, stacks),
+                {key: np.concatenate([part[key] for part in extra]) for key in extra[0]})
+    return split
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN),
                          ids=lambda c: "-".join(map(str, (c[0], c[2], c[4], *c[3]))))
 def test_small_engine_blocks_keep_golden_hashes(tmp_path, monkeypatch, case):
-    # 7-sample blocks split each run into several stacked engine calls
-    monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 7)
+    # each draw chunk is one stacked engine call; cut into 7-pair calls, every
+    # stacked route must give each pair the same bits
+    spec = experiments.EXPERIMENTS[case[0]]
+    monkeypatch.setitem(experiments.EXPERIMENTS, case[0],
+                        spec._replace(outcomes=_in_blocks(spec.outcomes, 7)))
     rc = EXIT_CODES.get(case, cli.EXIT_OK)
     assert _run_hashes(tmp_path, *case, 1, rc) == GOLDEN[case]
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,10 @@ from entswap.optics import (
     bsm_operator,
     coincidence_isometry,
     coincidence_projector,
+    swap_via_beamsplitter_batch,
 )
+from entswap.qstate import trace_distance_batch
+from entswap.swap import swap_batch
 
 B = es.BellLabel
 
@@ -103,21 +109,59 @@ def test_beamsplitter_unitary_is_cached_and_read_only():
         u[0, 0] = 0.0
 
 
-def test_lifted_operators_are_cached_and_read_only():
-    from entswap import optics
+def _bures_pairs(seed, n):
+    rng = np.random.default_rng(seed)
+    return es.random_bures(rng, size=n), es.random_bures(rng, size=n)
 
-    ops = optics._lifted_operators(0.37)
-    assert ops is optics._lifted_operators(0.37)
-    w, w_dag, u, u_dag, proj = ops
-    assert np.array_equal(w, np.kron(optics.coincidence_isometry(), np.eye(4)))
-    assert np.array_equal(u, np.kron(es.beamsplitter_unitary(0.37), np.eye(4)))
-    assert np.array_equal(proj, np.kron(optics.coincidence_projector(), np.eye(4)))
-    assert np.array_equal(w_dag, w.conj().T) and np.array_equal(u_dag, u.conj().T)
-    for op in ops:
-        with pytest.raises(ValueError, match="read-only"):
-            op[0, 0] = 0.0
-    with pytest.raises(ValueError, match="reflectivity"):
-        optics._lifted_operators(1.0)
+
+def _mode_space_swap(rho_a, rho_b, eta):
+    # reference: form the post-selected operator on (mode space) x (modes
+    # 1, 4) with the 10x4 factor lifted to 40x16, then trace the mode space
+    f = coincidence_projector() @ es.beamsplitter_unitary(eta) @ coincidence_isometry()
+    grouped = np.kron(rho_a, rho_b).reshape([2] * 8).transpose(1, 2, 0, 3, 5, 6, 4, 7)
+    lifted = np.kron(f, np.eye(4))
+    post = lifted @ grouped.reshape(16, 16) @ lifted.conj().T
+    reduced = np.einsum("iaib->ab", post.reshape(10, 4, 10, 4))
+    probability = reduced.trace().real
+    return reduced / probability, probability
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.7])
+def test_stacked_oracle_agrees_with_the_scalar_oracle(eta):
+    a, b = _bures_pairs(43, 40)
+    states, prob = swap_via_beamsplitter_batch(a, b, eta)
+    assert states.shape == (40, 4, 4) and prob.shape == (40,)
+    for n in range(40):
+        single = es.swap_via_beamsplitter(es.DensityMatrix(a[n]), es.DensityMatrix(b[n]), eta)
+        reference, probability = _mode_space_swap(a[n], b[n], eta)
+        for state, p in ((single.state.mat, single.probability), (reference, probability)):
+            assert np.abs(state - states[n]).max() < 1e-12
+            assert abs(p - prob[n]) < 1e-12
+
+
+def test_stacked_oracle_agrees_with_the_psi_minus_column_of_swap_batch():
+    a, b = _bures_pairs(44, 40)
+    states, prob = swap_via_beamsplitter_batch(a, b, 0.5)
+    raw, analytic = swap_batch(a, b)
+    psi = list(B).index(B.PSI_MINUS)
+    assert np.abs(states - raw[:, psi] / analytic[:, psi, None, None]).max() < 1e-12
+    assert np.abs(prob - analytic[:, psi]).max() < 1e-12
+
+
+def test_trace_distance_batch_matches_the_scalar_distance():
+    a, b = _bures_pairs(45, 30)
+    distances = trace_distance_batch(a, b)
+    assert distances.shape == (30,)
+    for n in range(30):
+        assert distances[n] == es.trace_distance(es.DensityMatrix(a[n]), es.DensityMatrix(b[n]))
+
+
+def test_stack_with_one_bunching_pair_raises_no_coincidence():
+    a, b = _bures_pairs(46, 5)
+    hh = es.DensityMatrix.from_pure([1, 0, 0, 0]).mat
+    a[3], b[3] = hh, hh
+    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 0\.000e\+00 <= 1e-12;"):
+        swap_via_beamsplitter_batch(a, b, 0.5)
 
 
 def test_optics_oracle_stays_independent_of_the_swap_kernel():
@@ -126,3 +170,12 @@ def test_optics_oracle_stays_independent_of_the_swap_kernel():
     borrowed = {name for name, value in vars(optics).items()
                 if getattr(value, "__module__", None) == swap.__name__}
     assert borrowed == {"SwapResult"}
+    # statically too: optics imports only SwapResult from swap, imports no
+    # swap module, and never names the Bell vectors the kernel is built from
+    tree = ast.parse(Path(optics.__file__).read_text(encoding="utf-8"))
+    imports = [(getattr(node, "module", None), alias.name) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for module, name in imports if module == "swap"] == ["SwapResult"]
+    assert not any(name.endswith("swap") for _, name in imports)
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert "bell_vector" not in names | {name for _, name in imports}
