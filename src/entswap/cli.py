@@ -145,17 +145,20 @@ def _summary_path(records_path: Path) -> Path:
     return records_path.with_suffix(".summary.json")
 
 
-def _cmd_experiment(args) -> int:
+def _run(name: str, args, **options):
+    """run_experiment over the common options; a rejected option is a usage
+    failure, a state that fails its checks is not."""
     try:
-        records, report = experiments.run_experiment(
-            args.name, args.samples, args.seed,
-            ensemble=args.ensemble, eta=args.eta,
-            rank_tol=args.rank_tol, workers=args.workers,
-        )
+        return experiments.run_experiment(name, args.samples, args.seed, rank_tol=args.rank_tol,
+                                          workers=args.workers, **options)
     except ValidationError:
         raise  # a drawn or derived state, not the usage
     except ValueError as exc:
         raise _UsageFailure(str(exc))
+
+
+def _cmd_experiment(args) -> int:
+    records, report = _run(args.name, args, ensemble=args.ensemble, eta=args.eta)
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
         experiments.write_records(records, out, fmt=args.fmt)
@@ -170,15 +173,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    try:
-        _, report = experiments.run_experiment(
-            "oracle-equiv", args.samples, args.seed, eta=args.eta,
-            rank_tol=args.rank_tol, workers=args.workers,
-        )
-    except ValidationError:
-        raise  # a drawn or derived state, not the usage
-    except ValueError as exc:
-        raise _UsageFailure(str(exc))
+    _, report = _run("oracle-equiv", args, eta=args.eta)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
@@ -188,8 +183,8 @@ def _cmd_sample(args) -> int:
     draw = ensembles.STATE_ENSEMBLES[args.ensemble]
     mats = np.concatenate([draw(rng, hi - lo) for lo, hi, rng
                            in experiments.draw_chunks(stream, 0, args.samples)])
-    validate_batch(mats, lambda n: f"sample {n}")
-    lines = [json.dumps(matrix_to_json_dict(DensityMatrix(m, validate=False))) for m in mats]
+    states = map(DensityMatrix._checked, mats, validate_batch(mats, lambda n: f"sample {n}"))
+    lines = [json.dumps(matrix_to_json_dict(rho)) for rho in states]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -168,22 +168,20 @@ def random_x_state(rng: np.random.Generator, size: "int | None" = None):
     return diag, coh
 
 
-def rank2_bell_mixtures(alphas: np.ndarray, first: BellLabel = BellLabel.PSI_PLUS,
-                        second: BellLabel = BellLabel.PSI_MINUS) -> np.ndarray:
-    """The unvalidated (N, 4, 4) stack alpha |first><first| +
-    (1-alpha) |second><second| over mixing weights ``alphas`` (N,)."""
-    va, vb = bell_vector(first), bell_vector(second)
+def rank2_bell_mixtures(alphas: np.ndarray) -> np.ndarray:
+    """The unvalidated (N, 4, 4) stack alpha |psi+><psi+| +
+    (1-alpha) |psi-><psi-| over mixing weights ``alphas`` (N,)."""
+    va, vb = bell_vector(BellLabel.PSI_PLUS), bell_vector(BellLabel.PSI_MINUS)
     return (alphas[:, None, None] * np.outer(va, va.conj())
             + (1.0 - alphas)[:, None, None] * np.outer(vb, vb.conj()))
 
 
-def rank2_bell_mixture(alpha: float, first: BellLabel = BellLabel.PSI_PLUS,
-                       second: BellLabel = BellLabel.PSI_MINUS) -> DensityMatrix:
-    """alpha |first><first| + (1-alpha) |second><second|, a rank-2 state
-    with concurrence |2 alpha - 1|."""
+def rank2_bell_mixture(alpha: float) -> DensityMatrix:
+    """alpha |psi+><psi+| + (1-alpha) |psi-><psi-|, a rank-2 state with
+    concurrence |2 alpha - 1|."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
-    return DensityMatrix(rank2_bell_mixtures(np.array([alpha]), first, second)[0])
+    return DensityMatrix(rank2_bell_mixtures(np.array([alpha]))[0])
 
 
 # Each state ensemble by name: (generator, n) to the unvalidated (n, 4, 4)

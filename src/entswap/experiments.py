@@ -11,6 +11,7 @@ digits, making repeated runs byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -80,12 +81,6 @@ HAAR_STATS_TOL = 0.02
 CSV_COLUMNS = ("sample", "outcome", "c_a", "c_b", "c_f", "prob",
                "rank_a", "rank_b", "rank_f")
 _FLOAT_COLUMNS = {"c_a", "c_b", "c_f", "prob", "ratio"}
-
-EXPERIMENT_NAMES = ("conserve", "belldiag", "pure", "rank",
-                    "rank2-selfswap", "oracle-equiv", "haar-stats")
-
-# Fixed stream ids keep the experiments' draws disjoint under one seed.
-_STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 _MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
 
@@ -189,19 +184,17 @@ def draw_chunks(stream: RngStream, start: int, stop: int, group: "int | None" = 
 
 
 def _run_chunks(chunk_fn, n: int, workers: int, args: tuple, group: "int | None" = None) -> list:
-    """Run chunk_fn(start, stop, *args) over runs of whole draw chunks of
-    range(n) (see draw_chunks), in order."""
+    """chunk_fn(*args, lo, hi) of each draw chunk [lo, hi) of range(n) (see
+    draw_chunks), in order; with workers > 1 in a process pool, as at most
+    4 * workers tasks of whole chunks."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    chunks = _blocks(0, n, group)
-    tasks = min(len(chunks), workers * 4) if workers > 1 else 1
-    starts = [chunks[len(chunks) * t // tasks][0] for t in range(tasks)]
-    ranges = list(zip(starts, starts[1:] + [n]))
+    los, his = zip(*_blocks(0, n, group))
+    fn = functools.partial(chunk_fn, *args)
     if workers <= 1:
-        return [chunk_fn(lo, hi, *args) for lo, hi in ranges]
+        return list(map(fn, los, his))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(chunk_fn, lo, hi, *args) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        return list(pool.map(fn, los, his, chunksize=-(-len(los) // (4 * workers))))
 
 
 def _where(lo: int, what: str):
@@ -246,30 +239,25 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
                                                 lambda n, _: where(n, _PSI))
     if not possible.all():  # the first sample swap_general would refuse
         raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
-    physical, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta,
-                                                        lambda n: where(n, _PSI))
+    physical, coincidence, _ = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta,
+                                                           lambda n: where(n, _PSI))
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], concurrence_batch(states), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
-def _swap_chunk(start, stop, name, args):
-    """Swap samples [start, stop), whole draw chunks, of experiment
-    ``name`` one chunk at a time: the record columns of the possible
-    outcomes, and the number of impossible ones skipped."""
+def _swap_chunk(name, args, lo, hi):
+    """Swap the draw chunk [lo, hi) of experiment ``name``: the record
+    columns of its possible outcomes, and the number of impossible ones
+    skipped."""
     spec = EXPERIMENTS[name]
-    stream = RngStream(args.seed, _STREAM_IDS[name])
-    parts, skipped = [], 0
-    # no draw chunk straddles two input classes of args.samples samples
-    for lo, hi, rng in draw_chunks(stream, start, stop, args.samples):
-        a, b, inputs = spec.draw(args, rng, lo, hi)
-        kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
-        n, j = np.nonzero(possible)
-        skipped += possible.size - n.size
-        parts.append({"sample": lo + n, "outcome": kept[j], "c_f": c_f,
-                      "prob": prob[n, j], "rank_f": rank_batch(eigs, args.rank_tol),
-                      **{key: column[n] for key, column in {**inputs, **extra}.items()}})
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}, skipped
+    a, b, inputs = spec.draw(args, RngStream(args.seed, _STREAM_IDS[name]).substream(lo), lo, hi)
+    kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
+    n, j = np.nonzero(possible)
+    return ({"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
+             "rank_f": rank_batch(eigs, args.rank_tol),
+             **{key: column[n] for key, column in {**inputs, **extra}.items()}},
+            possible.size - n.size)
 
 
 # --------------------------------------------------------------------------
@@ -439,6 +427,11 @@ EXPERIMENTS = {
                          "max_probability_diff": r.max_lower_deficit}),
 }
 
+EXPERIMENT_NAMES = (*EXPERIMENTS, "haar-stats")
+
+# Fixed stream ids keep the experiments' draws disjoint under one seed.
+_STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
+
 
 def _swap_report(name: str, args: Args, workers: int):
     """Run swap experiment ``name``: its record columns and report."""
@@ -471,14 +464,13 @@ def _swap_report(name: str, args: Args, workers: int):
 # Haar sanity: eigenvalue phases of random unitaries are uniform
 
 
-def _haar_chunk(start, stop, seed):
-    """Per-sample (phase count, sum, sum of squares) of Haar 4x4 unitaries."""
-    rows = []
-    for lo, hi, rng in draw_chunks(RngStream(seed, _STREAM_IDS["haar-stats"]), start, stop):
-        phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
-        rows += zip([phases.shape[1]] * (hi - lo), phases.sum(axis=1).tolist(),
-                    (phases ** 2).sum(axis=1).tolist())
-    return rows
+def _haar_chunk(seed, lo, hi):
+    """Per-sample (phase count, sum, sum of squares) of the Haar 4x4
+    unitaries of draw chunk [lo, hi)."""
+    rng = RngStream(seed, _STREAM_IDS["haar-stats"]).substream(lo)
+    phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
+    return list(zip([phases.shape[1]] * (hi - lo), phases.sum(axis=1).tolist(),
+                    (phases ** 2).sum(axis=1).tolist()))
 
 
 def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:

@@ -29,7 +29,6 @@ MODE_LABELS = (
     "aHbH", "aHbV", "aVbH", "aVbV",
 )
 N_BUNCHED = 6
-N_COINCIDENCE = 4
 
 # Single-photon modes aH, aV, bH, bV = 0..3; two-photon basis as
 # unordered pairs, in the MODE_LABELS order.
@@ -122,7 +121,7 @@ def bsm_operator(eta: float) -> np.ndarray:
 
 def swap_via_beamsplitter_batch(
     a: np.ndarray, b: np.ndarray, eta: float, where=None
-) -> "tuple[np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The beamsplitter + coincidence swap of each input pair of the
     stacks a (modes 1, 2) and b (modes 3, 4), shape (N, 4, 4).
 
@@ -131,9 +130,10 @@ def swap_via_beamsplitter_batch(
     the post-selected joint state is F G F^dag for the joint state G of
     each pair. Its trace over the mode space contracts G's (mode 2,
     mode 3) factor with the Gram matrix F^dag F, so the mode-space array
-    is never formed. Returns the output states on modes (1, 4), checked
-    with validate_batch (``where(n)`` names a failing sample), and the
-    coincidence probabilities (N,).
+    is never formed. Returns the output states on modes (1, 4), the
+    coincidence probabilities (N,) and the states' descending eigenvalues
+    (N, 4), from validate_batch with the tolerances divided by the
+    probabilities (``where(n)`` names a failing sample).
 
     At eta = 1/2 the result equals swap_general(rho_a, rho_b, psi-) in
     both state and probability. Raises NoCoincidence for the first pair
@@ -150,8 +150,7 @@ def swap_via_beamsplitter_batch(
     if low.any():
         raise NoCoincidence(float(probability[np.argmax(low)]))
     states = out / probability[:, None, None]
-    validate_batch(states, where)
-    return states, probability
+    return states, probability, validate_batch(states, where, probability)
 
 
 def swap_via_beamsplitter(
@@ -159,10 +158,6 @@ def swap_via_beamsplitter(
 ) -> SwapResult:
     """Entanglement swap of one pair via the beamsplitter + coincidence
     model; swap_via_beamsplitter_batch with a batch of 1."""
-    states, probability = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
-    # validated as a stack
-    return SwapResult(
-        state=DensityMatrix(states[0], validate=False),
-        probability=float(probability[0]),
-        outcome=BellLabel.PSI_MINUS,
-    )
+    states, probability, eigs = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
+    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), float(probability[0]),
+                      BellLabel.PSI_MINUS)

@@ -119,7 +119,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
-    # ValidationError for the first flagged matrix of a stack
+    # ValidationError for the first flagged matrix of a stack, if any
+    if not bad.any():
+        return
     index = np.unravel_index(np.argmax(bad), bad.shape)
     text = message.format(values[index].item())
     if where is not None:
@@ -127,20 +129,25 @@ def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
     raise ValidationError(text)
 
 
-def validate_batch(mats: np.ndarray, where=None) -> np.ndarray:
+def validate_batch(mats: np.ndarray, where=None, prob=None) -> np.ndarray:
     """Check the density-matrix invariants on a stack (..., 4, 4).
 
     Runs DensityMatrix's finiteness, Hermiticity, trace and eigenvalue
     checks in that order over the whole stack; the first flagged matrix
     raises ValidationError naming the invariant, the offending value and,
     through ``where(*batch_index)`` if given, the input. Returns the
-    eigenvalues in descending order, shape (..., 4).
+    eigenvalues in descending order, shape (..., 4). Given the outcome
+    probabilities ``prob`` (...) of conditioned states, each tolerance is
+    divided by the state's, as conditioning divided its roundoff (one above
+    1 does not tighten it).
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (4, 4):
         raise ValidationError(f"shape invariant violated: {mats.shape[-2:]} != (4, 4)")
-    # each check first reduces the whole stack (initial= admits an empty
-    # one) and locates the culprit only on failure
+    # each check first reduces the whole stack against the tightest
+    # tolerance (initial= admits an empty one) and locates the culprit only
+    # on failure, weighing each deviation by the state's probability
+    weight = 1.0 if prob is None else np.minimum(prob, 1.0)
     finite = np.isfinite(mats)
     if not finite.all():
         finite = finite.all(axis=(-2, -1))
@@ -148,17 +155,17 @@ def validate_batch(mats: np.ndarray, where=None) -> np.ndarray:
     herm_err = np.abs(mats - mats.conj().swapaxes(-1, -2))
     if herm_err.max(initial=0.0) > HERMITICITY_TOL:
         herm_err = herm_err.max(axis=(-2, -1))
-        _raise_first(herm_err, herm_err > HERMITICITY_TOL,
+        _raise_first(herm_err, herm_err * weight > HERMITICITY_TOL,
                      "hermiticity invariant violated: max |m_ij - conj(m_ji)| = {:.3e}", where)
     trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
     if trace_err.max(initial=0.0) > TRACE_TOL:
-        _raise_first(trace_err, trace_err > TRACE_TOL,
+        _raise_first(trace_err, trace_err * weight > TRACE_TOL,
                      "trace invariant violated: |tr - 1| = {:.3e}", where)
     # eigvalsh reads one triangle, which Hermiticity (checked above)
     # makes equivalent to the Hermitized matrix to within tolerance
     eigs = np.linalg.eigvalsh(mats)
     if eigs[..., 0].min(initial=np.inf) < EIGENVALUE_FLOOR:
-        _raise_first(eigs[..., 0], eigs[..., 0] < EIGENVALUE_FLOOR,
+        _raise_first(eigs[..., 0], eigs[..., 0] * weight < EIGENVALUE_FLOOR,
                      "eigenvalue invariant violated: min eigenvalue = {:.3e}", where)
     return eigs[..., ::-1]
 
@@ -168,9 +175,7 @@ def pure_batch(amplitudes: np.ndarray, where=None) -> np.ndarray:
     must be 1 within 1e-12 (else ValidationError, named as in validate_batch)."""
     v = np.asarray(amplitudes, dtype=complex)
     norm = np.linalg.norm(v, axis=-1)
-    off = np.abs(norm - 1.0) > 1e-12
-    if off.any():
-        _raise_first(norm, off, "norm invariant violated: ||psi|| = {!r}", where)
+    _raise_first(norm, np.abs(norm - 1.0) > 1e-12, "norm invariant violated: ||psi|| = {!r}", where)
     return v[..., :, None] * v.conj()[..., None, :]
 
 
@@ -179,18 +184,16 @@ class DensityMatrix:
 
     Construction checks Hermiticity, unit trace and positive
     semidefiniteness (to the module tolerances) and freezes the backing
-    array, so instances can be shared across threads or processes.
+    array, so instances can be shared across threads or processes. The
+    only other way to build one is ``_checked``, from a stack validation
+    that already ran.
     """
 
     __slots__ = ("mat", "_eigs")
 
-    def __init__(self, mat: np.ndarray, validate: bool = True):
-        arr = np.array(mat, dtype=complex, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-        object.__setattr__(self, "_eigs", None)
-        if validate:
-            self.validate()
+    def __init__(self, mat: np.ndarray):
+        object.__setattr__(self, "mat", _frozen(np.asarray(mat, dtype=complex)))
+        self.validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("DensityMatrix is immutable")
@@ -202,7 +205,8 @@ class DensityMatrix:
     @classmethod
     def _checked(cls, mat: np.ndarray, eigs: np.ndarray) -> "DensityMatrix":
         """Wrap a matrix that validate_batch accepted, with its eigenvalues."""
-        rho = cls(mat, validate=False)
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "mat", _frozen(mat))
         object.__setattr__(rho, "_eigs", _frozen(eigs))
         return rho
 
@@ -216,10 +220,7 @@ class DensityMatrix:
         return cls(np.eye(4, dtype=complex) / 4.0)
 
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in descending order (cached by validate)."""
-        if self._eigs is None:
-            eigs = np.linalg.eigvalsh(_hermitize(self.mat))[::-1]
-            object.__setattr__(self, "_eigs", _frozen(eigs))
+        """Real eigenvalues in descending order, as validation found them."""
         return self._eigs
 
     def purity(self) -> float:
@@ -299,8 +300,7 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
             (total, np.abs(total - 1.0) > TRACE_TOL, "trace invariant violated: sum = {!r}"),
             (excess[..., 0], disk[..., 0], "eigenvalue invariant violated: |c14|^2 > c11*c44" + by),
             (excess[..., 1], disk[..., 1], "eigenvalue invariant violated: |c23|^2 > c22*c33" + by)):
-        if bad.any():
-            _raise_first(values, bad, message, where)
+        _raise_first(values, bad, message, where)
 
 
 def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:

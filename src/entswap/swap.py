@@ -124,11 +124,13 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
 
     Returns their (N, K) mask, their states (M, 4, 4) in row-major mask
     order and the states' descending eigenvalues (M, 4); ``where(n, k)``
-    names a state that fails validation.
+    names a state that fails validation, at tolerances divided by its
+    probability.
     """
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
-    states = raw[possible] / prob[possible][:, None, None]
-    return possible, states, validate_batch(states, _flat_where(possible, where))
+    kept = prob[possible]
+    states = raw[possible] / kept[:, None, None]
+    return possible, states, validate_batch(states, _flat_where(possible, where), kept)
 
 
 def swap_x_batch(a, b):
@@ -176,7 +178,9 @@ def swap_general(
     probability = float(prob[0, k])
     if 2.0 * probability <= NORMALIZATION_FLOOR:
         raise ImpossibleOutcome(outcome, 2.0 * probability)
-    return SwapResult(DensityMatrix(raw[0, k] / probability), probability, outcome)
+    state = raw[0, k] / probability
+    eigs = validate_batch(state, prob=probability)
+    return SwapResult(DensityMatrix._checked(state, eigs), probability, outcome)
 
 
 def swap_x_params(
@@ -246,9 +250,6 @@ def swap_oracle_16(
     probability = float(projected.trace().real)
     if 2.0 * probability <= NORMALIZATION_FLOOR:
         raise ImpossibleOutcome(outcome, 2.0 * probability)
-    reduced = partial_trace_23(projected)
-    return SwapResult(
-        state=DensityMatrix(reduced / probability),
-        probability=probability,
-        outcome=outcome,
-    )
+    reduced = partial_trace_23(projected) / probability
+    eigs = validate_batch(reduced, prob=probability)
+    return SwapResult(DensityMatrix._checked(reduced, eigs), probability, outcome)

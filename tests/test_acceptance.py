@@ -12,6 +12,8 @@ import pytest
 
 import entswap as es
 from entswap import experiments as ex
+from entswap.qstate import concurrence_batch, concurrence_x_batch, x_matrices
+from entswap.swap import conditional_states, conditional_x_states, swap_batch, swap_x_batch
 from tests.test_swap import PSI_MINUS_LOOKUP
 
 B = es.BellLabel
@@ -117,31 +119,26 @@ def test_criterion_08_haar_phase_statistics():
 
 
 def test_criterion_09_x_state_machinery():
+    # the stacked X path against the stacked general engine; the scalar
+    # wrappers are covered by tests/test_swap.py::test_swap_x_matches_general
     rng = np.random.default_rng(SEED + 9)
-    max_conc_dev = 0.0
-    max_path_dev = 0.0
-    max_prob_dev = 0.0
-    stays_x = True
-    for _ in range(10_000):
-        xa, xb = es.random_x_state(rng), es.random_x_state(rng)
-        dm_a, dm_b = xa.to_density_matrix(), xb.to_density_matrix()
-        for x, dm in ((xa, dm_a), (xb, dm_b)):
-            max_conc_dev = max(max_conc_dev,
-                               abs(es.concurrence(dm) - es.concurrence_x(x)))
-        for outcome in B:
-            general = es.swap_general(dm_a, dm_b, outcome)
-            fast = es.swap_x(xa, xb, outcome)
-            try:
-                out_x = es.as_x_state(general.state, tol=1e-12)
-            except es.NotAnXState:
-                stays_x = False
-                continue
-            max_conc_dev = max(max_conc_dev, abs(es.concurrence(general.state)
-                                                 - es.concurrence_x(out_x)))
-            max_path_dev = max(max_path_dev,
-                               np.abs(fast.state.mat - general.state.mat).max())
-            max_prob_dev = max(max_prob_dev,
-                               abs(fast.probability - general.probability))
+    x_a, x_b = es.random_x_state(rng, 10_000), es.random_x_state(rng, 10_000)
+    dm_a, dm_b = x_matrices(*x_a), x_matrices(*x_b)
+    max_conc_dev = max(np.abs(concurrence_batch(dm) - concurrence_x_batch(*x)).max()
+                       for x, dm in ((x_a, dm_a), (x_b, dm_b)))
+    raw, prob = swap_batch(dm_a, dm_b)
+    possible, general, _ = conditional_states(raw, prob)
+    norm, out = swap_x_batch(x_a, x_b)
+    possible_x, fast = conditional_x_states(norm, out)
+    off_x = np.ones((4, 4), dtype=bool)
+    off_x[range(4), range(4)] = off_x[range(4), range(3, -1, -1)] = False
+    stays_x = (np.array_equal(possible, possible_x)
+               and np.abs(general[:, off_x]).max() < 1e-12)
+    out_x = general[:, range(4), range(4)].real, general[:, [0, 1], [3, 2]]
+    max_conc_dev = max(max_conc_dev, np.abs(concurrence_batch(general)
+                                            - concurrence_x_batch(*out_x)).max())
+    max_path_dev = np.abs(x_matrices(*fast) - general).max()
+    max_prob_dev = np.abs(norm / 2.0 - prob).max()
     ok = (stays_x and max_conc_dev < 1e-9
           and max_path_dev < 1e-12 and max_prob_dev < 1e-12)
     _report(9, ok, f"10^4 X pairs x 4 outcomes: closure {stays_x}, "

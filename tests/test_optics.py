@@ -129,10 +129,11 @@ def _mode_space_swap(rho_a, rho_b, eta):
 @pytest.mark.parametrize("eta", [0.3, 0.5, 0.7])
 def test_stacked_oracle_agrees_with_the_scalar_oracle(eta):
     a, b = _bures_pairs(43, 40)
-    states, prob = swap_via_beamsplitter_batch(a, b, eta)
-    assert states.shape == (40, 4, 4) and prob.shape == (40,)
+    states, prob, eigs = swap_via_beamsplitter_batch(a, b, eta)
+    assert states.shape == (40, 4, 4) and prob.shape == (40,) and eigs.shape == (40, 4)
     for n in range(40):
         single = es.swap_via_beamsplitter(es.DensityMatrix(a[n]), es.DensityMatrix(b[n]), eta)
+        assert np.array_equal(single.state.eigenvalues(), eigs[n])
         reference, probability = _mode_space_swap(a[n], b[n], eta)
         for state, p in ((single.state.mat, single.probability), (reference, probability)):
             assert np.abs(state - states[n]).max() < 1e-12
@@ -141,7 +142,7 @@ def test_stacked_oracle_agrees_with_the_scalar_oracle(eta):
 
 def test_stacked_oracle_agrees_with_the_psi_minus_column_of_swap_batch():
     a, b = _bures_pairs(44, 40)
-    states, prob = swap_via_beamsplitter_batch(a, b, 0.5)
+    states, prob, _ = swap_via_beamsplitter_batch(a, b, 0.5)
     raw, analytic = swap_batch(a, b)
     psi = list(B).index(B.PSI_MINUS)
     assert np.abs(states - raw[:, psi] / analytic[:, psi, None, None]).max() < 1e-12

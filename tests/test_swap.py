@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.qstate import concurrence_batch, concurrence_x_batch, x_eigenvalues_batch
+from entswap.qstate import (
+    EIGENVALUE_FLOOR,
+    concurrence_batch,
+    concurrence_x_batch,
+    x_eigenvalues_batch,
+)
 from entswap.swap import (
     bell_projector_16,
     conditional_states,
@@ -494,10 +499,84 @@ def test_batched_engine_skips_impossible_outcomes_like_the_scalar_path():
             assert possible[n, k] == (res.state is not None)
             if res.state is None:
                 assert res.probability == 0.0
-                with pytest.raises(es.ImpossibleOutcome, match=str(outcome)):
+                with pytest.raises(es.ImpossibleOutcome, match=str(outcome)) as info:
                     es.swap_general(rho_a, rho_b, outcome)
+                assert info.value.normalization == 2.0 * prob[n, k]
                 continue
             state, eig = next(rows)
-            assert np.array_equal(res.state.mat, state)
-            assert np.array_equal(res.state.eigenvalues(), eig)
-            assert es.swap_general(rho_a, rho_b, outcome).probability == prob[n, k]
+            general = es.swap_general(rho_a, rho_b, outcome)
+            for rho in (res.state, general.state):
+                assert np.array_equal(rho.mat, state)
+                assert np.array_equal(rho.eigenvalues(), eig)
+            assert general.probability == prob[n, k]
+
+
+# ------------------------------------------ inputs at the eigenvalue floor
+
+
+def _rotated(rng, spectrum):
+    """A state with the given eigenvalues in a Haar-random eigenbasis."""
+    u = es.haar_unitary(rng, 4)
+    return es.DensityMatrix(u @ np.diag(spectrum) @ u.conj().T)
+
+
+def test_swap_routes_agree_on_inputs_at_the_eigenvalue_floor():
+    # conditioning divides the inputs' roundoff by the outcome probability;
+    # the tolerances are carried with it, so no route may reject an output
+    # A's least eigenvalue is just inside EIGENVALUE_FLOOR; B is Haar-pure
+    rng = np.random.default_rng(8)
+    pairs = [(_rotated(rng, [0.5, 0.3, 0.2 + 9e-11, -9e-11]),
+              es.DensityMatrix.from_pure(es.random_pure(rng))) for _ in range(300)]
+    raw, prob = swap_batch(np.stack([a.mat for a, _ in pairs]),
+                           np.stack([b.mat for _, b in pairs]))
+    possible, states, eigs = conditional_states(raw, prob)
+    assert possible.all()
+    # some outputs sit past the plain floor, so the boundary is exercised
+    assert (eigs[:, -1] < EIGENVALUE_FLOOR).any()
+    assert (eigs[:, -1] * prob.ravel() >= EIGENVALUE_FLOOR).all()
+    states = states.reshape(len(pairs), 4, 4, 4)
+    psi = list(B).index(B.PSI_MINUS)
+    for n, (rho_a, rho_b) in enumerate(pairs):
+        routes = [es.swap_all_outcomes(rho_a, rho_b)]
+        routes += [[swap(rho_a, rho_b, outcome) for outcome in B]
+                   for swap in (es.swap_general, es.swap_oracle_16)]
+        for results in routes:
+            for k, res in enumerate(results):
+                assert np.abs(res.state.mat - states[n, k]).max() < 1e-12
+                assert abs(res.probability - prob[n, k]) < 1e-12
+        physical = es.swap_via_beamsplitter(rho_a, rho_b)
+        assert np.abs(physical.state.mat - states[n, psi]).max() < 1e-12
+        assert abs(physical.probability - prob[n, psi]) < 1e-12
+
+
+def _at_floor(rng, weights):
+    # the least eigenvalue just inside the floor, the rest in the ratios weights
+    low = 0.999 * EIGENVALUE_FLOOR
+    return _rotated(rng, [*np.asarray(weights) / np.sum(weights) * (1.0 - low), low])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights_a=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0.1),
+    weights_b=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0.1),
+)
+@settings(max_examples=40, deadline=None)
+def test_swap_routes_accept_inputs_with_the_least_eigenvalue_at_the_floor(seed, weights_a,
+                                                                          weights_b):
+    # every route returns a valid state or raises its impossible-outcome error
+    rng = np.random.default_rng(seed)
+    rho_a, rho_b = _at_floor(rng, weights_a), _at_floor(rng, weights_b)
+    results = es.swap_all_outcomes(rho_a, rho_b)
+    for outcome in B:
+        for swap in (es.swap_general, es.swap_oracle_16):
+            try:
+                results.append(swap(rho_a, rho_b, outcome))
+            except es.ImpossibleOutcome:
+                pass
+    try:
+        results.append(es.swap_via_beamsplitter(rho_a, rho_b))
+    except es.NoCoincidence:
+        pass
+    for res in results:
+        if res.state is not None:
+            assert res.state.eigenvalues()[-1] * res.probability >= EIGENVALUE_FLOOR
