@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed (default 42, or ENTSWAP_SEED)")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes (default 1)")
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative eigenvalue cutoff for ranks")
 
     p_swap = sub.add_parser("swap", help="swap two states from JSON files")
     p_swap.add_argument("state_a", help="JSON file with the modes (1,2) state")
@@ -69,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_swap.add_argument("--outcome", default="psi-",
                         choices=[l.value for l in BellLabel],
                         help="Bell measurement outcome (default psi-)")
-    p_swap.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_swap.add_argument("--out", help="write the result JSON here as well")
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
@@ -95,6 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "the beamsplitter model")
     add_common(p_oracle)
     p_oracle.add_argument("--eta", type=float, default=0.5)
+
+    for p in (p_swap, p_exp, p_oracle):
+        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                       help="relative eigenvalue cutoff for ranks")
 
     p_sample = sub.add_parser("sample", help="draw states from an ensemble")
     p_sample.add_argument("ensemble", choices=ensembles.STATE_ENSEMBLES)
@@ -122,6 +123,13 @@ class _UsageFailure(Exception):
     pass
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageFailure(f"cannot write output: {exc}")
+
+
 def _cmd_swap(args) -> int:
     rho_a = _load_state(args.state_a)
     rho_b = _load_state(args.state_b)
@@ -137,12 +145,8 @@ def _cmd_swap(args) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_text(args.out, text + "\n")
     return EXIT_OK
-
-
-def _summary_path(records_path: Path) -> Path:
-    return records_path.with_suffix(".summary.json")
 
 
 def _run(name: str, args, **options):
@@ -162,7 +166,7 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
         experiments.write_records(records, out, fmt=args.fmt)
-        experiments.write_summary(report, _summary_path(out))
+        experiments.write_summary(report, out.with_suffix(".summary.json"))
     except OSError as exc:
         raise _UsageFailure(f"cannot write output: {exc}")
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -178,19 +182,17 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
+def _sample_chunk(ensemble, rng, lo, hi):
+    return ensembles.STATE_ENSEMBLES[ensemble](rng, hi - lo)
+
+
 def _cmd_sample(args) -> int:
-    stream = ensembles.RngStream(args.seed, stream_id=0)
-    draw = ensembles.STATE_ENSEMBLES[args.ensemble]
-    mats = np.concatenate([draw(rng, hi - lo) for lo, hi, rng
-                           in experiments.draw_chunks(stream, 0, args.samples)])
+    mats = np.concatenate(experiments.run_chunks(_sample_chunk, ensembles.RngStream(args.seed),
+                                                 args.samples, args.workers, (args.ensemble,)))
     states = map(DensityMatrix._checked, mats, validate_batch(mats, lambda n: f"sample {n}"))
-    lines = [json.dumps(matrix_to_json_dict(rho)) for rho in states]
-    text = "\n".join(lines) + "\n"
+    text = "".join(json.dumps(matrix_to_json_dict(rho)) + "\n" for rho in states)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _UsageFailure(f"cannot write output: {exc}")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

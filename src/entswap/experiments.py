@@ -165,32 +165,28 @@ class Experiment(NamedTuple):
     extras: "Callable | None" = None
 
 
-def _blocks(start: int, stop: int, group: "int | None" = None) -> list:
-    """[lo, hi) pieces of [start, stop) cut at the multiples of DRAW_SAMPLES
-    and of ``group``, both counted from sample 0."""
-    edges = {start, stop}
-    for step in (DRAW_SAMPLES, group):
-        if step:
-            edges.update(range(start - start % step + step, stop, step))
-    edges = sorted(edges)
+def _blocks(stop: int, group: "int | None" = None) -> list:
+    """[lo, hi) pieces of [0, stop) cut at the multiples of DRAW_SAMPLES
+    and of ``group``."""
+    edges = sorted({stop, *range(0, stop, DRAW_SAMPLES), *range(0, stop, group or stop)})
     return list(zip(edges[:-1], edges[1:]))
 
 
-def draw_chunks(stream: RngStream, start: int, stop: int, group: "int | None" = None):
-    """Each draw chunk [lo, hi) of samples [start, stop), none straddling a
-    multiple of ``group``, with the generator its samples are drawn from."""
-    for lo, hi in _blocks(start, stop, group):
-        yield lo, hi, stream.substream(lo)
+def _keyed_chunk(chunk_fn, stream, args, lo, hi):
+    """chunk_fn on draw chunk [lo, hi), keyed in the process that runs it."""
+    return chunk_fn(*args, stream.substream(lo), lo, hi)
 
 
-def _run_chunks(chunk_fn, n: int, workers: int, args: tuple, group: "int | None" = None) -> list:
-    """chunk_fn(*args, lo, hi) of each draw chunk [lo, hi) of range(n) (see
-    draw_chunks), in order; with workers > 1 in a process pool, as at most
+def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
+               group: "int | None" = None) -> list:
+    """chunk_fn(*args, rng, lo, hi) of each draw chunk [lo, hi) of range(n),
+    none straddling a multiple of ``group``, in order; rng is
+    stream.substream(lo). With workers > 1 in a process pool, as at most
     4 * workers tasks of whole chunks."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    los, his = zip(*_blocks(0, n, group))
-    fn = functools.partial(chunk_fn, *args)
+    los, his = zip(*_blocks(n, group))
+    fn = functools.partial(_keyed_chunk, chunk_fn, stream, args)
     if workers <= 1:
         return list(map(fn, los, his))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -246,12 +242,12 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
-def _swap_chunk(name, args, lo, hi):
-    """Swap the draw chunk [lo, hi) of experiment ``name``: the record
-    columns of its possible outcomes, and the number of impossible ones
-    skipped."""
+def _swap_chunk(name, args, rng, lo, hi):
+    """Swap the draw chunk [lo, hi) of experiment ``name``, drawn from
+    ``rng``: the record columns of its possible outcomes, and the number
+    of impossible ones skipped."""
     spec = EXPERIMENTS[name]
-    a, b, inputs = spec.draw(args, RngStream(args.seed, _STREAM_IDS[name]).substream(lo), lo, hi)
+    a, b, inputs = spec.draw(args, rng, lo, hi)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
     n, j = np.nonzero(possible)
     return ({"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
@@ -356,9 +352,10 @@ def _fit_lower_line(cols) -> "dict | None":
 
 
 def _fit_lower_exponential(cols) -> "dict | None":
-    # offset + scale * exp(rate * x) through the lower envelope
-    from scipy.optimize import curve_fit
-
+    # offset + scale * exp(rate * x) through the lower envelope. Linear in
+    # offset and scale, so least squares searches the rate alone (variable
+    # projection): a grid over [-30, 30], its even count keeping off rate 0,
+    # refined around the best point until the bracket is narrower than 1e-9
     xs, ys = cols["c_a"] * cols["c_b"], cols["c_f"]
     if xs.size < 60:
         return None
@@ -366,15 +363,24 @@ def _fit_lower_exponential(cols) -> "dict | None":
     pts = _envelope_minima(xs, ys, n_bins)
     if len(pts) < 6:
         return None
-    try:
-        popt, _ = curve_fit(
-            lambda x, a, b, c: a + b * np.exp(c * x),
-            pts[:, 0], pts[:, 1], p0=(0.0, 0.05, 1.0), maxfev=20000,
-        )
-    except (RuntimeError, ValueError):
-        return None
-    return {"offset": float(popt[0]), "scale": float(popt[1]),
-            "rate": float(popt[2])}
+    x, y = pts[:, 0], pts[:, 1] - pts[:, 1].mean()
+    rates = np.linspace(-30.0, 30.0, 300)
+    while True:
+        # each rate's least-squares line of y on exp(rate * x), by centred sums
+        basis = np.exp(np.multiply.outer(rates, x))
+        mean = basis @ np.full(x.size, 1.0 / x.size)  # cheaper than .mean
+        centred = basis - mean[:, None]
+        norm = np.einsum("ij,ij->i", centred, centred)
+        # a rate within roundoff of 0 makes the basis constant, the line flat
+        scale = np.divide(centred @ y, norm, out=np.zeros_like(norm), where=norm > 0.0)
+        resid = y - scale[:, None] * centred
+        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+        lo, hi = rates[max(best - 1, 0)], rates[min(best + 1, rates.size - 1)]
+        if hi - lo < 1e-9:
+            break
+        rates = np.linspace(lo, hi, 61)
+    return {"offset": float(pts[:, 1].mean() - scale[best] * mean[best]),
+            "scale": float(scale[best]), "rate": float(rates[best])}
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +443,8 @@ def _swap_report(name: str, args: Args, workers: int):
     """Run swap experiment ``name``: its record columns and report."""
     spec = EXPERIMENTS[name]
     total = spec.combos * args.samples
-    chunks = _run_chunks(_swap_chunk, total, workers, (name, args), args.samples)
+    chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
+                        (name, args), args.samples)
     cols = {key: np.concatenate([c[key] for c, _ in chunks]) for key in chunks[0][0]}
     report = BoundReport(name, total, args.seed, skipped=sum(s for _, s in chunks))
     for side, deviation, tol, hard, worst in spec.checks:
@@ -464,20 +471,19 @@ def _swap_report(name: str, args: Args, workers: int):
 # Haar sanity: eigenvalue phases of random unitaries are uniform
 
 
-def _haar_chunk(seed, lo, hi):
-    """Per-sample (phase count, sum, sum of squares) of the Haar 4x4
-    unitaries of draw chunk [lo, hi)."""
-    rng = RngStream(seed, _STREAM_IDS["haar-stats"]).substream(lo)
+def _haar_chunk(rng, lo, hi):
+    """Per-sample phase sums and sums of squares of the Haar 4x4 unitaries
+    of draw chunk [lo, hi)."""
     phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
-    return list(zip([phases.shape[1]] * (hi - lo), phases.sum(axis=1).tolist(),
-                    (phases ** 2).sum(axis=1).tolist()))
+    return phases.sum(axis=1), (phases ** 2).sum(axis=1)
 
 
 def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:
     """Phase statistics of Haar 4x4 unitaries: mean 0, std pi/sqrt(3)."""
-    sums = [row for rows in _run_chunks(_haar_chunk, samples, workers, (seed,)) for row in rows]
-    # added in sample order, so the sums do not depend on the chunk layout
-    count, total, total_sq = (sum(column) for column in zip(*sums))
+    chunks = run_chunks(_haar_chunk, RngStream(seed, _STREAM_IDS["haar-stats"]), samples, workers)
+    # added one sample at a time in sample order: the chunk layout moves no sum
+    total, total_sq = (sum(np.concatenate(sums).tolist()) for sums in zip(*chunks))
+    count = 4 * samples
     mean = total / count
     std = float(np.sqrt(total_sq / count - mean * mean))
     report = BoundReport("haar-stats", samples, seed)

@@ -328,21 +328,12 @@ def as_x_state(rho: DensityMatrix, tol: float = X_ENTRY_TOL) -> XState:
     and anti-diagonal has modulus above ``tol``.
     """
     mat = rho.mat
-    x_positions = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
-    for i in range(4):
-        for j in range(4):
-            if (i, j) not in x_positions and abs(mat[i, j]) >= tol:
-                raise NotAnXState(
-                    f"entry ({i + 1},{j + 1}) has modulus {abs(mat[i, j]):.3e} >= {tol}"
-                )
-    return XState(
-        c11=mat[0, 0].real,
-        c22=mat[1, 1].real,
-        c33=mat[2, 2].real,
-        c44=mat[3, 3].real,
-        c14=complex(mat[0, 3]),
-        c23=complex(mat[1, 2]),
-    )
+    x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # diagonal, anti-diagonal
+    off_x = np.argwhere(~x_pattern & (np.abs(mat) >= tol))  # in row-major order
+    if off_x.size:
+        i, j = off_x[0]
+        raise NotAnXState(f"entry ({i + 1},{j + 1}) has modulus {abs(mat[i, j]):.3e} >= {tol}")
+    return XState(*mat.diagonal().real, complex(mat[0, 3]), complex(mat[1, 2]))
 
 
 def concurrence(state: "DensityMatrix | XState") -> float:

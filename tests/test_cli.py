@@ -38,6 +38,12 @@ def test_swap_command_writes_output_file(phi_plus_file, tmp_path, capsys):
     assert json.loads(out.read_text())["outcome"] == "psi-"
 
 
+def test_swap_command_unwritable_output(phi_plus_file, tmp_path, capsys):
+    rc = main(["swap", phi_plus_file, phi_plus_file, "--out", str(tmp_path / "missing_dir" / "x.json")])
+    assert rc == 2
+    assert re.fullmatch(r"entswap: cannot write output: .*missing_dir.*\n", capsys.readouterr().err)
+
+
 def test_swap_command_rejects_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -137,6 +143,14 @@ def test_sample_command_emits_valid_states(tmp_path):
     assert len(lines) == 3
     for line in lines:
         es.matrix_from_json_dict(json.loads(line)).validate()
+
+
+def test_sample_command_output_independent_of_workers(capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["sample", "bures", "--samples", "600", "--seed", "8", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 600
 
 
 @pytest.mark.parametrize("ensemble", ["induced-2", "pure", "bell-diagonal", "x"])

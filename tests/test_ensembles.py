@@ -3,7 +3,7 @@ import pytest
 
 import entswap as es
 from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
-from entswap.experiments import draw_chunks
+from entswap.experiments import run_chunks
 from entswap.qstate import concurrence_batch
 
 N_MOMENT = 100_000
@@ -211,9 +211,9 @@ ANALYTIC_MEANS = {
 
 @pytest.mark.parametrize("ensemble", sorted(ANALYTIC_MEANS))
 def test_chunked_ensemble_draws_match_analytic_means(ensemble):
-    stream = es.RngStream(seed=31, stream_id=0)
-    mats = np.concatenate([STATE_ENSEMBLES[ensemble](rng, hi - lo)
-                           for lo, hi, rng in draw_chunks(stream, 0, 20_000)])
+    draw = STATE_ENSEMBLES[ensemble]
+    mats = np.concatenate(run_chunks(lambda rng, lo, hi: draw(rng, hi - lo),
+                                     es.RngStream(seed=31, stream_id=0), 20_000, workers=1))
     assert mats.shape == (20_000, 4, 4)
     measure, mean = ANALYTIC_MEANS[ensemble]
     values = measure(mats)

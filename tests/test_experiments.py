@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,12 +214,75 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
 
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
     monkeypatch.setattr(ex, "DRAW_SAMPLES", 4)
-    # edges are counted from sample 0, not from the start of the range
-    assert ex._blocks(3, 13) == [(3, 4), (4, 8), (8, 12), (12, 13)]
-    grouped = ex._blocks(3, 13, group=5)
-    assert [lo for lo, _ in grouped[1:]] == [hi for _, hi in grouped[:-1]]
-    assert (grouped[0][0], grouped[-1][1]) == (3, 13)
+    assert ex._blocks(13) == [(0, 4), (4, 8), (8, 12), (12, 13)]
+    grouped = ex._blocks(13, group=5)
+    assert grouped == [(0, 4), (4, 5), (5, 8), (8, 10), (10, 12), (12, 13)]
     assert all(0 < hi - lo <= 4 and lo // 5 == (hi - 1) // 5 for lo, hi in grouped)
+
+
+@pytest.mark.parametrize("offset, scale", [(0.1, 0.05), (-0.3, 0.35)])
+@pytest.mark.parametrize("rate", [-2.0, 0.5, 1.3, 4.0])
+def test_exponential_fit_recovers_noiseless_points(offset, scale, rate):
+    x = np.linspace(0.0, 1.0, 600)
+    cols = {"c_a": x, "c_b": np.ones_like(x), "c_f": offset + scale * np.exp(rate * x)}
+    fit = ex._fit_lower_exponential(cols)
+    assert fit == pytest.approx({"offset": offset, "scale": scale, "rate": rate}, rel=0, abs=1e-8)
+
+
+def test_exponential_fit_is_never_worse_than_curve_fit():
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def sse(params, pts):
+        offset, scale, rate = params
+        return float(np.sum((offset + scale * np.exp(rate * pts[:, 0]) - pts[:, 1]) ** 2))
+
+    compared = 0
+    for samples in (30, 60, 100):
+        for seed in range(1, 101):
+            cols, report = ex.run_experiment("pure", samples, seed)
+            xs = cols["c_a"] * cols["c_b"]
+            # the envelope points the fit uses
+            pts = ex._envelope_minima(xs, cols["c_f"], int(np.clip(xs.size // 20, 6, 30)))
+            fit = report.fit_params
+            assert -30.0 < fit["rate"] < 30.0
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", optimize.OptimizeWarning)
+                    reference, _ = optimize.curve_fit(
+                        lambda x, a, b, c: a + b * np.exp(c * x), pts[:, 0], pts[:, 1],
+                        p0=(0.0, 0.05, 1.0), maxfev=20000)
+            except RuntimeError:
+                continue
+            ours = sse((fit["offset"], fit["scale"], fit["rate"]), pts)
+            assert ours <= sse(reference, pts) * (1.0 + 1e-12), (samples, seed)
+            compared += 1
+    assert compared >= 300
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # importing scipy now raises ImportError
+from entswap import cli
+runs = [["experiment", "conserve", "--samples", "20"],
+        ["experiment", "belldiag", "--samples", "200"],
+        ["experiment", "pure", "--samples", "60"],
+        ["experiment", "rank", "--samples", "2"],
+        ["experiment", "rank2-selfswap", "--samples", "9"],
+        ["experiment", "oracle-equiv", "--samples", "10"],
+        ["experiment", "haar-stats", "--samples", "5000"],
+        ["sample", "bures", "--samples", "3"]]
+sys.exit(max(cli.main(argv + ["--seed", "5"]) for argv in runs))
+"""
+
+
+def test_experiments_and_sample_run_without_scipy(tmp_path):
+    src = str(Path(ex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads((tmp_path / "pure.summary.json").read_text())["fit_params"] is not None
 
 
 def test_benchmark_tracer_targets_stay_resolvable():

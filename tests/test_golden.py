@@ -33,13 +33,14 @@ GOLDEN = {
         "f6bbbbcc65d400ac796c6de9ed7df36429d779e4f36490fc3a0c9bb3fba40357",
         "0871eb320e3f10b3b6099d853fc97a8df23572d08aca7e80946649d4a1ef3bb1",
     ),
+    # pure summaries carry the exponential floor's fit_params
     ("pure", 60, 5, (), "csv"): (
         "6f401c26251383dd3be778e4611952c273583b0e5efefb36463889eb79528b7a",
-        "91ad473809df8020075b38805c74b376ff4ceb267894f8589c6a751a1e32390a",
+        "5ed6cc44325f408bc18ba6bfa3093742951be18a2f8be394841add6ec84d425c",
     ),
     ("pure", 60, 501, (), "csv"): (
         "f734fb4bcb94fc3a6e50c14ec5dffb6af9a5a858e65137c17710d4127332761a",
-        "7430e61e8b5ac23b6459be10a8051a366659787ee25fdf427fb6470c85e23485",
+        "e1c236fe28cf880073a837745d2cddf83899b8669359c0606d1118b55126e7b0",
     ),
     ("rank", 3, 77, (), "csv"): (
         "71071e15791d8a6f1da3d8df3123d83a888011e35d1a5de999cac86dd06fa501",
@@ -68,7 +69,7 @@ GOLDEN = {
     ),
     ("pure", 30, 7, (), "json"): (
         "5dea9440995c28f4a3db04dcd465416dde82d3052b1efedb890eb3b2db3141b5",
-        "1f57337ec982b7acf8dc7708073aa4747472fa7f01be7259d9ad6d105b52e364",
+        "4fc2001771b89cb1ffd38896a8409be6aa9cc5049d8e03d1b879279d1136fd68",
     ),
     # JSON records tell 1 from 1.0, so they pin each column's int or float type
     ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
@@ -93,7 +94,8 @@ GOLDEN = {
 # Cases that exit with a code other than EXIT_OK.
 EXIT_CODES = {("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): cli.EXIT_VIOLATION}
 
-# sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`.
+# sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`,
+# on one worker or two.
 SAMPLE_GOLDEN = {
     "bures": "14c65de6e837c5122347e51f070c8f4c41d9ec9910bb8219f8e9f93c59c23ca8",
     "induced-1": "50b53635137890e96a575b9cbbbce2cbcbaf0b3a6e2d444602175a69ba309dfe",
@@ -172,6 +174,8 @@ def test_haar_stats_matches_golden_hashes(tmp_path, workers):
 
 @pytest.mark.parametrize("ensemble", sorted(SAMPLE_GOLDEN))
 def test_sample_output_matches_golden_hashes(capsys, ensemble):
-    assert cli.main(["sample", ensemble, "--samples", "7", "--seed", "3"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_GOLDEN[ensemble]
+    for workers in ("1", "2"):
+        argv = ["sample", ensemble, "--samples", "7", "--seed", "3", "--workers", workers]
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_GOLDEN[ensemble], workers

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import entswap as es
 from entswap.qstate import (
+    X_ENTRY_TOL,
     _hermitize,
     concurrence_batch,
     concurrence_x_batch,
@@ -260,6 +261,29 @@ def test_as_x_state_rejects_off_pattern_entry():
     assert abs(rho.mat[0, 1]) == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(es.NotAnXState, match=r"\(1,2\)"):
         es.as_x_state(rho)
+
+
+def test_as_x_state_tolerance_boundary():
+    def perturbed(entry):
+        # Hermitian entries at (1,2) and (3,1), and their mirrors
+        mat = es.werner(0.5).mat.copy()
+        mat[0, 1] = mat[1, 0] = mat[2, 0] = mat[0, 2] = entry
+        return es.DensityMatrix(mat)
+
+    x = es.as_x_state(perturbed(0.999 * X_ENTRY_TOL))
+    assert x.c14 == pytest.approx(0.25, abs=1e-12)
+    # the first entry in row-major order is named
+    with pytest.raises(es.NotAnXState, match=r"^entry \(1,2\) has modulus 1\.000e-10 >= 1e-10$"):
+        es.as_x_state(perturbed(X_ENTRY_TOL))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+def test_concurrence_continuous_near_zero_on_werner_states(delta):
+    p = 1.0 / 3.0 + delta
+    expected = max(0.0, (3.0 * p - 1.0) / 2.0)
+    rho = es.werner(p)
+    assert es.concurrence(rho) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert es.concurrence_x(es.as_x_state(rho)) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_x_state_invariants_enforced():
