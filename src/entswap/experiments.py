@@ -6,7 +6,9 @@ random substream keyed by the chunk's first sample index, so results are
 reproducible bit-for-bit for a given seed regardless of how the chunks
 are partitioned across workers. Chunks emit records in sample-index
 (then outcome) order and floats are serialized with 17 significant
-digits, making repeated runs byte-identical.
+digits, making repeated runs byte-identical. A run asked for a records
+format renders each chunk's rows in the process that swapped it, and
+joins the pieces in chunk order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -85,6 +88,7 @@ _FLOAT_COLUMNS = {"c_a", "c_b", "c_f", "prob", "ratio"}
 _MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
 
 _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
+_LABELS = tuple(outcome.value for outcome in _OUTCOMES)
 _PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 
 # Samples per draw chunk. A chunk draws all its samples in stacked calls
@@ -177,20 +181,52 @@ def _keyed_chunk(chunk_fn, stream, args, lo, hi):
     return chunk_fn(*args, stream.substream(lo), lo, hi)
 
 
+# The process's one worker pool, as (workers, executor): made by the first
+# call that asks for workers, kept for later calls and replaced when a call
+# asks for another worker count.
+_pool: "tuple[int, ProcessPoolExecutor] | None" = None
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
+def _pooled(fn, los, his, workers: int) -> list:
+    """fn over the chunks [los[i], his[i]) in the pool of ``workers``, as at
+    most 4 * workers tasks of whole chunks. A call that makes the pool runs
+    its first chunk here before the workers fork, so they share the code
+    and caches that chunk warmed instead of each warming a private copy."""
+    global _pool
+    done = []
+    if _pool is None or _pool[0] != workers:
+        _close_pool()
+        done.append(fn(los[0], his[0]))
+        _pool = workers, ProcessPoolExecutor(max_workers=workers)
+    los, his = los[len(done):], his[len(done):]
+    return done + list(_pool[1].map(fn, los, his, chunksize=-(-len(los) // (4 * workers))))
+
+
 def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
                group: "int | None" = None) -> list:
     """chunk_fn(*args, rng, lo, hi) of each draw chunk [lo, hi) of range(n),
     none straddling a multiple of ``group``, in order; rng is
-    stream.substream(lo). With workers > 1 in a process pool, as at most
-    4 * workers tasks of whole chunks."""
+    stream.substream(lo). With workers > 1 and more than one chunk, in the
+    process's worker pool (see _pooled); a call whose pool broke, by a
+    worker dying, runs again on a fresh one."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     los, his = zip(*_blocks(n, group))
     fn = functools.partial(_keyed_chunk, chunk_fn, stream, args)
-    if workers <= 1:
+    if workers <= 1 or len(los) == 1:
         return list(map(fn, los, his))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, los, his, chunksize=-(-len(los) // (4 * workers))))
+    try:
+        return _pooled(fn, los, his, workers)
+    except BrokenProcessPool:
+        _close_pool()
+        return _pooled(fn, los, his, workers)
 
 
 def _where(lo: int, what: str):
@@ -242,18 +278,19 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
-def _swap_chunk(name, args, rng, lo, hi):
+def _swap_chunk(name, args, fmt, rng, lo, hi):
     """Swap the draw chunk [lo, hi) of experiment ``name``, drawn from
-    ``rng``: the record columns of its possible outcomes, and the number
-    of impossible ones skipped."""
+    ``rng``: the record columns of its possible outcomes, the number of
+    impossible ones skipped, and the records' rows rendered in records
+    format ``fmt`` (None renders none)."""
     spec = EXPERIMENTS[name]
     a, b, inputs = spec.draw(args, rng, lo, hi)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
     n, j = np.nonzero(possible)
-    return ({"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
-             "rank_f": rank_batch(eigs, args.rank_tol),
-             **{key: column[n] for key, column in {**inputs, **extra}.items()}},
-            possible.size - n.size)
+    cols = {"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
+            "rank_f": rank_batch(eigs, args.rank_tol),
+            **{key: column[n] for key, column in {**inputs, **extra}.items()}}
+    return cols, possible.size - n.size, fmt and _render_rows(cols, fmt)
 
 
 # --------------------------------------------------------------------------
@@ -439,14 +476,18 @@ EXPERIMENT_NAMES = (*EXPERIMENTS, "haar-stats")
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
-def _swap_report(name: str, args: Args, workers: int):
-    """Run swap experiment ``name``: its record columns and report."""
+def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
+    """Run swap experiment ``name``: its records (rendered in ``fmt``, if
+    given) and report."""
     spec = EXPERIMENTS[name]
     total = spec.combos * args.samples
     chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
-                        (name, args), args.samples)
-    cols = {key: np.concatenate([c[key] for c, _ in chunks]) for key in chunks[0][0]}
-    report = BoundReport(name, total, args.seed, skipped=sum(s for _, s in chunks))
+                        (name, args, fmt), args.samples)
+    parts, skipped, pieces = zip(*chunks)
+    cols = Records({key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
+    if fmt:
+        cols.text[fmt] = _table(_names(cols), pieces, fmt)
+    report = BoundReport(name, total, args.seed, skipped=sum(skipped))
     for side, deviation, tol, hard, worst in spec.checks:
         dev = deviation(cols, args)
         count = int(np.count_nonzero(dev > tol))
@@ -499,8 +540,11 @@ def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:
 
 def run_experiment(name: str, samples: int, seed: int, *,
                    ensemble: str = "bures", eta: float = 0.5,
-                   rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1):
-    """Run an experiment by CLI name; returns (record columns, report).
+                   rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1,
+                   fmt: "str | None" = None):
+    """Run an experiment by CLI name; returns (records, report). Given a
+    records format ``fmt`` ("csv" or "json"), the records also carry their
+    text in it, rendered chunk by chunk (see write_records).
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
@@ -508,10 +552,10 @@ def run_experiment(name: str, samples: int, seed: int, *,
     """
     t0 = time.perf_counter()
     if name == "haar-stats":
-        records, report = {}, _haar_report(samples, seed, workers)
+        records, report = Records(), _haar_report(samples, seed, workers)
     elif name in EXPERIMENTS:
         records, report = _swap_report(name, Args(samples, seed, ensemble, eta, rank_tol),
-                                       workers)
+                                       workers, fmt)
     else:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
@@ -524,31 +568,57 @@ def run_experiment(name: str, samples: int, seed: int, *,
 # emission
 
 
-def _rows(cols: dict):
-    """The emitted column names, and the records as rows of Python values
-    (outcomes as labels), one row at a time."""
-    names = CSV_COLUMNS + (("ratio",) if "ratio" in cols else ())
+class Records(dict):
+    """Record columns by name; ``text`` maps each records format the run
+    rendered them in to their text."""
+
+    def __init__(self, cols=()):
+        super().__init__(cols)
+        self.text = {}
+
+
+def _names(cols: dict) -> tuple:
+    """The emitted column names: a ratio column is appended when the
+    records carry one."""
+    return CSV_COLUMNS + (("ratio",) if "ratio" in cols else ())
+
+
+def _render_rows(cols: dict, fmt: str) -> str:
+    """The records' rows in records format ``fmt``, outcomes as labels: CSV
+    lines, or JSON objects joined by commas; "" when there are none."""
+    names = _names(cols)
     lists = [cols[name].tolist() if cols else [] for name in names]
-    lists[1] = [_OUTCOMES[k].value for k in lists[1]]
-    return names, zip(*lists)
+    lists[1] = [_LABELS[k] for k in lists[1]]
+    if fmt == "csv":
+        # '%.17g' % x formats as f"{x:.17g}" does
+        template = ",".join("%.17g" if name in _FLOAT_COLUMNS else "%s" for name in names) + "\n"
+        return "".join([template % row for row in zip(*lists)])
+    rows = [dict(zip(names, row)) for row in zip(*lists)]
+    return json.dumps(rows, separators=(",", ":"))[1:-1]
+
+
+def _table(names: tuple, pieces, fmt: str) -> str:
+    """The records text of the rows rendered in consecutive pieces."""
+    if fmt == "csv":
+        return ",".join(names) + "\n" + "".join(pieces)
+    return "[" + ",".join(filter(None, pieces)) + "]\n"
 
 
 def records_to_csv(cols: dict) -> str:
     """Render record columns as CSV text; a ratio column is appended when
     the records carry one."""
-    names, rows = _rows(cols)
-    # '%.17g' % x formats as f"{x:.17g}" does
-    template = ",".join("%.17g" if name in _FLOAT_COLUMNS else "%s" for name in names)
-    return "\n".join([",".join(names), *(template % row for row in rows)]) + "\n"
+    return _table(_names(cols), [_render_rows(cols, "csv")], "csv")
 
 
 def records_to_json(cols: dict) -> str:
-    names, rows = _rows(cols)
-    return json.dumps([dict(zip(names, row)) for row in rows], separators=(",", ":")) + "\n"
+    return _table(_names(cols), [_render_rows(cols, "json")], "json")
 
 
 def write_records(records, path, fmt: str = "csv") -> None:
-    text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+    """Write records as CSV or JSON text, as the run rendered them if it did."""
+    text = getattr(records, "text", {}).get(fmt)
+    if text is None:
+        text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -10,7 +10,7 @@ most significant qubit, i.e. index = 8*m1 + 4*m2 + 2*m3 + m4.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -260,6 +260,15 @@ class XState:
     def __post_init__(self):
         validate_x_batch(*self.to_stack())
 
+    @classmethod
+    def _checked(cls, diag, coh) -> "XState":
+        """Wrap the populations and coherences of an X stack of one that
+        validate_x_batch accepted."""
+        x = cls.__new__(cls)
+        for f, value in zip(fields(cls), (*diag, *coh)):
+            object.__setattr__(x, f.name, value)
+        return x
+
     def to_stack(self) -> "tuple[np.ndarray, np.ndarray]":
         """This state as an X stack of one (see validate_x_batch)."""
         return (np.array([[self.c11, self.c22, self.c33, self.c44]], dtype=float),
@@ -276,7 +285,7 @@ class XState:
         return x_eigenvalues_batch(*self.to_stack())[0]
 
 
-def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
+def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -> None:
     """Check XState's invariants on an X stack: real populations diag
     (..., 4) = (c11, c22, c33, c44) and real or complex coherences coh
     (..., 2) = (c14, c23).
@@ -284,20 +293,26 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None) -> None:
     Populations must be nonnegative and sum to 1, and |c14|^2 <= c11 c44,
     |c23|^2 <= c22 c33, all to TRACE_TOL. The first flagged state raises
     ValidationError as in validate_batch (a disk's excess is named too);
-    a NaN or Inf entry fails first.
+    a NaN or Inf entry fails first. Given the outcome probabilities
+    ``prob`` (...) of conditioned states, the tolerances are carried as in
+    validate_batch: divided by the probability, and the disks', which are
+    quadratic in the entries, by its square.
     """
     finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
     if not finite.all():
         _raise_first(finite, ~finite, "finiteness invariant violated: NaN or Inf entry", where)
+    weight = 1.0 if prob is None else np.minimum(prob, 1.0)
     low = diag.min(axis=-1)
     total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
     # the disks of (c14, c23) are (c11 c44, c22 c33)
-    weight, bound = np.abs(coh) ** 2, diag[..., :2] * diag[..., 3:1:-1]
-    disk, excess = weight > bound + TRACE_TOL, weight - bound
+    excess = np.abs(coh) ** 2 - diag[..., :2] * diag[..., 3:1:-1]
+    disk = excess * np.square(weight)[..., None] > TRACE_TOL
     by = "" if where is None else " by {:.3e}"  # scalar messages give no excess
     for values, bad, message in (
-            (low, low < -TRACE_TOL, "diagonal invariant violated: negative population {:.3e}"),
-            (total, np.abs(total - 1.0) > TRACE_TOL, "trace invariant violated: sum = {!r}"),
+            (low, low * weight < -TRACE_TOL,
+             "diagonal invariant violated: negative population {:.3e}"),
+            (total, np.abs(total - 1.0) * weight > TRACE_TOL,
+             "trace invariant violated: sum = {!r}"),
             (excess[..., 0], disk[..., 0], "eigenvalue invariant violated: |c14|^2 > c11*c44" + by),
             (excess[..., 1], disk[..., 1], "eigenvalue invariant violated: |c23|^2 > c22*c33" + by)):
         _raise_first(values, bad, message, where)

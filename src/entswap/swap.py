@@ -157,11 +157,12 @@ def swap_x_batch(a, b):
 def conditional_x_states(norm: np.ndarray, out, where=None):
     """conditional_states for swap_x_batch: the (N, 4) mask of outcomes whose
     normalization exceeds NORMALIZATION_FLOOR and their validated X stack
-    (M, 4), (M, 2) in row-major mask order."""
+    (M, 4), (M, 2) in row-major mask order, at tolerances carried by the
+    outcome probabilities."""
     possible = ~(norm <= NORMALIZATION_FLOOR)
-    n = norm[possible][:, None]
-    x = out[0][possible] / n, out[1][possible] / n
-    validate_x_batch(*x, _flat_where(possible, where))
+    kept = norm[possible]
+    x = out[0][possible] / kept[:, None], out[1][possible] / kept[:, None]
+    validate_x_batch(*x, _flat_where(possible, where), kept / 2.0)
     return possible, x
 
 
@@ -195,15 +196,17 @@ def swap_x_params(
     n = norm[0, k]
     if n <= NORMALIZATION_FLOOR:
         raise ImpossibleOutcome(outcome, n)
-    return XState(*diag[0, k] / n, *coh[0, k] / n), n / 2.0
+    diag, coh = diag[0, k] / n, coh[0, k] / n
+    validate_x_batch(diag[None], coh[None], prob=n / 2.0)
+    return XState._checked(diag, coh), n / 2.0
 
 
 def swap_x(chi_a: XState, chi_b: XState, outcome: BellLabel) -> SwapResult:
     """Swap two X-states; identical to swap_general on the embedded matrices."""
     out, probability = swap_x_params(chi_a, chi_b, outcome)
-    return SwapResult(
-        state=out.to_density_matrix(), probability=probability, outcome=outcome
-    )
+    mat = out.to_matrix()
+    eigs = validate_batch(mat, prob=probability)
+    return SwapResult(DensityMatrix._checked(mat, eigs), probability, outcome)
 
 
 def swap_all_outcomes(rho_a: DensityMatrix, rho_b: DensityMatrix) -> "list[SwapResult]":

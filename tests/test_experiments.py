@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -120,6 +121,39 @@ def test_csv_bytes_deterministic():
     assert ex.records_to_csv(recs1) == ex.records_to_csv(recs2)
 
 
+# ------------------------------------------------------------ worker pool
+
+
+def _pid_chunk(rng, lo, hi):
+    return os.getpid()
+
+
+def _pool_call(workers):
+    """The process ids that ran the chunks of a 12-chunk run_chunks call."""
+    stream = es.RngStream(seed=1, stream_id=0)
+    return set(ex.run_chunks(_pid_chunk, stream, 12 * ex.DRAW_SAMPLES, workers))
+
+
+def test_worker_calls_share_one_pool():
+    _pool_call(2)  # makes the pool, unless an earlier call did
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    for _ in range(2):
+        assert _pool_call(2) <= {p.pid for p in workers}
+        assert set(multiprocessing.active_children()) == set(workers)
+
+
+def test_a_new_worker_count_replaces_the_pool():
+    _pool_call(2)
+    old = multiprocessing.active_children()
+    # the call that makes a pool runs its first chunk here, before the fork
+    assert os.getpid() in _pool_call(3)
+    new = multiprocessing.active_children()
+    assert len(new) == 3 and not set(new) & set(old)
+    assert all(p.exitcode is not None for p in old)
+    assert os.getpid() not in _pool_call(3)
+
+
 # -------------------------------------------------------------- emission
 
 
@@ -158,6 +192,27 @@ def test_json_records_round_trip(tmp_path):
     assert rows[0]["outcome"] == list(es.BellLabel)[records["outcome"][0]].value
     assert rows[0]["c_f"] == records["c_f"][0]
     assert "ratio" in rows[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
+    # rank's 16 combos of 20 samples make 16 chunks, each rendered apart
+    for name, samples in (("conserve", 60), ("belldiag", 700), ("pure", 300), ("rank", 20),
+                          ("rank2-selfswap", 19), ("oracle-equiv", 300)):
+        for fmt, render in (("csv", ex.records_to_csv), ("json", ex.records_to_json)):
+            records, _ = ex.run_experiment(name, samples, 17, workers=workers, fmt=fmt)
+            assert records.text == {fmt: render(records)}, (name, fmt)
+
+
+def test_rendered_pieces_join_around_a_chunk_without_rows():
+    records, _ = ex.run_experiment("pure", 40, 3)
+    parts = [{key: column[lo:hi] for key, column in records.items()}
+             for lo, hi in ((0, 50), (50, 50), (50, 160))]
+    for fmt, render in (("csv", ex.records_to_csv), ("json", ex.records_to_json)):
+        pieces = [ex._render_rows(part, fmt) for part in parts]
+        assert pieces[1] == ""
+        assert ex._table(ex._names(records), pieces, fmt) == render(records)
+    assert ex.records_to_json({key: column[:0] for key, column in records.items()}) == "[]\n"
 
 
 def test_summary_json_fields(tmp_path):

@@ -12,6 +12,10 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -133,6 +137,17 @@ def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_
 def test_outputs_match_golden_hashes(tmp_path, case, workers):
     rc = EXIT_CODES.get(case, cli.EXIT_OK)
     assert _run_hashes(tmp_path, *case, workers, rc) == GOLDEN[case]
+
+
+def test_a_killed_worker_is_replaced_by_a_fresh_pool(tmp_path):
+    case = ("belldiag", 600, 7, (), "csv")
+    assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+    assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2 and victim not in workers
 
 
 def _in_blocks(outcomes, size):

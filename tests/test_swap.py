@@ -580,3 +580,79 @@ def test_swap_routes_accept_inputs_with_the_least_eigenvalue_at_the_floor(seed, 
     for res in results:
         if res.state is not None:
             assert res.state.eigenvalues()[-1] * res.probability >= EIGENVALUE_FLOOR
+
+
+# ------------------------------ outcomes just above the normalization floor
+
+
+def _x_pair_at_normalization(rng, norm, low):
+    """X stacks of one pair whose two psi outcomes have normalization
+    ``norm``: B is |H> on mode 3, so psi reads A's weight at V on mode 2,
+    which is ``norm``. A nonzero ``low`` (a population just inside the
+    floor) is the c22 of both inputs; A's c14 is on the edge of its disk."""
+    h, b0 = rng.uniform(0.2, 0.8, size=2)
+    diag_a = np.array([(1.0 - norm) * h, low, (1.0 - norm) * (1.0 - h), norm - low])
+    c14 = np.sqrt(diag_a[0] * diag_a[3]) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    diag_b = np.array([1.0 - low, low, 0.0, 0.0]) if low else np.array([b0, 1.0 - b0, 0.0, 0.0])
+    return (diag_a[None], np.array([[c14, 0.0]])), (diag_b[None], np.zeros((1, 2)))
+
+
+def _routes_at_normalization(rng, norm, low):
+    """Every swap route's results for a pair of _x_pair_at_normalization,
+    with a random unitary on modes 1 and 4 for the general routes, and the
+    failures that mean an impossible outcome."""
+    x_a, x_b = _x_pair_at_normalization(rng, norm, low)
+    u1, u4 = es.haar_unitary(rng, 2), es.haar_unitary(rng, 2)
+    local = (np.kron(u1, np.eye(2)), np.kron(np.eye(2), u4))
+    rho_a, rho_b = (es.DensityMatrix(u @ es.qstate.x_matrices(*x)[0] @ u.conj().T)
+                    for u, x in zip(local, (x_a, x_b)))
+    chi_a, chi_b = (es.XState(*x[0][0], *x[1][0]) for x in (x_a, x_b))
+    results, impossible = [], []
+    calls = [lambda: es.swap_all_outcomes(rho_a, rho_b),
+             lambda: [es.swap_via_beamsplitter(rho_a, rho_b)]]
+    calls += [lambda swap=swap, pair=pair, k=k: [swap(*pair, k)]
+              for k in B for swap, pair in ((es.swap_general, (rho_a, rho_b)),
+                                            (es.swap_oracle_16, (rho_a, rho_b)),
+                                            (es.swap_x, (chi_a, chi_b)))]
+    for call in calls:
+        try:
+            results += call()
+        except (es.ImpossibleOutcome, es.NoCoincidence) as exc:
+            impossible.append(exc)
+    raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
+    stacked = [conditional_states(raw, prob), conditional_x_states(*swap_x_batch(x_a, x_b))]
+    return results, impossible, prob, stacked
+
+
+@pytest.mark.parametrize("low", [0.0, 0.999 * EIGENVALUE_FLOOR])
+@pytest.mark.parametrize("seed", range(5))
+def test_swap_routes_just_above_the_normalization_floor(seed, low):
+    # at 2p = (1 + 1e-6) NORMALIZATION_FLOOR every route conditions on psi; its
+    # outputs divide the inputs' roundoff, and their least eigenvalue or
+    # population, by about 1e-12, so each tolerance must be carried with them
+    rng = np.random.default_rng(seed)
+    norm = (1.0 + 1e-6) * es.swap.NORMALIZATION_FLOOR
+    results, impossible, prob, stacked = _routes_at_normalization(rng, norm, low)
+    psi = [list(B).index(B.PSI_PLUS), list(B).index(B.PSI_MINUS)]
+    assert 2.0 * prob[0, psi] == pytest.approx(norm, rel=1e-9)
+    # the beamsplitter's coincidence, p = norm / 2, is below its floor
+    assert [type(exc) for exc in impossible] == [es.NoCoincidence]
+    assert len(results) == 4 + 3 * 4
+    for res in results:
+        assert res.state.eigenvalues()[-1] * min(res.probability, 1.0) >= EIGENVALUE_FLOOR
+    for possible, *_ in stacked:
+        assert possible.all()
+
+
+@pytest.mark.parametrize("low", [0.0, 0.999 * EIGENVALUE_FLOOR])
+def test_swap_routes_just_below_the_normalization_floor(low):
+    rng = np.random.default_rng(11)
+    norm = (1.0 - 1e-6) * es.swap.NORMALIZATION_FLOOR
+    results, impossible, prob, stacked = _routes_at_normalization(rng, norm, low)
+    # psi+ and psi- are impossible on every route that takes them one by one,
+    # and swap_all_outcomes carries them without a state
+    assert [res.outcome for res in results if res.state is None] == [B.PSI_PLUS, B.PSI_MINUS]
+    assert len(results) == 4 + 3 * 2
+    assert sum(isinstance(exc, es.ImpossibleOutcome) for exc in impossible) == 3 * 2
+    for possible, *_ in stacked:
+        assert possible.sum() == 2
