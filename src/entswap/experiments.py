@@ -183,7 +183,9 @@ def _keyed_chunk(chunk_fn, stream, args, lo, hi):
 
 # The process's one worker pool, as (workers, executor): made by the first
 # call that asks for workers, kept for later calls and replaced when a call
-# asks for another worker count.
+# asks for another worker count. Keeping it pays in a process that makes
+# several workers > 1 calls (run_experiment in a loop); a one-shot CLI run
+# forks one pool either way.
 _pool: "tuple[int, ProcessPoolExecutor] | None" = None
 
 
@@ -477,16 +479,14 @@ _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
 def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
-    """Run swap experiment ``name``: its records (rendered in ``fmt``, if
-    given) and report."""
+    """Run swap experiment ``name``: its record columns, its chunks' rows
+    rendered in records format ``fmt`` (None renders none) and its report."""
     spec = EXPERIMENTS[name]
     total = spec.combos * args.samples
     chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
                         (name, args, fmt), args.samples)
     parts, skipped, pieces = zip(*chunks)
-    cols = Records({key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
-    if fmt:
-        cols.text[fmt] = _table(_names(cols), pieces, fmt)
+    cols = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     report = BoundReport(name, total, args.seed, skipped=sum(skipped))
     for side, deviation, tol, hard, worst in spec.checks:
         dev = deviation(cols, args)
@@ -505,7 +505,7 @@ def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
         report.fit_params = spec.fit(cols)
     if spec.extras:
         report.extras.update(spec.extras(report))
-    return cols, report
+    return cols, pieces, report
 
 
 # --------------------------------------------------------------------------
@@ -542,9 +542,9 @@ def run_experiment(name: str, samples: int, seed: int, *,
                    ensemble: str = "bures", eta: float = 0.5,
                    rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1,
                    fmt: "str | None" = None):
-    """Run an experiment by CLI name; returns (records, report). Given a
-    records format ``fmt`` ("csv" or "json"), the records also carry their
-    text in it, rendered chunk by chunk (see write_records).
+    """Run an experiment by CLI name; returns (Records, report). Given a
+    records format ``fmt`` ("csv" or "json"), the records carry their text
+    in it, each draw chunk's rows rendered where the chunk ran.
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
@@ -552,14 +552,15 @@ def run_experiment(name: str, samples: int, seed: int, *,
     """
     t0 = time.perf_counter()
     if name == "haar-stats":
-        records, report = Records(), _haar_report(samples, seed, workers)
+        cols, pieces, report = {}, (), _haar_report(samples, seed, workers)
     elif name in EXPERIMENTS:
-        records, report = _swap_report(name, Args(samples, seed, ensemble, eta, rank_tol),
-                                       workers, fmt)
+        cols, pieces, report = _swap_report(name, Args(samples, seed, ensemble, eta, rank_tol),
+                                            workers, fmt)
     else:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
         )
+    records = Records(cols, fmt and {fmt: _table(_names(cols), pieces, fmt)})
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return records, report
 
@@ -569,12 +570,13 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
 
 class Records(dict):
-    """Record columns by name; ``text`` maps each records format the run
-    rendered them in to their text."""
+    """Record columns by name. ``text`` maps the records format the run
+    rendered them in, if any, to their text: the run's rendering, which
+    does not follow later edits of the columns."""
 
-    def __init__(self, cols=()):
+    def __init__(self, cols=(), text=None):
         super().__init__(cols)
-        self.text = {}
+        self.text = dict(text or {})
 
 
 def _names(cols: dict) -> tuple:
@@ -605,8 +607,8 @@ def _table(names: tuple, pieces, fmt: str) -> str:
 
 
 def records_to_csv(cols: dict) -> str:
-    """Render record columns as CSV text; a ratio column is appended when
-    the records carry one."""
+    """Render record columns as CSV text in one piece; a ratio column is
+    appended when the records carry one."""
     return _table(_names(cols), [_render_rows(cols, "csv")], "csv")
 
 
@@ -614,11 +616,10 @@ def records_to_json(cols: dict) -> str:
     return _table(_names(cols), [_render_rows(cols, "json")], "json")
 
 
-def write_records(records, path, fmt: str = "csv") -> None:
-    """Write records as CSV or JSON text, as the run rendered them if it did."""
-    text = getattr(records, "text", {}).get(fmt)
-    if text is None:
-        text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+def write_records(records: Records, path, fmt: str = "csv") -> None:
+    """Write the text of records that run_experiment rendered in records
+    format ``fmt``."""
+    text = records.text[fmt]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -295,8 +295,9 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
     ValidationError as in validate_batch (a disk's excess is named too);
     a NaN or Inf entry fails first. Given the outcome probabilities
     ``prob`` (...) of conditioned states, the tolerances are carried as in
-    validate_batch: divided by the probability, and the disks', which are
-    quadratic in the entries, by its square.
+    validate_batch: divided by the probability, and each disk is checked
+    as validate_batch checks the matrix, by its parity block's least
+    eigenvalue against EIGENVALUE_FLOOR.
     """
     finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
     if not finite.all():
@@ -306,7 +307,11 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
     total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
     # the disks of (c14, c23) are (c11 c44, c22 c33)
     excess = np.abs(coh) ** 2 - diag[..., :2] * diag[..., 3:1:-1]
-    disk = excess * np.square(weight)[..., None] > TRACE_TOL
+    if prob is None:
+        disk = excess > TRACE_TOL
+    else:
+        half_sum, radius = _parity_blocks(diag, coh)
+        disk = (half_sum - radius) * weight[..., None] < EIGENVALUE_FLOOR
     by = "" if where is None else " by {:.3e}"  # scalar messages give no excess
     for values, bad, message in (
             (low, low * weight < -TRACE_TOL,
@@ -327,12 +332,17 @@ def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     return m
 
 
-def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues (..., 4) of an X stack, from the parity blocks
-    (c11, c44, c14) and (c22, c33, c23)."""
+def _parity_blocks(diag: np.ndarray, coh: np.ndarray):
+    """Half the trace and the eigenvalue radius (..., 2) of an X stack's
+    parity blocks (c11, c44, c14) and (c22, c33, c23): their eigenvalues
+    are half_sum +- radius."""
     p, q = diag[..., :2], diag[..., 3:1:-1]
-    half_sum = 0.5 * (p + q)
-    radius = np.hypot(0.5 * (p - q), np.abs(coh))
+    return 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(coh))
+
+
+def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues (..., 4) of an X stack, from its parity blocks."""
+    half_sum, radius = _parity_blocks(diag, coh)
     return np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[..., ::-1]
 
 

@@ -158,7 +158,7 @@ def test_a_new_worker_count_replaces_the_pool():
 
 
 def test_csv_header_and_shape(tmp_path):
-    records, _ = ex.run_experiment("conserve", 10, 2)
+    records, _ = ex.run_experiment("conserve", 10, 2, fmt="csv")
     path = tmp_path / "out.csv"
     ex.write_records(records, path)
     lines = path.read_text().splitlines()
@@ -169,7 +169,7 @@ def test_csv_header_and_shape(tmp_path):
 
 
 def test_pure_csv_carries_ratio_column(tmp_path):
-    records, _ = ex.run_experiment("pure", 5, 2)
+    records, _ = ex.run_experiment("pure", 5, 2, fmt="csv")
     path = tmp_path / "pure.csv"
     ex.write_records(records, path)
     header = path.read_text().splitlines()[0]
@@ -184,7 +184,7 @@ def test_float_serialization_has_17_significant_digits():
 
 
 def test_json_records_round_trip(tmp_path):
-    records, _ = ex.run_experiment("pure", 4, 2)
+    records, _ = ex.run_experiment("pure", 4, 2, fmt="json")
     path = tmp_path / "out.json"
     ex.write_records(records, path, fmt="json")
     rows = json.loads(path.read_text())

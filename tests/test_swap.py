@@ -656,3 +656,22 @@ def test_swap_routes_just_below_the_normalization_floor(low):
     assert sum(isinstance(exc, es.ImpossibleOutcome) for exc in impossible) == 3 * 2
     for possible, *_ in stacked:
         assert possible.sum() == 2
+
+
+def test_x_routes_reject_the_same_improbable_outcome_past_its_disk(monkeypatch):
+    # every outcome of the pair has p = 1e-2 and, once conditioned, the block
+    # (c11, c44, c14) = (0.5, 0.5, sqrt(0.25 + 9e-7)): past its disk by 9e-7,
+    # least eigenvalue about -9e-7, which times p is past EIGENVALUE_FLOOR
+    p = 1e-2
+    diag = np.array([0.5, 0.0, 0.0, 0.5])
+    coh = np.array([np.sqrt(0.25 + 9e-7), 0.0])
+    norm = np.full((1, 4), 2.0 * p)
+    out = (np.tile(diag * 2.0 * p, (1, 4, 1)), np.tile(coh * 2.0 * p, (1, 4, 1)))
+    assert x_eigenvalues_batch(diag, coh)[-1] * p < EIGENVALUE_FLOOR
+    with pytest.raises(es.ValidationError, match=r"\|c14\|\^2 > c11\*c44"):
+        conditional_x_states(norm, out)
+    monkeypatch.setattr(es.swap, "swap_x_batch", lambda a, b: (norm, out))
+    chi = es.XState(0.25, 0.25, 0.25, 0.25)
+    for outcome in B:
+        with pytest.raises(es.ValidationError, match=r"\|c14\|\^2 > c11\*c44"):
+            es.swap_x(chi, chi, outcome)
