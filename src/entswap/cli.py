@@ -44,7 +44,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"entswap: invalid ENTSWAP_SEED value {raw!r}")
+        raise _UsageFailure(f"invalid ENTSWAP_SEED value {raw!r}")
 
 
 @functools.cache
@@ -206,8 +206,6 @@ def _cmd_sample(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
     handlers = {
         "swap": _cmd_swap,
         "experiment": _cmd_experiment,
@@ -215,8 +213,12 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
     }
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         if getattr(args, "samples", 1) < 1:
             raise _UsageFailure(f"--samples must be at least 1, got {args.samples}")
+        if getattr(args, "workers", 1) < 1:
+            raise _UsageFailure(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "seed", 0) < 0:
             raise _UsageFailure(f"--seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)

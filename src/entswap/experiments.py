@@ -55,7 +55,6 @@ from .qstate import (  # noqa: F401
     trace_distance_batch,
     validate_batch,
     validate_x_batch,
-    x_eigenvalues_batch,
 )
 from .swap import (  # noqa: F401
     _OUTCOMES,
@@ -216,13 +215,14 @@ def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = 
     """chunk_fn(*args, rng, lo, hi) of each draw chunk [lo, hi) of range(n),
     none straddling a multiple of ``group``, in order; rng is
     stream.substream(lo). With workers > 1 and more than one chunk, in the
-    process's worker pool (see _pooled); a call whose pool broke, by a
-    worker dying, runs again on a fresh one."""
+    process's worker pool (see _pooled) of at most one worker per chunk; a
+    call whose pool broke, by a worker dying, runs again on a fresh one."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     los, his = zip(*_blocks(n, group))
     fn = functools.partial(_keyed_chunk, chunk_fn, stream, args)
-    if workers <= 1 or len(los) == 1:
+    workers = min(workers, len(los))
+    if workers <= 1:
         return list(map(fn, los, his))
     try:
         return _pooled(fn, los, his, workers)
@@ -256,10 +256,9 @@ def _general_outcomes(rho_a, rho_b, where, args):
 
 def _x_outcomes(x_a, x_b, where, args):
     """_general_outcomes for a chunk of X-stack pairs, in closed form."""
-    norm, out = swap_x_batch(x_a, x_b)
-    possible, x = conditional_x_states(norm, out, where)
-    return (_ALL_OUTCOMES, possible, norm / 2.0, concurrence_x_batch(*x),
-            x_eigenvalues_batch(*x), {})
+    out, prob = swap_x_batch(x_a, x_b)
+    possible, x, eigs = conditional_x_states(out, prob, where)
+    return _ALL_OUTCOMES, possible, prob, concurrence_x_batch(*x), eigs, {}
 
 
 def _oracle_outcomes(rho_a, rho_b, where, args):
@@ -315,9 +314,9 @@ def _belldiag_draw(args, rng, lo, hi):
     x_b = bell_diagonal_x(random_bell_diagonal(rng, hi - lo))
     columns = {}
     for side, x in (("a", x_a), ("b", x_b)):
-        validate_x_batch(*x, _where(lo, f"input {side}"))
+        eigs = validate_x_batch(*x, _where(lo, f"input {side}"))
         columns[f"c_{side}"] = concurrence_x_batch(*x)
-        columns[f"rank_{side}"] = rank_batch(x_eigenvalues_batch(*x), args.rank_tol)
+        columns[f"rank_{side}"] = rank_batch(eigs, args.rank_tol)
     return x_a, x_b, columns
 
 
@@ -478,17 +477,9 @@ EXPERIMENT_NAMES = (*EXPERIMENTS, "haar-stats")
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 
-def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
-    """Run swap experiment ``name``: its record columns, its chunks' rows
-    rendered in records format ``fmt`` (None renders none) and its report."""
-    spec = EXPERIMENTS[name]
-    total = spec.combos * args.samples
-    chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
-                        (name, args, fmt), args.samples)
-    parts, skipped, pieces = zip(*chunks)
-    cols = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-    report = BoundReport(name, total, args.seed, skipped=sum(skipped))
-    for side, deviation, tol, hard, worst in spec.checks:
+def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
+    """Count each Check's violations over the record columns into report."""
+    for side, deviation, tol, hard, worst in checks:
         dev = deviation(cols, args)
         count = int(np.count_nonzero(dev > tol))
         if side in _MAX_FIELDS:  # a spec has at most one check per side
@@ -501,6 +492,19 @@ def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
             report.hard_violations += count
         else:
             report.soft_violations += count
+
+
+def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
+    """Run swap experiment ``name``: its record columns, its chunks' rows
+    rendered in records format ``fmt`` (None renders none) and its report."""
+    spec = EXPERIMENTS[name]
+    total = spec.combos * args.samples
+    chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
+                        (name, args, fmt), args.samples)
+    parts, skipped, pieces = zip(*chunks)
+    cols = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    report = BoundReport(name, total, args.seed, skipped=sum(skipped))
+    _apply_checks(report, spec.checks, cols, args)
     if spec.fit:
         report.fit_params = spec.fit(cols)
     if spec.extras:
@@ -510,6 +514,13 @@ def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
 
 # --------------------------------------------------------------------------
 # Haar sanity: eigenvalue phases of random unitaries are uniform
+
+
+# the run's phase mean and std, as one-row columns
+_HAAR_CHECKS = (
+    Check("upper", lambda c, _: np.abs(c["mean"]), HAAR_STATS_TOL),
+    Check("lower", lambda c, _: np.abs(c["std"] - HAAR_PHASE_STD), HAAR_STATS_TOL),
+)
 
 
 def _haar_chunk(rng, lo, hi):
@@ -528,13 +539,8 @@ def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:
     mean = total / count
     std = float(np.sqrt(total_sq / count - mean * mean))
     report = BoundReport("haar-stats", samples, seed)
-    report.max_upper_excess = abs(mean)
-    report.max_lower_deficit = abs(std - HAAR_PHASE_STD)
-    report.violations_upper = int(abs(mean) > HAAR_STATS_TOL)
-    report.violations_lower = int(abs(std - HAAR_PHASE_STD) > HAAR_STATS_TOL)
-    report.hard_violations = report.violations_upper + report.violations_lower
-    report.extras = {"phase_mean": mean, "phase_std": std,
-                     "target_std": HAAR_PHASE_STD}
+    _apply_checks(report, _HAAR_CHECKS, {"mean": np.array([mean]), "std": np.array([std])}, None)
+    report.extras.update(phase_mean=mean, phase_std=std, target_std=HAAR_PHASE_STD)
     return report
 
 

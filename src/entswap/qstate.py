@@ -129,6 +129,20 @@ def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
     raise ValidationError(text)
 
 
+def _check_spectrum(traces: np.ndarray, eigs: np.ndarray, weight, where) -> np.ndarray:
+    """The trace and eigenvalue checks of validate_batch on the traces (...)
+    and ascending eigenvalues (..., 4) of a stack, each deviation weighed by
+    ``weight``; returns the eigenvalues in descending order."""
+    trace_err = np.abs(traces - 1.0)
+    if trace_err.max(initial=0.0) > TRACE_TOL:
+        _raise_first(trace_err, trace_err * weight > TRACE_TOL,
+                     "trace invariant violated: |tr - 1| = {:.3e}", where)
+    if eigs[..., 0].min(initial=np.inf) < EIGENVALUE_FLOOR:
+        _raise_first(eigs[..., 0], eigs[..., 0] * weight < EIGENVALUE_FLOOR,
+                     "eigenvalue invariant violated: min eigenvalue = {:.3e}", where)
+    return eigs[..., ::-1]
+
+
 def validate_batch(mats: np.ndarray, where=None, prob=None) -> np.ndarray:
     """Check the density-matrix invariants on a stack (..., 4, 4).
 
@@ -157,17 +171,10 @@ def validate_batch(mats: np.ndarray, where=None, prob=None) -> np.ndarray:
         herm_err = herm_err.max(axis=(-2, -1))
         _raise_first(herm_err, herm_err * weight > HERMITICITY_TOL,
                      "hermiticity invariant violated: max |m_ij - conj(m_ji)| = {:.3e}", where)
-    trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
-    if trace_err.max(initial=0.0) > TRACE_TOL:
-        _raise_first(trace_err, trace_err * weight > TRACE_TOL,
-                     "trace invariant violated: |tr - 1| = {:.3e}", where)
     # eigvalsh reads one triangle, which Hermiticity (checked above)
     # makes equivalent to the Hermitized matrix to within tolerance
-    eigs = np.linalg.eigvalsh(mats)
-    if eigs[..., 0].min(initial=np.inf) < EIGENVALUE_FLOOR:
-        _raise_first(eigs[..., 0], eigs[..., 0] * weight < EIGENVALUE_FLOOR,
-                     "eigenvalue invariant violated: min eigenvalue = {:.3e}", where)
-    return eigs[..., ::-1]
+    return _check_spectrum(mats.trace(axis1=-2, axis2=-1), np.linalg.eigvalsh(mats), weight,
+                           where)
 
 
 def pure_batch(amplitudes: np.ndarray, where=None) -> np.ndarray:
@@ -285,42 +292,23 @@ class XState:
         return x_eigenvalues_batch(*self.to_stack())[0]
 
 
-def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -> None:
-    """Check XState's invariants on an X stack: real populations diag
-    (..., 4) = (c11, c22, c33, c44) and real or complex coherences coh
-    (..., 2) = (c14, c23).
+def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -> np.ndarray:
+    """validate_batch for an X stack: real populations diag (..., 4) =
+    (c11, c22, c33, c44) and real or complex coherences coh (..., 2) =
+    (c14, c23).
 
-    Populations must be nonnegative and sum to 1, and |c14|^2 <= c11 c44,
-    |c23|^2 <= c22 c33, all to TRACE_TOL. The first flagged state raises
-    ValidationError as in validate_batch (a disk's excess is named too);
-    a NaN or Inf entry fails first. Given the outcome probabilities
-    ``prob`` (...) of conditioned states, the tolerances are carried as in
-    validate_batch: divided by the probability, and each disk is checked
-    as validate_batch checks the matrix, by its parity block's least
-    eigenvalue against EIGENVALUE_FLOOR.
+    After the finiteness check, the trace and eigenvalue checks of
+    validate_batch run on the population sum and on the closed-form
+    spectrum of the parity blocks, with the same tolerances, messages and
+    ``where`` and ``prob``. Returns the eigenvalues in descending order,
+    as x_eigenvalues_batch gives them.
     """
     finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
     if not finite.all():
         _raise_first(finite, ~finite, "finiteness invariant violated: NaN or Inf entry", where)
     weight = 1.0 if prob is None else np.minimum(prob, 1.0)
-    low = diag.min(axis=-1)
     total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
-    # the disks of (c14, c23) are (c11 c44, c22 c33)
-    excess = np.abs(coh) ** 2 - diag[..., :2] * diag[..., 3:1:-1]
-    if prob is None:
-        disk = excess > TRACE_TOL
-    else:
-        half_sum, radius = _parity_blocks(diag, coh)
-        disk = (half_sum - radius) * weight[..., None] < EIGENVALUE_FLOOR
-    by = "" if where is None else " by {:.3e}"  # scalar messages give no excess
-    for values, bad, message in (
-            (low, low * weight < -TRACE_TOL,
-             "diagonal invariant violated: negative population {:.3e}"),
-            (total, np.abs(total - 1.0) * weight > TRACE_TOL,
-             "trace invariant violated: sum = {!r}"),
-            (excess[..., 0], disk[..., 0], "eigenvalue invariant violated: |c14|^2 > c11*c44" + by),
-            (excess[..., 1], disk[..., 1], "eigenvalue invariant violated: |c23|^2 > c22*c33" + by)):
-        _raise_first(values, bad, message, where)
+    return _check_spectrum(total, x_eigenvalues_batch(diag, coh)[..., ::-1], weight, where)
 
 
 def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
@@ -332,17 +320,12 @@ def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     return m
 
 
-def _parity_blocks(diag: np.ndarray, coh: np.ndarray):
-    """Half the trace and the eigenvalue radius (..., 2) of an X stack's
-    parity blocks (c11, c44, c14) and (c22, c33, c23): their eigenvalues
-    are half_sum +- radius."""
-    p, q = diag[..., :2], diag[..., 3:1:-1]
-    return 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(coh))
-
-
 def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues (..., 4) of an X stack, from its parity blocks."""
-    half_sum, radius = _parity_blocks(diag, coh)
+    """Descending eigenvalues (..., 4) of an X stack: those of its parity
+    blocks (c11, c44, c14) and (c22, c33, c23), half their trace plus or
+    minus the radius."""
+    p, q = diag[..., :2], diag[..., 3:1:-1]
+    half_sum, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(coh))
     return np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[..., ::-1]
 
 

@@ -134,12 +134,13 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
 
 
 def swap_x_batch(a, b):
-    """All four outcomes for X stacks a, b (see qstate.validate_x_batch) of
-    N input pairs; swapping X-states closes within the X family.
+    """swap_batch for X stacks a, b (see qstate.validate_x_batch) of N input
+    pairs; swapping X-states closes within the X family.
 
-    Returns the normalizations (N, 4), twice the outcome probabilities, and
-    the unnormalized output X stack (diag (N, 4, 4), coh (N, 4, 2)) indexed
-    [sample, outcome (BellLabel order), entry]; real coherences stay real.
+    Returns the unnormalized output X stack (diag (N, 4, 4), coh (N, 4, 2))
+    indexed [sample, outcome (BellLabel order), entry], whose traces are
+    twice the outcome probabilities, and those probabilities (N, 4); real
+    coherences stay real.
     """
     (diag_a, coh_a), (diag_b, coh_b) = a, b
     pa = diag_a[:, _X_DIAG].reshape(-1, 4, 2, 2)  # [n, k, i, p]: A[2i + p], outcome k's order
@@ -151,19 +152,18 @@ def swap_x_batch(a, b):
     norm = sum_a[..., 0] * sum_b[..., 0] + sum_a[..., 1] * sum_b[..., 1]
     pc, cb = coh_a[:, _X_COH], coh_b[:, None]
     coh = _X_SIGN[:, None] * (pc[..., :1] * cb + pc[..., 1:] * cb[..., ::-1].conj())
-    return norm, (diag.reshape(-1, 4, 4), coh)
+    return (diag.reshape(-1, 4, 4), coh), norm / 2.0
 
 
-def conditional_x_states(norm: np.ndarray, out, where=None):
-    """conditional_states for swap_x_batch: the (N, 4) mask of outcomes whose
-    normalization exceeds NORMALIZATION_FLOOR and their validated X stack
-    (M, 4), (M, 2) in row-major mask order, at tolerances carried by the
-    outcome probabilities."""
-    possible = ~(norm <= NORMALIZATION_FLOOR)
-    kept = norm[possible]
-    x = out[0][possible] / kept[:, None], out[1][possible] / kept[:, None]
-    validate_x_batch(*x, _flat_where(possible, where), kept / 2.0)
-    return possible, x
+def conditional_x_states(out, prob: np.ndarray, where=None):
+    """conditional_states for swap_x_batch: the (N, 4) mask, the validated X
+    stack (M, 4), (M, 2) in row-major mask order and its descending
+    eigenvalues (M, 4)."""
+    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
+    kept = prob[possible]
+    norm = 2.0 * kept[:, None]
+    x = out[0][possible] / norm, out[1][possible] / norm
+    return possible, x, validate_x_batch(*x, _flat_where(possible, where), kept)
 
 
 def swap_general(
@@ -191,14 +191,14 @@ def swap_x_params(
 
     Raises ImpossibleOutcome on a vanishing normalization.
     """
-    norm, (diag, coh) = swap_x_batch(chi_a.to_stack(), chi_b.to_stack())
     k = _OUTCOMES.index(outcome)
-    n = norm[0, k]
-    if n <= NORMALIZATION_FLOOR:
-        raise ImpossibleOutcome(outcome, n)
-    diag, coh = diag[0, k] / n, coh[0, k] / n
-    validate_x_batch(diag[None], coh[None], prob=n / 2.0)
-    return XState._checked(diag, coh), n / 2.0
+    (diag, coh), prob = swap_x_batch(chi_a.to_stack(), chi_b.to_stack())
+    probability = float(prob[0, k])
+    if 2.0 * probability <= NORMALIZATION_FLOOR:
+        raise ImpossibleOutcome(outcome, 2.0 * probability)
+    diag, coh = diag[0, k] / (2.0 * probability), coh[0, k] / (2.0 * probability)
+    validate_x_batch(diag[None], coh[None], prob=probability)
+    return XState._checked(diag, coh), probability
 
 
 def swap_x(chi_a: XState, chi_b: XState, outcome: BellLabel) -> SwapResult:

@@ -128,8 +128,8 @@ def test_criterion_09_x_state_machinery():
                        for x, dm in ((x_a, dm_a), (x_b, dm_b)))
     raw, prob = swap_batch(dm_a, dm_b)
     possible, general, _ = conditional_states(raw, prob)
-    norm, out = swap_x_batch(x_a, x_b)
-    possible_x, fast = conditional_x_states(norm, out)
+    out, prob_x = swap_x_batch(x_a, x_b)
+    possible_x, fast, _ = conditional_x_states(out, prob_x)
     off_x = np.ones((4, 4), dtype=bool)
     off_x[range(4), range(4)] = off_x[range(4), range(3, -1, -1)] = False
     stays_x = (np.array_equal(possible, possible_x)
@@ -138,7 +138,7 @@ def test_criterion_09_x_state_machinery():
     max_conc_dev = max(max_conc_dev, np.abs(concurrence_batch(general)
                                             - concurrence_x_batch(*out_x)).max())
     max_path_dev = np.abs(x_matrices(*fast) - general).max()
-    max_prob_dev = np.abs(norm / 2.0 - prob).max()
+    max_prob_dev = np.abs(prob_x - prob).max()
     ok = (stays_x and max_conc_dev < 1e-9
           and max_path_dev < 1e-12 and max_prob_dev < 1e-12)
     _report(9, ok, f"10^4 X pairs x 4 outcomes: closure {stays_x}, "

@@ -246,13 +246,15 @@ def test_strict_flag_accepted(tmp_path):
     ["experiment", "conserve", "--samples", "0"],
     ["sample", "bures", "--samples", "-2"],
     ["experiment", "conserve", "--samples", "5", "--seed", "-1"],
+    ["experiment", "conserve", "--samples", "5", "--workers", "0"],
+    ["sample", "bures", "--samples", "5", "--workers", "-1"],
 ])
 def test_degenerate_numeric_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "entswap:" in capsys.readouterr().err
 
 
-def test_invalid_seed_env_var_aborts(monkeypatch):
-    monkeypatch.setenv("ENTSWAP_SEED", "forty-two")
-    with pytest.raises(SystemExit, match="ENTSWAP_SEED"):
-        main(["oracle-check", "--samples", "1"])
+def test_invalid_seed_env_var_aborts(monkeypatch, capsys):
+    monkeypatch.setenv("ENTSWAP_SEED", "forty")
+    assert main(["oracle-check", "--samples", "1"]) == 2
+    assert capsys.readouterr().err == "entswap: invalid ENTSWAP_SEED value 'forty'\n"

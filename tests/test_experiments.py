@@ -154,6 +154,15 @@ def test_a_new_worker_count_replaces_the_pool():
     assert os.getpid() not in _pool_call(3)
 
 
+def test_the_pool_has_at_most_one_worker_per_chunk():
+    # 2 draw chunks: a workers=8 call forks 2 workers, and writes the same bytes
+    one, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=1, fmt="csv")
+    many, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=8, fmt="csv")
+    assert ex._pool[0] == 2
+    assert len(multiprocessing.active_children()) == 2
+    assert many.text == one.text
+
+
 # -------------------------------------------------------------- emission
 
 
@@ -262,8 +271,8 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
         return weights
 
     monkeypatch.setattr(ex, "random_bell_diagonal", broken)
-    with pytest.raises(es.ValidationError,
-                       match=r"^trace invariant violated: sum = 2\.0\d* \(input a of sample 4\)$"):
+    with pytest.raises(es.ValidationError, match=r"^trace invariant violated: "
+                       r"\|tr - 1\| = 1\.000e\+00 \(input a of sample 4\)$"):
         ex.run_experiment("belldiag", 6, 5)
 
 

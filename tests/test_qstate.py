@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import entswap as es
 from entswap.qstate import (
+    EIGENVALUE_FLOOR,
     X_ENTRY_TOL,
     _hermitize,
     concurrence_batch,
@@ -14,6 +15,7 @@ from entswap.qstate import (
     validate_batch,
     validate_x_batch,
     x_eigenvalues_batch,
+    x_matrices,
 )
 from entswap.swap import conditional_states
 
@@ -309,9 +311,9 @@ def test_stacked_x_measures_match_scalar_and_dense(kind):
     states = [draw(rng) for _ in range(100)]
     diag = np.concatenate([x.to_stack()[0] for x in states])
     coh = np.concatenate([x.to_stack()[1] for x in states])
-    validate_x_batch(diag, coh)
-    eigs = x_eigenvalues_batch(diag, coh)
-    dense = validate_batch(np.stack([x.to_matrix() for x in states]))
+    eigs = validate_x_batch(diag, coh)
+    assert np.array_equal(eigs, x_eigenvalues_batch(diag, coh))
+    dense = validate_batch(x_matrices(diag, coh))
     assert np.abs(eigs - dense).max() < 1e-12
     conc = concurrence_x_batch(diag, coh)
     for n, x in enumerate(states):
@@ -322,33 +324,66 @@ def test_stacked_x_measures_match_scalar_and_dense(kind):
 
 
 @pytest.mark.parametrize(
-    "row,scalar,excess",
+    "row,message",
     [
-        ((-0.1, 0.4, 0.4, 0.3, 0.0, 0.0), "diagonal invariant violated: negative population -1.000e-01", ""),
-        ((0.5, 0.5, 0.25, 0.25, 0.0, 0.0), "trace invariant violated: sum = 1.5", ""),
-        ((0.25, 0.25, 0.25, 0.25, 0.4, 0.0), "eigenvalue invariant violated: |c14|^2 > c11*c44",
-         " by 9.750e-02"),
-        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.4j), "eigenvalue invariant violated: |c23|^2 > c22*c33",
-         " by 9.750e-02"),
+        ((-0.1, 0.4, 0.4, 0.3, 0.0, 0.0), "eigenvalue invariant violated: min eigenvalue = -1.000e-01"),
+        ((0.5, 0.5, 0.25, 0.25, 0.0, 0.0), "trace invariant violated: |tr - 1| = 5.000e-01"),
+        ((0.25, 0.25, 0.25, 0.25, 0.4, 0.0), "eigenvalue invariant violated: min eigenvalue = -1.500e-01"),
+        ((0.25, 0.25, 0.25, 0.25, 0.0, 0.4j), "eigenvalue invariant violated: min eigenvalue = -1.500e-01"),
         # NaN fails every comparison, so finiteness is checked first
-        ((float("nan"), 0.25, 0.25, 0.25, 0.0, 0.0), "finiteness invariant violated: NaN or Inf entry",
-         ""),
+        ((float("nan"), 0.25, 0.25, 0.25, 0.0, 0.0), "finiteness invariant violated: NaN or Inf entry"),
         ((0.25, 0.25, 0.25, 0.25, complex(0.0, float("nan")), 0.0),
-         "finiteness invariant violated: NaN or Inf entry", ""),
+         "finiteness invariant violated: NaN or Inf entry"),
+        # past its disk by less than TRACE_TOL, but its block's least
+        # eigenvalue is below EIGENVALUE_FLOOR, as DensityMatrix finds it
+        ((0.25, 0.25, 0.25, 0.25, 0.25 + 1.5e-10, 0.0),
+         "eigenvalue invariant violated: min eigenvalue = -1.500e-10"),
     ],
 )
-def test_validate_x_batch_names_invariant_value_and_sample(row, scalar, excess):
+def test_validate_x_batch_names_invariant_value_and_sample(row, message):
     good = (0.25, 0.25, 0.25, 0.25, 0.1, -0.1j)
     rows = [good, good, row, good]
     diag = np.array([r[:4] for r in rows])
     coh = np.array([r[4:] for r in rows])
     with pytest.raises(es.ValidationError) as excinfo:
         validate_x_batch(diag, coh, where=lambda n: f"input a of sample {n}")
-    assert str(excinfo.value) == f"{scalar}{excess} (input a of sample 2)"
-    # the scalar path keeps its message text, without an input name
-    with pytest.raises(es.ValidationError) as excinfo:
-        es.XState(*row)
-    assert str(excinfo.value) == scalar
+    assert str(excinfo.value) == f"{message} (input a of sample 2)"
+    # the scalar path and the matrix route give the same message
+    for build in (lambda: es.XState(*row), lambda: es.DensityMatrix(x_matrices(diag[2], coh[2]))):
+        with pytest.raises(es.ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
+def _accepted(build) -> bool:
+    try:
+        build()
+    except es.ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("pops", [(0.3, 0.2), (2e-6, 1e-6)])
+@pytest.mark.parametrize("block", [0, 1])
+def test_x_states_and_matrices_agree_at_the_eigenvalue_floor(block, pops, factor):
+    # one parity block (p, q, c) with least eigenvalue factor * EIGENVALUE_FLOOR
+    # and the other block inside its disk, holding the rest of the trace
+    p, q = pops
+    low = factor * EIGENVALUE_FLOOR
+    radius = 0.5 * (p + q) - low
+    c = np.sqrt(radius ** 2 - (0.5 * (p - q)) ** 2) * np.exp(0.7j)
+    rest = 0.5 * (1.0 - p - q)
+    blocks = [((p, q), c), ((rest, rest), 0.3 * rest)]
+    (p0, q0), c0 = blocks[block]
+    (p1, q1), c1 = blocks[1 - block]
+    # diag (c11, c22, c33, c44): block 0 is (c11, c44), block 1 is (c22, c33)
+    diag = np.array([[p0, p1, q1, q0]])
+    coh = np.array([[c0, c1]])
+    assert x_eigenvalues_batch(diag, coh)[0, -1] == pytest.approx(low, rel=1e-5)
+    x_ok = _accepted(lambda: es.XState(*diag[0], *coh[0]))
+    assert x_ok == _accepted(lambda: es.DensityMatrix(x_matrices(diag, coh)[0]))
+    assert x_ok == (factor < 1.0)
 
 
 def test_x_state_round_trip():

@@ -274,32 +274,33 @@ def _x_pairs(kind, seed, n=40):
 @pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
 def test_stacked_x_kernel_is_bit_equal_to_batch_of_one(kind):
     pairs = _x_pairs(kind, 43)
-    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
-    possible, (diag, coh) = conditional_x_states(norm, out)
+    out, prob = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    possible, (diag, coh), eigs = conditional_x_states(out, prob)
     assert possible.all()
     assert coh.dtype == (complex if kind == "x" else float)
-    diag, coh = diag.reshape(-1, 4, 4), coh.reshape(-1, 4, 2)
+    diag, coh, eigs = diag.reshape(-1, 4, 4), coh.reshape(-1, 4, 2), eigs.reshape(-1, 4, 4)
     for n, (xa, xb) in enumerate(pairs):
         for k, outcome in enumerate(B):
-            x, prob = swap_x_params(xa, xb, outcome)
-            assert prob == norm[n, k] / 2.0
+            x, p = swap_x_params(xa, xb, outcome)
+            assert p == prob[n, k]
             assert np.array_equal(x.to_stack()[0][0], diag[n, k])
             assert np.array_equal(x.to_stack()[1][0], coh[n, k])
             assert es.concurrence_x(x) == concurrence_x_batch(diag[n, k], coh[n, k])
-            assert np.array_equal(x.eigenvalues(), x_eigenvalues_batch(diag[n, k], coh[n, k]))
+            assert np.array_equal(x.eigenvalues(), eigs[n, k])
 
 
 @pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
 def test_stacked_x_kernel_agrees_with_the_general_engine(kind):
     pairs = _x_pairs(kind, 44)
-    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
-    _, (diag, coh) = conditional_x_states(norm, out)
+    out, prob_x = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    _, (diag, coh), eigs_x = conditional_x_states(out, prob_x)
     raw, prob = swap_batch(np.stack([a.to_matrix() for a, _ in pairs]),
                            np.stack([b.to_matrix() for _, b in pairs]))
-    _, states, _ = conditional_states(raw, prob)
+    _, states, eigs = conditional_states(raw, prob)
     embedded = np.stack([es.XState(*d, *c).to_matrix() for d, c in zip(diag, coh)])
     assert np.abs(embedded - states).max() < 1e-12
-    assert np.abs(norm / 2.0 - prob).max() < 1e-12
+    assert np.abs(prob_x - prob).max() < 1e-12
+    assert np.abs(eigs_x - eigs).max() < 1e-12
     assert np.abs(concurrence_x_batch(diag, coh) - concurrence_batch(states)).max() < 1e-12
 
 
@@ -307,18 +308,18 @@ def test_stacked_x_kernel_skips_impossible_outcomes_like_the_scalar_path():
     # the X-state |HH><HH| paired with itself kills both psi outcomes
     hh = es.XState(1.0, 0.0, 0.0, 0.0)
     pairs = [*_x_pairs("x", 45, n=2), (hh, hh), *_x_pairs("bell-diagonal", 46, n=2)]
-    norm, out = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
-    possible, (diag, _) = conditional_x_states(norm, out)
+    out, prob = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
+    possible, (diag, _), eigs = conditional_x_states(out, prob)
     assert possible.size - possible.sum() == 2
-    assert len(diag) == possible.sum()
+    assert len(diag) == len(eigs) == possible.sum()
     for n, (xa, xb) in enumerate(pairs):
         for k, outcome in enumerate(B):
             if possible[n, k]:
-                assert swap_x_params(xa, xb, outcome)[1] == norm[n, k] / 2.0
+                assert swap_x_params(xa, xb, outcome)[1] == prob[n, k]
                 continue
             with pytest.raises(es.ImpossibleOutcome, match=str(outcome)) as excinfo:
                 swap_x_params(xa, xb, outcome)
-            assert excinfo.value.normalization == norm[n, k]
+            assert excinfo.value.normalization == 2.0 * prob[n, k]
 
 
 def test_stacked_x_outputs_name_sample_and_outcome():
@@ -326,9 +327,9 @@ def test_stacked_x_outputs_name_sample_and_outcome():
     diag[1, 2] = (0.5, 0.5, 0.5, -0.5)
     coh = np.zeros((3, 4, 2))
     with pytest.raises(es.ValidationError) as excinfo:
-        conditional_x_states(np.ones((3, 4)), (diag, coh),
+        conditional_x_states((diag, coh), np.full((3, 4), 0.5),
                              lambda n, k: f"output of sample {n}, outcome {list(B)[k]}")
-    assert str(excinfo.value) == ("diagonal invariant violated: negative population "
+    assert str(excinfo.value) == ("eigenvalue invariant violated: min eigenvalue = "
                                   "-5.000e-01 (output of sample 1, outcome phi+)")
 
 
@@ -665,13 +666,14 @@ def test_x_routes_reject_the_same_improbable_outcome_past_its_disk(monkeypatch):
     p = 1e-2
     diag = np.array([0.5, 0.0, 0.0, 0.5])
     coh = np.array([np.sqrt(0.25 + 9e-7), 0.0])
-    norm = np.full((1, 4), 2.0 * p)
+    prob = np.full((1, 4), p)
     out = (np.tile(diag * 2.0 * p, (1, 4, 1)), np.tile(coh * 2.0 * p, (1, 4, 1)))
     assert x_eigenvalues_batch(diag, coh)[-1] * p < EIGENVALUE_FLOOR
-    with pytest.raises(es.ValidationError, match=r"\|c14\|\^2 > c11\*c44"):
-        conditional_x_states(norm, out)
-    monkeypatch.setattr(es.swap, "swap_x_batch", lambda a, b: (norm, out))
+    message = r"^eigenvalue invariant violated: min eigenvalue = -9\.000e-07$"
+    with pytest.raises(es.ValidationError, match=message):
+        conditional_x_states(out, prob)
+    monkeypatch.setattr(es.swap, "swap_x_batch", lambda a, b: (out, prob))
     chi = es.XState(0.25, 0.25, 0.25, 0.25)
     for outcome in B:
-        with pytest.raises(es.ValidationError, match=r"\|c14\|\^2 > c11\*c44"):
+        with pytest.raises(es.ValidationError, match=message):
             es.swap_x(chi, chi, outcome)
