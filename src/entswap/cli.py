@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="records file (default <name>.csv)")
     p_exp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv", help="records format (default csv)")
-    p_exp.add_argument("--strict", action="store_true",
-                       help="fail the exit code on empirical-bound "
-                            "violations too")
 
     p_oracle = sub.add_parser("oracle-check",
                               help="compare the closed-form psi- swap with "
@@ -176,10 +173,7 @@ def _cmd_experiment(args) -> int:
     except OSError as exc:
         raise _UsageFailure(f"cannot write output: {exc}")
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    failed = report.hard_violations > 0
-    if args.strict:
-        failed = failed or report.soft_violations > 0
-    return EXIT_VIOLATION if failed else EXIT_OK
+    return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:

@@ -74,8 +74,6 @@ UPPER_BOUND_TOL = 1e-9
 LOWER_BOUND_TOL = 1e-9
 SELF_SWAP_TOL = 1e-12
 ORACLE_TOL = 1e-10
-# Slack allowed against the empirically fitted lower bound.
-EMPIRICAL_SLACK = 0.01
 
 HAAR_PHASE_STD = float(np.pi / np.sqrt(3.0))
 HAAR_STATS_TOL = 0.02
@@ -110,18 +108,14 @@ class BoundReport:
     max_upper_excess: float = 0.0
     max_lower_deficit: float = 0.0
     hard_violations: int = 0
-    soft_violations: int = 0
     skipped: int = 0
-    fit_params: "dict | None" = None
     extras: dict = field(default_factory=dict)
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        """Every field; fit_params only when set and extras only when
-        non-empty (summaries are written with sorted keys)."""
+        """Every field; extras only when non-empty (summaries are written
+        with sorted keys)."""
         out = asdict(self)
-        if self.fit_params is None:
-            del out["fit_params"]
         if not self.extras:
             del out["extras"]
         return out
@@ -138,15 +132,14 @@ class Args(NamedTuple):
 
 
 class Check(NamedTuple):
-    """A bound over the record columns: rows whose ``deviation(cols, args)``
-    exceeds ``tol`` violate it. Violations count on report ``side`` ("upper",
-    "lower", or else an extras key) and, when ``worst``, the largest
-    deviation, at least 0, is that side's max field."""
+    """A hard bound over the record columns: rows whose
+    ``deviation(cols, args)`` exceeds ``tol`` violate it. Violations count
+    on report ``side`` ("upper", "lower", or else an extras key) and, when
+    ``worst``, the largest deviation, at least 0, is that side's max field."""
 
     side: str
     deviation: Callable
     tol: float
-    hard: bool = True
     worst: bool = True
 
 
@@ -156,15 +149,14 @@ class Experiment(NamedTuple):
     ``draw(args, rng, lo, hi)`` draws the samples [lo, hi) of one draw
     chunk from ``rng``: stacked inputs a and b and their per-sample input
     columns; ``outcomes`` swaps them (see _general_outcomes). A run has
-    ``combos`` input classes of ``args.samples`` samples each. ``fit(cols)`` gives the report's
-    fit_params and ``extras(report)`` adds to its extras.
+    ``combos`` input classes of ``args.samples`` samples each.
+    ``extras(report)`` adds to the report's extras.
     """
 
     draw: Callable
     outcomes: Callable
     checks: tuple
     combos: int = 1
-    fit: "Callable | None" = None
     extras: "Callable | None" = None
 
 
@@ -358,75 +350,16 @@ def _oracle_draw(args, rng, lo, hi):
 
 
 # --------------------------------------------------------------------------
-# fits of the empirical floors
-
-
-def _envelope_minima(xs, ys, n_bins):
-    # per-bin minima over quantile bins, so sparse regions still
-    # contribute one point each
-    edges = np.quantile(xs, np.linspace(0.0, 1.0, n_bins + 1))
-    pts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (xs >= lo) & (xs <= hi)
-        if np.count_nonzero(mask) >= 3:
-            idx = np.argmin(ys[mask])
-            pts.append((xs[mask][idx], ys[mask][idx]))
-    return np.array(pts)
-
-
-def _fit_lower_line(cols) -> "dict | None":
-    # least-squares line through the lower envelope of C_F over the
-    # region where the floor is active
-    xs, ys = cols["c_a"] * cols["c_b"], cols["c_f"]
-    active = xs >= 0.25
-    if np.count_nonzero(active) < 24:
-        return None
-    n_bins = int(np.clip(np.count_nonzero(active) // 8, 3, 20))
-    pts = _envelope_minima(xs[active], ys[active], n_bins)
-    if len(pts) < 3:
-        return None
-    slope, intercept = np.polyfit(pts[:, 0], pts[:, 1], 1)
-    return {"slope": float(slope), "intercept": float(intercept)}
-
-
-def _fit_lower_exponential(cols) -> "dict | None":
-    # offset + scale * exp(rate * x) through the lower envelope. Linear in
-    # offset and scale, so least squares searches the rate alone (variable
-    # projection): a grid over [-30, 30], its even count keeping off rate 0,
-    # refined around the best point until the bracket is narrower than 1e-9
-    xs, ys = cols["c_a"] * cols["c_b"], cols["c_f"]
-    if xs.size < 60:
-        return None
-    n_bins = int(np.clip(xs.size // 20, 6, 30))
-    pts = _envelope_minima(xs, ys, n_bins)
-    if len(pts) < 6:
-        return None
-    x, y = pts[:, 0], pts[:, 1] - pts[:, 1].mean()
-    rates = np.linspace(-30.0, 30.0, 300)
-    while True:
-        # each rate's least-squares line of y on exp(rate * x), by centred sums
-        basis = np.exp(np.multiply.outer(rates, x))
-        mean = basis @ np.full(x.size, 1.0 / x.size)  # cheaper than .mean
-        centred = basis - mean[:, None]
-        norm = np.einsum("ij,ij->i", centred, centred)
-        # a rate within roundoff of 0 makes the basis constant, the line flat
-        scale = np.divide(centred @ y, norm, out=np.zeros_like(norm), where=norm > 0.0)
-        resid = y - scale[:, None] * centred
-        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
-        lo, hi = rates[max(best - 1, 0)], rates[min(best + 1, rates.size - 1)]
-        if hi - lo < 1e-9:
-            break
-        rates = np.linspace(lo, hi, 61)
-    return {"offset": float(pts[:, 1].mean() - scale[best] * mean[best]),
-            "scale": float(scale[best]), "rate": float(rates[best])}
-
-
-# --------------------------------------------------------------------------
 # the experiments
 
 
 def _rank_floor(cols):
     return np.maximum(cols["rank_a"], cols["rank_b"])
+
+
+def _schmidt_floor(cols, args):
+    s_a, s_b = (np.sqrt(1.0 - cols[k] * cols[k]) for k in ("c_a", "c_b"))
+    return cols["c_a"] * cols["c_b"] / (1.0 + s_a * s_b) - cols["c_f"]
 
 
 def _rank_mismatch(cols, args):
@@ -438,20 +371,25 @@ EXPERIMENTS = {
     # swapping anything with a Bell state preserves concurrence
     "conserve": Experiment(_conserve_draw, _general_outcomes, (
         Check("upper", lambda c, _: np.abs(c["c_f"] - c["c_a"]), CONSERVATION_TOL),)),
-    # Bell-diagonal pairs: C_F <= C_A C_B hard; the empirical floor
-    # max[0, 5x/4 - 1/4] of x = C_A C_B with slack, and re-fitted
+    # Bell-diagonal pairs: C_A C_B >= C_F >= (C_A + C_B + C_A C_B - 1) / 2,
+    # the floor proved in the README's "Bounds"
     "belldiag": Experiment(_belldiag_draw, _x_outcomes, (
         Check("upper", lambda c, _: c["c_f"] - c["c_a"] * c["c_b"], UPPER_BOUND_TOL),
-        Check("lower", lambda c, _: np.maximum(0.0, 1.25 * (c["c_a"] * c["c_b"]) - 0.25) - c["c_f"],
-              EMPIRICAL_SLACK, hard=False),
-    ), fit=_fit_lower_line),
-    # Haar pure pairs: C_F >= (C_A C_B)^2 hard, exponential floor re-fitted;
-    # float_power squares with C pow, as Python's float ** does (a product
-    # can differ in the last bit)
+        Check("lower", lambda c, _: 0.5 * (c["c_a"] + c["c_b"] + c["c_a"] * c["c_b"] - 1.0)
+              - c["c_f"], LOWER_BOUND_TOL),
+    )),
+    # Haar pure pairs, by the README's "Bounds": 4 p C_F = C_A C_B on each
+    # outcome, so C_F >= C_A C_B / (1 + s_A s_B), s = sqrt(1 - C^2), which
+    # implies the paper's (C_A C_B)^2; float_power squares with C pow, as
+    # Python's float ** does (a product can differ in the last bit)
     "pure": Experiment(_pure_draw, _general_outcomes, (
         Check("lower", lambda c, _: np.float_power(c["c_a"] * c["c_b"], 2) - c["c_f"],
               LOWER_BOUND_TOL),
-    ), fit=_fit_lower_exponential),
+        Check("pure_identity_violations",
+              lambda c, _: np.abs(4.0 * c["prob"] * c["c_f"] - c["c_a"] * c["c_b"]),
+              LOWER_BOUND_TOL),
+        Check("schmidt_floor_violations", _schmidt_floor, LOWER_BOUND_TOL),
+    )),
     # every rank combination (k1, k2) in 1..4: R_F >= max(R_A, R_B), with
     # equality when either input is pure, and the inputs have ranks k1, k2
     "rank": Experiment(_rank_draw, _general_outcomes, (
@@ -479,7 +417,7 @@ _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
     """Count each Check's violations over the record columns into report."""
-    for side, deviation, tol, hard, worst in checks:
+    for side, deviation, tol, worst in checks:
         dev = deviation(cols, args)
         count = int(np.count_nonzero(dev > tol))
         if side in _MAX_FIELDS:  # a spec has at most one check per side
@@ -488,10 +426,7 @@ def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
                 setattr(report, _MAX_FIELDS[side], max(0.0, float(dev.max(initial=0.0))))
         else:
             report.extras[side] = count
-        if hard:
-            report.hard_violations += count
-        else:
-            report.soft_violations += count
+        report.hard_violations += count
 
 
 def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
@@ -505,8 +440,6 @@ def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
     cols = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
     report = BoundReport(name, total, args.seed, skipped=sum(skipped))
     _apply_checks(report, spec.checks, cols, args)
-    if spec.fit:
-        report.fit_params = spec.fit(cols)
     if spec.extras:
         report.extras.update(spec.extras(report))
     return cols, pieces, report

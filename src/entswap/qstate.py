@@ -429,7 +429,15 @@ def matrix_to_json_dict(rho: DensityMatrix) -> dict:
 
 
 def matrix_from_json_dict(obj: dict) -> DensityMatrix:
-    """Parse the interchange format back into a validated DensityMatrix."""
+    """Parse the interchange format back into a validated DensityMatrix. A
+    swap output {"state": ..., "probability": p, ...} gives its state,
+    checked at the tolerances divided by p, as the swap that wrote it was."""
+    prob = None
+    if isinstance(obj, dict) and "state" in obj:
+        prob = obj.get("probability")
+        if type(prob) not in (int, float) or not 0.0 < prob <= 1.0:
+            raise ValueError(f"swap output probability {prob!r} is not a number in (0, 1]")
+        obj = obj["state"]
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object with 'basis' and 'matrix' keys")
     basis = obj.get("basis")
@@ -445,4 +453,4 @@ def matrix_from_json_dict(obj: dict) -> DensityMatrix:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    return DensityMatrix(mat)
+    return DensityMatrix._checked(mat, validate_batch(mat, prob=prob))

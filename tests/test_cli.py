@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import entswap as es
+from entswap import experiments as ex
 from entswap.cli import EXIT_VIOLATION, main
 from entswap.ensembles import STATE_ENSEMBLES
 from entswap.qstate import EIGENVALUE_FLOOR
@@ -204,16 +205,19 @@ def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, 
         assert re.fullmatch(message, captured.err)
 
 
-def test_swap_command_accepts_a_pair_at_the_eigenvalue_floor(tmp_path, capsys):
+def _floor_pair(tmp_path):
     # A carries an eigenvalue of -9e-11, inside EIGENVALUE_FLOOR; conditioning
     # on psi- scales the roundoff past the floor, and the tolerance with it
     rng = np.random.default_rng(8)
     u = es.haar_unitary(rng, 4)
     rho_a = es.DensityMatrix(u @ np.diag([0.5, 0.3, 0.2 + 9e-11, -9e-11]) @ u.conj().T)
     rho_b = es.DensityMatrix.from_pure(es.random_pure(rng))
-    argv = ["swap", _write_state(tmp_path / "a.json", rho_a),
+    return ["swap", _write_state(tmp_path / "a.json", rho_a),
             _write_state(tmp_path / "b.json", rho_b)]
-    assert main(argv) == 0
+
+
+def test_swap_command_accepts_a_pair_at_the_eigenvalue_floor(tmp_path, capsys):
+    assert main(_floor_pair(tmp_path)) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     payload = json.loads(captured.out)
@@ -221,6 +225,45 @@ def test_swap_command_accepts_a_pair_at_the_eigenvalue_floor(tmp_path, capsys):
     low = np.linalg.eigvalsh(mat)[0]
     # past the plain floor, within it once weighed by the probability
     assert low < EIGENVALUE_FLOOR <= low * payload["probability"]
+
+
+def test_swap_command_reads_its_own_output(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = _floor_pair(tmp_path)
+    assert main([*argv, "--out", str(out)]) == 0
+    # the state is checked at the tolerances its probability carried
+    assert main(["swap", str(out), argv[2]]) == 0
+    payload = json.loads(out.read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(payload["state"]))
+    capsys.readouterr()
+    assert main(["swap", str(bare), argv[2]]) == 2  # a bare state keeps the plain floor
+    assert "min eigenvalue = -1.041e-10" in capsys.readouterr().err
+    for prob in (0, 2, None, "0.5"):
+        out.write_text(json.dumps({**payload, "probability": prob}))
+        assert main(["swap", str(out), argv[2]]) == 2
+        assert f"probability {prob!r} is not a number in (0, 1]" in capsys.readouterr().err
+
+
+def test_experiment_exits_one_when_a_floor_is_crossed(tmp_path, monkeypatch, capsys):
+    # a kernel whose every output has C_F = 0 crosses the Bell-diagonal
+    # floor on each row where the floor is positive
+    spec = ex.EXPERIMENTS["belldiag"]
+
+    def unentangled(*args):
+        kept, possible, prob, c_f, eigs, extra = spec.outcomes(*args)
+        return kept, possible, prob, np.zeros_like(c_f), eigs, extra
+
+    monkeypatch.setitem(ex.EXPERIMENTS, "belldiag", spec._replace(outcomes=unentangled))
+    argv = ["experiment", "belldiag", "--samples", "200", "--seed", "5",
+            "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == EXIT_VIOLATION
+    report = json.loads(capsys.readouterr().out)
+    records, _ = ex.run_experiment("belldiag", 200, 5)
+    floor = 0.5 * (records["c_a"] + records["c_b"] + records["c_a"] * records["c_b"] - 1.0)
+    crossed = int(np.count_nonzero(floor > ex.LOWER_BOUND_TOL))
+    assert crossed > 0
+    assert report["violations_lower"] == report["hard_violations"] == crossed
 
 
 def test_seed_env_var_is_overridden_by_flag(tmp_path, monkeypatch, capsys):
@@ -233,13 +276,6 @@ def test_seed_env_var_is_overridden_by_flag(tmp_path, monkeypatch, capsys):
                "--out", str(out)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 9
-
-
-def test_strict_flag_accepted(tmp_path):
-    out = tmp_path / "strict.csv"
-    rc = main(["experiment", "belldiag", "--samples", "50", "--seed", "3",
-               "--strict", "--out", str(out)])
-    assert rc == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,9 @@ import pytest
 
 import entswap as es
 from entswap import experiments as ex
-from entswap.ensembles import STATE_ENSEMBLES
+from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
+from entswap.qstate import concurrence_batch, concurrence_x_batch, pure_batch, pure_concurrence
+from entswap.swap import conditional_states, conditional_x_states, swap_batch, swap_x_batch
 
 
 def test_conservation_small_run():
@@ -33,17 +34,14 @@ def test_conservation_ensemble_choices():
 
 def test_belldiag_small_run():
     records, report = ex.run_experiment("belldiag", 2000, 5)
-    assert report.violations_upper == 0
-    assert report.max_lower_deficit <= ex.EMPIRICAL_SLACK
-    assert report.soft_violations == 0
-    assert report.fit_params is not None
-    # the refit floor should resemble a line of positive slope
-    assert report.fit_params["slope"] > 0.5
+    assert report.hard_violations == 0
+    assert report.max_lower_deficit == 0.0
 
 
 def test_pure_small_run():
     records, report = ex.run_experiment("pure", 300, 5)
     assert report.hard_violations == 0
+    assert report.extras == {"pure_identity_violations": 0, "schmidt_floor_violations": 0}
     assert np.all(records["rank_a"] == 1) and np.all(records["rank_b"] == 1)
     assert np.all(records["ratio"] >= 1.0)
 
@@ -284,43 +282,65 @@ def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
     assert all(0 < hi - lo <= 4 and lo // 5 == (hi - 1) // 5 for lo, hi in grouped)
 
 
-@pytest.mark.parametrize("offset, scale", [(0.1, 0.05), (-0.3, 0.35)])
-@pytest.mark.parametrize("rate", [-2.0, 0.5, 1.3, 4.0])
-def test_exponential_fit_recovers_noiseless_points(offset, scale, rate):
-    x = np.linspace(0.0, 1.0, 600)
-    cols = {"c_a": x, "c_b": np.ones_like(x), "c_f": offset + scale * np.exp(rate * x)}
-    fit = ex._fit_lower_exponential(cols)
-    assert fit == pytest.approx({"offset": offset, "scale": scale, "rate": rate}, rel=0, abs=1e-8)
+# ------------------------------------------------------------ closed-form floors
 
 
-def test_exponential_fit_is_never_worse_than_curve_fit():
-    optimize = pytest.importorskip("scipy.optimize")
+def _schmidt(angles):
+    """cos(a)|HH> + sin(a)|VV> for each angle a."""
+    v = np.zeros((len(angles), 4))
+    v[:, 0], v[:, 3] = np.cos(angles), np.sin(angles)
+    return v
 
-    def sse(params, pts):
-        offset, scale, rate = params
-        return float(np.sum((offset + scale * np.exp(rate * pts[:, 0]) - pts[:, 1]) ** 2))
 
-    compared = 0
-    for samples in (30, 60, 100):
-        for seed in range(1, 101):
-            cols, report = ex.run_experiment("pure", samples, seed)
-            xs = cols["c_a"] * cols["c_b"]
-            # the envelope points the fit uses
-            pts = ex._envelope_minima(xs, cols["c_f"], int(np.clip(xs.size // 20, 6, 30)))
-            fit = report.fit_params
-            assert -30.0 < fit["rate"] < 30.0
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", optimize.OptimizeWarning)
-                    reference, _ = optimize.curve_fit(
-                        lambda x, a, b, c: a + b * np.exp(c * x), pts[:, 0], pts[:, 1],
-                        p0=(0.0, 0.05, 1.0), maxfev=20000)
-            except RuntimeError:
-                continue
-            ours = sse((fit["offset"], fit["scale"], fit["rate"]), pts)
-            assert ours <= sse(reference, pts) * (1.0 + 1e-12), (samples, seed)
-            compared += 1
-    assert compared >= 300
+def test_aligned_schmidt_pairs_meet_the_schmidt_floor():
+    # larger Schmidt weight on |HH> on both sides: phi+/- take the largest
+    # probability, (1 + s_A s_B) / 4, and so sit on the floor
+    alpha, beta = np.meshgrid(np.linspace(0.05, np.pi / 4, 8), np.linspace(0.05, np.pi / 4, 8))
+    va, vb = _schmidt(alpha.ravel()), _schmidt(beta.ravel())
+    c_a, c_b = pure_concurrence(va), pure_concurrence(vb)
+    raw, prob = swap_batch(pure_batch(va), pure_batch(vb))
+    possible, states, _ = conditional_states(raw, prob)
+    assert possible.all()
+    c_f = concurrence_batch(states).reshape(-1, 4)
+    cols = {"c_a": c_a[:, None], "c_b": c_b[:, None], "c_f": c_f[:, 2:]}
+    assert np.abs(ex._schmidt_floor(cols, None)).max() < 1e-12
+    assert np.abs(4.0 * prob * c_f - (c_a * c_b)[:, None]).max() < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(0.9, 0.8), (0.7, 0.95), (0.55, 0.6)])
+def test_disjoint_bell_weights_meet_the_bell_diagonal_floor(a, b):
+    # A's and B's remaining weight on different Bell labels: each output
+    # weight is one product, the largest a b
+    x_a = bell_diagonal_x(np.array([[a, 1.0 - a, 0.0, 0.0]]))
+    x_b = bell_diagonal_x(np.array([[b, 0.0, 1.0 - b, 0.0]]))
+    possible, x, _ = conditional_x_states(*swap_x_batch(x_a, x_b))
+    assert possible.all()
+    c_a, c_b = concurrence_x_batch(*x_a), concurrence_x_batch(*x_b)
+    floor = 0.5 * (c_a + c_b + c_a * c_b - 1.0)
+    assert np.abs(concurrence_x_batch(*x) - max(0.0, floor[0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("name, side", [("belldiag", "lower"), ("pure", "lower"),
+                                        ("pure", "pure_identity_violations"),
+                                        ("pure", "schmidt_floor_violations")])
+def test_a_row_past_a_floor_is_one_hard_violation(name, side):
+    c_a, c_b = np.array([0.9, 0.6]), np.array([0.8, 0.7])
+    s_a, s_b = np.sqrt(1.0 - c_a * c_a), np.sqrt(1.0 - c_b * c_b)
+    # each floor and the identity's C_F on both rows, then row 0 moved 1e-8 past it
+    c_f = {"belldiag": {"lower": 0.5 * (c_a + c_b + c_a * c_b - 1.0)},
+           "pure": {"lower": (c_a * c_b) ** 2,
+                    "pure_identity_violations": c_a * c_b,  # at prob 1/4
+                    "schmidt_floor_violations": c_a * c_b / (1.0 + s_a * s_b)}}[name][side]
+    cols = {"c_a": c_a, "c_b": c_b, "c_f": c_f - [1e-8, 0.0], "prob": np.full(2, 0.25)}
+    check, = (c for c in ex.EXPERIMENTS[name].checks if c.side == side)
+    report = ex.BoundReport(name, 2, 0)
+    ex._apply_checks(report, [check], cols, None)
+    assert report.hard_violations == 1
+    if side == "lower":
+        assert report.violations_lower == 1
+        assert report.max_lower_deficit == pytest.approx(1e-8, rel=1e-6)
+    else:
+        assert report.extras == {side: 1}
 
 
 _WITHOUT_SCIPY = """
@@ -346,7 +366,8 @@ def test_experiments_and_sample_run_without_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert json.loads((tmp_path / "pure.summary.json").read_text())["fit_params"] is not None
+    extras = json.loads((tmp_path / "pure.summary.json").read_text())["extras"]
+    assert extras == {"pure_identity_violations": 0, "schmidt_floor_violations": 0}
 
 
 def test_benchmark_tracer_targets_stay_resolvable():

@@ -27,71 +27,71 @@ from entswap import cli, experiments
 GOLDEN = {
     ("conserve", 40, 5, ("--ensemble", "bures"), "csv"): (
         "14ba37b00913b0081d5a74298ffc8320aa9c710a96beee9cbf9019e8db83b7bd",
-        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
+        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
     ),
     ("conserve", 40, 5, ("--ensemble", "pure"), "csv"): (
         "e989a2e29bff66cc8effa20a9f8ebaf0aaf9ef3c8e12032fb43bb13326b9daa5",
-        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
+        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
     ),
     ("conserve", 40, 5, ("--ensemble", "induced-2"), "csv"): (
         "f6bbbbcc65d400ac796c6de9ed7df36429d779e4f36490fc3a0c9bb3fba40357",
-        "0871eb320e3f10b3b6099d853fc97a8df23572d08aca7e80946649d4a1ef3bb1",
+        "670cbd1e123af547a6d393cdc5b0ea631bf876619a96287be98596d12bd7940e",
     ),
-    # pure summaries carry the exponential floor's fit_params
+    # pure summaries carry the identity and Schmidt-floor counts in extras
     ("pure", 60, 5, (), "csv"): (
         "6f401c26251383dd3be778e4611952c273583b0e5efefb36463889eb79528b7a",
-        "5ed6cc44325f408bc18ba6bfa3093742951be18a2f8be394841add6ec84d425c",
+        "57859e04db84cadbacab7a0c8d0349a746438d4bde7a87894148a0d4a617dfa6",
     ),
     ("pure", 60, 501, (), "csv"): (
         "f734fb4bcb94fc3a6e50c14ec5dffb6af9a5a858e65137c17710d4127332761a",
-        "e1c236fe28cf880073a837745d2cddf83899b8669359c0606d1118b55126e7b0",
+        "5c19d5d62eb37f340dd77bb2a32b8d1d4e3db6502dacf1b889771911bad3d3d1",
     ),
     ("rank", 3, 77, (), "csv"): (
         "71071e15791d8a6f1da3d8df3123d83a888011e35d1a5de999cac86dd06fa501",
-        "0d37e8ba8e84c078586173db508e0d2af9b9cacf3dfae832c2bf5732bed41bad",
+        "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
     ),
     ("rank2-selfswap", 19, 5, (), "csv"): (
         "40e85effa32d450f5679acbb05142b373ea59caaadb19da0a48dddc6216e01ff",
-        "3fac4377a1065de787ea198aa0af3eae8491d029ab2df67176894ae7cd81aee7",
+        "2c86cd9129227014772c1f2c94973c9ccb860531bc3096f143474e7b5cd8d3e4",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "csv"): (
         "42e19a0fe3e6c605f1517f0de69bcec1dcfd93514a1ed6dcf1db3f4e4087fb14",
-        "cd17deaaa97b4312051341a095a246c9e6a7cae2889a5d43f14052d01b39c7a5",
+        "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
     ),
     ("belldiag", 200, 5, (), "csv"): (
         "d54e5db17ef2a5cd621a87ebe5fb9efac6baae350e8b7f5a52c92474de964753",
-        "7451b3d66c723c3d7803dab576bf4b40e7d2daf667b4e3c7e32bb8c145b09c03",
+        "f2a362d4fa37d95765c7b1bbd5842c4989150bb1e18e85df2457e0e461f526a7",
     ),
     # several 256-sample blocks at workers=1, several pool chunks at 2
     ("belldiag", 600, 7, (), "csv"): (
         "ca60e74b1a117518a22681b7984f14499627efe75c96e2a132e969512d6398f7",
-        "f229341c0d4100d65afdd81c7a0268ae765931bde3fcde34a3b6805e344eb8cc",
+        "1ade0cb0f73e03e5c281727c5a43fdebb85e58e2c3fd79de96627152e75cd959",
     ),
     ("belldiag", 600, 501, (), "csv"): (
         "3dea2a042fa8617977f7d7688632929117e7e97212c139df0796caa22f234039",
-        "f212808ff265651e0efee834a851501d4bb27473e2abcfdc02f4a0a3b488dad2",
+        "ae17af44073caf64ea2090338d77e92969432fad269bffc584fd3fbfd281b924",
     ),
     ("pure", 30, 7, (), "json"): (
         "5dea9440995c28f4a3db04dcd465416dde82d3052b1efedb890eb3b2db3141b5",
-        "4fc2001771b89cb1ffd38896a8409be6aa9cc5049d8e03d1b879279d1136fd68",
+        "0eeab0a1d31f011d993c5786379af4ccad96691879df7bb0b1a3d3136821d4fe",
     ),
     # JSON records tell 1 from 1.0, so they pin each column's int or float type
     ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
         "e23979ef302a9f2b0a5abab057968e9c76637297a4b563e72586d6bb320d8222",
-        "8623ac7ee117f501108d4e3386239946a0ad03803f0fc53b48a68d1a1951bef3",
+        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
     ),
     ("rank", 3, 77, (), "json"): (
         "055c16d4778fb28aa2d49537f704486f4577449c2f2effaa7b4aec0cead093cf",
-        "0d37e8ba8e84c078586173db508e0d2af9b9cacf3dfae832c2bf5732bed41bad",
+        "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
         "69bbf52cb749ae5d2da2e95beb7954404a1ad60861892f77a09b6289fa913ed1",
-        "cd17deaaa97b4312051341a095a246c9e6a7cae2889a5d43f14052d01b39c7a5",
+        "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
     ),
     # an unbalanced beamsplitter: every sample is a hard violation
     ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
         "07901b9ca21e0c9e20cff43423f6f50a9817ef94b45eadf1ab4177847977519d",
-        "c4da0975a24c3b76c7780dd67ac238705a7d91aae483322e670673e9ca758c17",
+        "9b7705cb7e9890a7736d75fb8b7193421bf063d994cf7dae58ac1937ba89b19c",
     ),
 }
 
@@ -114,7 +114,7 @@ SAMPLE_GOLDEN = {
 # haar-stats writes header-only records; its phase sums are accumulated in
 # sample order, so its summary is the same on any worker count.
 HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad"
-HAAR_SUMMARY = "6b09768306eb16037ca575527a85139a01f0ff90f1123f58aee6ca18c3863737"
+HAAR_SUMMARY = "e1bcabe9c4f2cff3d3701b630a7e3984701d1b1ccdba6d8556257bfb456c232d"
 
 
 def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_OK):
