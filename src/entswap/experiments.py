@@ -44,7 +44,6 @@ from .qstate import (  # noqa: F401
     BellLabel,
     bell_density,
     concurrence,
-    concurrence_batch,
     concurrence_x,
     concurrence_x_batch,
     numerical_rank,
@@ -55,6 +54,7 @@ from .qstate import (  # noqa: F401
     trace_distance_batch,
     validate_batch,
     validate_x_batch,
+    wootters_batch,
 )
 from .swap import (  # noqa: F401
     _OUTCOMES,
@@ -231,9 +231,11 @@ def _where(lo: int, what: str):
 
 def _input_columns(lo, mats, args, side, what=None):
     """Validate a chunk of general inputs; their columns c_<side> and
-    rank_<side>. Errors name each as ``what`` (default "input <side>")."""
-    eigs = validate_batch(mats, _where(lo, what or f"input {side}"))
-    return {f"c_{side}": concurrence_batch(mats), f"rank_{side}": rank_batch(eigs, args.rank_tol)}
+    rank_<side>, both from validation's eigendecomposition. Errors name
+    each as ``what`` (default "input <side>")."""
+    eigs, vecs = validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
+    return {f"c_{side}": wootters_batch(eigs, vecs),
+            f"rank_{side}": rank_batch(eigs, args.rank_tol)}
 
 
 def _general_outcomes(rho_a, rho_b, where, args):
@@ -242,8 +244,8 @@ def _general_outcomes(rho_a, rho_b, where, args):
     ones and their probabilities, the possible outputs' concurrences and
     eigenvalues, and further per-sample columns."""
     raw, prob = swap_batch(rho_a, rho_b)
-    possible, states, eigs = conditional_states(raw, prob, where)
-    return _ALL_OUTCOMES, possible, prob, concurrence_batch(states), eigs, {}
+    possible, _, (eigs, vecs) = conditional_states(raw, prob, where, vectors=True)
+    return _ALL_OUTCOMES, possible, prob, wootters_batch(eigs, vecs), eigs, {}
 
 
 def _x_outcomes(x_a, x_b, where, args):
@@ -260,13 +262,13 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
     swap_general would, and a pair without coincidence NoCoincidence."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
-    possible, states, eigs = conditional_states(raw[:, psi], prob[:, psi],
-                                                lambda n, _: where(n, _PSI))
+    possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi],
+                                                        lambda n, _: where(n, _PSI), vectors=True)
     if not possible.all():  # the first sample swap_general would refuse
         raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
     physical, coincidence, _ = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta,
                                                            lambda n: where(n, _PSI))
-    return (_ALL_OUTCOMES[psi], possible, prob[:, psi], concurrence_batch(states), eigs,
+    return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
@@ -319,6 +321,8 @@ def _pure_draw(args, rng, lo, hi):
     ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(hi - lo, np.inf), where=low > 0.0)
     rho_a = pure_batch(va, _where(lo, "input a"))
     rho_b = pure_batch(vb, _where(lo, "input b"))
+    # pure_batch checked only the norms; the swap assumes, and carries, the
+    # full DensityMatrix invariants of its inputs, so they are checked here
     validate_batch(rho_a, _where(lo, "input a"))
     validate_batch(rho_b, _where(lo, "input b"))
     ones = np.ones(hi - lo, dtype=int)

@@ -26,11 +26,10 @@ DEFAULT_RANK_TOL = 1e-10
 # Modulus bound on the eight entries that must vanish in an X-state.
 X_ENTRY_TOL = 1e-10
 
-# Conjugation by sigma_y (x) sigma_y, the spin flip of the concurrence, is
-# a signed anti-transpose: (YY m YY)[i, j] equals s_i s_j m[3-i, 3-j] with
+# Multiplication by sigma_y (x) sigma_y, the spin flip of the concurrence,
+# is a signed row flip: row i of (YY m) is s_i times row 3 - i of m, with
 # signs s = (-1, 1, 1, -1).
-_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-_YY_SIGNS = np.outer(_YY_SIGNS, _YY_SIGNS)
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 class ValidationError(ValueError):
@@ -105,13 +104,6 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def _psd_sqrt(hermitian: np.ndarray) -> np.ndarray:
-    # Hermitian-specialized square root of each matrix of a stack; tiny
-    # negative eigenvalues from roundoff are clipped to zero.
-    w, v = np.linalg.eigh(hermitian)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
@@ -143,17 +135,19 @@ def _check_spectrum(traces: np.ndarray, eigs: np.ndarray, weight, where) -> np.n
     return eigs[..., ::-1]
 
 
-def validate_batch(mats: np.ndarray, where=None, prob=None) -> np.ndarray:
+def validate_batch(mats: np.ndarray, where=None, prob=None, vectors=False):
     """Check the density-matrix invariants on a stack (..., 4, 4).
 
     Runs DensityMatrix's finiteness, Hermiticity, trace and eigenvalue
     checks in that order over the whole stack; the first flagged matrix
     raises ValidationError naming the invariant, the offending value and,
     through ``where(*batch_index)`` if given, the input. Returns the
-    eigenvalues in descending order, shape (..., 4). Given the outcome
-    probabilities ``prob`` (...) of conditioned states, each tolerance is
-    divided by the state's, as conditioning divided its roundoff (one above
-    1 does not tighten it).
+    eigenvalues in descending order, shape (..., 4); with ``vectors``, the
+    pair (eigenvalues, eigenvectors) of one eigh, the vectors (..., 4, 4)
+    in columns in the same order, which wootters_batch takes. Given the
+    outcome probabilities ``prob`` (...) of conditioned states, each
+    tolerance is divided by the state's, as conditioning divided its
+    roundoff (one above 1 does not tighten it).
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (4, 4):
@@ -171,18 +165,23 @@ def validate_batch(mats: np.ndarray, where=None, prob=None) -> np.ndarray:
         herm_err = herm_err.max(axis=(-2, -1))
         _raise_first(herm_err, herm_err * weight > HERMITICITY_TOL,
                      "hermiticity invariant violated: max |m_ij - conj(m_ji)| = {:.3e}", where)
-    # eigvalsh reads one triangle, which Hermiticity (checked above)
-    # makes equivalent to the Hermitized matrix to within tolerance
-    return _check_spectrum(mats.trace(axis1=-2, axis2=-1), np.linalg.eigvalsh(mats), weight,
-                           where)
+    # eigvalsh and eigh read one triangle, which Hermiticity (checked
+    # above) makes equivalent to the Hermitized matrix to within tolerance
+    traces = mats.trace(axis1=-2, axis2=-1)
+    if not vectors:
+        return _check_spectrum(traces, np.linalg.eigvalsh(mats), weight, where)
+    eigs, vecs = np.linalg.eigh(mats)
+    return _check_spectrum(traces, eigs, weight, where), vecs[..., ::-1]
 
 
 def pure_batch(amplitudes: np.ndarray, where=None) -> np.ndarray:
     """Projectors |psi><psi| onto amplitude vectors (..., 4), whose norms
     must be 1 within 1e-12 (else ValidationError, named as in validate_batch)."""
     v = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(v, axis=-1)
-    _raise_first(norm, np.abs(norm - 1.0) > 1e-12, "norm invariant violated: ||psi|| = {!r}", where)
+    norm = np.linalg.norm(np.abs(v), axis=-1)  # of moduli: Inf gives no NaN warning
+    # NaN compares False, so it is flagged by failing the bound
+    _raise_first(norm, ~(np.abs(norm - 1.0) <= 1e-12), "norm invariant violated: ||psi|| = {!r}",
+                 where)
     return v[..., :, None] * v.conj()[..., None, :]
 
 
@@ -350,9 +349,10 @@ def concurrence(state: "DensityMatrix | XState") -> float:
     For a general density matrix this is the spin-flip construction:
     with rho~ = (sy x sy) rho* (sy x sy), the concurrence is
     max(0, l1 - l2 - l3 - l4) where the l's are the descending square
-    roots of the eigenvalues of rho rho~. They are computed here as the
-    singular values of sqrt(rho) sqrt(rho~), which stays accurate when
-    eigenvalues underflow toward zero.
+    roots of the eigenvalues of rho rho~. They are computed here from
+    one eigendecomposition rho = V L V^dagger (see wootters_batch), as the
+    singular values of W^T (sy x sy) W with W = V sqrt(L), which stays
+    accurate when eigenvalues underflow toward zero.
 
     X-states take the exact algebraic branch
     2 max[0, |c14| - sqrt(c22 c33), |c23| - sqrt(c11 c44)].
@@ -365,11 +365,21 @@ def concurrence(state: "DensityMatrix | XState") -> float:
 def concurrence_batch(mats: np.ndarray) -> np.ndarray:
     """``concurrence`` of each density matrix of a stack (N, 4, 4), or of
     a single (4, 4) one."""
-    root = _psd_sqrt(_hermitize(mats))
-    # sqrt commutes with the (sy x sy) conjugation, so sqrt(rho~) is the
-    # signed anti-transpose of the conjugated sqrt(rho)
-    root_tilde = _YY_SIGNS * root[..., ::-1, ::-1].conj()
-    lam0, lam1, lam2, lam3 = np.linalg.svd(root @ root_tilde, compute_uv=False).T
+    return wootters_batch(*np.linalg.eigh(_hermitize(mats)))
+
+
+def wootters_batch(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``concurrence`` of each state of a stack from its eigenvalues (..., 4)
+    and eigenvectors (..., 4, 4) in matching columns, as eigh or
+    validate_batch(..., vectors=True) gives them.
+
+    With W = V sqrt(L), negative eigenvalues clipped to 0, rho = W W^dagger
+    and rho rho~ has the eigenvalues of M^dagger M, M = W^T (sy x sy) W, so
+    the l's are the singular values of M.
+    """
+    w = vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., None, :]
+    flipped = _YY_SIGNS * w[..., ::-1, :]
+    lam0, lam1, lam2, lam3 = np.linalg.svd(w.swapaxes(-1, -2) @ flipped, compute_uv=False).T
     return np.clip(lam0 - lam1 - lam2 - lam3, 0.0, 1.0)
 
 

@@ -117,20 +117,21 @@ def _flat_where(possible: np.ndarray, where):
     return lambda j: where(*rows[j])
 
 
-def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None):
+def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=False):
     """Normalize and validate, as one stack, the outcomes of swap_batch
     (or of a selection of its K outcome columns) whose normalization, twice
     the probability, exceeds NORMALIZATION_FLOOR.
 
     Returns their (N, K) mask, their states (M, 4, 4) in row-major mask
-    order and the states' descending eigenvalues (M, 4); ``where(n, k)``
-    names a state that fails validation, at tolerances divided by its
-    probability.
+    order and the states' descending eigenvalues (M, 4), or with
+    ``vectors`` validate_batch's (eigenvalues, eigenvectors) pair in their
+    place; ``where(n, k)`` names a state that fails validation, at
+    tolerances divided by its probability.
     """
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
     kept = prob[possible]
     states = raw[possible] / kept[:, None, None]
-    return possible, states, validate_batch(states, _flat_where(possible, where), kept)
+    return possible, states, validate_batch(states, _flat_where(possible, where), kept, vectors)
 
 
 def swap_x_batch(a, b):

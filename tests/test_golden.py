@@ -26,36 +26,36 @@ from entswap import cli, experiments
 # (records sha256, summary sha256 without runtime_ms)
 GOLDEN = {
     ("conserve", 40, 5, ("--ensemble", "bures"), "csv"): (
-        "14ba37b00913b0081d5a74298ffc8320aa9c710a96beee9cbf9019e8db83b7bd",
-        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
+        "c23c18191c78427c43b220b7fdacc252f99cc877730542dad5008e11990e0bad",
+        "2912f6139b3b7ea34e986c8525b5a554e2fd2b9e4b9e22b4bf64651d5321faa4",
     ),
     ("conserve", 40, 5, ("--ensemble", "pure"), "csv"): (
-        "e989a2e29bff66cc8effa20a9f8ebaf0aaf9ef3c8e12032fb43bb13326b9daa5",
-        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
+        "8765fc8462c69d072a4c9d6ab4a19e917e81c40122f19bd52634d5a80993a1b6",
+        "670cbd1e123af547a6d393cdc5b0ea631bf876619a96287be98596d12bd7940e",
     ),
     ("conserve", 40, 5, ("--ensemble", "induced-2"), "csv"): (
-        "f6bbbbcc65d400ac796c6de9ed7df36429d779e4f36490fc3a0c9bb3fba40357",
-        "670cbd1e123af547a6d393cdc5b0ea631bf876619a96287be98596d12bd7940e",
+        "22e706662a59de17ffe86dfb8a685f59e5162b10a76ae9d9e67f3af7da423a8d",
+        "72d6d2bff8b82a24d9874406d87213541196b7631caa3426e7db876d0670d941",
     ),
     # pure summaries carry the identity and Schmidt-floor counts in extras
     ("pure", 60, 5, (), "csv"): (
-        "6f401c26251383dd3be778e4611952c273583b0e5efefb36463889eb79528b7a",
+        "cd32f218c1ec41af74c59d6f7b354f3af388859d7070d403ababc23eecdeaa7d",
         "57859e04db84cadbacab7a0c8d0349a746438d4bde7a87894148a0d4a617dfa6",
     ),
     ("pure", 60, 501, (), "csv"): (
-        "f734fb4bcb94fc3a6e50c14ec5dffb6af9a5a858e65137c17710d4127332761a",
+        "ab13f71dd3da06b33d0b44c0b4165c9366b89648e09495ddcb8b226188d1685a",
         "5c19d5d62eb37f340dd77bb2a32b8d1d4e3db6502dacf1b889771911bad3d3d1",
     ),
     ("rank", 3, 77, (), "csv"): (
-        "71071e15791d8a6f1da3d8df3123d83a888011e35d1a5de999cac86dd06fa501",
+        "60eca757cfbb659d85d2e51f6ff30dc9d6a9e7edfa3e9c9ffb57e13827439bcf",
         "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
     ),
     ("rank2-selfswap", 19, 5, (), "csv"): (
-        "40e85effa32d450f5679acbb05142b373ea59caaadb19da0a48dddc6216e01ff",
-        "2c86cd9129227014772c1f2c94973c9ccb860531bc3096f143474e7b5cd8d3e4",
+        "386a260761204a49ec0618c8689c2c54d730fd567c0db7d1699789b9ecc880a8",
+        "fc82b75994f21502d1026ad5711b90d1858d9127f342aebc2d8669138666e746",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "csv"): (
-        "42e19a0fe3e6c605f1517f0de69bcec1dcfd93514a1ed6dcf1db3f4e4087fb14",
+        "ad8966d694fd252e21be46c2b37d740fb1a1ab8eb2fc460c61199e8def6f31da",
         "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
     ),
     ("belldiag", 200, 5, (), "csv"): (
@@ -72,25 +72,25 @@ GOLDEN = {
         "ae17af44073caf64ea2090338d77e92969432fad269bffc584fd3fbfd281b924",
     ),
     ("pure", 30, 7, (), "json"): (
-        "5dea9440995c28f4a3db04dcd465416dde82d3052b1efedb890eb3b2db3141b5",
+        "f892d651e7e56249af5a56c9b428fd64157c3440643313217d92f46620244c42",
         "0eeab0a1d31f011d993c5786379af4ccad96691879df7bb0b1a3d3136821d4fe",
     ),
     # JSON records tell 1 from 1.0, so they pin each column's int or float type
     ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
-        "e23979ef302a9f2b0a5abab057968e9c76637297a4b563e72586d6bb320d8222",
-        "e67490d7282e3b3ae7e000ebe81ffc963417d30f1c25652dca1319cd6477c69e",
+        "f0d109aac422c3c814748fa64b5b5f6a18d4ecd1111ad3214d03e212fd86b746",
+        "2912f6139b3b7ea34e986c8525b5a554e2fd2b9e4b9e22b4bf64651d5321faa4",
     ),
     ("rank", 3, 77, (), "json"): (
-        "055c16d4778fb28aa2d49537f704486f4577449c2f2effaa7b4aec0cead093cf",
+        "6f00c1fdb25ab2269d6407f2fc3e8c925fa9afb179159f35a454dc41271b3cd9",
         "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
-        "69bbf52cb749ae5d2da2e95beb7954404a1ad60861892f77a09b6289fa913ed1",
+        "953a5ca42883677a8c2a11e4efc32771cac39bb72cc1f440b4f5708ada1437d4",
         "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
     ),
     # an unbalanced beamsplitter: every sample is a hard violation
     ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
-        "07901b9ca21e0c9e20cff43423f6f50a9817ef94b45eadf1ab4177847977519d",
+        "1a2acc402f3e89bcbb5f6278d95aa1a5dbaea6f0b55a8960859fbdc079dc0544",
         "9b7705cb7e9890a7736d75fb8b7193421bf063d994cf7dae58ac1937ba89b19c",
     ),
 }

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
+from entswap.ensembles import bell_diagonal_x
 from entswap.qstate import (
     EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     X_ENTRY_TOL,
     _hermitize,
     concurrence_batch,
@@ -14,6 +17,7 @@ from entswap.qstate import (
     rank_batch,
     validate_batch,
     validate_x_batch,
+    wootters_batch,
     x_eigenvalues_batch,
     x_matrices,
 )
@@ -492,6 +496,135 @@ def test_pure_batch_names_unnormalized_vector():
     vecs[3] *= 2.0
     with pytest.raises(es.ValidationError, match=r"norm invariant violated.*\(vector 3\)$"):
         pure_batch(vecs, where=lambda n: f"vector {n}")
+
+
+@pytest.mark.parametrize("amplitudes,shown", [
+    ((np.nan, 0, 0, 0), "nan"), ((np.inf, 0, 0, 0), "inf"), ((1, 0, 0, complex(0, np.nan)), "nan"),
+])
+def test_pure_batch_rejects_non_finite_amplitudes(amplitudes, shown):
+    # NaN fails every comparison, so the norm must be flagged by failing its bound
+    vecs = np.eye(4, dtype=complex)
+    vecs[2] = amplitudes
+    with pytest.raises(es.ValidationError) as excinfo:
+        pure_batch(vecs, where=lambda n: f"vector {n}")
+    assert str(excinfo.value) == f"norm invariant violated: ||psi|| = {shown} (vector 2)"
+    with pytest.raises(es.ValidationError, match=r"^norm invariant violated: \|\|psi\|\| = "):
+        es.DensityMatrix.from_pure(vecs[2])
+
+
+_SY = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+def _reference_concurrence(mats):
+    """Wootters' concurrence as the singular values of sqrt(rho) sqrt(rho~),
+    rho~ = (sy x sy) rho* (sy x sy), with the spin flip as an explicit
+    matrix product: a route independent of wootters_batch."""
+    w, v = np.linalg.eigh(_hermitize(mats))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    yy = np.kron(_SY, _SY)
+    lam = np.linalg.svd(root @ (yy @ root.conj() @ yy), compute_uv=False)
+    return np.clip(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0, 1.0)
+
+
+def _fused_concurrence(mats):
+    return wootters_batch(*validate_batch(mats, vectors=True))
+
+
+@pytest.mark.parametrize("stack", [
+    lambda rng: es.random_bures(rng, size=300),
+    *(lambda rng, k=k: es.random_induced(rng, 4, k, 300) for k in (1, 2, 3, 4)),
+    lambda rng: pure_batch(es.random_pure(rng, 300)),
+    lambda rng: np.stack([es.werner(p).mat for p in (1 / 3 - 1e-9, 1 / 3, 1 / 3 + 1e-9)]),
+], ids=["bures", "induced-1", "induced-2", "induced-3", "induced-4", "pure", "werner-1/3"])
+def test_fused_concurrence_matches_the_square_root_reference(stack):
+    mats = stack(np.random.default_rng(62))
+    reference = _reference_concurrence(mats)
+    assert np.abs(_fused_concurrence(mats) - reference).max() < 1e-12
+    assert np.abs(concurrence_batch(mats) - reference).max() < 1e-12
+
+
+def test_fused_concurrence_reads_rank_deficient_states_by_rank():
+    # induced-k states have rank k; the clipped roundoff eigenvalues of the
+    # missing directions must not feed the concurrence
+    rng = np.random.default_rng(63)
+    for k in (1, 2, 3):
+        mats = es.random_induced(rng, 4, k, 200)
+        eigs, vecs = validate_batch(mats, vectors=True)
+        assert (rank_batch(eigs) == k).all()
+        assert np.abs(wootters_batch(eigs, vecs) - _reference_concurrence(mats)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
+def test_fused_concurrence_matches_the_x_closed_form(kind):
+    rng = np.random.default_rng(64)
+    x = es.random_x_state(rng, 300) if kind == "x" else bell_diagonal_x(
+        es.random_bell_diagonal(rng, 300))
+    assert np.abs(_fused_concurrence(x_matrices(*x)) - concurrence_x_batch(*x)).max() < 1e-12
+
+
+def test_fused_concurrence_matches_the_pure_closed_form():
+    v = es.random_pure(np.random.default_rng(65), 300)
+    assert np.abs(_fused_concurrence(pure_batch(v)) - es.pure_concurrence(v)).max() < 1e-12
+
+
+def _boundary_stacks():
+    """Matrices a hair inside and outside each tolerance validate_batch
+    checks on the spectrum or before it, with the probability to weigh
+    each by (None for a bare state)."""
+    rng = np.random.default_rng(66)
+    cases = []
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        for prob in (None, 1e-6, 0.3):
+            # each deviation is carried through conditioning by 1 / prob
+            scale = prob or 1.0
+            # least eigenvalue at factor * EIGENVALUE_FLOOR
+            low = factor * EIGENVALUE_FLOOR / scale
+            for _ in range(4):
+                u = es.haar_unitary(rng, 4)
+                cases.append((u @ np.diag([0.5, 0.3, 0.2 - low, low]) @ u.conj().T, prob))
+            # an X parity block (p, q, c) with that least eigenvalue
+            p, q = 2e-6, 1e-6
+            c = np.sqrt((0.5 * (p + q) - low) ** 2 - (0.5 * (p - q)) ** 2) * np.exp(0.7j)
+            rest = 0.5 * (1.0 - p - q)
+            cases.append((x_matrices(np.array([p, rest, rest, q]), np.array([c, 0.3 * rest])),
+                          prob))
+            # trace and Hermiticity deviations at factor times their tolerance
+            cases.append((np.eye(4) / 4.0 * (1.0 + factor * TRACE_TOL / scale), prob))
+            skew = np.eye(4, dtype=complex) / 4.0
+            skew[0, 1] = factor * HERMITICITY_TOL / scale
+            cases.append((skew, prob))
+    return cases
+
+
+def _outcome(call):
+    try:
+        call()
+    except es.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_eigh_validation_rejects_exactly_what_eigvalsh_rejects():
+    cases = _boundary_stacks()
+    outcomes = []
+    for mat, prob in cases:
+        mat = np.asarray(mat, dtype=complex)
+        plain = _outcome(lambda: validate_batch(mat, prob=prob))
+        assert _outcome(lambda: validate_batch(mat, prob=prob, vectors=True)) == plain
+        outcomes.append(plain)
+        if plain is None:
+            eigs, vecs = validate_batch(mat, prob=prob, vectors=True)
+            assert np.abs(eigs - validate_batch(mat, prob=prob)).max() < 1e-15
+            # eigh reads the lower triangle, as eigvalsh does
+            lower = np.tril(mat) + np.tril(mat, -1).conj().T
+            assert np.abs((vecs * eigs) @ vecs.conj().T - lower).max() < 1e-14
+    # each tolerance is met from inside and failed from outside
+    assert outcomes.count(None) == len(cases) // 2
+    # a whole stack names the same first culprit either way
+    mats, where = np.stack([m for m, _ in cases]), lambda n: f"case {n}"
+    stacked = _outcome(lambda: validate_batch(mats, where))
+    assert stacked is not None
+    assert _outcome(lambda: validate_batch(mats, where, vectors=True)) == stacked
 
 
 def test_batched_measures_match_scalar_ones():
