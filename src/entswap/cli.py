@@ -215,6 +215,9 @@ def main(argv=None) -> int:
             raise _UsageFailure(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "seed", 0) < 0:
             raise _UsageFailure(f"--seed must be non-negative, got {args.seed}")
+        if not 0.0 <= getattr(args, "rank_tol", 0.0) < 1.0:  # NaN fails too
+            raise _UsageFailure(f"--rank-tol must be a finite number in [0, 1), "
+                                f"got {args.rank_tol}")
         return handlers[args.command](args)
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)

@@ -38,11 +38,13 @@ from .ensembles import (
 # concurrence, concurrence_x, numerical_rank and trace_distance stay
 # importable here: the benchmark's span tracer (perfbench/tracer.py) wraps
 # them by name.
-from .optics import swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
+from .optics import NoCoincidence, swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
 from .qstate import (  # noqa: F401
     DEFAULT_RANK_TOL,
     BellLabel,
     bell_density,
+    conditional_states,
+    conditional_x_states,
     concurrence,
     concurrence_x,
     concurrence_x_batch,
@@ -59,8 +61,6 @@ from .qstate import (  # noqa: F401
 from .swap import (  # noqa: F401
     _OUTCOMES,
     ImpossibleOutcome,
-    conditional_states,
-    conditional_x_states,
     swap_all_outcomes,
     swap_batch,
     swap_general,
@@ -134,13 +134,12 @@ class Args(NamedTuple):
 class Check(NamedTuple):
     """A hard bound over the record columns: rows whose
     ``deviation(cols, args)`` exceeds ``tol`` violate it. Violations count
-    on report ``side`` ("upper", "lower", or else an extras key) and, when
-    ``worst``, the largest deviation, at least 0, is that side's max field."""
+    on report ``side`` ("upper", "lower", or else an extras key); the
+    largest deviation, at least 0, is an upper or lower side's max field."""
 
     side: str
     deviation: Callable
     tol: float
-    worst: bool = True
 
 
 class Experiment(NamedTuple):
@@ -257,17 +256,19 @@ def _x_outcomes(x_a, x_b, where, args):
 
 def _oracle_outcomes(rho_a, rho_b, where, args):
     """_general_outcomes for psi- alone, also swapped by the beamsplitter
-    model at args.eta: the columns trace_distance and prob_diff compare
-    the two routes. An impossible psi- raises ImpossibleOutcome, as
-    swap_general would, and a pair without coincidence NoCoincidence."""
+    model at args.eta, conditioned alike: the columns trace_distance and
+    prob_diff compare the two routes. An impossible psi- raises
+    ImpossibleOutcome and the first pair without coincidence NoCoincidence."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
     possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi],
                                                         lambda n, _: where(n, _PSI), vectors=True)
     if not possible.all():  # the first sample swap_general would refuse
         raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
-    physical, coincidence, _ = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta,
-                                                           lambda n: where(n, _PSI))
+    out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta)
+    seen, physical, _ = conditional_states(out, coincidence, lambda n: where(n, _PSI))
+    if not seen.all():
+        raise NoCoincidence(float(coincidence[~seen][0]))
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
@@ -395,11 +396,11 @@ EXPERIMENTS = {
         Check("schmidt_floor_violations", _schmidt_floor, LOWER_BOUND_TOL),
     )),
     # every rank combination (k1, k2) in 1..4: R_F >= max(R_A, R_B), with
-    # equality when either input is pure, and the inputs have ranks k1, k2
+    # equality (no rank gap) when either input is pure; inputs of ranks k1, k2
     "rank": Experiment(_rank_draw, _general_outcomes, (
         Check("upper", lambda c, _: _rank_floor(c) - c["rank_f"], 0),
         Check("lower", lambda c, _: (np.minimum(c["rank_a"], c["rank_b"]) == 1)
-              & (c["rank_f"] != _rank_floor(c)), 0, worst=False),
+              * np.abs(c["rank_f"] - _rank_floor(c)), 0),
         Check("input_rank_mismatches", _rank_mismatch, 0),
     ), combos=16),
     # rank-2 Bell mixtures swapped with themselves: C_F = C_in^2 exactly
@@ -421,13 +422,12 @@ _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
 def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
     """Count each Check's violations over the record columns into report."""
-    for side, deviation, tol, worst in checks:
+    for side, deviation, tol in checks:
         dev = deviation(cols, args)
         count = int(np.count_nonzero(dev > tol))
         if side in _MAX_FIELDS:  # a spec has at most one check per side
             setattr(report, f"violations_{side}", count)
-            if worst:
-                setattr(report, _MAX_FIELDS[side], max(0.0, float(dev.max(initial=0.0))))
+            setattr(report, _MAX_FIELDS[side], max(0.0, float(dev.max(initial=0.0))))
         else:
             report.extras[side] = count
         report.hard_violations += count

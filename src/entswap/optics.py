@@ -13,6 +13,9 @@ states followed by four coincidence states:
 where a and b are the output ports and H/V the polarization. Doubly
 occupied states carry the bosonic 1/sqrt(2) normalization so the
 beamsplitter action is exactly unitary on this space.
+
+The physics is independent of the swap kernel; only conditioning,
+qstate.conditional_states, is shared with every swap route.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .qstate import BellLabel, DensityMatrix, validate_batch
+from .qstate import NORMALIZATION_FLOOR, BellLabel, DensityMatrix, conditional_states
 from .swap import SwapResult
 
 MODE_LABELS = (
@@ -37,18 +40,13 @@ _PAIRS = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3),
 _PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
 
 
-# A coincidence probability at or below this is treated as no coincidence:
-# the post-selected state 0/0 carries no information.
-COINCIDENCE_FLOOR = 1e-12
-
-
 class NoCoincidence(Exception):
     """The coincidence probability vanishes: both photons always bunch."""
 
     def __init__(self, probability: float):
         self.probability = probability
         super().__init__(
-            f"coincidence probability {probability:.3e} <= {COINCIDENCE_FLOOR}; "
+            f"coincidence probability {probability:.3e} <= {NORMALIZATION_FLOOR / 2}; "
             "no post-selected state exists"
         )
 
@@ -119,9 +117,7 @@ def bsm_operator(eta: float) -> np.ndarray:
     return k.conj().T @ beamsplitter_unitary(eta) @ k
 
 
-def swap_via_beamsplitter_batch(
-    a: np.ndarray, b: np.ndarray, eta: float, where=None
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+def swap_via_beamsplitter_batch(a, b, eta: float) -> "tuple[np.ndarray, np.ndarray]":
     """The beamsplitter + coincidence swap of each input pair of the
     stacks a (modes 1, 2) and b (modes 3, 4), shape (N, 4, 4).
 
@@ -130,14 +126,10 @@ def swap_via_beamsplitter_batch(
     the post-selected joint state is F G F^dag for the joint state G of
     each pair. Its trace over the mode space contracts G's (mode 2,
     mode 3) factor with the Gram matrix F^dag F, so the mode-space array
-    is never formed. Returns the output states on modes (1, 4), the
-    coincidence probabilities (N,) and the states' descending eigenvalues
-    (N, 4), from validate_batch with the tolerances divided by the
-    probabilities (``where(n)`` names a failing sample).
-
-    At eta = 1/2 the result equals swap_general(rho_a, rho_b, psi-) in
-    both state and probability. Raises NoCoincidence for the first pair
-    whose coincidence probability is at or below COINCIDENCE_FLOOR.
+    is never formed. Returns the unnormalized post-selected operators on
+    modes (1, 4), shape (N, 4, 4), and their traces, the coincidence
+    probabilities (N,), for conditional_states. At eta = 1/2 they equal
+    swap_batch's psi- outputs and probabilities.
     """
     f = coincidence_projector() @ beamsplitter_unitary(eta) @ coincidence_isometry()
     gram = (f.conj().T @ f).reshape(2, 2, 2, 2)  # [m2', m3', m2, m3]
@@ -145,19 +137,17 @@ def swap_via_beamsplitter_batch(
     out = np.einsum("fgbc,nabef,ncdgh->nadeh", gram, np.reshape(a, (-1, 2, 2, 2, 2)),
                     np.reshape(b, (-1, 2, 2, 2, 2)), optimize=True)
     out = out.reshape(-1, 4, 4)
-    probability = out.trace(axis1=-2, axis2=-1).real
-    low = probability <= COINCIDENCE_FLOOR  # NaN stays, for validation
-    if low.any():
-        raise NoCoincidence(float(probability[np.argmax(low)]))
-    states = out / probability[:, None, None]
-    return states, probability, validate_batch(states, where, probability)
+    return out, out.trace(axis1=-2, axis2=-1).real
 
 
 def swap_via_beamsplitter(
     rho_a: DensityMatrix, rho_b: DensityMatrix, eta: float = 0.5
 ) -> SwapResult:
     """Entanglement swap of one pair via the beamsplitter + coincidence
-    model; swap_via_beamsplitter_batch with a batch of 1."""
-    states, probability, eigs = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
-    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), float(probability[0]),
+    model, a conditioned batch of 1; raises NoCoincidence without one."""
+    out, prob = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
+    possible, states, eigs = conditional_states(out, prob)
+    if not possible[0]:
+        raise NoCoincidence(float(prob[0]))
+    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), float(prob[0]),
                       BellLabel.PSI_MINUS)

@@ -25,6 +25,9 @@ EIGENVALUE_FLOOR = -1e-10
 DEFAULT_RANK_TOL = 1e-10
 # Modulus bound on the eight entries that must vanish in an X-state.
 X_ENTRY_TOL = 1e-10
+# An outcome whose normalization, twice its probability, is at or below
+# this is impossible: its conditional state 0/0 carries no information.
+NORMALIZATION_FLOOR = 1e-12
 
 # Multiplication by sigma_y (x) sigma_y, the spin flip of the concurrence,
 # is a signed row flip: row i of (YY m) is s_i times row 3 - i of m, with
@@ -310,6 +313,42 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
     return _check_spectrum(total, x_eigenvalues_batch(diag, coh)[..., ::-1], weight, where)
 
 
+def _possible(prob: np.ndarray, where):
+    """The one floor test: the mask of the outcomes of probabilities prob
+    (...) that can be conditioned on, their probabilities, and ``where``
+    naming the j-th of them, in row-major mask order, by its index."""
+    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
+    named = None if where is None else (lambda j, rows=np.argwhere(possible): where(*rows[j]))
+    return possible, prob[possible], named
+
+
+def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=False):
+    """Condition unnormalized outputs raw (..., 4, 4) of probabilities prob
+    (...), the one step of every swap route: normalize and validate, as one
+    stack, those whose normalization 2p exceeds NORMALIZATION_FLOOR.
+
+    Returns their mask (...), their states (M, 4, 4) in row-major mask
+    order and the states' descending eigenvalues (M, 4), or with
+    ``vectors`` validate_batch's (eigenvalues, eigenvectors) pair in their
+    place; ``where(*index)`` names a state that fails validation, at
+    tolerances divided by its probability.
+    """
+    possible, kept, named = _possible(prob, where)
+    states = raw[possible] / kept[:, None, None]
+    return possible, states, validate_batch(states, named, kept, vectors)
+
+
+def conditional_x_states(out, prob: np.ndarray, where=None):
+    """conditional_states for unnormalized X stacks out = (diag (..., 4),
+    coh (..., 2)), whose traces are twice the probabilities prob (...): the
+    mask, the validated X stack (M, 4), (M, 2) in row-major mask order and
+    its descending eigenvalues (M, 4)."""
+    possible, kept, named = _possible(prob, where)
+    norm = 2.0 * kept[:, None]
+    x = out[0][possible] / norm, out[1][possible] / norm
+    return possible, x, validate_x_batch(*x, named, kept)
+
+
 def x_matrices(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     """The (..., 4, 4) density matrices of an X stack."""
     m = np.zeros(diag.shape[:-1] + (4, 4), dtype=complex)
@@ -415,8 +454,6 @@ def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TO
 
 def rank_batch(eigs: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical ranks from descending eigenvalues of shape (..., 4)."""
-    if eigs.ndim == 1:  # one spectrum: count_nonzero's fast path
-        return np.count_nonzero(eigs > tol * eigs[0])
     return np.count_nonzero(eigs > tol * eigs[..., :1], axis=-1)
 
 

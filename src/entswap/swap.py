@@ -8,6 +8,10 @@ Each measurement outcome carries a normalization constant; the
 conditional output state is the projected operator divided by it, and
 the outcome probability is half the constant. The four constants of any
 unit-trace input pair sum to 2, so the probabilities sum to 1.
+
+The stacked routes return only unnormalized outputs and probabilities;
+every route, scalar ones as batches of one, conditions through
+qstate.conditional_states (conditional_x_states for X stacks).
 """
 
 from __future__ import annotations
@@ -17,19 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
+    NORMALIZATION_FLOOR,
     BellLabel,
     DensityMatrix,
     XState,
     bell_vector,
+    conditional_states,
+    conditional_x_states,
     partial_trace_23,
     tensor,
     validate_batch,
-    validate_x_batch,
 )
-
-# A normalization at or below this is treated as an impossible outcome:
-# the conditional state 0/0 carries no information.
-NORMALIZATION_FLOOR = 1e-12
 
 _OUTCOMES = tuple(BellLabel)
 
@@ -109,31 +111,6 @@ def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return raw, raw.trace(axis1=-2, axis2=-1).real
 
 
-def _flat_where(possible: np.ndarray, where):
-    # names the j-th selected state, in row-major mask order, as where(n, k)
-    if where is None:
-        return None
-    rows = np.argwhere(possible)
-    return lambda j: where(*rows[j])
-
-
-def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=False):
-    """Normalize and validate, as one stack, the outcomes of swap_batch
-    (or of a selection of its K outcome columns) whose normalization, twice
-    the probability, exceeds NORMALIZATION_FLOOR.
-
-    Returns their (N, K) mask, their states (M, 4, 4) in row-major mask
-    order and the states' descending eigenvalues (M, 4), or with
-    ``vectors`` validate_batch's (eigenvalues, eigenvectors) pair in their
-    place; ``where(n, k)`` names a state that fails validation, at
-    tolerances divided by its probability.
-    """
-    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
-    kept = prob[possible]
-    states = raw[possible] / kept[:, None, None]
-    return possible, states, validate_batch(states, _flat_where(possible, where), kept, vectors)
-
-
 def swap_x_batch(a, b):
     """swap_batch for X stacks a, b (see qstate.validate_x_batch) of N input
     pairs; swapping X-states closes within the X family.
@@ -156,15 +133,14 @@ def swap_x_batch(a, b):
     return (diag.reshape(-1, 4, 4), coh), norm / 2.0
 
 
-def conditional_x_states(out, prob: np.ndarray, where=None):
-    """conditional_states for swap_x_batch: the (N, 4) mask, the validated X
-    stack (M, 4), (M, 2) in row-major mask order and its descending
-    eigenvalues (M, 4)."""
-    possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
-    kept = prob[possible]
-    norm = 2.0 * kept[:, None]
-    x = out[0][possible] / norm, out[1][possible] / norm
-    return possible, x, validate_x_batch(*x, _flat_where(possible, where), kept)
+def _conditioned(condition, out, prob: np.ndarray, outcome: BellLabel):
+    """condition (conditional_states or conditional_x_states) of one output
+    of probability prob (1,): the stack of one, its eigenvalues and the
+    probability; raises ImpossibleOutcome when the outcome is impossible."""
+    possible, state, eigs = condition(out, prob)
+    if not possible[0]:
+        raise ImpossibleOutcome(outcome, 2.0 * float(prob[0]))
+    return state, eigs, float(prob[0])
 
 
 def swap_general(
@@ -177,12 +153,8 @@ def swap_general(
     """
     k = _OUTCOMES.index(outcome)
     raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
-    probability = float(prob[0, k])
-    if 2.0 * probability <= NORMALIZATION_FLOOR:
-        raise ImpossibleOutcome(outcome, 2.0 * probability)
-    state = raw[0, k] / probability
-    eigs = validate_batch(state, prob=probability)
-    return SwapResult(DensityMatrix._checked(state, eigs), probability, outcome)
+    states, eigs, probability = _conditioned(conditional_states, raw[:, k], prob[:, k], outcome)
+    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
 
 
 def swap_x_params(
@@ -194,12 +166,9 @@ def swap_x_params(
     """
     k = _OUTCOMES.index(outcome)
     (diag, coh), prob = swap_x_batch(chi_a.to_stack(), chi_b.to_stack())
-    probability = float(prob[0, k])
-    if 2.0 * probability <= NORMALIZATION_FLOOR:
-        raise ImpossibleOutcome(outcome, 2.0 * probability)
-    diag, coh = diag[0, k] / (2.0 * probability), coh[0, k] / (2.0 * probability)
-    validate_x_batch(diag[None], coh[None], prob=probability)
-    return XState._checked(diag, coh), probability
+    (diag, coh), _, probability = _conditioned(conditional_x_states, (diag[:, k], coh[:, k]),
+                                               prob[:, k], outcome)
+    return XState._checked(diag[0], coh[0]), probability
 
 
 def swap_x(chi_a: XState, chi_b: XState, outcome: BellLabel) -> SwapResult:
@@ -245,15 +214,12 @@ def swap_oracle_16(
 
     Builds rho_a (x) rho_b on modes (1, 2, 3, 4), applies the explicit
     Bell projector on modes (2, 3), traces those modes out and
-    normalizes. Kept deliberately independent of swap_general's
-    entrywise formulas so the two can cross-check each other.
+    conditions on the projected trace. Kept deliberately independent of
+    swap_general's entrywise formulas so the two can cross-check each other.
     """
     joint = tensor(rho_a.mat, rho_b.mat)
     proj = bell_projector_16(outcome)
     projected = proj @ joint @ proj
-    probability = float(projected.trace().real)
-    if 2.0 * probability <= NORMALIZATION_FLOOR:
-        raise ImpossibleOutcome(outcome, 2.0 * probability)
-    reduced = partial_trace_23(projected) / probability
-    eigs = validate_batch(reduced, prob=probability)
-    return SwapResult(DensityMatrix._checked(reduced, eigs), probability, outcome)
+    states, eigs, probability = _conditioned(conditional_states, partial_trace_23(projected)[None],
+                                             projected.trace().real[None], outcome)
+    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)

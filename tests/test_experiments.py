@@ -234,6 +234,35 @@ def test_summary_json_fields(tmp_path):
     assert payload["samples"] == 50
 
 
+def test_oracle_run_raises_no_coincidence_for_the_first_pair_without_one(monkeypatch):
+    # the harness conditions the beamsplitter stack with the shared step;
+    # pairs 2 and 4 fall to coincidence 1e-13 and 0, below the floor's 5e-13
+    real = ex.swap_via_beamsplitter_batch
+
+    def fading(a, b, eta):
+        out, prob = real(a, b, eta)
+        scale = np.ones(len(prob))
+        scale[[2, 4]] = 1e-13 / prob[2], 0.0
+        return out * scale[:, None, None], prob * scale
+
+    monkeypatch.setattr(ex, "swap_via_beamsplitter_batch", fading)
+    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 1\.000e-13 <= 5e-13;"):
+        ex.run_experiment("oracle-equiv", 6, 5)
+
+
+def test_rank_gap_is_the_lower_deviation():
+    # ranks (1, 1), (1, 2) and (2, 2) at combos 0, 1 and 5 (one pair each);
+    # only the middle row, with a pure input, misses R_F = max(R_A, R_B), by 2
+    cols = {"sample": np.array([0, 1, 5]), "rank_a": np.array([1, 1, 2]),
+            "rank_b": np.array([1, 2, 2]), "rank_f": np.array([1, 4, 3])}
+    report = ex.BoundReport("rank", 3, 0)
+    ex._apply_checks(report, ex.EXPERIMENTS["rank"].checks, cols, ex.Args(1, 0, "bures", 0.5, 0.0))
+    assert (report.violations_lower, report.max_lower_deficit) == (1, 2.0)
+    assert (report.violations_upper, report.max_upper_excess) == (0, 0.0)
+    assert report.extras == {"input_rank_mismatches": 0}
+    assert report.hard_violations == 1
+
+
 def test_zero_probability_outcomes_are_skipped_not_recorded():
     # a pure |HH> input against itself kills both psi outcomes
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0])

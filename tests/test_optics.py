@@ -12,7 +12,7 @@ from entswap.optics import (
     coincidence_projector,
     swap_via_beamsplitter_batch,
 )
-from entswap.qstate import trace_distance_batch
+from entswap.qstate import conditional_states, trace_distance_batch
 from entswap.swap import swap_batch
 
 B = es.BellLabel
@@ -77,7 +77,10 @@ def test_bell_pair_through_beamsplitter():
 
 def test_identical_photons_never_coincide():
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0])
-    with pytest.raises(es.NoCoincidence):
+    # the message names the coincidence probability and the floor it was
+    # tested against: half the normalization floor
+    message = r"^coincidence probability 0\.000e\+00 <= 5e-13; no post-selected state exists$"
+    with pytest.raises(es.NoCoincidence, match=message):
         es.swap_via_beamsplitter(hh, hh)
 
 
@@ -129,8 +132,11 @@ def _mode_space_swap(rho_a, rho_b, eta):
 @pytest.mark.parametrize("eta", [0.3, 0.5, 0.7])
 def test_stacked_oracle_agrees_with_the_scalar_oracle(eta):
     a, b = _bures_pairs(43, 40)
-    states, prob, eigs = swap_via_beamsplitter_batch(a, b, eta)
-    assert states.shape == (40, 4, 4) and prob.shape == (40,) and eigs.shape == (40, 4)
+    out, prob = swap_via_beamsplitter_batch(a, b, eta)
+    assert out.shape == (40, 4, 4) and prob.shape == (40,)
+    assert np.array_equal(prob, out.trace(axis1=-2, axis2=-1).real)
+    possible, states, eigs = conditional_states(out, prob)
+    assert possible.all() and states.shape == (40, 4, 4) and eigs.shape == (40, 4)
     for n in range(40):
         single = es.swap_via_beamsplitter(es.DensityMatrix(a[n]), es.DensityMatrix(b[n]), eta)
         assert np.array_equal(single.state.eigenvalues(), eigs[n])
@@ -142,7 +148,8 @@ def test_stacked_oracle_agrees_with_the_scalar_oracle(eta):
 
 def test_stacked_oracle_agrees_with_the_psi_minus_column_of_swap_batch():
     a, b = _bures_pairs(44, 40)
-    states, prob, _ = swap_via_beamsplitter_batch(a, b, 0.5)
+    out, prob = swap_via_beamsplitter_batch(a, b, 0.5)
+    _, states, _ = conditional_states(out, prob)
     raw, analytic = swap_batch(a, b)
     psi = list(B).index(B.PSI_MINUS)
     assert np.abs(states - raw[:, psi] / analytic[:, psi, None, None]).max() < 1e-12
@@ -161,8 +168,14 @@ def test_stack_with_one_bunching_pair_raises_no_coincidence():
     a, b = _bures_pairs(46, 5)
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0]).mat
     a[3], b[3] = hh, hh
-    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 0\.000e\+00 <= 1e-12;"):
-        swap_via_beamsplitter_batch(a, b, 0.5)
+    # the stacked route only computes; the shared conditioning step marks the
+    # bunching pair impossible, and the scalar route raises for it
+    out, prob = swap_via_beamsplitter_batch(a, b, 0.5)
+    possible, states, _ = conditional_states(out, prob)
+    assert possible.tolist() == [True, True, True, False, True] and len(states) == 4
+    assert prob[3] == 0.0
+    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 0\.000e\+00 <= 5e-13;"):
+        es.swap_via_beamsplitter(es.DensityMatrix(a[3]), es.DensityMatrix(b[3]))
 
 
 def test_optics_oracle_stays_independent_of_the_swap_kernel():

@@ -636,9 +636,10 @@ def test_swap_routes_just_above_the_normalization_floor(seed, low):
     results, impossible, prob, stacked = _routes_at_normalization(rng, norm, low)
     psi = [list(B).index(B.PSI_PLUS), list(B).index(B.PSI_MINUS)]
     assert 2.0 * prob[0, psi] == pytest.approx(norm, rel=1e-9)
-    # the beamsplitter's coincidence, p = norm / 2, is below its floor
-    assert [type(exc) for exc in impossible] == [es.NoCoincidence]
-    assert len(results) == 4 + 3 * 4
+    # the beamsplitter's coincidence, p = norm / 2, is tested against the
+    # same floor as every other route, so no route refuses
+    assert impossible == []
+    assert len(results) == 4 + 1 + 3 * 4
     for res in results:
         assert res.state.eigenvalues()[-1] * min(res.probability, 1.0) >= EIGENVALUE_FLOOR
     for possible, *_ in stacked:
@@ -657,6 +658,29 @@ def test_swap_routes_just_below_the_normalization_floor(low):
     assert sum(isinstance(exc, es.ImpossibleOutcome) for exc in impossible) == 3 * 2
     for possible, *_ in stacked:
         assert possible.sum() == 2
+
+
+@pytest.mark.parametrize("e, possible", [(1.4e-12, True), (8e-13, False)])
+def test_swap_routes_share_one_floor(e, possible):
+    # psi- of A = (1 - e)|HH><HH| + e|HV><HV| and B = |HH><HH| reads A's
+    # weight at V on mode 2: p = e / 2, just above or below the floor's 5e-13
+    rho_a = es.DensityMatrix(np.diag([1.0 - e, e, 0.0, 0.0]))
+    rho_b = es.DensityMatrix.from_pure([1, 0, 0, 0])
+    routes = (lambda: es.swap_general(rho_a, rho_b, B.PSI_MINUS),
+              lambda: es.swap_oracle_16(rho_a, rho_b, B.PSI_MINUS),
+              lambda: es.swap_via_beamsplitter(rho_a, rho_b, 0.5))
+    if not possible:
+        for route, refusal in zip(routes, (es.ImpossibleOutcome,) * 2 + (es.NoCoincidence,)):
+            with pytest.raises(refusal):
+                route()
+        return
+    results = [route() for route in routes]
+    hh = es.DensityMatrix.from_pure([1, 0, 0, 0]).mat
+    for res in results:
+        assert res.outcome is B.PSI_MINUS
+        assert abs(res.probability - e / 2) < 1e-12
+        assert np.abs(res.state.mat - hh).max() < 1e-12
+        assert np.abs(res.state.mat - results[0].state.mat).max() < 1e-12
 
 
 def test_x_routes_reject_the_same_improbable_outcome_past_its_disk(monkeypatch):
