@@ -169,16 +169,16 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
         experiments.write_records(records, out, fmt=args.fmt)
-        experiments.write_summary(report, out.with_suffix(".summary.json"))
+        summary = experiments.write_summary(report, out.with_suffix(".summary.json"))
     except OSError as exc:
         raise _UsageFailure(f"cannot write output: {exc}")
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    sys.stdout.write(summary)
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
     _, report = _run("oracle-equiv", args, eta=args.eta)
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    sys.stdout.write(experiments.summary_text(report))
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 

@@ -18,7 +18,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -113,10 +113,12 @@ class BoundReport:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        """Every field; extras only when non-empty (summaries are written
-        with sorted keys)."""
-        out = asdict(self)
-        if not self.extras:
+        """Every field; extras, copied, only when non-empty (summaries are
+        written with sorted keys)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.extras:
+            out["extras"] = dict(self.extras)
+        else:
             del out["extras"]
         return out
 
@@ -283,10 +285,11 @@ def _swap_chunk(name, args, fmt, rng, lo, hi):
     a, b, inputs = spec.draw(args, rng, lo, hi)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
     n, j = np.nonzero(possible)
-    cols = {"sample": lo + n, "outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
-            "rank_f": rank_batch(eigs, args.rank_tol),
-            **{key: column[n] for key, column in {**inputs, **extra}.items()}}
-    return cols, possible.size - n.size, fmt and _render_rows(cols, fmt)
+    rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
+            "rank_f": rank_batch(eigs, args.rank_tol)}
+    per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
+    cols = {**{key: column[n] for key, column in per_sample.items()}, **rows}
+    return cols, possible.size - n.size, fmt and _render_rows(rows, fmt, per_sample, n)
 
 
 # --------------------------------------------------------------------------
@@ -528,18 +531,45 @@ def _names(cols: dict) -> tuple:
     return CSV_COLUMNS + (("ratio",) if "ratio" in cols else ())
 
 
-def _render_rows(cols: dict, fmt: str) -> str:
-    """The records' rows in records format ``fmt``, outcomes as labels: CSV
-    lines, or JSON objects joined by commas; "" when there are none."""
-    names = _names(cols)
-    lists = [cols[name].tolist() if cols else [] for name in names]
-    lists[1] = [_LABELS[k] for k in lists[1]]
+def _cell(name: str, column, fmt: str) -> tuple:
+    """Record column ``name`` in records format ``fmt``: its field's piece
+    of the row template, and its values as that piece takes them, outcomes
+    as their labels (in JSON each value as the text json encodes it to)."""
+    values = column.tolist()
+    if name == "outcome":
+        values = [_LABELS[k] for k in values]
     if fmt == "csv":
-        # '%.17g' % x formats as f"{x:.17g}" does
-        template = ",".join("%.17g" if name in _FLOAT_COLUMNS else "%s" for name in names) + "\n"
-        return "".join([template % row for row in zip(*lists)])
-    rows = [dict(zip(names, row)) for row in zip(*lists)]
-    return json.dumps(rows, separators=(",", ":"))[1:-1]
+        return "%.17g" if name in _FLOAT_COLUMNS else "%s", values
+    # no number or Bell label holds a comma
+    return f'"{name}":%s', json.dumps(values, separators=(",", ":"))[1:-1].split(",")
+
+
+def _render_rows(cols: dict, fmt: str, per_sample: "dict | None" = None, n=None) -> str:
+    """The records' rows in records format ``fmt``, outcomes as labels: CSV
+    lines, or JSON objects joined by commas; "" when there are none.
+
+    ``cols`` hold one value per row. Columns of ``per_sample`` hold one
+    value per sample, row i taking sample n[i]'s: each sample's fields are
+    formatted once, into a row template of its own that each of its rows
+    fills with the row's own fields."""
+    per_sample = per_sample or {}
+    rows = len(n) if per_sample else len(next(iter(cols.values()), ()))
+    if not rows:
+        return ""
+    specs, sample_values, row_values = [], [], []
+    for name in _names({**cols, **per_sample}):
+        shared = name in per_sample
+        spec, values = _cell(name, (per_sample if shared else cols)[name], fmt)
+        # a row's own field stays a conversion spec in its sample's template
+        # (no formatted number holds a %)
+        specs.append(spec if shared else spec.replace("%", "%%"))
+        (sample_values if shared else row_values).append(values)
+    row = ",".join(specs)
+    row = row + "\n" if fmt == "csv" else "{" + row + "}"
+    templates = [row % cells for cells in zip(*sample_values)] if per_sample else [row % ()]
+    index = n.tolist() if per_sample else [0] * rows
+    lines = [templates[i] % cells for i, cells in zip(index, zip(*row_values))]
+    return ("" if fmt == "csv" else ",").join(lines)
 
 
 def _table(names: tuple, pieces, fmt: str) -> str:
@@ -567,7 +597,15 @@ def write_records(records: Records, path, fmt: str = "csv") -> None:
         fh.write(text)
 
 
-def write_summary(report: BoundReport, path) -> None:
+def summary_text(report: BoundReport) -> str:
+    """The report as summary JSON text: sorted keys, two-space indent and
+    a final newline."""
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def write_summary(report: BoundReport, path) -> str:
+    """Write the report's summary JSON to ``path``; returns the text."""
+    text = summary_text(report)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text

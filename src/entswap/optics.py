@@ -117,6 +117,17 @@ def bsm_operator(eta: float) -> np.ndarray:
     return k.conj().T @ beamsplitter_unitary(eta) @ k
 
 
+@functools.lru_cache(maxsize=16)
+def _coincidence_gram(eta: float) -> np.ndarray:
+    """The Gram matrix F^dag F of the 10x4 factor F = P U_BS K at
+    reflectivity eta, indexed [m2', m3', m2, m3]; cached per reflectivity
+    and read-only."""
+    f = coincidence_projector() @ beamsplitter_unitary(eta) @ coincidence_isometry()
+    gram = (f.conj().T @ f).reshape(2, 2, 2, 2)
+    gram.setflags(write=False)
+    return gram
+
+
 def swap_via_beamsplitter_batch(a, b, eta: float) -> "tuple[np.ndarray, np.ndarray]":
     """The beamsplitter + coincidence swap of each input pair of the
     stacks a (modes 1, 2) and b (modes 3, 4), shape (N, 4, 4).
@@ -131,11 +142,11 @@ def swap_via_beamsplitter_batch(a, b, eta: float) -> "tuple[np.ndarray, np.ndarr
     probabilities (N,), for conditional_states. At eta = 1/2 they equal
     swap_batch's psi- outputs and probabilities.
     """
-    f = coincidence_projector() @ beamsplitter_unitary(eta) @ coincidence_isometry()
-    gram = (f.conj().T @ f).reshape(2, 2, 2, 2)  # [m2', m3', m2, m3]
-    # a[n, m1, m2, m1', m2'] and b[n, m3, m4, m3', m4'] -> out[n, m1, m4, m1', m4']
-    out = np.einsum("fgbc,nabef,ncdgh->nadeh", gram, np.reshape(a, (-1, 2, 2, 2, 2)),
-                    np.reshape(b, (-1, 2, 2, 2, 2)), optimize=True)
+    # a[n, m1, m2, m1', m2'] and b[n, m3, m4, m3', m4'] -> out[n, m1, m4, m1', m4'],
+    # contracting the Gram matrix with a first: the path optimize=True finds
+    out = np.einsum("fgbc,nabef,ncdgh->nadeh", _coincidence_gram(eta),
+                    np.reshape(a, (-1, 2, 2, 2, 2)), np.reshape(b, (-1, 2, 2, 2, 2)),
+                    optimize=["einsum_path", (0, 1), (0, 1)])
     out = out.reshape(-1, 4, 4)
     return out, out.trace(axis1=-2, axis2=-1).real
 

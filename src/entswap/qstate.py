@@ -478,12 +478,16 @@ def matrix_to_json_dict(rho: DensityMatrix) -> dict:
 def matrix_from_json_dict(obj: dict) -> DensityMatrix:
     """Parse the interchange format back into a validated DensityMatrix. A
     swap output {"state": ..., "probability": p, ...} gives its state,
-    checked at the tolerances divided by p, as the swap that wrote it was."""
+    checked at the tolerances divided by p, as the swap that wrote it was;
+    a p at or below the floor, which no swap writes, is refused."""
     prob = None
     if isinstance(obj, dict) and "state" in obj:
         prob = obj.get("probability")
         if type(prob) not in (int, float) or not 0.0 < prob <= 1.0:
             raise ValueError(f"swap output probability {prob!r} is not a number in (0, 1]")
+        if not _possible(np.float64(prob), None)[0]:
+            raise ValueError(f"swap output probability {prob!r} is at or below the floor: "
+                             f"2p <= NORMALIZATION_FLOOR = {NORMALIZATION_FLOOR}")
         obj = obj["state"]
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object with 'basis' and 'matrix' keys")

@@ -245,6 +245,38 @@ def test_swap_command_reads_its_own_output(tmp_path, capsys):
         assert f"probability {prob!r} is not a number in (0, 1]" in capsys.readouterr().err
 
 
+def _swap_output_file(path, diag, prob):
+    state = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
+    state["matrix"] = [[[diag[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"state": state, "probability": prob}))
+    return str(path)
+
+
+@pytest.mark.parametrize("prob", [1e-300, 5e-13])
+def test_swap_command_refuses_a_probability_at_the_floor(prob, phi_plus_file, tmp_path, capsys):
+    # tolerances divided by such a p would let eigenvalue -0.25 through
+    path = _swap_output_file(tmp_path / "floor.json", (0.75, -0.25, 0.25, 0.25), prob)
+    assert main(["swap", path, phi_plus_file]) == 2
+    err = capsys.readouterr().err
+    assert f"probability {prob!r} is at or below the floor" in err
+    assert f"NORMALIZATION_FLOOR = {es.qstate.NORMALIZATION_FLOOR}" in err
+
+
+def test_swap_command_loads_a_probability_just_above_the_floor(phi_plus_file, tmp_path, capsys):
+    prob = float(np.nextafter(es.qstate.NORMALIZATION_FLOOR / 2, 1.0))
+    path = _swap_output_file(tmp_path / "above.json", (0.25, 0.25, 0.25, 0.25), prob)
+    assert main(["swap", path, phi_plus_file]) == 0
+    assert json.loads(capsys.readouterr().out)["probability"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_experiment_stdout_is_the_summary_file(fmt, tmp_path, capsys):
+    out = tmp_path / f"pure.{fmt}"
+    assert main(["experiment", "pure", "--samples", "30", "--seed", "3",
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "pure.summary.json").read_text()
+
+
 def test_experiment_exits_one_when_a_floor_is_crossed(tmp_path, monkeypatch, capsys):
     # a kernel whose every output has C_F = 0 crosses the Bell-diagonal
     # floor on each row where the floor is positive

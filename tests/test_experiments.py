@@ -222,6 +222,83 @@ def test_rendered_pieces_join_around_a_chunk_without_rows():
     assert ex.records_to_json({key: column[:0] for key, column in records.items()}) == "[]\n"
 
 
+def _per_row_reference(cols, fmt):
+    """The renderer as it formatted every field of every row, kept as the
+    reference the one-pass renderer must match byte for byte."""
+    names = ex._names(cols)
+    lists = [cols[name].tolist() if cols else [] for name in names]
+    lists[1] = [ex._LABELS[k] for k in lists[1]]
+    if fmt == "csv":
+        template = ",".join("%.17g" if name in ex._FLOAT_COLUMNS else "%s" for name in names) + "\n"
+        return "".join([template % row for row in zip(*lists)])
+    rows = [dict(zip(names, row)) for row in zip(*lists)]
+    return json.dumps(rows, separators=(",", ":"))[1:-1]
+
+
+# one draw chunk of 6 samples keeping 0, 1, 2, 3, 2 and 0 outcomes; the
+# values take the exponent form, 0.0, 1.0 and inf (a ratio over C = 0)
+_EDGE_POSSIBLE = np.array([[0, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1],
+                           [1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]], dtype=bool)
+_EDGE_INPUTS = {
+    "c_a": np.array([0.0, 1e-5, 5e-324, 1.0, 0.5, 0.25]),
+    "c_b": np.array([0.5, 1.0, 0.0, 1e-5, 2.5e-17, 1.0]),
+    "rank_a": np.array([1, 2, 3, 4, 1, 2]),
+    "rank_b": np.array([4, 3, 2, 1, 1, 1]),
+    "ratio": np.array([np.inf, 1e5, np.inf, 1e5, 2e16, 4.0]),
+}
+
+
+def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
+    """_swap_chunk's columns and rows of the edge chunk starting at ``lo``."""
+    kept = int(possible.sum())
+    c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
+    eigs = np.resize([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.4, 0.3, 0.3, 0.0],
+                      [0.25, 0.25, 0.25, 0.25]], (kept, 4))
+    prob = np.where(possible, np.resize([0.25, 1e-5, 1.0, 0.0, 0.375], possible.shape), 0.0)
+
+    def draw(args, rng, lo, hi):
+        return None, None, {key: column[:hi - lo] for key, column in _EDGE_INPUTS.items()}
+
+    def outcomes(a, b, where, args):
+        return ex._ALL_OUTCOMES, possible, prob, c_f, eigs, {}
+
+    monkeypatch.setitem(ex.EXPERIMENTS, "edge", ex.Experiment(draw, outcomes, ()))
+    args = ex.Args(len(possible), 0, "bures", 0.5, ex.DEFAULT_RANK_TOL)
+    return ex._swap_chunk("edge", args, fmt, None, lo, lo + len(possible))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
+    render = {"csv": ex.records_to_csv, "json": ex.records_to_json}[fmt]
+    cols, skipped, text = _edge_chunk(monkeypatch, fmt)
+    assert skipped == 24 - 8
+    assert cols["sample"].tolist() == [257, 258, 258, 259, 259, 259, 260, 260]
+    assert text == _per_row_reference(cols, fmt)
+    forms = {"csv": ("inf", "1.0000000000000001e-05", "4.9406564584124654e-324", ",0,", ",1,"),
+             "json": ("Infinity", "1e-05", "5e-324", ":0.0,", ":1.0,")}
+    for form in forms[fmt]:
+        assert form in text, form
+    # the records route renders every column per row, and so alike
+    whole = ex._table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
+    assert render(cols) == whole
+    assert ex._render_rows(cols, fmt) == text
+    if fmt == "json":
+        rows = json.loads(whole)
+        assert [row["ratio"] for row in rows[:3]] == [1e5, np.inf, np.inf]
+        assert [row["c_f"] for row in rows] == cols["c_f"].tolist()
+    # a chunk without rows, and one without samples
+    empty, skipped, none = _edge_chunk(monkeypatch, fmt, np.zeros((6, 4), dtype=bool))
+    assert (none, skipped, len(empty["sample"])) == ("", 24, 0)
+    assert render(empty) == ex._table(ex._names(empty), [""], fmt)
+    assert ex._render_rows({key: column[:0] for key, column in cols.items()}, fmt) == ""
+    # each of the real experiments, through both routes
+    for name, samples in (("conserve", 60), ("belldiag", 300), ("pure", 300),
+                          ("rank", 5), ("rank2-selfswap", 19), ("oracle-equiv", 60)):
+        records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
+        reference = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+        assert records.text[fmt] == render(records) == reference, name
+
+
 def test_summary_json_fields(tmp_path):
     _, report = ex.run_experiment("belldiag", 50, 2)
     path = tmp_path / "summary.json"
