@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swap.add_argument("--out", help="write the result JSON here as well")
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_exp.add_argument("name", choices=experiments.EXPERIMENT_NAMES,
+    p_exp.add_argument("name", choices=experiments.EXPERIMENTS,
                        help="experiment to run; for 'rank' --samples counts "
                             "pairs per rank combination, for 'rank2-selfswap' "
                             "it is the mixing-grid size")
@@ -168,7 +168,7 @@ def _cmd_experiment(args) -> int:
                            fmt=args.fmt)
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
-        experiments.write_records(records, out, fmt=args.fmt)
+        experiments.write_records(records, out)
         summary = experiments.write_summary(report, out.with_suffix(".summary.json"))
     except OSError as exc:
         raise _UsageFailure(f"cannot write output: {exc}")

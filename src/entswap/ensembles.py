@@ -68,31 +68,27 @@ def _normalized(m: np.ndarray, size: "int | None"):
     return DensityMatrix(m) if size is None else m
 
 
-def random_induced(rng: np.random.Generator, n: int = 4, k: int = 4,
-                   size: "int | None" = None):
-    """Random density matrix from the induced measure with ancilla size k.
+def random_induced(rng: np.random.Generator, k: int = 4, *, size: "int | None" = None):
+    """Random two-qubit density matrix from the induced measure with
+    ancilla size k.
 
-    Computed as G G^dag / tr(G G^dag) for an n x k Ginibre G; the result
-    has rank exactly min(n, k), and k = n gives the Hilbert-Schmidt
-    ensemble. An int ``size`` gives the unvalidated (size, 4, 4) stack.
+    Computed as G G^dag / tr(G G^dag) for a 4 x k Ginibre G; the result
+    has rank exactly k, and k = 4 gives the Hilbert-Schmidt ensemble. An
+    int ``size`` gives the unvalidated (size, 4, 4) stack.
     """
-    if n != 4:
-        raise ValueError("only two-qubit (n=4) states are supported")
     if not 1 <= k <= 4:
         raise ValueError(f"ancilla size k must lie in 1..4, got {k}")
-    g = ginibre(rng, n, k, size)
+    g = ginibre(rng, 4, k, size)
     return _normalized(g @ g.conj().swapaxes(-1, -2), size)
 
 
-def random_bures(rng: np.random.Generator, n: int = 4, size: "int | None" = None):
-    """Random density matrix from the Bures measure:
+def random_bures(rng: np.random.Generator, *, size: "int | None" = None):
+    """Random two-qubit density matrix from the Bures measure:
     (1+U) G G^dag (1+U^dag) normalized, with U Haar and G Ginibre.
     An int ``size`` gives the unvalidated (size, 4, 4) stack."""
-    if n != 4:
-        raise ValueError("only two-qubit (n=4) states are supported")
-    g = ginibre(rng, n, n, size)
-    u = haar_unitary(rng, n, size)
-    a = (np.eye(n) + u) @ g
+    g = ginibre(rng, 4, 4, size)
+    u = haar_unitary(rng, 4, size)
+    a = (np.eye(4) + u) @ g
     return _normalized(a @ a.conj().swapaxes(-1, -2), size)
 
 
@@ -107,8 +103,9 @@ def random_pure(rng: np.random.Generator, size: "int | None" = None) -> np.ndarr
 def _check_weights(w: np.ndarray) -> None:
     # BellDiagonalParams' invariants on weights (..., 4); names the first bad row
     total = w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3]
-    for bad, rule in ((w.min(axis=-1) < -1e-12, "be nonnegative"),
-                      (np.abs(total - 1.0) > 1e-12, "sum to 1")):
+    # negated bounds, so that NaN fails them
+    for bad, rule in ((~(w.min(axis=-1) >= -1e-12), "be nonnegative"),
+                      (~(np.abs(total - 1.0) <= 1e-12), "sum to 1")):
         if bad.any():
             row = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"weights must {rule}, got {tuple(w[row].tolist())}")
@@ -188,7 +185,7 @@ def rank2_bell_mixture(alpha: float) -> DensityMatrix:
 # stack of n states drawn from it.
 STATE_ENSEMBLES = {
     "bures": lambda rng, n: random_bures(rng, size=n),
-    **{f"induced-{k}": lambda rng, n, k=k: random_induced(rng, 4, k, n) for k in range(1, 5)},
+    **{f"induced-{k}": lambda rng, n, k=k: random_induced(rng, k, size=n) for k in range(1, 5)},
     "pure": lambda rng, n: pure_batch(random_pure(rng, n)),
     "bell-diagonal": lambda rng, n: x_matrices(*bell_diagonal_x(random_bell_diagonal(rng, n))),
     "x": lambda rng, n: x_matrices(*random_x_state(rng, n)),

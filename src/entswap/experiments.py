@@ -1,5 +1,5 @@
-"""Monte Carlo harness: conservation, concurrence bounds, rank law and
-dual-path checks, with CSV/JSON emission.
+"""Monte Carlo harness: conservation, concurrence bounds, rank law,
+dual-path and Haar phase checks, with CSV/JSON emission.
 
 Every experiment draws its samples in fixed draw chunks, each from one
 random substream keyed by the chunk's first sample index, so results are
@@ -134,24 +134,26 @@ class Args(NamedTuple):
 
 
 class Check(NamedTuple):
-    """A hard bound over the record columns: rows whose
-    ``deviation(cols, args)`` exceeds ``tol`` violate it. Violations count
-    on report ``side`` ("upper", "lower", or else an extras key); the
-    largest deviation, at least 0, is an upper or lower side's max field."""
+    """A hard bound over the record columns, or with ``per_sample`` over the
+    run's per-sample columns: values of ``deviation(cols, args)`` above
+    ``tol`` violate it. Violations count on report ``side`` ("upper",
+    "lower", or else an extras key); the largest deviation, at least 0, is
+    an upper or lower side's max field."""
 
     side: str
     deviation: Callable
     tol: float
+    per_sample: bool = False
 
 
 class Experiment(NamedTuple):
-    """A swap experiment.
+    """An experiment: draw, swap, measure, check, emit.
 
     ``draw(args, rng, lo, hi)`` draws the samples [lo, hi) of one draw
     chunk from ``rng``: stacked inputs a and b and their per-sample input
     columns; ``outcomes`` swaps them (see _general_outcomes). A run has
     ``combos`` input classes of ``args.samples`` samples each.
-    ``extras(report)`` adds to the report's extras.
+    ``extras(report, per_sample)`` adds to the report's extras.
     """
 
     draw: Callable
@@ -276,11 +278,18 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
+def _no_outcomes(a, b, where, args):
+    """_general_outcomes of an experiment that swaps nothing: no outcome."""
+    empty = np.zeros((0, 0))
+    return _ALL_OUTCOMES[:0], empty.astype(bool), empty, np.zeros(0), np.zeros((0, 4)), {}
+
+
 def _swap_chunk(name, args, fmt, rng, lo, hi):
     """Swap the draw chunk [lo, hi) of experiment ``name``, drawn from
-    ``rng``: the record columns of its possible outcomes, the number of
-    impossible ones skipped, and the records' rows rendered in records
-    format ``fmt`` (None renders none)."""
+    ``rng``: its per-sample columns, the sample index of each possible
+    outcome and that outcome's record columns, the number of impossible
+    ones skipped, and the records' rows rendered in records format ``fmt``
+    (None renders none)."""
     spec = EXPERIMENTS[name]
     a, b, inputs = spec.draw(args, rng, lo, hi)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
@@ -288,8 +297,8 @@ def _swap_chunk(name, args, fmt, rng, lo, hi):
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
             "rank_f": rank_batch(eigs, args.rank_tol)}
     per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
-    cols = {**{key: column[n] for key, column in per_sample.items()}, **rows}
-    return cols, possible.size - n.size, fmt and _render_rows(rows, fmt, per_sample, n)
+    return (per_sample, lo + n, rows, possible.size - n.size,
+            fmt and _render_rows(rows, fmt, per_sample, n))
 
 
 # --------------------------------------------------------------------------
@@ -337,8 +346,8 @@ def _rank_draw(args, rng, lo, hi):
     """Induced-measure pairs; combination c of ranks (c // 4 + 1, c % 4 + 1)
     fills samples [c * args.samples, (c + 1) * args.samples)."""
     combo = lo // args.samples  # draw chunks never straddle two combos
-    rho_a = random_induced(rng, 4, combo // 4 + 1, hi - lo)
-    rho_b = random_induced(rng, 4, combo % 4 + 1, hi - lo)
+    rho_a = random_induced(rng, combo // 4 + 1, size=hi - lo)
+    rho_b = random_induced(rng, combo % 4 + 1, size=hi - lo)
     return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
                           **_input_columns(lo, rho_b, args, "b")}
 
@@ -357,6 +366,13 @@ def _oracle_draw(args, rng, lo, hi):
                           **_input_columns(lo, rho_b, args, "b")}
 
 
+def _haar_draw(args, rng, lo, hi):
+    """Per-sample phase sums and sums of squares of the eigenvalues of Haar
+    4x4 unitaries; nothing to swap."""
+    phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
+    return None, None, {"phase_sum": phases.sum(axis=1), "phase_sq": (phases ** 2).sum(axis=1)}
+
+
 # --------------------------------------------------------------------------
 # the experiments
 
@@ -373,6 +389,14 @@ def _schmidt_floor(cols, args):
 def _rank_mismatch(cols, args):
     combo = cols["sample"] // args.samples
     return (cols["rank_a"] != combo // 4 + 1) | (cols["rank_b"] != combo % 4 + 1)
+
+
+def _phase_stats(per_sample) -> tuple:
+    """The run's phase mean and std, its sums added one sample at a time in
+    sample order: the chunk layout moves no sum."""
+    count = 4 * len(per_sample["phase_sum"])
+    mean = sum(per_sample["phase_sum"].tolist()) / count
+    return mean, float(np.sqrt(sum(per_sample["phase_sq"].tolist()) / count - mean * mean))
 
 
 EXPERIMENTS = {
@@ -413,20 +437,28 @@ EXPERIMENTS = {
     "oracle-equiv": Experiment(_oracle_draw, _oracle_outcomes, (
         Check("upper", lambda c, _: c["trace_distance"], ORACLE_TOL),
         Check("lower", lambda c, _: c["prob_diff"], ORACLE_TOL),
-    ), extras=lambda r: {"max_trace_distance": r.max_upper_excess,
-                         "max_probability_diff": r.max_lower_deficit}),
+    ), extras=lambda r, _: {"max_trace_distance": r.max_upper_excess,
+                            "max_probability_diff": r.max_lower_deficit}),
+    # eigenvalue phases of Haar 4x4 unitaries are uniform: mean 0, std
+    # pi/sqrt(3), checked over the whole run; no swap, and no record rows
+    "haar-stats": Experiment(_haar_draw, _no_outcomes, (
+        Check("upper", lambda s, _: np.abs(_phase_stats(s)[0]), HAAR_STATS_TOL, per_sample=True),
+        Check("lower", lambda s, _: np.abs(_phase_stats(s)[1] - HAAR_PHASE_STD), HAAR_STATS_TOL,
+              per_sample=True),
+    ), extras=lambda r, s: dict(zip(("phase_mean", "phase_std"), _phase_stats(s)),
+                                target_std=HAAR_PHASE_STD)),
 }
 
-EXPERIMENT_NAMES = (*EXPERIMENTS, "haar-stats")
+# Fixed stream ids keep the experiments' draws disjoint under one seed; a
+# new experiment goes last, so that no draw moves.
+_STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
-# Fixed stream ids keep the experiments' draws disjoint under one seed.
-_STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENT_NAMES)}
 
-
-def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
-    """Count each Check's violations over the record columns into report."""
-    for side, deviation, tol in checks:
-        dev = deviation(cols, args)
+def _apply_checks(report: BoundReport, checks, cols: dict, args, per_sample=None) -> None:
+    """Count each Check's violations over the record columns, or the
+    per-sample columns ``per_sample``, into report."""
+    for side, deviation, tol, over_samples in checks:
+        dev = deviation(per_sample if over_samples else cols, args)
         count = int(np.count_nonzero(dev > tol))
         if side in _MAX_FIELDS:  # a spec has at most one check per side
             setattr(report, f"violations_{side}", count)
@@ -434,54 +466,6 @@ def _apply_checks(report: BoundReport, checks, cols: dict, args) -> None:
         else:
             report.extras[side] = count
         report.hard_violations += count
-
-
-def _swap_report(name: str, args: Args, workers: int, fmt: "str | None"):
-    """Run swap experiment ``name``: its record columns, its chunks' rows
-    rendered in records format ``fmt`` (None renders none) and its report."""
-    spec = EXPERIMENTS[name]
-    total = spec.combos * args.samples
-    chunks = run_chunks(_swap_chunk, RngStream(args.seed, _STREAM_IDS[name]), total, workers,
-                        (name, args, fmt), args.samples)
-    parts, skipped, pieces = zip(*chunks)
-    cols = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-    report = BoundReport(name, total, args.seed, skipped=sum(skipped))
-    _apply_checks(report, spec.checks, cols, args)
-    if spec.extras:
-        report.extras.update(spec.extras(report))
-    return cols, pieces, report
-
-
-# --------------------------------------------------------------------------
-# Haar sanity: eigenvalue phases of random unitaries are uniform
-
-
-# the run's phase mean and std, as one-row columns
-_HAAR_CHECKS = (
-    Check("upper", lambda c, _: np.abs(c["mean"]), HAAR_STATS_TOL),
-    Check("lower", lambda c, _: np.abs(c["std"] - HAAR_PHASE_STD), HAAR_STATS_TOL),
-)
-
-
-def _haar_chunk(rng, lo, hi):
-    """Per-sample phase sums and sums of squares of the Haar 4x4 unitaries
-    of draw chunk [lo, hi)."""
-    phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
-    return phases.sum(axis=1), (phases ** 2).sum(axis=1)
-
-
-def _haar_report(samples: int, seed: int, workers: int) -> BoundReport:
-    """Phase statistics of Haar 4x4 unitaries: mean 0, std pi/sqrt(3)."""
-    chunks = run_chunks(_haar_chunk, RngStream(seed, _STREAM_IDS["haar-stats"]), samples, workers)
-    # added one sample at a time in sample order: the chunk layout moves no sum
-    total, total_sq = (sum(np.concatenate(sums).tolist()) for sums in zip(*chunks))
-    count = 4 * samples
-    mean = total / count
-    std = float(np.sqrt(total_sq / count - mean * mean))
-    report = BoundReport("haar-stats", samples, seed)
-    _apply_checks(report, _HAAR_CHECKS, {"mean": np.array([mean]), "std": np.array([std])}, None)
-    report.extras.update(phase_mean=mean, phase_std=std, target_std=HAAR_PHASE_STD)
-    return report
 
 
 def run_experiment(name: str, samples: int, seed: int, *,
@@ -494,19 +478,31 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
-    records.
+    record rows.
     """
     t0 = time.perf_counter()
-    if name == "haar-stats":
-        cols, pieces, report = {}, (), _haar_report(samples, seed, workers)
-    elif name in EXPERIMENTS:
-        cols, pieces, report = _swap_report(name, Args(samples, seed, ensemble, eta, rank_tol),
-                                            workers, fmt)
-    else:
-        raise ValueError(
-            f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
-        )
-    records = Records(cols, fmt and {fmt: _table(_names(cols), pieces, fmt)})
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; expected one of {tuple(EXPERIMENTS)}")
+    if fmt not in (None, "csv", "json"):
+        raise ValueError(f"unknown records format {fmt!r}; expected 'csv', 'json' or None")
+    if not 0.0 <= rank_tol < 1.0:  # NaN fails too
+        raise ValueError(f"rank tolerance must be a number in [0, 1), got {rank_tol}")
+    spec, args = EXPERIMENTS[name], Args(samples, seed, ensemble, eta, rank_tol)
+    total = spec.combos * samples
+    chunks = run_chunks(_swap_chunk, RngStream(seed, _STREAM_IDS[name]), total, workers,
+                        (name, args, fmt), samples)
+    # the chunks cover the samples in order from 0: a sample index is a row
+    # of the joined per-sample columns
+    sample_parts, index, row_parts, skipped, pieces = zip(*chunks)
+    per_sample, rows = ({key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+                        for parts in (sample_parts, row_parts))
+    index = np.concatenate(index)
+    cols = {**{key: column[index] for key, column in per_sample.items()}, **rows}
+    report = BoundReport(name, total, seed, skipped=sum(skipped))
+    _apply_checks(report, spec.checks, cols, args, per_sample)
+    if spec.extras:
+        report.extras.update(spec.extras(report, per_sample))
+    records = Records(cols, fmt and _table(_names(cols), pieces, fmt))
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return records, report
 
@@ -516,13 +512,12 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
 
 class Records(dict):
-    """Record columns by name. ``text`` maps the records format the run
-    rendered them in, if any, to their text: the run's rendering, which
-    does not follow later edits of the columns."""
+    """Record columns by name. ``text`` is their records text as the run
+    rendered it, or None: it does not follow later edits of the columns."""
 
     def __init__(self, cols=(), text=None):
         super().__init__(cols)
-        self.text = dict(text or {})
+        self.text = text
 
 
 def _names(cols: dict) -> tuple:
@@ -589,12 +584,12 @@ def records_to_json(cols: dict) -> str:
     return _table(_names(cols), [_render_rows(cols, "json")], "json")
 
 
-def write_records(records: Records, path, fmt: str = "csv") -> None:
-    """Write the text of records that run_experiment rendered in records
-    format ``fmt``."""
-    text = records.text[fmt]
+def write_records(records: Records, path) -> None:
+    """Write the text of records that run_experiment rendered."""
+    if records.text is None:
+        raise ValueError("the records carry no text; run the experiment with a records format")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(records.text)
 
 
 def summary_text(report: BoundReport) -> str:

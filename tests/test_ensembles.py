@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,16 +84,20 @@ def test_haar_phase_statistics_coarse():
 def test_induced_measure_rank(k):
     rng = _rng(4)
     for _ in range(300):
-        rho = es.random_induced(rng, 4, k)
+        rho = es.random_induced(rng, k)
         rho.validate()
         assert es.numerical_rank(rho) == k
 
 
 def test_induced_measure_argument_checks():
-    with pytest.raises(ValueError):
-        es.random_induced(_rng(), 3, 2)
-    with pytest.raises(ValueError):
-        es.random_induced(_rng(), 4, 5)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="ancilla size k must lie in 1..4"):
+            es.random_induced(_rng(), k)
+    # size is keyword-only: a positional stack size is refused, not drawn
+    with pytest.raises(TypeError):
+        es.random_induced(_rng(), 4, 2)
+    with pytest.raises(TypeError):
+        es.random_bures(_rng(), 3)
 
 
 def test_bures_states_validate():
@@ -104,7 +110,7 @@ def test_bures_purity_differs_from_hilbert_schmidt():
     # the two measures concentrate at clearly different mean purities
     rng = _rng(6)
     bures = np.array([es.random_bures(rng).purity() for _ in range(2000)])
-    hs = np.array([es.random_induced(rng, 4, 4).purity() for _ in range(2000)])
+    hs = np.array([es.random_induced(rng, 4).purity() for _ in range(2000)])
     gap = abs(bures.mean() - hs.mean())
     stderr = np.sqrt(bures.var() / bures.size + hs.var() / hs.size)
     assert gap > 5.0 * stderr
@@ -154,6 +160,11 @@ def test_bell_diagonal_rejects_bad_weights():
         es.BellDiagonalParams(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         es.BellDiagonalParams(0.5, 0.4, 0.2, 0.2)
+
+
+def test_bell_diagonal_rejects_nan_weights():
+    with pytest.raises(ValueError, match=r"^weights must be nonnegative, got \(nan, "):
+        es.BellDiagonalParams(np.nan, 0.5, 0.25, 0.25)
 
 
 def test_bell_diagonal_stack_matches_scalar_draws():
@@ -220,6 +231,17 @@ def test_chunked_ensemble_draws_match_analytic_means(ensemble):
     stderr = values.std() / np.sqrt(values.size)
     # induced-1 states are pure: purity 1 up to roundoff
     assert abs(values.mean() - mean) <= max(5.0 * stderr, 1e-12)
+
+
+def test_bures_and_induced_draws_are_pinned():
+    # scalar draws, then stacks, in one order from one generator; the hash
+    # was taken before the dimension argument n (always 4) was dropped
+    rng = _rng(2016)
+    parts = [es.random_bures(rng).mat, es.random_bures(rng, size=3)]
+    parts += [es.random_induced(rng, k).mat for k in range(1, 5)]
+    parts += [es.random_induced(rng, k, size=3) for k in range(1, 5)]
+    digest = hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+    assert digest == "3f0691a3a80d0152d9ecb0fc02727fbf0e950583c916f0ca35c3784082a30373"
 
 
 def test_ensemble_determinism_across_generators():

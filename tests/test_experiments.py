@@ -79,9 +79,58 @@ def test_haar_stats_small_run():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="the fixed 0.02 phase tolerance is 1.47 standard errors "
+                                        "of the mean at 2000 samples, so correct draws cross it")
+def test_haar_stats_passes_at_2000_samples():
+    _, report = ex.run_experiment("haar-stats", 2000, 42)
+    assert report.hard_violations == 0, report.extras["phase_mean"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_haar_stats_keeps_no_rows(workers):
+    for fmt, text in (("csv", ",".join(ex.CSV_COLUMNS) + "\n"), ("json", "[]\n")):
+        records, report = ex.run_experiment("haar-stats", 3 * ex.DRAW_SAMPLES, 5,
+                                            workers=workers, fmt=fmt)
+        assert records.text == text
+        assert all(len(column) == 0 for column in records.values())
+        assert (report.samples, report.skipped) == (3 * ex.DRAW_SAMPLES, 0)
+
+
 def test_dispatcher_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown experiment"):
         ex.run_experiment("frobnicate", 10, 1)
+
+
+def test_dispatcher_rejects_unknown_formats_and_rank_tolerances():
+    with pytest.raises(ValueError, match="unknown records format 'xml'"):
+        ex.run_experiment("belldiag", 10, 1, fmt="xml")
+    for rank_tol in (np.nan, -1e-3, 1.0, np.inf):
+        with pytest.raises(ValueError, match=r"rank tolerance must be a number in \[0, 1\)"):
+            ex.run_experiment("rank", 3, 1, rank_tol=rank_tol)
+    ex.run_experiment("rank", 3, 1, rank_tol=0.0)  # the closed end is accepted
+
+
+def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
+    args = ex.Args(300, 0, "bures", 0.5, ex.DEFAULT_RANK_TOL)
+    per_sample, index, rows, skipped, text = ex._swap_chunk("pure", args, None,
+                                                            np.random.default_rng(3), 256, 300)
+    assert {key: len(column) for key, column in per_sample.items()} == dict.fromkeys(
+        ("sample", "c_a", "c_b", "rank_a", "rank_b", "ratio"), 44)
+    assert per_sample["sample"].tolist() == list(range(256, 300))
+    assert index.tolist() == [n for n in range(256, 300) for _ in range(4)]
+    assert all(len(column) == 4 * 44 for column in rows.values())
+    assert (skipped, text) == (0, None)
+
+
+def test_a_per_sample_check_reads_the_per_sample_columns():
+    # one value per sample, one of them past the tolerance; the record
+    # columns hold nothing this check could read
+    per_sample = {"x": np.array([0.1, 0.7, 0.3])}
+    check = ex.Check("upper", lambda s, _: s["x"], 0.5, per_sample=True)
+    report = ex.BoundReport("hand-built", 3, 0)
+    ex._apply_checks(report, [check], {}, None, per_sample)
+    assert (report.violations_upper, report.max_upper_excess) == (1, 0.7)
+    assert report.hard_violations == 1
 
 
 def test_runners_reject_empty_sample_counts():
@@ -193,12 +242,20 @@ def test_float_serialization_has_17_significant_digits():
 def test_json_records_round_trip(tmp_path):
     records, _ = ex.run_experiment("pure", 4, 2, fmt="json")
     path = tmp_path / "out.json"
-    ex.write_records(records, path, fmt="json")
+    ex.write_records(records, path)
     rows = json.loads(path.read_text())
     assert len(rows) == len(records["sample"])
     assert rows[0]["outcome"] == list(es.BellLabel)[records["outcome"][0]].value
     assert rows[0]["c_f"] == records["c_f"][0]
     assert "ratio" in rows[0]
+
+
+def test_write_records_refuses_records_without_text(tmp_path):
+    records, _ = ex.run_experiment("pure", 4, 2)
+    assert records.text is None
+    with pytest.raises(ValueError, match="no text"):
+        ex.write_records(records, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -208,7 +265,7 @@ def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
                           ("rank2-selfswap", 19), ("oracle-equiv", 300)):
         for fmt, render in (("csv", ex.records_to_csv), ("json", ex.records_to_json)):
             records, _ = ex.run_experiment(name, samples, 17, workers=workers, fmt=fmt)
-            assert records.text == {fmt: render(records)}, (name, fmt)
+            assert records.text == render(records), (name, fmt)
 
 
 def test_rendered_pieces_join_around_a_chunk_without_rows():
@@ -249,7 +306,8 @@ _EDGE_INPUTS = {
 
 
 def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
-    """_swap_chunk's columns and rows of the edge chunk starting at ``lo``."""
+    """_swap_chunk's columns, expanded to its rows, and rendered rows of the
+    edge chunk starting at ``lo``."""
     kept = int(possible.sum())
     c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
     eigs = np.resize([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.4, 0.3, 0.3, 0.0],
@@ -264,7 +322,10 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
 
     monkeypatch.setitem(ex.EXPERIMENTS, "edge", ex.Experiment(draw, outcomes, ()))
     args = ex.Args(len(possible), 0, "bures", 0.5, ex.DEFAULT_RANK_TOL)
-    return ex._swap_chunk("edge", args, fmt, None, lo, lo + len(possible))
+    per_sample, index, rows, skipped, text = ex._swap_chunk("edge", args, fmt, None, lo,
+                                                            lo + len(possible))
+    cols = {**{key: column[index - lo] for key, column in per_sample.items()}, **rows}
+    return cols, skipped, text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -296,7 +357,7 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
                           ("rank", 5), ("rank2-selfswap", 19), ("oracle-equiv", 60)):
         records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
         reference = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
-        assert records.text[fmt] == render(records) == reference, name
+        assert records.text == render(records) == reference, name
 
 
 def test_summary_json_fields(tmp_path):

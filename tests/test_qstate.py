@@ -233,7 +233,7 @@ def test_rank_trivial_cases():
 def test_rank_unitary_invariance():
     rng = np.random.default_rng(23)
     for _ in range(1000):
-        rho = es.random_induced(rng, 4, int(rng.integers(1, 5)))
+        rho = es.random_induced(rng, int(rng.integers(1, 5)))
         u = es.haar_unitary(rng, 4)
         rotated = es.DensityMatrix(u @ rho.mat @ u.conj().T)
         assert es.numerical_rank(rotated) == es.numerical_rank(rho)
@@ -532,7 +532,7 @@ def _fused_concurrence(mats):
 
 @pytest.mark.parametrize("stack", [
     lambda rng: es.random_bures(rng, size=300),
-    *(lambda rng, k=k: es.random_induced(rng, 4, k, 300) for k in (1, 2, 3, 4)),
+    *(lambda rng, k=k: es.random_induced(rng, k, size=300) for k in (1, 2, 3, 4)),
     lambda rng: pure_batch(es.random_pure(rng, 300)),
     lambda rng: np.stack([es.werner(p).mat for p in (1 / 3 - 1e-9, 1 / 3, 1 / 3 + 1e-9)]),
 ], ids=["bures", "induced-1", "induced-2", "induced-3", "induced-4", "pure", "werner-1/3"])
@@ -548,7 +548,7 @@ def test_fused_concurrence_reads_rank_deficient_states_by_rank():
     # missing directions must not feed the concurrence
     rng = np.random.default_rng(63)
     for k in (1, 2, 3):
-        mats = es.random_induced(rng, 4, k, 200)
+        mats = es.random_induced(rng, k, size=200)
         eigs, vecs = validate_batch(mats, vectors=True)
         assert (rank_batch(eigs) == k).all()
         assert np.abs(wootters_batch(eigs, vecs) - _reference_concurrence(mats)).max() < 1e-12
@@ -629,7 +629,7 @@ def test_eigh_validation_rejects_exactly_what_eigvalsh_rejects():
 
 def test_batched_measures_match_scalar_ones():
     rng = np.random.default_rng(61)
-    states = [es.random_induced(rng, 4, k) for k in (1, 2, 3, 4) for _ in range(5)]
+    states = [es.random_induced(rng, k) for k in (1, 2, 3, 4) for _ in range(5)]
     mats = np.stack([rho.mat for rho in states])
     eigs = validate_batch(mats)
     conc = concurrence_batch(mats)
