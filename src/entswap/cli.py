@@ -19,7 +19,6 @@ import numpy as np
 
 from . import ensembles, experiments
 from .qstate import (
-    DEFAULT_RANK_TOL,
     BellLabel,
     DensityMatrix,
     ValidationError,
@@ -95,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_oracle)
     p_oracle.add_argument("--eta", type=float, default=0.5)
 
-    for p in (p_swap, p_exp, p_oracle):
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative eigenvalue cutoff for ranks")
-
     p_sample = sub.add_parser("sample", help="draw states from an ensemble")
     p_sample.add_argument("ensemble", choices=ensembles.STATE_ENSEMBLES)
     add_common(p_sample)
@@ -141,7 +136,7 @@ def _cmd_swap(args) -> int:
         "outcome": outcome.value,
         "probability": result.probability,
         "concurrence": concurrence(result.state),
-        "rank": numerical_rank(result.state, args.rank_tol),
+        "rank": numerical_rank(result.state),
         "state": matrix_to_json_dict(result.state),
     }
     text = json.dumps(payload, indent=2)
@@ -155,8 +150,8 @@ def _run(name: str, args, **options):
     """run_experiment over the common options; a rejected option is a usage
     failure, a state that fails its checks is not."""
     try:
-        return experiments.run_experiment(name, args.samples, args.seed, rank_tol=args.rank_tol,
-                                          workers=args.workers, **options)
+        return experiments.run_experiment(name, args.samples, args.seed, workers=args.workers,
+                                          **options)
     except ValidationError:
         raise  # a drawn or derived state, not the usage
     except ValueError as exc:
@@ -215,9 +210,6 @@ def main(argv=None) -> int:
             raise _UsageFailure(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "seed", 0) < 0:
             raise _UsageFailure(f"--seed must be non-negative, got {args.seed}")
-        if not 0.0 <= getattr(args, "rank_tol", 0.0) < 1.0:  # NaN fails too
-            raise _UsageFailure(f"--rank-tol must be a finite number in [0, 1), "
-                                f"got {args.rank_tol}")
         return handlers[args.command](args)
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ from .ensembles import (
 # them by name.
 from .optics import NoCoincidence, swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
 from .qstate import (  # noqa: F401
-    DEFAULT_RANK_TOL,
     BellLabel,
     bell_density,
     conditional_states,
@@ -76,7 +75,7 @@ SELF_SWAP_TOL = 1e-12
 ORACLE_TOL = 1e-10
 
 HAAR_PHASE_STD = float(np.pi / np.sqrt(3.0))
-HAAR_STATS_TOL = 0.02
+HAAR_Z_BOUND = 5.0  # on the |z| of haar-stats' phase mean and std (see _phase_z)
 
 CSV_COLUMNS = ("sample", "outcome", "c_a", "c_b", "c_f", "prob",
                "rank_a", "rank_b", "rank_f")
@@ -127,10 +126,8 @@ class Args(NamedTuple):
     """The parameters of one run, as draws and checks see them."""
 
     samples: int
-    seed: int
     ensemble: str
     eta: float
-    rank_tol: float
 
 
 class Check(NamedTuple):
@@ -232,13 +229,13 @@ def _where(lo: int, what: str):
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
-def _input_columns(lo, mats, args, side, what=None):
+def _input_columns(lo, mats, side, what=None):
     """Validate a chunk of general inputs; their columns c_<side> and
     rank_<side>, both from validation's eigendecomposition. Errors name
     each as ``what`` (default "input <side>")."""
     eigs, vecs = validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
     return {f"c_{side}": wootters_batch(eigs, vecs),
-            f"rank_{side}": rank_batch(eigs, args.rank_tol)}
+            f"rank_{side}": rank_batch(eigs)}
 
 
 def _general_outcomes(rho_a, rho_b, where, args):
@@ -295,7 +292,7 @@ def _swap_chunk(name, args, fmt, rng, lo, hi):
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
     n, j = np.nonzero(possible)
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
-            "rank_f": rank_batch(eigs, args.rank_tol)}
+            "rank_f": rank_batch(eigs)}
     per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
     return (per_sample, lo + n, rows, possible.size - n.size,
             fmt and _render_rows(rows, fmt, per_sample, n))
@@ -306,13 +303,10 @@ def _swap_chunk(name, args, fmt, rng, lo, hi):
 
 
 def _conserve_draw(args, rng, lo, hi):
-    if args.ensemble not in STATE_ENSEMBLES:
-        raise ValueError(f"unknown ensemble {args.ensemble!r}; "
-                         f"expected one of {', '.join(STATE_ENSEMBLES)}")
     rho = STATE_ENSEMBLES[args.ensemble](rng, hi - lo)
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
     ones = np.ones(hi - lo, dtype=int)
-    return rho, bell, {**_input_columns(lo, rho, args, "a", "input"),
+    return rho, bell, {**_input_columns(lo, rho, "a", "input"),
                        "c_b": ones.astype(float), "rank_b": ones}
 
 
@@ -323,7 +317,7 @@ def _belldiag_draw(args, rng, lo, hi):
     for side, x in (("a", x_a), ("b", x_b)):
         eigs = validate_x_batch(*x, _where(lo, f"input {side}"))
         columns[f"c_{side}"] = concurrence_x_batch(*x)
-        columns[f"rank_{side}"] = rank_batch(eigs, args.rank_tol)
+        columns[f"rank_{side}"] = rank_batch(eigs)
     return x_a, x_b, columns
 
 
@@ -348,22 +342,20 @@ def _rank_draw(args, rng, lo, hi):
     combo = lo // args.samples  # draw chunks never straddle two combos
     rho_a = random_induced(rng, combo // 4 + 1, size=hi - lo)
     rho_b = random_induced(rng, combo % 4 + 1, size=hi - lo)
-    return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
-                          **_input_columns(lo, rho_b, args, "b")}
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
 
 
 def _rank2_draw(args, rng, lo, hi):
     alphas = np.arange(lo + 1, hi + 1) / (args.samples + 1)
     sigma = rank2_bell_mixtures(alphas)
     c = np.abs(2.0 * alphas - 1.0)
-    r = rank_batch(validate_batch(sigma, _where(lo, "input")), args.rank_tol)
+    r = rank_batch(validate_batch(sigma, _where(lo, "input")))
     return sigma, sigma, {"c_a": c, "c_b": c, "rank_a": r, "rank_b": r}
 
 
 def _oracle_draw(args, rng, lo, hi):
     rho_a, rho_b = random_bures(rng, size=hi - lo), random_bures(rng, size=hi - lo)
-    return rho_a, rho_b, {**_input_columns(lo, rho_a, args, "a"),
-                          **_input_columns(lo, rho_b, args, "b")}
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
 
 
 def _haar_draw(args, rng, lo, hi):
@@ -397,6 +389,18 @@ def _phase_stats(per_sample) -> tuple:
     count = 4 * len(per_sample["phase_sum"])
     mean = sum(per_sample["phase_sum"].tolist()) / count
     return mean, float(np.sqrt(sum(per_sample["phase_sq"].tolist()) / count - mean * mean))
+
+
+def _phase_z(per_sample) -> tuple:
+    """z-scores of the run's phase mean against 0 and std against
+    HAAR_PHASE_STD: the mean's standard error is std(phase_sum) / (4 sqrt N),
+    the std's that of the mean square, std(phase_sq) / (4 sqrt N), over 2 std.
+    One sample has no spread, and so infinite z-scores."""
+    mean, std = _phase_stats(per_sample)
+    se = 1.0 / (4.0 * np.sqrt(len(per_sample["phase_sum"])))
+    with np.errstate(divide="ignore"):
+        return (mean / (se * np.std(per_sample["phase_sum"])),
+                (std - HAAR_PHASE_STD) / (se * np.std(per_sample["phase_sq"]) / (2.0 * std)))
 
 
 EXPERIMENTS = {
@@ -440,11 +444,11 @@ EXPERIMENTS = {
     ), extras=lambda r, _: {"max_trace_distance": r.max_upper_excess,
                             "max_probability_diff": r.max_lower_deficit}),
     # eigenvalue phases of Haar 4x4 unitaries are uniform: mean 0, std
-    # pi/sqrt(3), checked over the whole run; no swap, and no record rows
+    # pi/sqrt(3), checked over the whole run as z-scores (max fields hold
+    # |z|); no swap, and no record rows
     "haar-stats": Experiment(_haar_draw, _no_outcomes, (
-        Check("upper", lambda s, _: np.abs(_phase_stats(s)[0]), HAAR_STATS_TOL, per_sample=True),
-        Check("lower", lambda s, _: np.abs(_phase_stats(s)[1] - HAAR_PHASE_STD), HAAR_STATS_TOL,
-              per_sample=True),
+        Check("upper", lambda s, _: np.abs(_phase_z(s)[0]), HAAR_Z_BOUND, per_sample=True),
+        Check("lower", lambda s, _: np.abs(_phase_z(s)[1]), HAAR_Z_BOUND, per_sample=True),
     ), extras=lambda r, s: dict(zip(("phase_mean", "phase_std"), _phase_stats(s)),
                                 target_std=HAAR_PHASE_STD)),
 }
@@ -469,8 +473,7 @@ def _apply_checks(report: BoundReport, checks, cols: dict, args, per_sample=None
 
 
 def run_experiment(name: str, samples: int, seed: int, *,
-                   ensemble: str = "bures", eta: float = 0.5,
-                   rank_tol: float = DEFAULT_RANK_TOL, workers: int = 1,
+                   ensemble: str = "bures", eta: float = 0.5, workers: int = 1,
                    fmt: "str | None" = None):
     """Run an experiment by CLI name; returns (Records, report). Given a
     records format ``fmt`` ("csv" or "json"), the records carry their text
@@ -478,16 +481,18 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
-    record rows.
+    record rows. The name, ``ensemble`` and ``fmt`` are checked before any
+    chunk runs; every rank is counted at DEFAULT_RANK_TOL.
     """
     t0 = time.perf_counter()
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; expected one of {tuple(EXPERIMENTS)}")
     if fmt not in (None, "csv", "json"):
         raise ValueError(f"unknown records format {fmt!r}; expected 'csv', 'json' or None")
-    if not 0.0 <= rank_tol < 1.0:  # NaN fails too
-        raise ValueError(f"rank tolerance must be a number in [0, 1), got {rank_tol}")
-    spec, args = EXPERIMENTS[name], Args(samples, seed, ensemble, eta, rank_tol)
+    if ensemble not in STATE_ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}; "
+                         f"expected one of {', '.join(STATE_ENSEMBLES)}")
+    spec, args = EXPERIMENTS[name], Args(samples, ensemble, eta)
     total = spec.combos * samples
     chunks = run_chunks(_swap_chunk, RngStream(seed, _STREAM_IDS[name]), total, workers,
                         (name, args, fmt), samples)

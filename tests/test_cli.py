@@ -328,28 +328,13 @@ def test_invalid_seed_env_var_aborts(monkeypatch, capsys):
     assert capsys.readouterr().err == "entswap: invalid ENTSWAP_SEED value 'forty'\n"
 
 
-_RANK_TOL_RUNS = (["experiment", "rank", "--samples", "2", "--seed", "3"],
-                  ["oracle-check", "--samples", "2"])
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1"])
-def test_rank_tol_outside_the_unit_interval_is_a_usage_error(value, phi_plus_file, tmp_path,
-                                                             capsys):
-    for argv in (["swap", phi_plus_file, phi_plus_file], *_RANK_TOL_RUNS):
-        assert main([*argv, f"--rank-tol={value}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"entswap: --rank-tol must be a finite number in [0, 1), "
-                                f"got {float(value)}\n")
-
-
-@pytest.mark.parametrize("value", ["0", "1e-10"])
-def test_rank_tol_in_the_unit_interval_is_accepted(value, phi_plus_file, tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for argv in (["swap", phi_plus_file, phi_plus_file], *_RANK_TOL_RUNS):
-        rc = main([*argv, f"--rank-tol={value}"])
-        assert "--rank-tol" not in capsys.readouterr().err
-        # at 0 every roundoff eigenvalue counts, so the rank law may fail
-        # (exit 1), which is a finding, not a usage error
-        assert rc == 0 or (value == "0" and argv[1] == "rank" and rc == EXIT_VIOLATION)
+@pytest.mark.parametrize("value", ["0", "1e-10", "nan", "inf", "-1", "1"])
+def test_rank_tol_is_not_an_option(value, phi_plus_file, capsys):
+    # every rank is counted at DEFAULT_RANK_TOL; argparse refuses the flag
+    for argv in (["swap", phi_plus_file, phi_plus_file],
+                 ["experiment", "rank", "--samples", "2", "--seed", "3"],
+                 ["oracle-check", "--samples", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--rank-tol={value}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err

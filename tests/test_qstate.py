@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import entswap as es
 from entswap.ensembles import bell_diagonal_x
 from entswap.qstate import (
+    DEFAULT_RANK_TOL,
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     TRACE_TOL,
@@ -243,6 +244,16 @@ def test_rank_respects_relative_tolerance():
     rho = es.DensityMatrix(np.diag([0.9, 0.1 - 1e-12, 1e-12, 0.0]).astype(complex))
     assert es.numerical_rank(rho, tol=1e-10) == 2
     assert es.numerical_rank(rho, tol=1e-13) == 3
+
+
+@pytest.mark.parametrize("top", [1.0, 0.25])  # 1/4: the least top eigenvalue of a state
+@pytest.mark.parametrize("factor, counted", [(1.001, True), (0.999, False)])
+def test_rank_cutoff_is_relative_to_the_largest_eigenvalue(top, factor, counted):
+    eigs = np.array([top, top / 2, factor * DEFAULT_RANK_TOL * top, 0.0])
+    assert rank_batch(eigs) == 2 + counted
+    # the state with these eigenvalues' ratios, at unit trace
+    rho = es.DensityMatrix(np.diag(eigs / eigs.sum()).astype(complex))
+    assert es.numerical_rank(rho) == 2 + counted
 
 
 # --------------------------------------------------------------- X-states
