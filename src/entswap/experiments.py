@@ -18,7 +18,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,13 +75,19 @@ SELF_SWAP_TOL = 1e-12
 ORACLE_TOL = 1e-10
 
 HAAR_PHASE_STD = float(np.pi / np.sqrt(3.0))
-HAAR_Z_BOUND = 5.0  # on the |z| of haar-stats' phase mean and std (see _phase_z)
+HAAR_Z_BOUND = 5.0  # on the |z| of haar-stats' two phase sums (see _phase_z)
+# Var sum_j f(theta_j) over the eigenphases of a Haar n x n unitary is
+# sum_k min(|k|, n) |f_k|^2 over the Fourier coefficients f_k of f (Diaconis
+# & Evans, Trans. AMS 353, 2615 (2001)). On (-pi, pi], f = theta has
+# |f_k|^2 = 1/k^2 and f = theta^2 has 4/k^4 (k != 0); with n = 4, the tails
+# close through zeta(2) = pi^2/6 and zeta(4) = pi^4/90.
+_K = np.arange(1.0, 5.0)
+HAAR_VAR_SUM = float(2.0 * (np.sum(1.0 / _K) + 4.0 * (np.pi ** 2 / 6.0 - np.sum(_K ** -2))))
+HAAR_VAR_SQ = float(8.0 * (np.sum(_K ** -3) + 4.0 * (np.pi ** 4 / 90.0 - np.sum(_K ** -4))))
 
 CSV_COLUMNS = ("sample", "outcome", "c_a", "c_b", "c_f", "prob",
                "rank_a", "rank_b", "rank_f")
 _FLOAT_COLUMNS = {"c_a", "c_b", "c_f", "prob", "ratio"}
-
-_MAX_FIELDS = {"upper": "max_upper_excess", "lower": "max_lower_deficit"}
 
 _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
 _LABELS = tuple(outcome.value for outcome in _OUTCOMES)
@@ -97,29 +103,17 @@ DRAW_SAMPLES = 256
 
 @dataclass
 class BoundReport:
-    """Violation counts and worst-case margins for one experiment run."""
+    """One experiment run's checks, by name: each one's tolerance, number
+    of violations and worst deviation (at least 0)."""
 
     experiment: str
     samples: int
     seed: int
-    violations_upper: int = 0
-    violations_lower: int = 0
-    max_upper_excess: float = 0.0
-    max_lower_deficit: float = 0.0
+    checks: dict = field(default_factory=dict)
     hard_violations: int = 0
     skipped: int = 0
     extras: dict = field(default_factory=dict)
     runtime_ms: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        """Every field; extras, copied, only when non-empty (summaries are
-        written with sorted keys)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.extras:
-            out["extras"] = dict(self.extras)
-        else:
-            del out["extras"]
-        return out
 
 
 class Args(NamedTuple):
@@ -133,11 +127,9 @@ class Args(NamedTuple):
 class Check(NamedTuple):
     """A hard bound over the record columns, or with ``per_sample`` over the
     run's per-sample columns: values of ``deviation(cols, args)`` above
-    ``tol`` violate it. Violations count on report ``side`` ("upper",
-    "lower", or else an extras key); the largest deviation, at least 0, is
-    an upper or lower side's max field."""
+    ``tol`` violate it. The report holds it under ``name``."""
 
-    side: str
+    name: str
     deviation: Callable
     tol: float
     per_sample: bool = False
@@ -383,72 +375,79 @@ def _rank_mismatch(cols, args):
     return (cols["rank_a"] != combo // 4 + 1) | (cols["rank_b"] != combo % 4 + 1)
 
 
+def _phase_sums(per_sample) -> tuple:
+    """The sample count and the run's sums of phase_sum and phase_sq, added
+    one sample at a time in sample order: the chunk layout moves no sum."""
+    return (len(per_sample["phase_sum"]), sum(per_sample["phase_sum"].tolist()),
+            sum(per_sample["phase_sq"].tolist()))
+
+
 def _phase_stats(per_sample) -> tuple:
-    """The run's phase mean and std, its sums added one sample at a time in
-    sample order: the chunk layout moves no sum."""
-    count = 4 * len(per_sample["phase_sum"])
-    mean = sum(per_sample["phase_sum"].tolist()) / count
-    return mean, float(np.sqrt(sum(per_sample["phase_sq"].tolist()) / count - mean * mean))
+    """The run's phase mean and std."""
+    n, total, squares = _phase_sums(per_sample)
+    mean = total / (4 * n)
+    return mean, float(np.sqrt(squares / (4 * n) - mean * mean))
 
 
 def _phase_z(per_sample) -> tuple:
-    """z-scores of the run's phase mean against 0 and std against
-    HAAR_PHASE_STD: the mean's standard error is std(phase_sum) / (4 sqrt N),
-    the std's that of the mean square, std(phase_sq) / (4 sqrt N), over 2 std.
-    One sample has no spread, and so infinite z-scores."""
-    mean, std = _phase_stats(per_sample)
-    se = 1.0 / (4.0 * np.sqrt(len(per_sample["phase_sum"])))
-    with np.errstate(divide="ignore"):
-        return (mean / (se * np.std(per_sample["phase_sum"])),
-                (std - HAAR_PHASE_STD) / (se * np.std(per_sample["phase_sq"]) / (2.0 * std)))
+    """z-scores of the run's two phase sums against their Haar means, 0 and
+    4 N pi^2 / 3, over their exact standard errors sqrt(N HAAR_VAR_SUM) and
+    sqrt(N HAAR_VAR_SQ)."""
+    n, total, squares = _phase_sums(per_sample)
+    return (total / np.sqrt(n * HAAR_VAR_SUM),
+            (squares - 4.0 * n * np.pi ** 2 / 3.0) / np.sqrt(n * HAAR_VAR_SQ))
 
 
 EXPERIMENTS = {
     # swapping anything with a Bell state preserves concurrence
     "conserve": Experiment(_conserve_draw, _general_outcomes, (
-        Check("upper", lambda c, _: np.abs(c["c_f"] - c["c_a"]), CONSERVATION_TOL),)),
+        Check("conservation", lambda c, _: np.abs(c["c_f"] - c["c_a"]), CONSERVATION_TOL),)),
     # Bell-diagonal pairs: C_A C_B >= C_F >= (C_A + C_B + C_A C_B - 1) / 2,
     # the floor proved in the README's "Bounds"
     "belldiag": Experiment(_belldiag_draw, _x_outcomes, (
-        Check("upper", lambda c, _: c["c_f"] - c["c_a"] * c["c_b"], UPPER_BOUND_TOL),
-        Check("lower", lambda c, _: 0.5 * (c["c_a"] + c["c_b"] + c["c_a"] * c["c_b"] - 1.0)
-              - c["c_f"], LOWER_BOUND_TOL),
+        Check("product_upper", lambda c, _: c["c_f"] - c["c_a"] * c["c_b"], UPPER_BOUND_TOL),
+        Check("belldiag_floor",
+              lambda c, _: 0.5 * (c["c_a"] + c["c_b"] + c["c_a"] * c["c_b"] - 1.0) - c["c_f"],
+              LOWER_BOUND_TOL),
     )),
     # Haar pure pairs, by the README's "Bounds": 4 p C_F = C_A C_B on each
     # outcome, so C_F >= C_A C_B / (1 + s_A s_B), s = sqrt(1 - C^2), which
     # implies the paper's (C_A C_B)^2; float_power squares with C pow, as
     # Python's float ** does (a product can differ in the last bit)
     "pure": Experiment(_pure_draw, _general_outcomes, (
-        Check("lower", lambda c, _: np.float_power(c["c_a"] * c["c_b"], 2) - c["c_f"],
-              LOWER_BOUND_TOL),
-        Check("pure_identity_violations",
+        Check("squared_product_floor",
+              lambda c, _: np.float_power(c["c_a"] * c["c_b"], 2) - c["c_f"], LOWER_BOUND_TOL),
+        Check("pure_identity",
               lambda c, _: np.abs(4.0 * c["prob"] * c["c_f"] - c["c_a"] * c["c_b"]),
               LOWER_BOUND_TOL),
-        Check("schmidt_floor_violations", _schmidt_floor, LOWER_BOUND_TOL),
+        Check("schmidt_floor", _schmidt_floor, LOWER_BOUND_TOL),
     )),
     # every rank combination (k1, k2) in 1..4: R_F >= max(R_A, R_B), with
     # equality (no rank gap) when either input is pure; inputs of ranks k1, k2
     "rank": Experiment(_rank_draw, _general_outcomes, (
-        Check("upper", lambda c, _: _rank_floor(c) - c["rank_f"], 0),
-        Check("lower", lambda c, _: (np.minimum(c["rank_a"], c["rank_b"]) == 1)
+        Check("rank_floor", lambda c, _: _rank_floor(c) - c["rank_f"], 0),
+        Check("pure_rank_equality", lambda c, _: (np.minimum(c["rank_a"], c["rank_b"]) == 1)
               * np.abs(c["rank_f"] - _rank_floor(c)), 0),
-        Check("input_rank_mismatches", _rank_mismatch, 0),
+        Check("input_rank", _rank_mismatch, 0),
     ), combos=16),
     # rank-2 Bell mixtures swapped with themselves: C_F = C_in^2 exactly
     "rank2-selfswap": Experiment(_rank2_draw, _general_outcomes, (
-        Check("upper", lambda c, _: np.abs(c["c_f"] - c["c_a"] * c["c_a"]), SELF_SWAP_TOL),)),
+        Check("self_swap_square", lambda c, _: np.abs(c["c_f"] - c["c_a"] * c["c_a"]),
+              SELF_SWAP_TOL),)),
     # the closed-form psi- swap against the beamsplitter route
     "oracle-equiv": Experiment(_oracle_draw, _oracle_outcomes, (
-        Check("upper", lambda c, _: c["trace_distance"], ORACLE_TOL),
-        Check("lower", lambda c, _: c["prob_diff"], ORACLE_TOL),
-    ), extras=lambda r, _: {"max_trace_distance": r.max_upper_excess,
-                            "max_probability_diff": r.max_lower_deficit}),
-    # eigenvalue phases of Haar 4x4 unitaries are uniform: mean 0, std
-    # pi/sqrt(3), checked over the whole run as z-scores (max fields hold
-    # |z|); no swap, and no record rows
+        Check("trace_distance", lambda c, _: c["trace_distance"], ORACLE_TOL),
+        Check("probability_diff", lambda c, _: c["prob_diff"], ORACLE_TOL),
+    ), extras=lambda r, _: {"max_trace_distance": r.checks["trace_distance"]["worst"],
+                            "max_probability_diff": r.checks["probability_diff"]["worst"]}),
+    # eigenvalue phases of Haar 4x4 unitaries: each sample's phase sum has
+    # mean 0 and its sum of squares 4 pi^2 / 3, checked over the whole run
+    # as z-scores (worst holds |z|); no swap, and no record rows
     "haar-stats": Experiment(_haar_draw, _no_outcomes, (
-        Check("upper", lambda s, _: np.abs(_phase_z(s)[0]), HAAR_Z_BOUND, per_sample=True),
-        Check("lower", lambda s, _: np.abs(_phase_z(s)[1]), HAAR_Z_BOUND, per_sample=True),
+        Check("phase_mean_z", lambda s, _: np.abs(_phase_z(s)[0]), HAAR_Z_BOUND,
+              per_sample=True),
+        Check("phase_mean_square_z", lambda s, _: np.abs(_phase_z(s)[1]), HAAR_Z_BOUND,
+              per_sample=True),
     ), extras=lambda r, s: dict(zip(("phase_mean", "phase_std"), _phase_stats(s)),
                                 target_std=HAAR_PHASE_STD)),
 }
@@ -460,15 +459,12 @@ _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 def _apply_checks(report: BoundReport, checks, cols: dict, args, per_sample=None) -> None:
     """Count each Check's violations over the record columns, or the
-    per-sample columns ``per_sample``, into report."""
-    for side, deviation, tol, over_samples in checks:
+    per-sample columns ``per_sample``, into report under the check's name."""
+    for name, deviation, tol, over_samples in checks:
         dev = deviation(per_sample if over_samples else cols, args)
         count = int(np.count_nonzero(dev > tol))
-        if side in _MAX_FIELDS:  # a spec has at most one check per side
-            setattr(report, f"violations_{side}", count)
-            setattr(report, _MAX_FIELDS[side], max(0.0, float(dev.max(initial=0.0))))
-        else:
-            report.extras[side] = count
+        report.checks[name] = {"tol": tol, "violations": count,
+                               "worst": float(dev.max(initial=0.0))}
         report.hard_violations += count
 
 
@@ -600,7 +596,7 @@ def write_records(records: Records, path) -> None:
 def summary_text(report: BoundReport) -> str:
     """The report as summary JSON text: sorted keys, two-space indent and
     a final newline."""
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
 def write_summary(report: BoundReport, path) -> str:

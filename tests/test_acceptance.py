@@ -42,29 +42,32 @@ def test_criterion_02_conservation_with_bell_state():
     t0 = time.perf_counter()
     _, report = ex.run_experiment("conserve", 10_000, SEED + 2)
     elapsed = time.perf_counter() - t0
-    ok = report.max_upper_excess < 1e-9 and report.skipped == 0 and elapsed < 30.0
+    worst = report.checks["conservation"]["worst"]
+    ok = worst < 1e-9 and report.skipped == 0 and elapsed < 30.0
     _report(2, ok, f"10^4 Bures states x 4 outcomes, "
-                   f"max |C_F - C_A| = {report.max_upper_excess:.2e}, {elapsed:.1f}s")
+                   f"max |C_F - C_A| = {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_03_bell_diagonal_bounds():
     t0 = time.perf_counter()
     _, report = ex.run_experiment("belldiag", 100_000, SEED + 3, workers=2)
     elapsed = time.perf_counter() - t0
+    upper, floor = report.checks["product_upper"], report.checks["belldiag_floor"]
     ok = (report.hard_violations == 0
-          and report.max_lower_deficit == 0.0
+          and floor["worst"] == 0.0
           and elapsed < 60.0)
     _report(3, ok, f"10^5 Bell-diagonal pairs, upper violations "
-                   f"{report.violations_upper}, max upper excess "
-                   f"{report.max_upper_excess:.2e}, max lower deficit "
-                   f"{report.max_lower_deficit:.2e}, {elapsed:.1f}s")
+                   f"{upper['violations']}, max upper excess "
+                   f"{upper['worst']:.2e}, max lower deficit "
+                   f"{floor['worst']:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_04_rank2_self_swap_grid():
     _, report = ex.run_experiment("rank2-selfswap", 99, 0)
-    ok = report.violations_upper == 0 and report.max_upper_excess < 1e-12
+    check = report.checks["self_swap_square"]
+    ok = check["violations"] == 0 and check["worst"] < 1e-12
     _report(4, ok, f"99-point mixing grid x 4 outcomes, "
-                   f"max |C_F - C_in^2| = {report.max_upper_excess:.2e}")
+                   f"max |C_F - C_in^2| = {check['worst']:.2e}")
 
 
 def test_criterion_05_pure_state_lower_bound():
@@ -80,21 +83,24 @@ def test_criterion_05_pure_state_lower_bound():
             res = es.swap_general(rho, rho, outcome)
             worst = max(worst, abs(es.concurrence(res.state) - 1.0))
     purify_ok = worst < 1e-12
+    floor = report.checks["squared_product_floor"]
+    others = {name: c["violations"] for name, c in report.checks.items() if c is not floor}
     _report(5, bound_ok and purify_ok,
             f"10^5 pure pairs, squared-product violations "
-            f"{report.violations_lower} (max deficit "
-            f"{report.max_lower_deficit:.2e}), {report.extras}; imbalanced-pair "
+            f"{floor['violations']} (max deficit "
+            f"{floor['worst']:.2e}), {others}; imbalanced-pair "
             f"purification max |C_F - 1| = {worst:.2e}")
 
 
 def test_criterion_06_rank_law():
     _, report = ex.run_experiment("rank", 1000, SEED + 6)
-    ok = (report.violations_upper == 0
-          and report.violations_lower == 0
-          and report.extras["input_rank_mismatches"] == 0)
+    violations = {name: c["violations"] for name, c in report.checks.items()}
+    ok = (violations["rank_floor"] == 0
+          and violations["pure_rank_equality"] == 0
+          and violations["input_rank"] == 0)
     _report(6, ok, f"16 rank combos x 10^3 pairs, inequality violations "
-                   f"{report.violations_upper}, pure-input equality violations "
-                   f"{report.violations_lower}")
+                   f"{violations['rank_floor']}, pure-input equality violations "
+                   f"{violations['pure_rank_equality']}")
 
 
 def test_criterion_07_beamsplitter_equivalence():

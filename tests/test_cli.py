@@ -295,7 +295,7 @@ def test_experiment_exits_one_when_a_floor_is_crossed(tmp_path, monkeypatch, cap
     floor = 0.5 * (records["c_a"] + records["c_b"] + records["c_a"] * records["c_b"] - 1.0)
     crossed = int(np.count_nonzero(floor > ex.LOWER_BOUND_TOL))
     assert crossed > 0
-    assert report["violations_lower"] == report["hard_violations"] == crossed
+    assert report["checks"]["belldiag_floor"]["violations"] == report["hard_violations"] == crossed
 
 
 def test_seed_env_var_is_overridden_by_flag(tmp_path, monkeypatch, capsys):

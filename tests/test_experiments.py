@@ -19,7 +19,7 @@ from entswap.swap import conditional_states, conditional_x_states, swap_batch, s
 def test_conservation_small_run():
     records, report = ex.run_experiment("conserve", 100, 5)
     assert report.hard_violations == 0
-    assert report.max_upper_excess < 1e-9
+    assert report.checks["conservation"]["worst"] < 1e-9
     assert len(records["sample"]) == 400  # four outcomes per sample
     assert np.all(records["c_b"] == 1.0) and np.all(records["rank_b"] == 1)
 
@@ -41,13 +41,15 @@ def test_conservation_ensemble_choices(monkeypatch):
 def test_belldiag_small_run():
     records, report = ex.run_experiment("belldiag", 2000, 5)
     assert report.hard_violations == 0
-    assert report.max_lower_deficit == 0.0
+    assert report.checks["belldiag_floor"]["worst"] == 0.0
 
 
 def test_pure_small_run():
     records, report = ex.run_experiment("pure", 300, 5)
     assert report.hard_violations == 0
-    assert report.extras == {"pure_identity_violations": 0, "schmidt_floor_violations": 0}
+    assert report.checks["pure_identity"]["violations"] == 0
+    assert report.checks["schmidt_floor"]["violations"] == 0
+    assert report.extras == {}
     assert np.all(records["rank_a"] == 1) and np.all(records["rank_b"] == 1)
     assert np.all(records["ratio"] >= 1.0)
 
@@ -56,15 +58,15 @@ def test_rank_relation_small_run():
     records, report = ex.run_experiment("rank", 8, 5)
     assert report.samples == 128
     assert report.hard_violations == 0
-    assert report.extras["input_rank_mismatches"] == 0
+    assert report.checks["input_rank"]["violations"] == 0
     combos = set(zip(records["rank_a"].tolist(), records["rank_b"].tolist()))
     assert combos == {(i, j) for i in range(1, 5) for j in range(1, 5)}
 
 
 def test_rank2_selfswap_grid():
     records, report = ex.run_experiment("rank2-selfswap", 19, 0)
-    assert report.violations_upper == 0
-    assert report.max_upper_excess < 1e-12
+    assert report.checks["self_swap_square"]["violations"] == 0
+    assert report.checks["self_swap_square"]["worst"] < 1e-12
     # every outcome of every grid point is recorded
     assert len(records["sample"]) == 19 * 4
 
@@ -74,6 +76,9 @@ def test_oracle_equiv_small_run():
     assert report.hard_violations == 0
     assert report.extras["max_trace_distance"] < 1e-10
     assert report.extras["max_probability_diff"] < 1e-10
+    # the benchmark's two keys copy the checks' worst values
+    assert report.extras == {"max_trace_distance": report.checks["trace_distance"]["worst"],
+                             "max_probability_diff": report.checks["probability_diff"]["worst"]}
 
 
 def test_haar_stats_small_run():
@@ -84,15 +89,16 @@ def test_haar_stats_small_run():
 
 
 def test_haar_stats_passes_at_2000_samples():
-    # |mean| = 0.0327 is over 0.02 but only 2.37 standard errors here
+    # |mean| = 0.0327 is over 0.02 but only 2.40 standard errors here
     _, report = ex.run_experiment("haar-stats", 2000, 42)
     assert report.hard_violations == 0, report.extras["phase_mean"]
-    assert report.max_upper_excess == pytest.approx(2.37, abs=0.01)
+    assert report.checks["phase_mean_z"]["worst"] == pytest.approx(2.40, abs=0.01)
 
 
 def test_haar_stats_flags_a_planted_phase_bias(monkeypatch):
-    # every phase shifted by 0.2 moves the mean by 0.2 and leaves the std;
-    # a shift of 0.1 (z = 4.90 at this seed) would stay under the bound
+    # every phase shifted by 0.2 moves the mean by 0.2 and the mean square
+    # by 0.04 plus 0.4 times the mean, which the square's z-score does not
+    # flag here; a shift of 0.1 (z = 4.94 at this seed) would stay under the bound
     spec = ex.EXPERIMENTS["haar-stats"]
 
     def biased(args, rng, lo, hi):
@@ -102,15 +108,28 @@ def test_haar_stats_flags_a_planted_phase_bias(monkeypatch):
 
     monkeypatch.setitem(ex.EXPERIMENTS, "haar-stats", spec._replace(draw=biased))
     _, report = ex.run_experiment("haar-stats", 2000, 42)
-    assert (report.violations_upper, report.violations_lower) == (1, 0)
-    assert report.max_upper_excess > 2 * ex.HAAR_Z_BOUND
-    assert report.max_lower_deficit < ex.HAAR_Z_BOUND
+    mean_z, square_z = report.checks["phase_mean_z"], report.checks["phase_mean_square_z"]
+    assert (mean_z["violations"], square_z["violations"]) == (1, 0)
+    assert mean_z["worst"] > 2 * ex.HAAR_Z_BOUND
+    assert square_z["worst"] < ex.HAAR_Z_BOUND
 
 
-def test_haar_stats_of_one_sample_fails_for_want_of_a_spread():
-    _, report = ex.run_experiment("haar-stats", 1, 5)
-    assert report.max_upper_excess == report.max_lower_deficit == np.inf
-    assert report.hard_violations == 2
+@pytest.mark.parametrize("samples", [1, 2])
+def test_haar_stats_of_one_or_two_samples_passes(samples):
+    # the standard errors are the CUE's exact ones, not estimated from the
+    # run, so a handful of samples is no false alarm
+    _, report = ex.run_experiment("haar-stats", samples, 42)
+    assert report.hard_violations == 0
+    assert all(c["worst"] < 1.0 for c in report.checks.values())
+
+
+def test_haar_phase_sum_variances_match_monte_carlo():
+    # 10^5 unitaries at a fixed seed: the standard error of each sample
+    # variance is about 0.3%
+    _, _, cols = ex._haar_draw(None, np.random.default_rng(2001), 0, 100_000)
+    assert np.var(cols["phase_sum"]) == pytest.approx(ex.HAAR_VAR_SUM, rel=0.02)
+    assert np.var(cols["phase_sq"]) == pytest.approx(ex.HAAR_VAR_SQ, rel=0.02)
+    assert np.mean(cols["phase_sq"]) == pytest.approx(4.0 * np.pi ** 2 / 3.0, rel=0.005)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -152,11 +171,26 @@ def test_a_per_sample_check_reads_the_per_sample_columns():
     # one value per sample, one of them past the tolerance; the record
     # columns hold nothing this check could read
     per_sample = {"x": np.array([0.1, 0.7, 0.3])}
-    check = ex.Check("upper", lambda s, _: s["x"], 0.5, per_sample=True)
+    check = ex.Check("x_bound", lambda s, _: s["x"], 0.5, per_sample=True)
     report = ex.BoundReport("hand-built", 3, 0)
     ex._apply_checks(report, [check], {}, None, per_sample)
-    assert (report.violations_upper, report.max_upper_excess) == (1, 0.7)
+    assert report.checks == {"x_bound": {"tol": 0.5, "violations": 1, "worst": 0.7}}
     assert report.hard_violations == 1
+
+
+@pytest.mark.parametrize("name, samples", [("conserve", 20), ("belldiag", 200), ("pure", 60),
+                                           ("rank", 2), ("rank2-selfswap", 9),
+                                           ("oracle-equiv", 10), ("haar-stats", 300)])
+def test_every_check_is_reported_under_its_own_name(name, samples):
+    checks = ex.EXPERIMENTS[name].checks
+    assert len({check.name for check in checks}) == len(checks)
+    _, report = ex.run_experiment(name, samples, 5)
+    assert list(report.checks) == [check.name for check in checks]
+    assert report.hard_violations == sum(c["violations"] for c in report.checks.values()) == 0
+    for check in checks:
+        reported = report.checks[check.name]
+        assert reported["tol"] == check.tol
+        assert 0.0 <= reported["worst"] <= check.tol, check.name
 
 
 def test_runners_reject_empty_sample_counts():
@@ -391,9 +425,10 @@ def test_summary_json_fields(tmp_path):
     path = tmp_path / "summary.json"
     ex.write_summary(report, path)
     payload = json.loads(path.read_text())
-    for key in ("samples", "violations_upper", "violations_lower",
-                "max_upper_excess", "max_lower_deficit", "runtime_ms", "seed"):
-        assert key in payload
+    assert set(payload) == {"experiment", "samples", "seed", "checks", "hard_violations",
+                            "skipped", "extras", "runtime_ms"}
+    assert {name: set(check) for name, check in payload["checks"].items()} == dict.fromkeys(
+        ("product_upper", "belldiag_floor"), {"tol", "violations", "worst"})
     assert payload["seed"] == 2
     assert payload["samples"] == 50
 
@@ -416,14 +451,15 @@ def test_oracle_run_raises_no_coincidence_for_the_first_pair_without_one(monkeyp
 
 def test_rank_gap_is_the_lower_deviation():
     # ranks (1, 1), (1, 2) and (2, 2) at combos 0, 1 and 5 (one pair each);
-    # only the middle row, with a pure input, misses R_F = max(R_A, R_B), by 2
+    # only the middle row, with a pure input, misses R_F = max(R_A, R_B), by 2:
+    # the pure-input equality's deviation
     cols = {"sample": np.array([0, 1, 5]), "rank_a": np.array([1, 1, 2]),
             "rank_b": np.array([1, 2, 2]), "rank_f": np.array([1, 4, 3])}
     report = ex.BoundReport("rank", 3, 0)
     ex._apply_checks(report, ex.EXPERIMENTS["rank"].checks, cols, ex.Args(1, "bures", 0.5))
-    assert (report.violations_lower, report.max_lower_deficit) == (1, 2.0)
-    assert (report.violations_upper, report.max_upper_excess) == (0, 0.0)
-    assert report.extras == {"input_rank_mismatches": 0}
+    assert report.checks == {"rank_floor": {"tol": 0, "violations": 0, "worst": 0.0},
+                             "pure_rank_equality": {"tol": 0, "violations": 1, "worst": 2.0},
+                             "input_rank": {"tol": 0, "violations": 0, "worst": 0.0}}
     assert report.hard_violations == 1
 
 
@@ -513,27 +549,24 @@ def test_disjoint_bell_weights_meet_the_bell_diagonal_floor(a, b):
     assert np.abs(concurrence_x_batch(*x) - max(0.0, floor[0])).max() < 1e-12
 
 
-@pytest.mark.parametrize("name, side", [("belldiag", "lower"), ("pure", "lower"),
-                                        ("pure", "pure_identity_violations"),
-                                        ("pure", "schmidt_floor_violations")])
-def test_a_row_past_a_floor_is_one_hard_violation(name, side):
+@pytest.mark.parametrize("name, check_name", [("belldiag", "belldiag_floor"),
+                                              ("pure", "squared_product_floor"),
+                                              ("pure", "pure_identity"),
+                                              ("pure", "schmidt_floor")])
+def test_a_row_past_a_floor_is_one_hard_violation(name, check_name):
     c_a, c_b = np.array([0.9, 0.6]), np.array([0.8, 0.7])
     s_a, s_b = np.sqrt(1.0 - c_a * c_a), np.sqrt(1.0 - c_b * c_b)
     # each floor and the identity's C_F on both rows, then row 0 moved 1e-8 past it
-    c_f = {"belldiag": {"lower": 0.5 * (c_a + c_b + c_a * c_b - 1.0)},
-           "pure": {"lower": (c_a * c_b) ** 2,
-                    "pure_identity_violations": c_a * c_b,  # at prob 1/4
-                    "schmidt_floor_violations": c_a * c_b / (1.0 + s_a * s_b)}}[name][side]
+    c_f = {"belldiag_floor": 0.5 * (c_a + c_b + c_a * c_b - 1.0),
+           "squared_product_floor": (c_a * c_b) ** 2,
+           "pure_identity": c_a * c_b,  # at prob 1/4
+           "schmidt_floor": c_a * c_b / (1.0 + s_a * s_b)}[check_name]
     cols = {"c_a": c_a, "c_b": c_b, "c_f": c_f - [1e-8, 0.0], "prob": np.full(2, 0.25)}
-    check, = (c for c in ex.EXPERIMENTS[name].checks if c.side == side)
+    check, = (c for c in ex.EXPERIMENTS[name].checks if c.name == check_name)
     report = ex.BoundReport(name, 2, 0)
     ex._apply_checks(report, [check], cols, None)
-    assert report.hard_violations == 1
-    if side == "lower":
-        assert report.violations_lower == 1
-        assert report.max_lower_deficit == pytest.approx(1e-8, rel=1e-6)
-    else:
-        assert report.extras == {side: 1}
+    assert report.hard_violations == report.checks[check_name]["violations"] == 1
+    assert report.checks[check_name]["worst"] == pytest.approx(1e-8, rel=1e-6)
 
 
 _WITHOUT_SCIPY = """
@@ -559,8 +592,8 @@ def test_experiments_and_sample_run_without_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    extras = json.loads((tmp_path / "pure.summary.json").read_text())["extras"]
-    assert extras == {"pure_identity_violations": 0, "schmidt_floor_violations": 0}
+    checks = json.loads((tmp_path / "pure.summary.json").read_text())["checks"]
+    assert checks["pure_identity"]["violations"] == checks["schmidt_floor"]["violations"] == 0
 
 
 def test_benchmark_tracer_targets_stay_resolvable():

@@ -27,71 +27,71 @@ from entswap import cli, experiments
 GOLDEN = {
     ("conserve", 40, 5, ("--ensemble", "bures"), "csv"): (
         "c23c18191c78427c43b220b7fdacc252f99cc877730542dad5008e11990e0bad",
-        "2912f6139b3b7ea34e986c8525b5a554e2fd2b9e4b9e22b4bf64651d5321faa4",
+        "11c0946a1cce58f71c9bd14d4ebe3e72e02a6c376011e3621d0656700abdd7e9",
     ),
     ("conserve", 40, 5, ("--ensemble", "pure"), "csv"): (
         "8765fc8462c69d072a4c9d6ab4a19e917e81c40122f19bd52634d5a80993a1b6",
-        "670cbd1e123af547a6d393cdc5b0ea631bf876619a96287be98596d12bd7940e",
+        "c997db953f6d5d878bf1b698a0ec0dabe0149943074f7d7ea5ffa2dfa211fda1",
     ),
     ("conserve", 40, 5, ("--ensemble", "induced-2"), "csv"): (
         "22e706662a59de17ffe86dfb8a685f59e5162b10a76ae9d9e67f3af7da423a8d",
-        "72d6d2bff8b82a24d9874406d87213541196b7631caa3426e7db876d0670d941",
+        "e481009a40dd3434152e71e4aceee914be11d7b441e4028fb1d22f9e498081da",
     ),
-    # pure summaries carry the identity and Schmidt-floor counts in extras
+    # pure summaries carry the identity and Schmidt-floor checks by name
     ("pure", 60, 5, (), "csv"): (
         "cd32f218c1ec41af74c59d6f7b354f3af388859d7070d403ababc23eecdeaa7d",
-        "57859e04db84cadbacab7a0c8d0349a746438d4bde7a87894148a0d4a617dfa6",
+        "f1829aaa9127010698a1678befdddd18cc0adc44304265c01c50e5d261aa4121",
     ),
     ("pure", 60, 501, (), "csv"): (
         "ab13f71dd3da06b33d0b44c0b4165c9366b89648e09495ddcb8b226188d1685a",
-        "5c19d5d62eb37f340dd77bb2a32b8d1d4e3db6502dacf1b889771911bad3d3d1",
+        "9dd12b71eb33d109489f05b8ffbaaf5e33308d74dcd820da6474a343652ce929",
     ),
     ("rank", 3, 77, (), "csv"): (
         "60eca757cfbb659d85d2e51f6ff30dc9d6a9e7edfa3e9c9ffb57e13827439bcf",
-        "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
+        "1e246e968b75c7118c052c9457f7ed79fa05d805364d5ead6c7c8c9ea2dadb84",
     ),
     ("rank2-selfswap", 19, 5, (), "csv"): (
         "386a260761204a49ec0618c8689c2c54d730fd567c0db7d1699789b9ecc880a8",
-        "fc82b75994f21502d1026ad5711b90d1858d9127f342aebc2d8669138666e746",
+        "31defd57795b92b66575ee8a9f74d4df6b39a602b3c8026b5e9e797f37930c22",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "csv"): (
         "ad8966d694fd252e21be46c2b37d740fb1a1ab8eb2fc460c61199e8def6f31da",
-        "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
+        "2cbcdb38de6207ceacfd9f1aaacb722f4ebb20ca47220d9d693263bb7cde69ca",
     ),
     ("belldiag", 200, 5, (), "csv"): (
         "d54e5db17ef2a5cd621a87ebe5fb9efac6baae350e8b7f5a52c92474de964753",
-        "f2a362d4fa37d95765c7b1bbd5842c4989150bb1e18e85df2457e0e461f526a7",
+        "987f123a29403be69921188c79bf764c60781e788d413aac0c43b1f9029e6cba",
     ),
     # several 256-sample blocks at workers=1, several pool chunks at 2
     ("belldiag", 600, 7, (), "csv"): (
         "ca60e74b1a117518a22681b7984f14499627efe75c96e2a132e969512d6398f7",
-        "1ade0cb0f73e03e5c281727c5a43fdebb85e58e2c3fd79de96627152e75cd959",
+        "8df0b306aa3185f15f92a9692a18184801943910e9248f3bb660068c06d6567e",
     ),
     ("belldiag", 600, 501, (), "csv"): (
         "3dea2a042fa8617977f7d7688632929117e7e97212c139df0796caa22f234039",
-        "ae17af44073caf64ea2090338d77e92969432fad269bffc584fd3fbfd281b924",
+        "92ddb7b82064bc11dae8e5020ede5166132460e2c95087b02a1a3372b3330680",
     ),
     ("pure", 30, 7, (), "json"): (
         "f892d651e7e56249af5a56c9b428fd64157c3440643313217d92f46620244c42",
-        "0eeab0a1d31f011d993c5786379af4ccad96691879df7bb0b1a3d3136821d4fe",
+        "d6e00bd81a198ca2eeb9c584e7afadd9a2d0e9b55a948c2466f0d78879052423",
     ),
     # JSON records tell 1 from 1.0, so they pin each column's int or float type
     ("conserve", 40, 5, ("--ensemble", "bures"), "json"): (
         "f0d109aac422c3c814748fa64b5b5f6a18d4ecd1111ad3214d03e212fd86b746",
-        "2912f6139b3b7ea34e986c8525b5a554e2fd2b9e4b9e22b4bf64651d5321faa4",
+        "11c0946a1cce58f71c9bd14d4ebe3e72e02a6c376011e3621d0656700abdd7e9",
     ),
     ("rank", 3, 77, (), "json"): (
         "6f00c1fdb25ab2269d6407f2fc3e8c925fa9afb179159f35a454dc41271b3cd9",
-        "eed3db09c8deed071ebba36113e99cb607440227486723183cca7302fd11ce83",
+        "1e246e968b75c7118c052c9457f7ed79fa05d805364d5ead6c7c8c9ea2dadb84",
     ),
     ("oracle-equiv", 20, 5, ("--eta", "0.5"), "json"): (
         "953a5ca42883677a8c2a11e4efc32771cac39bb72cc1f440b4f5708ada1437d4",
-        "0d2b85ea5251a318e69c3c56e6e1e86088d2e6faf931ff21a4748ab0d52db549",
+        "2cbcdb38de6207ceacfd9f1aaacb722f4ebb20ca47220d9d693263bb7cde69ca",
     ),
     # an unbalanced beamsplitter: every sample is a hard violation
     ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
         "1a2acc402f3e89bcbb5f6278d95aa1a5dbaea6f0b55a8960859fbdc079dc0544",
-        "9b7705cb7e9890a7736d75fb8b7193421bf063d994cf7dae58ac1937ba89b19c",
+        "a59324e1ac882b54cf87497f38e6913eddfab72b1d7f8ff0994672d952e08ac2",
     ),
 }
 
@@ -112,10 +112,10 @@ SAMPLE_GOLDEN = {
 }
 
 # haar-stats writes header-only records; its phase sums are accumulated in
-# sample order, so its summary is the same on any worker count. The
-# summary's max fields hold the |z| of the phase mean and std.
+# sample order, so its summary is the same on any worker count. Its two
+# checks' worst values are the |z| of the phase sum and the sum of squares.
 HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad"
-HAAR_SUMMARY = "5a26c617ed7845febde820563a43abdcf21bd0a7a3e16ad4aa3fc51226e9873f"
+HAAR_SUMMARY = "b9c30a72d051e222cfc9771fe9123786cd38037001bb32f1fb72105349589fbe"
 
 
 def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_OK):
