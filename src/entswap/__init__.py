@@ -33,9 +33,8 @@ from .swap import (
     swap_all_outcomes,
     swap_general,
     swap_oracle_16,
-    swap_x,
 )
-from .optics import NoCoincidence, beamsplitter_unitary, swap_via_beamsplitter
+from .optics import beamsplitter_unitary, swap_via_beamsplitter
 from .ensembles import (
     BellDiagonalParams,
     RngStream,
@@ -57,7 +56,6 @@ __all__ = [
     "BellLabel",
     "DensityMatrix",
     "ImpossibleOutcome",
-    "NoCoincidence",
     "NotAnXState",
     "RngStream",
     "SwapResult",
@@ -86,7 +84,6 @@ __all__ = [
     "swap_general",
     "swap_oracle_16",
     "swap_via_beamsplitter",
-    "swap_x",
     "tensor",
     "trace_distance",
     "werner",

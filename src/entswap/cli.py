@@ -21,6 +21,7 @@ from . import ensembles, experiments
 from .qstate import (
     BellLabel,
     DensityMatrix,
+    ImpossibleOutcome,
     ValidationError,
     concurrence,
     matrix_from_json_dict,
@@ -28,8 +29,7 @@ from .qstate import (
     numerical_rank,
     validate_batch,
 )
-from .swap import ImpossibleOutcome, swap_general
-from .optics import NoCoincidence
+from .swap import swap_general
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, ImpossibleOutcome, NoCoincidence) as exc:
+    except (ValidationError, ImpossibleOutcome) as exc:
         print(f"entswap: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

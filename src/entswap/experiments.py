@@ -38,7 +38,7 @@ from .ensembles import (
 # concurrence, concurrence_x, numerical_rank and trace_distance stay
 # importable here: the benchmark's span tracer (perfbench/tracer.py) wraps
 # them by name.
-from .optics import NoCoincidence, swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
+from .optics import swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
 from .qstate import (  # noqa: F401
     BellLabel,
     bell_density,
@@ -51,6 +51,7 @@ from .qstate import (  # noqa: F401
     pure_batch,
     pure_concurrence,
     rank_batch,
+    refuse_impossible,
     trace_distance,
     trace_distance_batch,
     validate_batch,
@@ -59,7 +60,6 @@ from .qstate import (  # noqa: F401
 )
 from .swap import (  # noqa: F401
     _OUTCOMES,
-    ImpossibleOutcome,
     swap_all_outcomes,
     swap_batch,
     swap_general,
@@ -250,18 +250,16 @@ def _x_outcomes(x_a, x_b, where, args):
 def _oracle_outcomes(rho_a, rho_b, where, args):
     """_general_outcomes for psi- alone, also swapped by the beamsplitter
     model at args.eta, conditioned alike: the columns trace_distance and
-    prob_diff compare the two routes. An impossible psi- raises
-    ImpossibleOutcome and the first pair without coincidence NoCoincidence."""
+    prob_diff compare the two routes. The first pair whose psi- either route
+    finds impossible raises ImpossibleOutcome."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
     possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi],
                                                         lambda n, _: where(n, _PSI), vectors=True)
-    if not possible.all():  # the first sample swap_general would refuse
-        raise ImpossibleOutcome(BellLabel.PSI_MINUS, 2.0 * prob[~possible[:, 0], _PSI][0])
+    refuse_impossible(possible, prob[:, psi], BellLabel.PSI_MINUS)
     out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta)
     seen, physical, _ = conditional_states(out, coincidence, lambda n: where(n, _PSI))
-    if not seen.all():
-        raise NoCoincidence(float(coincidence[~seen][0]))
+    refuse_impossible(seen, coincidence, BellLabel.PSI_MINUS)
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})

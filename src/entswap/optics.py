@@ -15,7 +15,8 @@ occupied states carry the bosonic 1/sqrt(2) normalization so the
 beamsplitter action is exactly unitary on this space.
 
 The physics is independent of the swap kernel; only conditioning,
-qstate.conditional_states, is shared with every swap route.
+qstate.conditional_states, and its refusal, qstate.refuse_impossible,
+are shared with every swap route.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .qstate import NORMALIZATION_FLOOR, BellLabel, DensityMatrix, conditional_states
+from .qstate import BellLabel, DensityMatrix, conditional_states, refuse_impossible
 from .swap import SwapResult
 
 MODE_LABELS = (
@@ -38,17 +39,6 @@ N_BUNCHED = 6
 _PAIRS = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3),
           (0, 2), (0, 3), (1, 2), (1, 3))
 _PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
-
-
-class NoCoincidence(Exception):
-    """The coincidence probability vanishes: both photons always bunch."""
-
-    def __init__(self, probability: float):
-        self.probability = probability
-        super().__init__(
-            f"coincidence probability {probability:.3e} <= {NORMALIZATION_FLOOR / 2}; "
-            "no post-selected state exists"
-        )
 
 
 def _single_photon_map(eta: float) -> np.ndarray:
@@ -155,10 +145,10 @@ def swap_via_beamsplitter(
     rho_a: DensityMatrix, rho_b: DensityMatrix, eta: float = 0.5
 ) -> SwapResult:
     """Entanglement swap of one pair via the beamsplitter + coincidence
-    model, a conditioned batch of 1; raises NoCoincidence without one."""
+    model, a conditioned batch of 1; raises ImpossibleOutcome for psi-
+    when the coincidence's normalization 2p is at or below the floor."""
     out, prob = swap_via_beamsplitter_batch(rho_a.mat[None], rho_b.mat[None], eta)
     possible, states, eigs = conditional_states(out, prob)
-    if not possible[0]:
-        raise NoCoincidence(float(prob[0]))
+    refuse_impossible(possible, prob, BellLabel.PSI_MINUS)
     return SwapResult(DensityMatrix._checked(states[0], eigs[0]), float(prob[0]),
                       BellLabel.PSI_MINUS)

@@ -43,6 +43,18 @@ class NotAnXState(ValueError):
     """A density matrix carries weight outside the X pattern."""
 
 
+class ImpossibleOutcome(Exception):
+    """The requested measurement outcome has (numerically) zero probability."""
+
+    def __init__(self, outcome: "BellLabel", normalization: float):
+        self.outcome = outcome
+        self.normalization = normalization
+        super().__init__(
+            f"outcome {outcome} has normalization {normalization:.3e} "
+            f"<= {NORMALIZATION_FLOOR}; the conditional state is undefined"
+        )
+
+
 class BellLabel(enum.Enum):
     """The four maximally entangled two-qubit states."""
 
@@ -320,6 +332,14 @@ def _possible(prob: np.ndarray, where):
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
     named = None if where is None else (lambda j, rows=np.argwhere(possible): where(*rows[j]))
     return possible, prob[possible], named
+
+
+def refuse_impossible(possible: np.ndarray, prob: np.ndarray, outcome: BellLabel) -> None:
+    """The one refusal of every route that swaps for a single outcome: raise
+    ImpossibleOutcome for the first of the probabilities prob (...), in
+    row-major order, that the floor test's mask ``possible`` refused."""
+    if not possible.all():
+        raise ImpossibleOutcome(outcome, 2.0 * float(prob[~possible][0]))
 
 
 def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=False):

@@ -20,17 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
+# ImpossibleOutcome and NORMALIZATION_FLOOR stay importable from here
+from .qstate import (  # noqa: F401
     NORMALIZATION_FLOOR,
     BellLabel,
     DensityMatrix,
+    ImpossibleOutcome,
     XState,
     bell_vector,
     conditional_states,
     conditional_x_states,
     partial_trace_23,
+    refuse_impossible,
     tensor,
-    validate_batch,
 )
 
 _OUTCOMES = tuple(BellLabel)
@@ -62,18 +64,6 @@ _X_TABLE = {
     BellLabel.PHI_MINUS: ((0, 1, 2, 3), (0, 1), -1.0),
 }
 _X_DIAG, _X_COH, _X_SIGN = map(np.array, zip(*(_X_TABLE[k] for k in _OUTCOMES)))
-
-
-class ImpossibleOutcome(Exception):
-    """The requested measurement outcome has (numerically) zero probability."""
-
-    def __init__(self, outcome: BellLabel, normalization: float):
-        self.outcome = outcome
-        self.normalization = normalization
-        super().__init__(
-            f"outcome {outcome} has normalization {normalization:.3e} "
-            f"<= {NORMALIZATION_FLOOR}; the conditional state is undefined"
-        )
 
 
 @dataclass(frozen=True)
@@ -138,8 +128,7 @@ def _conditioned(condition, out, prob: np.ndarray, outcome: BellLabel):
     of probability prob (1,): the stack of one, its eigenvalues and the
     probability; raises ImpossibleOutcome when the outcome is impossible."""
     possible, state, eigs = condition(out, prob)
-    if not possible[0]:
-        raise ImpossibleOutcome(outcome, 2.0 * float(prob[0]))
+    refuse_impossible(possible, prob, outcome)
     return state, eigs, float(prob[0])
 
 
@@ -169,14 +158,6 @@ def swap_x_params(
     (diag, coh), _, probability = _conditioned(conditional_x_states, (diag[:, k], coh[:, k]),
                                                prob[:, k], outcome)
     return XState._checked(diag[0], coh[0]), probability
-
-
-def swap_x(chi_a: XState, chi_b: XState, outcome: BellLabel) -> SwapResult:
-    """Swap two X-states; identical to swap_general on the embedded matrices."""
-    out, probability = swap_x_params(chi_a, chi_b, outcome)
-    mat = out.to_matrix()
-    eigs = validate_batch(mat, prob=probability)
-    return SwapResult(DensityMatrix._checked(mat, eigs), probability, outcome)
 
 
 def swap_all_outcomes(rho_a: DensityMatrix, rho_b: DensityMatrix) -> "list[SwapResult]":

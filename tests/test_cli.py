@@ -9,6 +9,7 @@ from entswap import experiments as ex
 from entswap.cli import EXIT_VIOLATION, main
 from entswap.ensembles import STATE_ENSEMBLES
 from entswap.qstate import EIGENVALUE_FLOOR
+from entswap.swap import swap_x_params
 
 
 def _write_state(path, rho):
@@ -203,6 +204,35 @@ def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(message, captured.err)
+
+
+def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, capsys):
+    # psi- of |HH><HH| x |HH><HH| has probability 0 on every route: the
+    # kernel, the 16x16 oracle, the beamsplitter, the X route, the harness's
+    # stacked oracle run (on a stack that holds the pair) and the CLI
+    message = ("outcome psi- has normalization 0.000e+00 <= 1e-12; "
+               "the conditional state is undefined")
+    psi = es.BellLabel.PSI_MINUS
+    hh = es.DensityMatrix.from_pure([1, 0, 0, 0])
+    x_hh = es.as_x_state(hh)
+    rng = np.random.default_rng(3)
+    a, b = es.random_bures(rng, size=4), es.random_bures(rng, size=4)
+    a[2], b[2] = hh.mat, hh.mat
+    routes = (lambda: es.swap_general(hh, hh, psi),
+              lambda: es.swap_oracle_16(hh, hh, psi),
+              lambda: es.swap_via_beamsplitter(hh, hh),
+              lambda: swap_x_params(x_hh, x_hh, psi),
+              lambda: ex._oracle_outcomes(a, b, lambda n, k: f"sample {n}",
+                                          ex.Args(4, "bures", 0.5)))
+    for route in routes:
+        with pytest.raises(es.ImpossibleOutcome) as info:
+            route()
+        assert str(info.value) == message
+    path = _write_state(tmp_path / "hh.json", hh)
+    assert main(["swap", path, path, "--outcome", "psi-"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entswap: {message}\n"
 
 
 def _floor_pair(tmp_path):

@@ -433,9 +433,10 @@ def test_summary_json_fields(tmp_path):
     assert payload["samples"] == 50
 
 
-def test_oracle_run_raises_no_coincidence_for_the_first_pair_without_one(monkeypatch):
+def test_oracle_run_refuses_the_first_pair_without_coincidence(monkeypatch):
     # the harness conditions the beamsplitter stack with the shared step;
-    # pairs 2 and 4 fall to coincidence 1e-13 and 0, below the floor's 5e-13
+    # pairs 2 and 4 fall to coincidence 1e-13 and 0, normalizations 2e-13 and
+    # 0 below the floor's 1e-12
     real = ex.swap_via_beamsplitter_batch
 
     def fading(a, b, eta):
@@ -445,7 +446,8 @@ def test_oracle_run_raises_no_coincidence_for_the_first_pair_without_one(monkeyp
         return out * scale[:, None, None], prob * scale
 
     monkeypatch.setattr(ex, "swap_via_beamsplitter_batch", fading)
-    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 1\.000e-13 <= 5e-13;"):
+    message = r"^outcome psi- has normalization 2\.000e-13 <= 1e-12;"
+    with pytest.raises(es.ImpossibleOutcome, match=message):
         ex.run_experiment("oracle-equiv", 6, 5)
 
 

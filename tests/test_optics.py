@@ -77,10 +77,11 @@ def test_bell_pair_through_beamsplitter():
 
 def test_identical_photons_never_coincide():
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0])
-    # the message names the coincidence probability and the floor it was
-    # tested against: half the normalization floor
-    message = r"^coincidence probability 0\.000e\+00 <= 5e-13; no post-selected state exists$"
-    with pytest.raises(es.NoCoincidence, match=message):
+    # the refusal of every route: psi- is impossible, and the message names
+    # its normalization 2p and the floor it was tested against
+    message = (r"^outcome psi- has normalization 0\.000e\+00 <= 1e-12; "
+               r"the conditional state is undefined$")
+    with pytest.raises(es.ImpossibleOutcome, match=message):
         es.swap_via_beamsplitter(hh, hh)
 
 
@@ -156,6 +157,21 @@ def test_stacked_oracle_agrees_with_the_psi_minus_column_of_swap_batch():
     assert np.abs(prob - analytic[:, psi]).max() < 1e-12
 
 
+@pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.77])
+def test_unbalanced_splitter_mixes_every_outcome_into_its_coincidences(eta):
+    # modes (2, 3) reach a coincidence through -eta 1 + (1 - eta) SWAP =
+    # (1 - 2 eta) 1 - 2 (1 - eta)|psi-><psi-|, whose Gram matrix is
+    # (1 - 2 eta)^2 1 + 4 eta (1 - eta)|psi-><psi-|: off eta = 1/2 the
+    # post-selected state mixes the sum of all four outcomes into psi-
+    a, b = _bures_pairs(47, 50)
+    out, prob = swap_via_beamsplitter_batch(a, b, eta)
+    raw, analytic = swap_batch(a, b)
+    psi = list(B).index(B.PSI_MINUS)
+    bunched, singlet = (1.0 - 2.0 * eta) ** 2, 4.0 * eta * (1.0 - eta)
+    assert np.abs(out - (bunched * raw.sum(axis=1) + singlet * raw[:, psi])).max() < 1e-12
+    assert np.abs(prob - (bunched + singlet * analytic[:, psi])).max() < 1e-12
+
+
 def test_trace_distance_batch_matches_the_scalar_distance():
     a, b = _bures_pairs(45, 30)
     distances = trace_distance_batch(a, b)
@@ -164,7 +180,7 @@ def test_trace_distance_batch_matches_the_scalar_distance():
         assert distances[n] == es.trace_distance(es.DensityMatrix(a[n]), es.DensityMatrix(b[n]))
 
 
-def test_stack_with_one_bunching_pair_raises_no_coincidence():
+def test_stack_with_one_bunching_pair_raises_impossible_outcome():
     a, b = _bures_pairs(46, 5)
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0]).mat
     a[3], b[3] = hh, hh
@@ -174,7 +190,8 @@ def test_stack_with_one_bunching_pair_raises_no_coincidence():
     possible, states, _ = conditional_states(out, prob)
     assert possible.tolist() == [True, True, True, False, True] and len(states) == 4
     assert prob[3] == 0.0
-    with pytest.raises(es.NoCoincidence, match=r"^coincidence probability 0\.000e\+00 <= 5e-13;"):
+    message = r"^outcome psi- has normalization 0\.000e\+00 <= 1e-12;"
+    with pytest.raises(es.ImpossibleOutcome, match=message):
         es.swap_via_beamsplitter(es.DensityMatrix(a[3]), es.DensityMatrix(b[3]))
 
 

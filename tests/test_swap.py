@@ -218,10 +218,10 @@ def test_swap_x_matches_general():
         xa, xb = es.random_x_state(rng), es.random_x_state(rng)
         dm_a, dm_b = xa.to_density_matrix(), xb.to_density_matrix()
         for outcome in B:
-            fast = es.swap_x(xa, xb, outcome)
+            fast, probability = swap_x_params(xa, xb, outcome)
             general = es.swap_general(dm_a, dm_b, outcome)
-            assert np.abs(fast.state.mat - general.state.mat).max() < 1e-12
-            assert fast.probability == pytest.approx(general.probability, abs=1e-12)
+            assert np.abs(fast.to_matrix() - general.state.mat).max() < 1e-12
+            assert probability == pytest.approx(general.probability, abs=1e-12)
 
 
 def test_swap_of_x_states_stays_x():
@@ -242,17 +242,17 @@ def test_rank2_self_swap_values():
     assert es.concurrence(res.state) == pytest.approx(0.64, abs=1e-12)
     assert res.probability == pytest.approx(0.25, abs=1e-12)
     x = es.as_x_state(sigma)
-    fast = es.swap_x(x, x, B.PSI_MINUS)
-    assert fast.state.mat[1, 2].real == pytest.approx(-0.32, abs=1e-12)
-    assert es.concurrence(fast.state) == pytest.approx(0.64, abs=1e-12)
+    fast, _ = swap_x_params(x, x, B.PSI_MINUS)
+    assert fast.c23.real == pytest.approx(-0.32, abs=1e-12)
+    assert es.concurrence_x(fast) == pytest.approx(0.64, abs=1e-12)
 
 
 def test_swap_x_bell_lookup():
     for (la, lb), lout in PSI_MINUS_LOOKUP.items():
         xa = es.as_x_state(es.bell_density(la))
         xb = es.as_x_state(es.bell_density(lb))
-        res = es.swap_x(xa, xb, B.PSI_MINUS)
-        assert es.trace_distance(res.state, es.bell_density(lout)) < 1e-12
+        out, _ = swap_x_params(xa, xb, B.PSI_MINUS)
+        assert es.trace_distance(out.to_density_matrix(), es.bell_density(lout)) < 1e-12
 
 
 # ------------------------------------------------ stacked X-state kernel
@@ -576,7 +576,7 @@ def test_swap_routes_accept_inputs_with_the_least_eigenvalue_at_the_floor(seed, 
                 pass
     try:
         results.append(es.swap_via_beamsplitter(rho_a, rho_b))
-    except es.NoCoincidence:
+    except es.ImpossibleOutcome:
         pass
     for res in results:
         if res.state is not None:
@@ -598,10 +598,15 @@ def _x_pair_at_normalization(rng, norm, low):
     return (diag_a[None], np.array([[c14, 0.0]])), (diag_b[None], np.zeros((1, 2)))
 
 
+def _swap_x(chi_a, chi_b, outcome):
+    return es.SwapResult(*swap_x_params(chi_a, chi_b, outcome), outcome)
+
+
 def _routes_at_normalization(rng, norm, low):
     """Every swap route's results for a pair of _x_pair_at_normalization,
-    with a random unitary on modes 1 and 4 for the general routes, and the
-    failures that mean an impossible outcome."""
+    with a random unitary on modes 1 and 4 for the general routes (the X
+    route's results as SwapResults of XStates), and the refusals of
+    impossible outcomes."""
     x_a, x_b = _x_pair_at_normalization(rng, norm, low)
     u1, u4 = es.haar_unitary(rng, 2), es.haar_unitary(rng, 2)
     local = (np.kron(u1, np.eye(2)), np.kron(np.eye(2), u4))
@@ -614,11 +619,11 @@ def _routes_at_normalization(rng, norm, low):
     calls += [lambda swap=swap, pair=pair, k=k: [swap(*pair, k)]
               for k in B for swap, pair in ((es.swap_general, (rho_a, rho_b)),
                                             (es.swap_oracle_16, (rho_a, rho_b)),
-                                            (es.swap_x, (chi_a, chi_b)))]
+                                            (_swap_x, (chi_a, chi_b)))]
     for call in calls:
         try:
             results += call()
-        except (es.ImpossibleOutcome, es.NoCoincidence) as exc:
+        except es.ImpossibleOutcome as exc:
             impossible.append(exc)
     raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
     stacked = [conditional_states(raw, prob), conditional_x_states(*swap_x_batch(x_a, x_b))]
@@ -652,10 +657,15 @@ def test_swap_routes_just_below_the_normalization_floor(low):
     norm = (1.0 - 1e-6) * es.swap.NORMALIZATION_FLOOR
     results, impossible, prob, stacked = _routes_at_normalization(rng, norm, low)
     # psi+ and psi- are impossible on every route that takes them one by one,
-    # and swap_all_outcomes carries them without a state
+    # the beamsplitter's psi- included, and swap_all_outcomes carries them
+    # without a state
     assert [res.outcome for res in results if res.state is None] == [B.PSI_PLUS, B.PSI_MINUS]
     assert len(results) == 4 + 3 * 2
-    assert sum(isinstance(exc, es.ImpossibleOutcome) for exc in impossible) == 3 * 2
+    assert len(impossible) == 3 * 2 + 1
+    assert all(type(exc) is es.ImpossibleOutcome for exc in impossible)
+    assert [exc.outcome for exc in impossible] == [B.PSI_MINUS, *[B.PSI_PLUS] * 3, *[B.PSI_MINUS] * 3]
+    for exc in impossible:
+        assert exc.normalization == pytest.approx(norm, rel=1e-9)
     for possible, *_ in stacked:
         assert possible.sum() == 2
 
@@ -670,8 +680,10 @@ def test_swap_routes_share_one_floor(e, possible):
               lambda: es.swap_oracle_16(rho_a, rho_b, B.PSI_MINUS),
               lambda: es.swap_via_beamsplitter(rho_a, rho_b, 0.5))
     if not possible:
-        for route, refusal in zip(routes, (es.ImpossibleOutcome,) * 2 + (es.NoCoincidence,)):
-            with pytest.raises(refusal):
+        message = (r"^outcome psi- has normalization 8\.000e-13 <= 1e-12; "
+                   r"the conditional state is undefined$")
+        for route in routes:
+            with pytest.raises(es.ImpossibleOutcome, match=message):
                 route()
         return
     results = [route() for route in routes]
@@ -700,4 +712,4 @@ def test_x_routes_reject_the_same_improbable_outcome_past_its_disk(monkeypatch):
     chi = es.XState(0.25, 0.25, 0.25, 0.25)
     for outcome in B:
         with pytest.raises(es.ValidationError, match=message):
-            es.swap_x(chi, chi, outcome)
+            swap_x_params(chi, chi, outcome)
