@@ -1,5 +1,5 @@
-"""Command-line frontend for single swaps, Monte Carlo experiments,
-dual-path oracle checks and ensemble sampling.
+"""Command-line frontend for single swaps, Monte Carlo experiments and
+ensemble sampling.
 
 Exit codes: 0 when every hard assertion passed, 1 on a bound violation
 (or an impossible measurement outcome, or a derived state that failed an
@@ -41,9 +41,12 @@ def _default_seed() -> int:
     if raw is None:
         return 42
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
+        seed = -1
+    if seed < 0:
         raise _UsageFailure(f"invalid ENTSWAP_SEED value {raw!r}")
+    return seed
 
 
 @functools.cache
@@ -82,17 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--ensemble", default="bures",
                        choices=ensembles.STATE_ENSEMBLES,
                        help="input ensemble for 'conserve' (default bures)")
-    p_exp.add_argument("--eta", type=float, default=0.5,
-                       help="beamsplitter reflectivity for 'oracle-equiv'")
+    # 0.5 only (see _oracle_outcomes); kept so that command lines naming it parse
+    p_exp.add_argument("--eta", type=float, default=0.5, choices=(0.5,),
+                       help="beamsplitter reflectivity for 'oracle-equiv' (0.5 only)")
     p_exp.add_argument("--out", help="records file (default <name>.csv)")
     p_exp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv", help="records format (default csv)")
-
-    p_oracle = sub.add_parser("oracle-check",
-                              help="compare the closed-form psi- swap with "
-                                   "the beamsplitter model")
-    add_common(p_oracle)
-    p_oracle.add_argument("--eta", type=float, default=0.5)
 
     p_sample = sub.add_parser("sample", help="draw states from an ensemble")
     p_sample.add_argument("ensemble", choices=ensembles.STATE_ENSEMBLES)
@@ -146,21 +144,15 @@ def _cmd_swap(args) -> int:
     return EXIT_OK
 
 
-def _run(name: str, args, **options):
-    """run_experiment over the common options; a rejected option is a usage
-    failure, a state that fails its checks is not."""
+def _cmd_experiment(args) -> int:
     try:
-        return experiments.run_experiment(name, args.samples, args.seed, workers=args.workers,
-                                          **options)
+        records, report = experiments.run_experiment(
+            args.name, args.samples, args.seed, ensemble=args.ensemble,
+            workers=args.workers, fmt=args.fmt)
     except ValidationError:
         raise  # a drawn or derived state, not the usage
     except ValueError as exc:
         raise _UsageFailure(str(exc))
-
-
-def _cmd_experiment(args) -> int:
-    records, report = _run(args.name, args, ensemble=args.ensemble, eta=args.eta,
-                           fmt=args.fmt)
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
         experiments.write_records(records, out)
@@ -168,12 +160,6 @@ def _cmd_experiment(args) -> int:
     except OSError as exc:
         raise _UsageFailure(f"cannot write output: {exc}")
     sys.stdout.write(summary)
-    return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
-
-
-def _cmd_oracle_check(args) -> int:
-    _, report = _run("oracle-equiv", args, eta=args.eta)
-    sys.stdout.write(experiments.summary_text(report))
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
@@ -198,7 +184,6 @@ def main(argv=None) -> int:
     handlers = {
         "swap": _cmd_swap,
         "experiment": _cmd_experiment,
-        "oracle-check": _cmd_oracle_check,
         "sample": _cmd_sample,
     }
     try:

@@ -121,7 +121,6 @@ class Args(NamedTuple):
 
     samples: int
     ensemble: str
-    eta: float
 
 
 class Check(NamedTuple):
@@ -248,16 +247,17 @@ def _x_outcomes(x_a, x_b, where, args):
 
 
 def _oracle_outcomes(rho_a, rho_b, where, args):
-    """_general_outcomes for psi- alone, also swapped by the beamsplitter
-    model at args.eta, conditioned alike: the columns trace_distance and
-    prob_diff compare the two routes. The first pair whose psi- either route
-    finds impossible raises ImpossibleOutcome."""
+    """_general_outcomes for psi- alone, also swapped by the balanced
+    beamsplitter (only at reflectivity 1/2 does a coincidence herald psi-
+    alone), conditioned alike: the columns trace_distance and prob_diff
+    compare the two routes. The first pair whose psi- either route finds
+    impossible raises ImpossibleOutcome."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
     possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi],
                                                         lambda n, _: where(n, _PSI), vectors=True)
     refuse_impossible(possible, prob[:, psi], BellLabel.PSI_MINUS)
-    out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, args.eta)
+    out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, 0.5)
     seen, physical, _ = conditional_states(out, coincidence, lambda n: where(n, _PSI))
     refuse_impossible(seen, coincidence, BellLabel.PSI_MINUS)
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
@@ -467,7 +467,7 @@ def _apply_checks(report: BoundReport, checks, cols: dict, args, per_sample=None
 
 
 def run_experiment(name: str, samples: int, seed: int, *,
-                   ensemble: str = "bures", eta: float = 0.5, workers: int = 1,
+                   ensemble: str = "bures", workers: int = 1,
                    fmt: "str | None" = None):
     """Run an experiment by CLI name; returns (Records, report). Given a
     records format ``fmt`` ("csv" or "json"), the records carry their text
@@ -486,7 +486,7 @@ def run_experiment(name: str, samples: int, seed: int, *,
     if ensemble not in STATE_ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}; "
                          f"expected one of {', '.join(STATE_ENSEMBLES)}")
-    spec, args = EXPERIMENTS[name], Args(samples, ensemble, eta)
+    spec, args = EXPERIMENTS[name], Args(samples, ensemble)
     total = spec.combos * samples
     chunks = run_chunks(_swap_chunk, RngStream(seed, _STREAM_IDS[name]), total, workers,
                         (name, args, fmt), samples)
@@ -538,7 +538,7 @@ def _cell(name: str, column, fmt: str) -> tuple:
     return f'"{name}":%s', json.dumps(values, separators=(",", ":"))[1:-1].split(",")
 
 
-def _render_rows(cols: dict, fmt: str, per_sample: "dict | None" = None, n=None) -> str:
+def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
     """The records' rows in records format ``fmt``, outcomes as labels: CSV
     lines, or JSON objects joined by commas; "" when there are none.
 
@@ -546,9 +546,7 @@ def _render_rows(cols: dict, fmt: str, per_sample: "dict | None" = None, n=None)
     value per sample, row i taking sample n[i]'s: each sample's fields are
     formatted once, into a row template of its own that each of its rows
     fills with the row's own fields."""
-    per_sample = per_sample or {}
-    rows = len(n) if per_sample else len(next(iter(cols.values()), ()))
-    if not rows:
+    if not len(n):
         return ""
     specs, sample_values, row_values = [], [], []
     for name in _names({**cols, **per_sample}):
@@ -560,9 +558,8 @@ def _render_rows(cols: dict, fmt: str, per_sample: "dict | None" = None, n=None)
         (sample_values if shared else row_values).append(values)
     row = ",".join(specs)
     row = row + "\n" if fmt == "csv" else "{" + row + "}"
-    templates = [row % cells for cells in zip(*sample_values)] if per_sample else [row % ()]
-    index = n.tolist() if per_sample else [0] * rows
-    lines = [templates[i] % cells for i, cells in zip(index, zip(*row_values))]
+    templates = [row % cells for cells in zip(*sample_values)]
+    lines = [templates[i] % cells for i, cells in zip(n.tolist(), zip(*row_values))]
     return ("" if fmt == "csv" else ",").join(lines)
 
 
@@ -573,16 +570,6 @@ def _table(names: tuple, pieces, fmt: str) -> str:
     return "[" + ",".join(filter(None, pieces)) + "]\n"
 
 
-def records_to_csv(cols: dict) -> str:
-    """Render record columns as CSV text in one piece; a ratio column is
-    appended when the records carry one."""
-    return _table(_names(cols), [_render_rows(cols, "csv")], "csv")
-
-
-def records_to_json(cols: dict) -> str:
-    return _table(_names(cols), [_render_rows(cols, "json")], "json")
-
-
 def write_records(records: Records, path) -> None:
     """Write the text of records that run_experiment rendered."""
     if records.text is None:
@@ -591,15 +578,10 @@ def write_records(records: Records, path) -> None:
         fh.write(records.text)
 
 
-def summary_text(report: BoundReport) -> str:
-    """The report as summary JSON text: sorted keys, two-space indent and
-    a final newline."""
-    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
-
-
 def write_summary(report: BoundReport, path) -> str:
-    """Write the report's summary JSON to ``path``; returns the text."""
-    text = summary_text(report)
+    """Write the report's summary JSON (sorted keys, two-space indent, a
+    final newline) to ``path``; returns the text."""
+    text = json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text

@@ -123,17 +123,15 @@ def test_experiment_unwritable_output(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_oracle_check_command(capsys):
-    rc = main(["oracle-check", "--samples", "5", "--seed", "2"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["extras"]["max_trace_distance"] < 1e-10
-
-
-def test_oracle_check_rejects_bad_reflectivity(capsys):
-    rc = main(["oracle-check", "--samples", "2", "--eta", "1.5"])
-    assert rc == 2
-    assert "reflectivity" in capsys.readouterr().err
+@pytest.mark.parametrize("eta", ["0.3", "1.5", "nan"])
+def test_oracle_equiv_refuses_an_unbalanced_reflectivity(eta, tmp_path, capsys):
+    # only a balanced splitter heralds psi- alone; argparse refuses the rest
+    out = tmp_path / "oracle-equiv.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "oracle-equiv", "--samples", "2", "--eta", eta, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_command_emits_valid_states(tmp_path):
@@ -198,12 +196,11 @@ def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, 
     monkeypatch.setattr("entswap.experiments.random_bures", bunched)
     message = (r"entswap: outcome psi- has normalization 0\.000e\+00 <= 1e-12; "
                r"the conditional state is undefined\n")
-    for argv in (["experiment", "oracle-equiv", "--out", str(tmp_path / "o.csv")],
-                 ["oracle-check"]):
-        assert main([*argv, "--samples", "3", "--seed", "1"]) == EXIT_VIOLATION
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(message, captured.err)
+    argv = ["experiment", "oracle-equiv", "--out", str(tmp_path / "o.csv")]
+    assert main([*argv, "--samples", "3", "--seed", "1"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(message, captured.err)
 
 
 def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, capsys):
@@ -223,7 +220,7 @@ def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, c
               lambda: es.swap_via_beamsplitter(hh, hh),
               lambda: swap_x_params(x_hh, x_hh, psi),
               lambda: ex._oracle_outcomes(a, b, lambda n, k: f"sample {n}",
-                                          ex.Args(4, "bures", 0.5)))
+                                          ex.Args(4, "bures")))
     for route in routes:
         with pytest.raises(es.ImpossibleOutcome) as info:
             route()
@@ -353,9 +350,10 @@ def test_degenerate_numeric_flags_are_usage_errors(argv, capsys):
 
 
 def test_invalid_seed_env_var_aborts(monkeypatch, capsys):
-    monkeypatch.setenv("ENTSWAP_SEED", "forty")
-    assert main(["oracle-check", "--samples", "1"]) == 2
-    assert capsys.readouterr().err == "entswap: invalid ENTSWAP_SEED value 'forty'\n"
+    for raw in ("forty", "-3"):
+        monkeypatch.setenv("ENTSWAP_SEED", raw)
+        assert main(["sample", "bures", "--samples", "1"]) == 2
+        assert capsys.readouterr().err == f"entswap: invalid ENTSWAP_SEED value {raw!r}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "1e-10", "nan", "inf", "-1", "1"])
@@ -363,7 +361,7 @@ def test_rank_tol_is_not_an_option(value, phi_plus_file, capsys):
     # every rank is counted at DEFAULT_RANK_TOL; argparse refuses the flag
     for argv in (["swap", phi_plus_file, phi_plus_file],
                  ["experiment", "rank", "--samples", "2", "--seed", "3"],
-                 ["oracle-check", "--samples", "2"]):
+                 ["sample", "bures", "--samples", "2"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"--rank-tol={value}"])
         assert exc.value.code == 2

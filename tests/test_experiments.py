@@ -156,7 +156,7 @@ def test_dispatcher_rejects_unknown_formats_and_rank_tolerances():
 
 
 def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
-    args = ex.Args(300, "bures", 0.5)
+    args = ex.Args(300, "bures")
     per_sample, index, rows, skipped, text = ex._swap_chunk("pure", args, None,
                                                             np.random.default_rng(3), 256, 300)
     assert {key: len(column) for key, column in per_sample.items()} == dict.fromkeys(
@@ -204,11 +204,11 @@ def test_runners_reject_empty_sample_counts():
 
 
 def test_records_reproducible():
-    a, _ = ex.run_experiment("belldiag", 200, 17)
-    b, _ = ex.run_experiment("belldiag", 200, 17)
-    assert ex.records_to_csv(a) == ex.records_to_csv(b)
-    c, _ = ex.run_experiment("belldiag", 200, 18)
-    assert ex.records_to_csv(a) != ex.records_to_csv(c)
+    a = ex.run_experiment("belldiag", 200, 17, fmt="csv")[0].text
+    b = ex.run_experiment("belldiag", 200, 17, fmt="csv")[0].text
+    assert a == b
+    c = ex.run_experiment("belldiag", 200, 18, fmt="csv")[0].text
+    assert a != c
 
 
 def test_records_independent_of_worker_count():
@@ -216,16 +216,16 @@ def test_records_independent_of_worker_count():
     # chunk edges off the multiples of DRAW_SAMPLES
     for name, samples in (("conserve", 60), ("belldiag", 700), ("pure", 700),
                           ("oracle-equiv", 700), ("rank", 300)):
-        one = ex.records_to_csv(ex.run_experiment(name, samples, 17, workers=1)[0])
+        one = ex.run_experiment(name, samples, 17, workers=1, fmt="csv")[0].text
         for workers in (2, 3):
-            many, _ = ex.run_experiment(name, samples, 17, workers=workers)
-            assert ex.records_to_csv(many) == one, (name, workers)
+            many = ex.run_experiment(name, samples, 17, workers=workers, fmt="csv")[0].text
+            assert many == one, (name, workers)
 
 
 def test_csv_bytes_deterministic():
-    recs1, _ = ex.run_experiment("pure", 40, 3)
-    recs2, _ = ex.run_experiment("pure", 40, 3)
-    assert ex.records_to_csv(recs1) == ex.records_to_csv(recs2)
+    recs1, _ = ex.run_experiment("pure", 40, 3, fmt="csv")
+    recs2, _ = ex.run_experiment("pure", 40, 3, fmt="csv")
+    assert recs1.text == recs2.text
 
 
 # ------------------------------------------------------------ worker pool
@@ -293,9 +293,8 @@ def test_pure_csv_carries_ratio_column(tmp_path):
 
 
 def test_float_serialization_has_17_significant_digits():
-    records, _ = ex.run_experiment("belldiag", 3, 2)
-    text = ex.records_to_csv(records)
-    row = text.splitlines()[1].split(",")
+    records, _ = ex.run_experiment("belldiag", 3, 2, fmt="csv")
+    row = records.text.splitlines()[1].split(",")
     assert float(row[2]) == records["c_a"][0]  # round-trips exactly
 
 
@@ -323,20 +322,23 @@ def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
     # rank's 16 combos of 20 samples make 16 chunks, each rendered apart
     for name, samples in (("conserve", 60), ("belldiag", 700), ("pure", 300), ("rank", 20),
                           ("rank2-selfswap", 19), ("oracle-equiv", 300)):
-        for fmt, render in (("csv", ex.records_to_csv), ("json", ex.records_to_json)):
+        for fmt in ("csv", "json"):
             records, _ = ex.run_experiment(name, samples, 17, workers=workers, fmt=fmt)
-            assert records.text == render(records), (name, fmt)
+            whole = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+            assert records.text == whole, (name, fmt)
 
 
 def test_rendered_pieces_join_around_a_chunk_without_rows():
     records, _ = ex.run_experiment("pure", 40, 3)
     parts = [{key: column[lo:hi] for key, column in records.items()}
              for lo, hi in ((0, 50), (50, 50), (50, 160))]
-    for fmt, render in (("csv", ex.records_to_csv), ("json", ex.records_to_json)):
-        pieces = [ex._render_rows(part, fmt) for part in parts]
+    for fmt in ("csv", "json"):
+        pieces = [ex._render_rows(part, fmt, {"sample": part["sample"]},
+                                  np.arange(len(part["sample"]))) for part in parts]
         assert pieces[1] == ""
-        assert ex._table(ex._names(records), pieces, fmt) == render(records)
-    assert ex.records_to_json({key: column[:0] for key, column in records.items()}) == "[]\n"
+        whole = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+        assert ex._table(ex._names(records), pieces, fmt) == whole
+    assert ex._table(ex._names(records), [pieces[1]], "json") == "[]\n"
 
 
 def _per_row_reference(cols, fmt):
@@ -381,7 +383,7 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
         return ex._ALL_OUTCOMES, possible, prob, c_f, eigs, {}
 
     monkeypatch.setitem(ex.EXPERIMENTS, "edge", ex.Experiment(draw, outcomes, ()))
-    args = ex.Args(len(possible), "bures", 0.5)
+    args = ex.Args(len(possible), "bures")
     per_sample, index, rows, skipped, text = ex._swap_chunk("edge", args, fmt, None, lo,
                                                             lo + len(possible))
     cols = {**{key: column[index - lo] for key, column in per_sample.items()}, **rows}
@@ -390,7 +392,6 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
-    render = {"csv": ex.records_to_csv, "json": ex.records_to_json}[fmt]
     cols, skipped, text = _edge_chunk(monkeypatch, fmt)
     assert skipped == 24 - 8
     assert cols["sample"].tolist() == [257, 258, 258, 259, 259, 259, 260, 260]
@@ -399,10 +400,10 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
              "json": ("Infinity", "1e-05", "5e-324", ":0.0,", ":1.0,")}
     for form in forms[fmt]:
         assert form in text, form
-    # the records route renders every column per row, and so alike
+    # every column but the sample rendered per row, and so alike
     whole = ex._table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
-    assert render(cols) == whole
-    assert ex._render_rows(cols, fmt) == text
+    rows = np.arange(len(cols["sample"]))
+    assert ex._render_rows(cols, fmt, {"sample": cols["sample"]}, rows) == text
     if fmt == "json":
         rows = json.loads(whole)
         assert [row["ratio"] for row in rows[:3]] == [1e5, np.inf, np.inf]
@@ -410,14 +411,15 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
     # a chunk without rows, and one without samples
     empty, skipped, none = _edge_chunk(monkeypatch, fmt, np.zeros((6, 4), dtype=bool))
     assert (none, skipped, len(empty["sample"])) == ("", 24, 0)
-    assert render(empty) == ex._table(ex._names(empty), [""], fmt)
-    assert ex._render_rows({key: column[:0] for key, column in cols.items()}, fmt) == ""
-    # each of the real experiments, through both routes
+    assert _per_row_reference(empty, fmt) == ""
+    assert ex._render_rows({key: column[:0] for key, column in cols.items()}, fmt,
+                           {"sample": cols["sample"][:0]}, rows[:0]) == ""
+    # each of the real experiments
     for name, samples in (("conserve", 60), ("belldiag", 300), ("pure", 300),
                           ("rank", 5), ("rank2-selfswap", 19), ("oracle-equiv", 60)):
         records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
         reference = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
-        assert records.text == render(records) == reference, name
+        assert records.text == reference, name
 
 
 def test_summary_json_fields(tmp_path):
@@ -458,7 +460,7 @@ def test_rank_gap_is_the_lower_deviation():
     cols = {"sample": np.array([0, 1, 5]), "rank_a": np.array([1, 1, 2]),
             "rank_b": np.array([1, 2, 2]), "rank_f": np.array([1, 4, 3])}
     report = ex.BoundReport("rank", 3, 0)
-    ex._apply_checks(report, ex.EXPERIMENTS["rank"].checks, cols, ex.Args(1, "bures", 0.5))
+    ex._apply_checks(report, ex.EXPERIMENTS["rank"].checks, cols, ex.Args(1, "bures"))
     assert report.checks == {"rank_floor": {"tol": 0, "violations": 0, "worst": 0.0},
                              "pure_rank_equality": {"tol": 0, "violations": 1, "worst": 2.0},
                              "input_rank": {"tol": 0, "violations": 0, "worst": 0.0}}

@@ -88,15 +88,7 @@ GOLDEN = {
         "953a5ca42883677a8c2a11e4efc32771cac39bb72cc1f440b4f5708ada1437d4",
         "2cbcdb38de6207ceacfd9f1aaacb722f4ebb20ca47220d9d693263bb7cde69ca",
     ),
-    # an unbalanced beamsplitter: every sample is a hard violation
-    ("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): (
-        "1a2acc402f3e89bcbb5f6278d95aa1a5dbaea6f0b55a8960859fbdc079dc0544",
-        "a59324e1ac882b54cf87497f38e6913eddfab72b1d7f8ff0994672d952e08ac2",
-    ),
 }
-
-# Cases that exit with a code other than EXIT_OK.
-EXIT_CODES = {("oracle-equiv", 6, 11, ("--eta", "0.3"), "csv"): cli.EXIT_VIOLATION}
 
 # sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`,
 # on one worker or two.
@@ -118,13 +110,13 @@ HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad
 HAAR_SUMMARY = "b9c30a72d051e222cfc9771fe9123786cd38037001bb32f1fb72105349589fbe"
 
 
-def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_OK):
+def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers):
     out = tmp_path / f"{name}.{fmt}"
     argv = ["experiment", name, "--samples", str(samples), "--seed", str(seed),
             "--workers", str(workers), "--out", str(out), "--format", fmt,
             *extra]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == rc
+        assert cli.main(argv) == cli.EXIT_OK
     summary = json.loads(out.with_suffix(".summary.json").read_text())
     del summary["runtime_ms"]
     canonical = json.dumps(summary, sort_keys=True).encode()
@@ -136,8 +128,7 @@ def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers, rc=cli.EXIT_
 @pytest.mark.parametrize("case", sorted(GOLDEN),
                          ids=lambda c: "-".join(map(str, (c[0], c[2], c[4], *c[3]))))
 def test_outputs_match_golden_hashes(tmp_path, case, workers):
-    rc = EXIT_CODES.get(case, cli.EXIT_OK)
-    assert _run_hashes(tmp_path, *case, workers, rc) == GOLDEN[case]
+    assert _run_hashes(tmp_path, *case, workers) == GOLDEN[case]
 
 
 def test_a_killed_worker_is_replaced_by_a_fresh_pool(tmp_path):
@@ -177,8 +168,7 @@ def test_small_engine_blocks_keep_golden_hashes(tmp_path, monkeypatch, case):
     spec = experiments.EXPERIMENTS[case[0]]
     monkeypatch.setitem(experiments.EXPERIMENTS, case[0],
                         spec._replace(outcomes=_in_blocks(spec.outcomes, 7)))
-    rc = EXIT_CODES.get(case, cli.EXIT_OK)
-    assert _run_hashes(tmp_path, *case, 1, rc) == GOLDEN[case]
+    assert _run_hashes(tmp_path, *case, 1) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
