@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default 42, or ENTSWAP_SEED)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+                       help="processes that run the draw chunks, this one "
+                            "included (default 1)")
 
     p_swap = sub.add_parser("swap", help="swap two states from JSON files")
     p_swap.add_argument("state_a", help="JSON file with the modes (1,2) state")

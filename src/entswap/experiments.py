@@ -14,9 +14,10 @@ joins the pieces in chunk order.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -163,11 +164,12 @@ def _keyed_chunk(chunk_fn, stream, args, lo, hi):
     return chunk_fn(*args, stream.substream(lo), lo, hi)
 
 
-# The process's one worker pool, as (workers, executor): made by the first
-# call that asks for workers, kept for later calls and replaced when a call
-# asks for another worker count. Keeping it pays in a process that makes
-# several workers > 1 calls (run_experiment in a loop); a one-shot CLI run
-# forks one pool either way.
+# The process's one worker pool, as (workers, executor): workers - 1
+# processes that run chunks beside the caller, made by the first call that
+# asks for workers, kept for later calls and replaced when a call asks for
+# another worker count. Keeping it pays in a process that makes several
+# workers > 1 calls (run_experiment in a loop); a one-shot CLI run forks
+# one pool either way.
 _pool: "tuple[int, ProcessPoolExecutor] | None" = None
 
 
@@ -178,28 +180,53 @@ def _close_pool() -> None:
         _pool = None
 
 
+def _run_share(fn, los, his) -> list:
+    """fn over the chunks [los[i], his[i]) in order: one process's share."""
+    return list(map(fn, los, his))
+
+
 def _pooled(fn, los, his, workers: int) -> list:
-    """fn over the chunks [los[i], his[i]) in the pool of ``workers``, as at
-    most 4 * workers tasks of whole chunks. A call that makes the pool runs
-    its first chunk here before the workers fork, so they share the code
-    and caches that chunk warmed instead of each warming a private copy."""
+    """fn over the chunks [los[i], his[i]) in ``workers`` processes: the
+    chunks are cut into ``workers`` contiguous shares whose sizes differ by
+    at most one, each pool process runs one share as one task, and the
+    caller runs the last share itself. A call that makes the pool runs its
+    first chunk here before the pool forks, so the pool shares the code and
+    caches that chunk warmed instead of warming a private copy; that chunk
+    counts toward the caller's share, and the objects alive then are frozen
+    out of the cyclic collector (gc.freeze) for the life of the process.
+    Whatever the shares raise, every task has ended before the call
+    returns, and the error of the first failing chunk in chunk order is
+    raised."""
     global _pool
     done = []
     if _pool is None or _pool[0] != workers:
         _close_pool()
         done.append(fn(los[0], his[0]))
-        _pool = workers, ProcessPoolExecutor(max_workers=workers)
-    los, his = los[len(done):], his[len(done):]
-    return done + list(_pool[1].map(fn, los, his, chunksize=-(-len(los) // (4 * workers))))
+        # the caller's full collections would otherwise write to every
+        # tracked object, copying each page it shares with the pool
+        gc.freeze()
+        _pool = workers, ProcessPoolExecutor(max_workers=workers - 1)
+    cuts = [len(done) + len(los) * i // workers for i in range(workers)] + [len(los)]
+    shares = [_pool[1].submit(_run_share, fn, los[a:b], his[a:b])
+              for a, b in zip(cuts, cuts[1:-1])]
+    mine = Future()
+    try:
+        mine.set_result(_run_share(fn, los[cuts[-2]:], his[cuts[-2]:]))
+    except Exception as exc:
+        mine.set_exception(exc)
+    wait(shares)  # no task of this call runs on into the next
+    return done + [chunk for share in (*shares, mine) for chunk in share.result()]
 
 
 def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
                group: "int | None" = None) -> list:
     """chunk_fn(*args, rng, lo, hi) of each draw chunk [lo, hi) of range(n),
     none straddling a multiple of ``group``, in order; rng is
-    stream.substream(lo). With workers > 1 and more than one chunk, in the
-    process's worker pool (see _pooled) of at most one worker per chunk; a
-    call whose pool broke, by a worker dying, runs again on a fresh one."""
+    stream.substream(lo). ``workers`` counts the processes that run chunks,
+    the caller included: with workers > 1 and more than one chunk, in the
+    caller and the process's worker pool (see _pooled), at most one process
+    per chunk; a call whose pool broke, by a worker dying, runs again on a
+    fresh one."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     los, his = zip(*_blocks(n, group))

@@ -146,11 +146,15 @@ def test_sample_command_emits_valid_states(tmp_path):
 
 
 def test_sample_command_output_independent_of_workers(capsys):
-    outputs = []
-    for workers in ("1", "2"):
-        assert main(["sample", "bures", "--samples", "600", "--seed", "8", "--workers", workers]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 600
+    # 600 samples are 3 draw chunks: at workers 3 each process runs one
+    for ensemble in STATE_ENSEMBLES:
+        outputs = []
+        for workers in ("1", "2", "3"):
+            argv = ["sample", ensemble, "--samples", "600", "--seed", "8", "--workers", workers]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1:] == outputs[:1] * 2, ensemble
+        assert len(outputs[0].splitlines()) == 600, ensemble
 
 
 @pytest.mark.parametrize("ensemble", ["induced-2", "pure", "bell-diagonal", "x"])

@@ -1,9 +1,12 @@
+import gc
 import importlib.util
+import itertools
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -236,38 +239,90 @@ def _pid_chunk(rng, lo, hi):
 
 
 def _pool_call(workers):
-    """The process ids that ran the chunks of a 12-chunk run_chunks call."""
+    """The process id that ran each chunk of a 12-chunk run_chunks call."""
     stream = es.RngStream(seed=1, stream_id=0)
-    return set(ex.run_chunks(_pid_chunk, stream, 12 * ex.DRAW_SAMPLES, workers))
+    return ex.run_chunks(_pid_chunk, stream, 12 * ex.DRAW_SAMPLES, workers)
 
 
 def test_worker_calls_share_one_pool():
     _pool_call(2)  # makes the pool, unless an earlier call did
+    # two processes run the chunks: the caller and one pool process
     workers = multiprocessing.active_children()
-    assert len(workers) == 2
+    assert len(workers) == 1
     for _ in range(2):
-        assert _pool_call(2) <= {p.pid for p in workers}
-        assert set(multiprocessing.active_children()) == set(workers)
+        assert set(_pool_call(2)) == {os.getpid(), workers[0].pid}
+        assert multiprocessing.active_children() == workers
 
 
 def test_a_new_worker_count_replaces_the_pool():
     _pool_call(2)
     old = multiprocessing.active_children()
     # the call that makes a pool runs its first chunk here, before the fork
-    assert os.getpid() in _pool_call(3)
+    assert _pool_call(3)[0] == os.getpid()
     new = multiprocessing.active_children()
-    assert len(new) == 3 and not set(new) & set(old)
+    assert len(new) == 2 and not set(new) & set(old)
     assert all(p.exitcode is not None for p in old)
-    assert os.getpid() not in _pool_call(3)
+    assert os.getpid() in _pool_call(3)
 
 
 def test_the_pool_has_at_most_one_worker_per_chunk():
-    # 2 draw chunks: a workers=8 call forks 2 workers, and writes the same bytes
+    # 2 draw chunks: a workers=8 call runs in 2 processes, the caller and one
+    # pool process, and writes the same bytes
     one, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=1, fmt="csv")
     many, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=8, fmt="csv")
     assert ex._pool[0] == 2
-    assert len(multiprocessing.active_children()) == 2
+    assert len(multiprocessing.active_children()) == 1
     assert many.text == one.text
+
+
+def test_each_process_runs_one_contiguous_share():
+    # 12 chunks in 3 processes: shares of 4, the caller's last. A call that
+    # makes the pool has run chunk 0 before the fork, and it counts toward
+    # the caller's share.
+    ex._close_pool()
+    making, kept = _pool_call(3), _pool_call(3)
+    me = os.getpid()
+    assert making[:1] + making[9:] == [me] * 4 and kept[8:] == [me] * 4
+    children = {p.pid for p in multiprocessing.active_children()}
+    for theirs in (making[1:9], kept[:8]):
+        assert set(theirs) <= children
+        runs = [pid for pid, _ in itertools.groupby(theirs)]
+        assert len(runs) == len(set(runs))
+
+
+def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
+    # the caller's full collections then leave the pages it shares with the
+    # pool unwritten
+    ex._close_pool()
+    frozen = gc.get_freeze_count()
+    _pool_call(2)
+    assert gc.get_freeze_count() > frozen
+
+
+def _chunk_failing_from(path, first_bad, rng, lo, hi):
+    """Raises from sample ``first_bad`` on; a chunk before it leaves a file
+    named after its first sample in ``path`` just before it returns."""
+    if lo >= first_bad:
+        raise ValueError(f"chunk {lo}")
+    time.sleep(0.05)
+    (path / str(lo)).touch()
+    return lo
+
+
+def test_an_error_in_the_callers_share_waits_for_the_pool(tmp_path):
+    n, size = 12 * ex.DRAW_SAMPLES, ex.DRAW_SAMPLES
+    stream = es.RngStream(seed=1, stream_id=0)
+    _pool_call(3)  # makes the pool, unless an earlier call did
+    with pytest.raises(ValueError, match=f"^chunk {8 * size}$"):
+        ex.run_chunks(_chunk_failing_from, stream, n, 3, (tmp_path, 8 * size))
+    # the pool's two shares ran to their ends before the caller's error
+    assert sorted(int(f.name) for f in tmp_path.iterdir()) == list(range(0, 8 * size, size))
+    # with errors in every share, the first failing chunk's is raised, as on
+    # one process
+    for workers in (1, 3):
+        with pytest.raises(ValueError, match=f"^chunk {size}$"):
+            ex.run_chunks(_chunk_failing_from, stream, n, workers, (tmp_path, size))
+    assert ex.run_chunks(_chunk_failing_from, stream, n, 3, (tmp_path, n)) == list(range(0, n, size))
 
 
 # -------------------------------------------------------------- emission

@@ -138,8 +138,9 @@ def test_a_killed_worker_is_replaced_by_a_fresh_pool(tmp_path):
     os.kill(victim.pid, signal.SIGKILL)
     assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
     assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
+    # a workers=2 call runs in the caller and one pool process
     workers = multiprocessing.active_children()
-    assert len(workers) == 2 and victim not in workers
+    assert len(workers) == 1 and victim not in workers
 
 
 def _in_blocks(outcomes, size):
