@@ -21,9 +21,7 @@ from .qstate import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     numerical_rank,
-    partial_trace_23,
     pure_concurrence,
-    tensor,
     trace_distance,
     werner,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "matrix_from_json_dict",
     "matrix_to_json_dict",
     "numerical_rank",
-    "partial_trace_23",
     "pure_concurrence",
     "random_bell_diagonal",
     "random_bures",
@@ -84,7 +81,6 @@ __all__ = [
     "swap_general",
     "swap_oracle_16",
     "swap_via_beamsplitter",
-    "tensor",
     "trace_distance",
     "werner",
     "__version__",

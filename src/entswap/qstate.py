@@ -3,8 +3,7 @@ entanglement/rank measures.
 
 Basis convention used everywhere in this package: a two-qubit space is
 ordered |HH>, |HV>, |VH>, |VV> with H=0, V=1, so the flat index of
-|ij> is 2*i + j. Four-qubit matrices are ordered with mode 1 as the
-most significant qubit, i.e. index = 8*m1 + 4*m2 + 2*m3 + m4.
+|ij> is 2*i + j.
 """
 
 from __future__ import annotations
@@ -90,29 +89,6 @@ def bell_vector(label: BellLabel) -> np.ndarray:
     if label is BellLabel.PSI_PLUS:
         return np.array([0, s, s, 0], dtype=complex)
     return np.array([0, s, -s, 0], dtype=complex)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two complex matrices.
-
-    The entry at (rows(b)*i + k, cols(b)*j + l) is a[i, j] * b[k, l], so
-    tensoring two trace-one matrices preserves unit trace.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace_23(rho1234: np.ndarray) -> np.ndarray:
-    """Trace qubits 2 and 3 out of a four-qubit operator, keeping (1, 4).
-
-    The input must be 16x16 and ordered with qubit 1 most significant
-    (index = 8*m1 + 4*m2 + 2*m3 + m4). No renormalization is applied;
-    the trace of the output equals the trace of the input.
-    """
-    rho1234 = np.asarray(rho1234, dtype=complex)
-    if rho1234.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 matrix, got shape {rho1234.shape}")
-    r8 = rho1234.reshape([2] * 8)
-    return np.einsum("aijbcijd->abcd", r8).reshape(4, 4)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -330,7 +306,7 @@ def _possible(prob: np.ndarray, where):
     (...) that can be conditioned on, their probabilities, and ``where``
     naming the j-th of them, in row-major mask order, by its index."""
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
-    named = None if where is None else (lambda j, rows=np.argwhere(possible): where(*rows[j]))
+    named = None if where is None else (lambda j: where(*np.argwhere(possible)[j]))
     return possible, prob[possible], named
 
 
@@ -516,11 +492,8 @@ def matrix_from_json_dict(obj: dict) -> DensityMatrix:
         raise ValueError(f"unsupported basis {basis!r}; expected {','.join(BASIS_LABELS)!r}")
     rows = obj.get("matrix")
     try:
-        mat = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")

@@ -30,9 +30,7 @@ from .qstate import (  # noqa: F401
     bell_vector,
     conditional_states,
     conditional_x_states,
-    partial_trace_23,
     refuse_impossible,
-    tensor,
 )
 
 _OUTCOMES = tuple(BellLabel)
@@ -132,6 +130,14 @@ def _conditioned(condition, out, prob: np.ndarray, outcome: BellLabel):
     return state, eigs, float(prob[0])
 
 
+def _swap_one(route, rho_a: DensityMatrix, rho_b: DensityMatrix, outcome: BellLabel) -> SwapResult:
+    """One outcome of a stacked route on the pair as a batch of one."""
+    k = _OUTCOMES.index(outcome)
+    raw, prob = route(rho_a.mat[None], rho_b.mat[None])
+    states, eigs, probability = _conditioned(conditional_states, raw[:, k], prob[:, k], outcome)
+    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
+
+
 def swap_general(
     rho_a: DensityMatrix, rho_b: DensityMatrix, outcome: BellLabel
 ) -> SwapResult:
@@ -140,10 +146,7 @@ def swap_general(
     Raises ImpossibleOutcome when the outcome's normalization is at or
     below NORMALIZATION_FLOOR.
     """
-    k = _OUTCOMES.index(outcome)
-    raw, prob = swap_batch(rho_a.mat[None], rho_b.mat[None])
-    states, eigs, probability = _conditioned(conditional_states, raw[:, k], prob[:, k], outcome)
-    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
+    return _swap_one(swap_batch, rho_a, rho_b, outcome)
 
 
 def swap_x_params(
@@ -177,30 +180,31 @@ def swap_all_outcomes(rho_a: DensityMatrix, rho_b: DensityMatrix) -> "list[SwapR
     ]
 
 
-def bell_projector_16(outcome: BellLabel) -> np.ndarray:
-    """16x16 projector onto a Bell state of modes (2, 3), identity on (1, 4)."""
-    bell23 = np.outer(bell_vector(outcome), bell_vector(outcome).conj()).reshape(
-        2, 2, 2, 2
-    )
-    eye2 = np.eye(2)
-    # index order (m1, m2, m3, m4, m1', m2', m3', m4')
-    proj = np.einsum("ae,bcfg,dh->abcdefgh", eye2, bell23, eye2)
-    return proj.reshape(16, 16)
+# The oracle's compressions V_k = I2 (x) <B_k| (x) I2 (4, 4, 16) [outcome, row,
+# col], from four-qubit index 8*m1 + 4*m2 + 2*m3 + m4 (mode 1 most significant)
+# to output index 2*m1 + m4, built from the Bell vectors alone.
+_V = np.array([np.kron(np.kron(np.eye(2), bell_vector(label).conj()[None]), np.eye(2))
+               for label in _OUTCOMES])
+
+
+def swap_oracle_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Brute-force reference with swap_batch's contract: form each pair's
+    16x16 joint state a (x) b on modes (1, 2, 3, 4) and compress it to
+    modes (1, 4) as V_k (a (x) b) V_k^dag for each outcome k, the Bell
+    projection of modes (2, 3) and their partial trace in one step.
+
+    Returns the unnormalized outputs (N, 4, 4, 4) and their traces, the
+    outcome probabilities (N, 4). Kept deliberately independent of
+    swap_batch's gather tables so the two can cross-check each other.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    joint = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 16, 16)
+    raw = _V @ joint[:, None] @ _V.conj().swapaxes(-1, -2)
+    return raw, raw.trace(axis1=-2, axis2=-1).real
 
 
 def swap_oracle_16(
     rho_a: DensityMatrix, rho_b: DensityMatrix, outcome: BellLabel
 ) -> SwapResult:
-    """Brute-force reference: project the full 16x16 joint state and trace.
-
-    Builds rho_a (x) rho_b on modes (1, 2, 3, 4), applies the explicit
-    Bell projector on modes (2, 3), traces those modes out and
-    conditions on the projected trace. Kept deliberately independent of
-    swap_general's entrywise formulas so the two can cross-check each other.
-    """
-    joint = tensor(rho_a.mat, rho_b.mat)
-    proj = bell_projector_16(outcome)
-    projected = proj @ joint @ proj
-    states, eigs, probability = _conditioned(conditional_states, partial_trace_23(projected)[None],
-                                             projected.trace().real[None], outcome)
-    return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
+    """swap_general through swap_oracle_batch, whose batch of one it is."""
+    return _swap_one(swap_oracle_batch, rho_a, rho_b, outcome)

@@ -54,6 +54,14 @@ def test_swap_command_rejects_malformed_json(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_swap_command_refuses_a_malformed_entry(tmp_path, capsys):
+    # an object entry used to escape as a KeyError traceback
+    bad = tmp_path / "entry.json"
+    bad.write_text(json.dumps({"basis": ",".join(es.BASIS_LABELS), "matrix": [[{}]]}))
+    assert main(["swap", str(bad), str(bad)]) == 2
+    assert "invalid state" in capsys.readouterr().err
+
+
 def test_swap_command_names_violated_invariant(tmp_path, capsys):
     payload = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
     payload["matrix"][0][0] = [0.75, 0.0]

@@ -25,96 +25,6 @@ from entswap.qstate import (
 from entswap.swap import conditional_states
 
 
-def _random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _random_psd(rng, n):
-    g = _random_complex(rng, n, n)
-    return g @ g.conj().T
-
-
-# ---------------------------------------------------------------- tensor
-
-
-def test_tensor_identity():
-    out = es.tensor(np.eye(2), np.eye(2))
-    assert np.array_equal(out, np.eye(4))
-
-
-def test_tensor_trace_multiplicative():
-    phi = es.bell_density(es.BellLabel.PHI_PLUS).mat
-    out = es.tensor(phi, phi)
-    assert out.shape == (16, 16)
-    assert abs(out.trace() - 1.0) < 1e-14
-
-
-def test_tensor_index_formula():
-    # independent elementwise oracle: out[4i+k, 4j+l] == a[i,j] * b[k,l]
-    rng = np.random.default_rng(101)
-    a = _random_complex(rng, 4, 4)
-    b = _random_complex(rng, 4, 4)
-    out = es.tensor(a, b)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    assert out[4 * i + k, 4 * j + l] == pytest.approx(a[i, j] * b[k, l])
-
-
-# ------------------------------------------------------- partial trace
-
-
-def test_partial_trace_23_product_state():
-    # tracing (2,3) out of rho_a (x) rho_b leaves tr_2(rho_a) (x) tr_3(rho_b)
-    rng = np.random.default_rng(7)
-    rho_a = _random_psd(rng, 4)
-    rho_b = _random_psd(rng, 4)
-    out = es.partial_trace_23(es.tensor(rho_a, rho_b))
-
-    def marginal(rho, keep_first):
-        r = rho.reshape(2, 2, 2, 2)
-        # sum the diagonal of the traced qubit by explicit loops
-        m = np.zeros((2, 2), complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    m[i, j] += r[i, k, j, k] if keep_first else r[k, i, k, j]
-        return m
-
-    expected = np.kron(marginal(rho_a, True), marginal(rho_b, False))
-    assert np.abs(out - expected).max() < 1e-12
-
-
-def test_partial_trace_23_identity():
-    out = es.partial_trace_23(np.eye(16) / 16.0)
-    assert np.abs(out - np.eye(4) / 4.0).max() < 1e-15
-
-
-def test_partial_trace_23_preserves_trace():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        rho = _random_psd(rng, 16)
-        assert es.partial_trace_23(rho).trace() == pytest.approx(rho.trace(), abs=1e-10)
-
-
-def test_partial_trace_23_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="16x16"):
-        es.partial_trace_23(np.eye(4))
-
-
-def test_tensor_then_partial_trace_reproduces_marginals():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        rho_a = es.random_bures(rng)
-        rho_b = es.random_bures(rng)
-        out = es.partial_trace_23(es.tensor(rho_a.mat, rho_b.mat))
-        r_a = rho_a.mat.reshape(2, 2, 2, 2)
-        r_b = rho_b.mat.reshape(2, 2, 2, 2)
-        expected = np.kron(np.einsum("ikjk->ij", r_a), np.einsum("kikj->ij", r_b))
-        assert np.abs(out - expected).max() < 1e-12
-
-
 # ----------------------------------------------------------- Bell states
 
 
@@ -438,9 +348,11 @@ def test_json_requires_expected_basis():
 
 
 def test_json_rejects_malformed_entries():
-    payload = {"basis": ",".join(es.BASIS_LABELS), "matrix": [[1, 2], [3, 4]]}
-    with pytest.raises(ValueError):
-        es.matrix_from_json_dict(payload)
+    # bare numbers, an object entry and an entry of three numbers
+    for matrix in ([[1, 2], [3, 4]], [[{}]], [[[0.25, 0.0, 99]]]):
+        payload = {"basis": ",".join(es.BASIS_LABELS), "matrix": matrix}
+        with pytest.raises(ValueError, match="malformed matrix entries"):
+            es.matrix_from_json_dict(payload)
 
 
 # ------------------------------------------------------ stacked validation

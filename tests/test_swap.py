@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +14,10 @@ from entswap.qstate import (
     x_eigenvalues_batch,
 )
 from entswap.swap import (
-    bell_projector_16,
     conditional_states,
     conditional_x_states,
     swap_batch,
+    swap_oracle_batch,
     swap_x_batch,
     swap_x_params,
 )
@@ -166,8 +169,18 @@ def test_probability_is_half_the_normalization():
 
 def test_swap_general_matches_oracle_16():
     rng = np.random.default_rng(33)
-    for _ in range(1000):
-        rho_a, rho_b = _rand_dm(rng), _rand_dm(rng)
+    pairs = [(_rand_dm(rng), _rand_dm(rng)) for _ in range(1000)]
+    a, b = (np.stack([rho.mat for rho in side]) for side in zip(*pairs))
+    fast, slow = swap_batch(a, b), swap_oracle_batch(a, b)
+    # the unnormalized outputs and probabilities agree to roundoff
+    assert np.abs(fast[0] - slow[0]).max() <= 1e-15
+    assert np.abs(fast[1] - slow[1]).max() <= 1e-15
+    ok_fast, states_fast, _ = conditional_states(*fast)
+    ok_slow, states_slow, _ = conditional_states(*slow)
+    assert ok_fast.all() and ok_slow.all()
+    assert es.qstate.trace_distance_batch(states_fast, states_slow).max() < 1e-12
+    # the scalar oracle is the stack's batch of one
+    for rho_a, rho_b in pairs[:3]:
         for outcome in B:
             fast = es.swap_general(rho_a, rho_b, outcome)
             slow = es.swap_oracle_16(rho_a, rho_b, outcome)
@@ -176,15 +189,62 @@ def test_swap_general_matches_oracle_16():
 
 
 def test_oracle_16_probability_is_projection_weight():
+    # the weight of the explicit 16x16 Bell projector of modes (2, 3) in the
+    # joint state, index 8*m1 + 4*m2 + 2*m3 + m4
     rng = np.random.default_rng(34)
     rho_a, rho_b = _rand_dm(rng), _rand_dm(rng)
-    joint = es.tensor(rho_a.mat, rho_b.mat)
+    joint = np.kron(rho_a.mat, rho_b.mat)
     for outcome in B:
-        proj = bell_projector_16(outcome)
+        bell = es.bell_vector(outcome)
+        proj = np.kron(np.kron(np.eye(2), np.outer(bell, bell.conj())), np.eye(2))
         expected = np.trace(proj @ joint @ proj).real
         assert es.swap_oracle_16(rho_a, rho_b, outcome).probability == pytest.approx(
             expected, abs=1e-13
         )
+
+
+def test_projection_oracle_stays_independent_of_the_swap_kernel():
+    # everything the oracle reaches in swap.py, followed through the module's
+    # own functions and constants, names none of the kernel or its tables
+    tree = ast.parse(Path(es.swap.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update({name.id: node for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets for name in ast.walk(target)
+                 if isinstance(name, ast.Name)})
+    reached, todo = set(), ["swap_oracle_batch", "swap_oracle_16"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name) and node.id in defs]
+    assert {"swap_oracle_batch", "swap_oracle_16", "_V"} <= reached
+    kernel = {"_GATHER_A", "_GATHER_B", "_WEIGHTS", "_kernel_tables", "swap_batch"}
+    assert not reached & kernel
+    assert not any(name.startswith("_X_") for name in reached)
+
+
+def test_oracle_outcomes_sum_to_the_product_of_marginals():
+    # the four Bell projections of modes (2, 3) together trace them out:
+    # the outputs of rho_a, rho_b sum to tr_2(rho_a) (x) tr_3(rho_b)
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    rho_a, rho_b = g @ g.conj().swapaxes(-1, -2)
+
+    def marginal(rho, keep_first):
+        r = rho.reshape(2, 2, 2, 2)
+        # sum the diagonal of the traced qubit by explicit loops
+        m = np.zeros((2, 2), complex)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    m[i, j] += r[i, k, j, k] if keep_first else r[k, i, k, j]
+        return m
+
+    raw, prob = swap_oracle_batch(rho_a[None], rho_b[None])
+    expected = np.kron(marginal(rho_a, True), marginal(rho_b, False))
+    assert np.abs(raw[0].sum(axis=0) - expected).max() < 1e-12
+    assert prob.sum() == pytest.approx(np.trace(rho_a).real * np.trace(rho_b).real, abs=1e-12)
 
 
 def test_oracle_16_bell_case():
