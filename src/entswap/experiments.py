@@ -345,10 +345,6 @@ def _pure_draw(args, rng, lo, hi):
     ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(hi - lo, np.inf), where=low > 0.0)
     rho_a = pure_batch(va, _where(lo, "input a"))
     rho_b = pure_batch(vb, _where(lo, "input b"))
-    # pure_batch checked only the norms; the swap assumes, and carries, the
-    # full DensityMatrix invariants of its inputs, so they are checked here
-    validate_batch(rho_a, _where(lo, "input a"))
-    validate_batch(rho_b, _where(lo, "input b"))
     ones = np.ones(hi - lo, dtype=int)
     return rho_a, rho_b, {"c_a": c_a, "c_b": c_b, "rank_a": ones, "rank_b": ones, "ratio": ratio}
 
@@ -552,17 +548,50 @@ def _names(cols: dict) -> tuple:
     return CSV_COLUMNS + (("ratio",) if "ratio" in cols else ())
 
 
-def _cell(name: str, column, fmt: str) -> tuple:
+def _fields(values: list, fmt: str) -> list:
+    """The text of each number or label of ``values`` in records format
+    ``fmt``: a number as %.17g in CSV, each value as json encodes it in
+    JSON."""
+    if fmt == "csv":
+        return ["%.17g" % v for v in values]
+    # no number or Bell label holds a comma
+    return json.dumps(values, separators=(",", ":"))[1:-1].split(",")
+
+
+def _repeated_text(column, fmt: str) -> "list | None":
+    """The fields of a float column in records format ``fmt``, each
+    distinct value formatted once, or None when no row's value equals the
+    one of the row before it. Values are told apart by their bits, so that
+    -0.0 (text "-0") stays apart from 0.0 and each NaN payload from the
+    others."""
+    # repeats run in consecutive rows (a sample's outcomes share p_k = 1/4,
+    # clipped C_F = 0 runs), so a column without such a run pays this one
+    # comparison and no set; it compares floats, as an int64 comparison
+    # would page in numpy code that nothing else runs
+    if not (column[1:] == column[:-1]).any():
+        return None
+    bits = column.view(np.int64).tolist()
+    distinct = list(set(bits))
+    values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+    return list(map(dict(zip(distinct, _fields(values, fmt))).__getitem__, bits))
+
+
+def _cell(name: str, column, fmt: str, per_row: bool) -> tuple:
     """Record column ``name`` in records format ``fmt``: its field's piece
     of the row template, and its values as that piece takes them, outcomes
-    as their labels (in JSON each value as the text json encodes it to)."""
+    as their labels (in JSON each value as the text json encodes it to).
+    A float column of the rows' own fields (``per_row``) in which values
+    repeat is given as text, each distinct value formatted once (see
+    _repeated_text)."""
+    piece = f'"{name}":%s' if fmt == "json" else "%.17g" if name in _FLOAT_COLUMNS else "%s"
+    if per_row and name in _FLOAT_COLUMNS:
+        text = _repeated_text(column, fmt)
+        if text is not None:
+            return piece.replace("%.17g", "%s"), text
     values = column.tolist()
     if name == "outcome":
         values = [_LABELS[k] for k in values]
-    if fmt == "csv":
-        return "%.17g" if name in _FLOAT_COLUMNS else "%s", values
-    # no number or Bell label holds a comma
-    return f'"{name}":%s', json.dumps(values, separators=(",", ":"))[1:-1].split(",")
+    return piece, values if fmt == "csv" else _fields(values, fmt)
 
 
 def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
@@ -572,13 +601,14 @@ def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
     ``cols`` hold one value per row. Columns of ``per_sample`` hold one
     value per sample, row i taking sample n[i]'s: each sample's fields are
     formatted once, into a row template of its own that each of its rows
-    fills with the row's own fields."""
+    fills with the row's own fields. Values that repeat in a float column
+    of the rows' own fields are formatted once (see _cell)."""
     if not len(n):
         return ""
     specs, sample_values, row_values = [], [], []
     for name in _names({**cols, **per_sample}):
         shared = name in per_sample
-        spec, values = _cell(name, (per_sample if shared else cols)[name], fmt)
+        spec, values = _cell(name, (per_sample if shared else cols)[name], fmt, not shared)
         # a row's own field stays a conversion spec in its sample's template
         # (no formatted number holds a %)
         specs.append(spec if shared else spec.replace("%", "%%"))

@@ -167,12 +167,20 @@ def validate_batch(mats: np.ndarray, where=None, prob=None, vectors=False):
 
 def pure_batch(amplitudes: np.ndarray, where=None) -> np.ndarray:
     """Projectors |psi><psi| onto amplitude vectors (..., 4), whose norms
-    must be 1 within 1e-12 (else ValidationError, named as in validate_batch)."""
+    must be 1 within 1e-12 (else ValidationError, named as in validate_batch).
+    The trace and eigenvalue checks of validate_batch then run on the
+    closed-form trace ||psi||^2 and spectrum (||psi||^2, 0, 0, 0), with the
+    same messages and ``where``. The projector of a unit vector is finite,
+    and Hermitian to within a few ulps of its entries, far inside
+    HERMITICITY_TOL."""
     v = np.asarray(amplitudes, dtype=complex)
     norm = np.linalg.norm(np.abs(v), axis=-1)  # of moduli: Inf gives no NaN warning
     # NaN compares False, so it is flagged by failing the bound
     _raise_first(norm, ~(np.abs(norm - 1.0) <= 1e-12), "norm invariant violated: ||psi|| = {!r}",
                  where)
+    square = norm * norm
+    zero = np.zeros_like(square)
+    _check_spectrum(square, np.stack((zero, zero, zero, square), axis=-1), 1.0, where)
     return v[..., :, None] * v.conj()[..., None, :]
 
 
@@ -471,6 +479,14 @@ def matrix_to_json_dict(rho: DensityMatrix) -> dict:
     }
 
 
+def _json_number(part):
+    """A part of a matrix entry, which must be a number: an int or a float,
+    not a bool, which complex() would read as 0 or 1."""
+    if not isinstance(part, (int, float)) or isinstance(part, bool):
+        raise TypeError(f"entry part {part!r} is not a number")
+    return part
+
+
 def matrix_from_json_dict(obj: dict) -> DensityMatrix:
     """Parse the interchange format back into a validated DensityMatrix. A
     swap output {"state": ..., "probability": p, ...} gives its state,
@@ -492,7 +508,8 @@ def matrix_from_json_dict(obj: dict) -> DensityMatrix:
         raise ValueError(f"unsupported basis {basis!r}; expected {','.join(BASIS_LABELS)!r}")
     rows = obj.get("matrix")
     try:
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        mat = np.array([[complex(_json_number(re), _json_number(im)) for re, im in row]
+                        for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
     if mat.shape != (4, 4):

@@ -55,11 +55,15 @@ def test_swap_command_rejects_malformed_json(tmp_path, capsys):
 
 
 def test_swap_command_refuses_a_malformed_entry(tmp_path, capsys):
-    # an object entry used to escape as a KeyError traceback
-    bad = tmp_path / "entry.json"
-    bad.write_text(json.dumps({"basis": ",".join(es.BASIS_LABELS), "matrix": [[{}]]}))
-    assert main(["swap", str(bad), str(bad)]) == 2
-    assert "invalid state" in capsys.readouterr().err
+    # an object entry used to escape as a KeyError traceback, and a false
+    # part loaded as 0 into a valid state
+    bool_part = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
+    bool_part["matrix"][3][3] = [0.25, False]
+    for payload in ({"basis": ",".join(es.BASIS_LABELS), "matrix": [[{}]]}, bool_part):
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["swap", str(bad), str(bad)]) == 2
+        assert "invalid state" in capsys.readouterr().err
 
 
 def test_swap_command_names_violated_invariant(tmp_path, capsys):

@@ -422,14 +422,18 @@ _EDGE_INPUTS = {
 }
 
 
-def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256):
+def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kept_prob=None):
     """_swap_chunk's columns, expanded to its rows, and rendered rows of the
-    edge chunk starting at ``lo``."""
+    edge chunk starting at ``lo``; ``c_f`` and ``kept_prob`` replace the
+    rows' default c_f and prob."""
     kept = int(possible.sum())
-    c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
+    if c_f is None:
+        c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
     eigs = np.resize([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.4, 0.3, 0.3, 0.0],
                       [0.25, 0.25, 0.25, 0.25]], (kept, 4))
     prob = np.where(possible, np.resize([0.25, 1e-5, 1.0, 0.0, 0.375], possible.shape), 0.0)
+    if kept_prob is not None:
+        prob[possible] = kept_prob
 
     def draw(args, rng, lo, hi):
         return None, None, {key: column[:hi - lo] for key, column in _EDGE_INPUTS.items()}
@@ -475,6 +479,38 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
         records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
         reference = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
         assert records.text == reference, name
+
+
+# a quiet NaN with a payload and a negative quiet NaN: their bits differ
+_NANS = np.array([0x7FF8000000000001, -0x8000000000000], dtype=np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_renderer_formats_each_repeated_row_value_once_by_its_bits(fmt, monkeypatch):
+    # c_f repeats 0.0 and -0.0, which compare equal but render "0" and "-0"
+    # ("0.0" and "-0.0" in JSON); prob repeats two NaN payloads, inf and
+    # 5e-324; both columns repeat a value in consecutive rows
+    c_f = np.array([-0.0, 0.0, -0.0, 5e-324, -0.0, np.inf, 5e-324, 0.0])
+    prob = np.array([_NANS[0], _NANS[0], _NANS[1], np.inf, 0.25, 0.25, 5e-324, _NANS[1]])
+    cols, _, text = _edge_chunk(monkeypatch, fmt, c_f=c_f, kept_prob=prob)
+    assert np.array_equal(cols["c_f"].view(np.int64), c_f.view(np.int64))
+    assert np.array_equal(cols["prob"].view(np.int64), prob.view(np.int64))
+    for name in ("c_f", "prob"):
+        assert ex._repeated_text(cols[name], fmt) is not None, name
+    assert text == _per_row_reference(cols, fmt)
+    forms = {"csv": (",-0,nan,", ",0,nan,", ",inf,0.25,", "4.9406564584124654e-324"),
+             "json": ('"c_f":0.0,', '"c_f":-0.0,', "NaN", "Infinity", "5e-324")}
+    for form in forms[fmt]:
+        assert form in text, form
+    # chunks whose rows repeat no c_f or prob, or none in consecutive rows
+    # (NaN equals nothing), keep the inline formatting
+    distinct = np.arange(1.0, 9.0) / 3.0
+    for c_f, prob in ((distinct, distinct / 7.0),
+                      (np.resize([0.0, 0.5], 8), np.resize([0.25, _NANS[0], _NANS[0]], 8))):
+        cols, _, text = _edge_chunk(monkeypatch, fmt, c_f=c_f, kept_prob=prob)
+        for name in ("c_f", "prob"):
+            assert ex._repeated_text(cols[name], fmt) is None, name
+        assert text == _per_row_reference(cols, fmt)
 
 
 def test_summary_json_fields(tmp_path):

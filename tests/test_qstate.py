@@ -353,6 +353,15 @@ def test_json_rejects_malformed_entries():
         payload = {"basis": ",".join(es.BASIS_LABELS), "matrix": matrix}
         with pytest.raises(ValueError, match="malformed matrix entries"):
             es.matrix_from_json_dict(payload)
+    # a part that is not an int or a float, a bool included: [0.25, false]
+    # and [false, 0] would load as numbers into a valid state, [true, 0] as 1
+    for (i, j), entry in (((3, 3), [0.25, False]), ((1, 2), [False, 0]), ((0, 0), [True, 0]),
+                          ((2, 2), ["0.25", 0]), ((0, 1), [0, None])):
+        payload = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
+        payload["matrix"][i][j] = entry
+        with pytest.raises(ValueError, match=r"malformed matrix entries: entry part .* is not a "
+                                             r"number"):
+            es.matrix_from_json_dict(payload)
 
 
 # ------------------------------------------------------ stacked validation
@@ -412,6 +421,23 @@ def test_validate_batch_reports_first_failing_sample(mat, fragment):
 
 def test_validate_batch_accepts_an_empty_stack():
     assert validate_batch(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
+
+
+def test_pure_batch_projectors_at_the_norm_bound_pass_validate_batch():
+    # pure_batch checks the closed-form spectrum (||psi||^2, 0, 0, 0) in place
+    # of an eigendecomposition; at |1 - ||psi||| = 1e-12 (less 1e-15 for
+    # roundoff) validate_batch accepts its projectors and finds that spectrum
+    u = es.random_pure(np.random.default_rng(12), 400)
+    v = u * (1.0 + np.resize([1.0, -1.0], 400) * (1e-12 - 1e-15))[:, None]
+    rho = pure_batch(v)
+    square = np.linalg.norm(v, axis=-1) ** 2
+    eigs = validate_batch(rho)
+    assert np.abs(eigs[:, 0] - square).max() < 1e-15
+    assert np.abs(eigs[:, 1:]).max() < 1e-15
+    assert np.abs(rho.trace(axis1=-2, axis2=-1) - square).max() < 1e-15
+    assert np.abs(rho - rho.conj().swapaxes(-1, -2)).max() < 1e-15
+    with pytest.raises(es.ValidationError, match="norm invariant violated"):
+        pure_batch(u[:1] * (1.0 + 1.01e-12))
 
 
 def test_pure_batch_names_unnormalized_vector():
