@@ -104,7 +104,8 @@ def _check_weights(w: np.ndarray) -> None:
     # BellDiagonalParams' invariants on weights (..., 4); names the first bad row
     total = w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3]
     # negated bounds, so that NaN fails them
-    for bad, rule in ((~(w.min(axis=-1) >= -1e-12), "be nonnegative"),
+    low = np.minimum(np.minimum(w[..., 0], w[..., 1]), np.minimum(w[..., 2], w[..., 3]))
+    for bad, rule in ((~(low >= -1e-12), "be nonnegative"),
                       (~(np.abs(total - 1.0) <= 1e-12), "sum to 1")):
         if bad.any():
             row = np.unravel_index(np.argmax(bad), bad.shape)

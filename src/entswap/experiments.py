@@ -13,12 +13,11 @@ joins the pieces in chunk order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -164,20 +163,60 @@ def _keyed_chunk(chunk_fn, stream, args, lo, hi):
     return chunk_fn(*args, stream.substream(lo), lo, hi)
 
 
-# The process's one worker pool, as (workers, executor): workers - 1
-# processes that run chunks beside the caller, made by the first call that
-# asks for workers, kept for later calls and replaced when a call asks for
-# another worker count. Keeping it pays in a process that makes several
-# workers > 1 calls (run_experiment in a loop); a one-shot CLI run forks
-# one pool either way.
-_pool: "tuple[int, ProcessPoolExecutor] | None" = None
+# Bytes of each pool socket's send and receive buffers, so that a share's
+# pickled result (about 300 kB for 768 belldiag samples with CSV text)
+# crosses in one write, where the default buffer needs several wake-ups of
+# both processes. The kernel caps it at net.core.wmem_max / rmem_max.
+_SOCKET_BUFFER = 1 << 20
+
+
+class _BrokenPool(RuntimeError):
+    """A pool process ended before it sent back its share's result."""
+
+
+# The process's one worker pool, as (workers, [(process, connection)]):
+# workers - 1 processes that run chunks beside the caller, each driven over
+# its own socket pair, made by the first call that asks for workers, kept
+# for later calls and replaced when a call asks for another worker count.
+# Keeping it pays in a process that makes several workers > 1 calls
+# (run_experiment in a loop); a one-shot CLI run forks one pool either way.
+_pool: "tuple[int, list] | None" = None
 
 
 def _close_pool() -> None:
+    """End the pool: each process exits at EOF on its socket."""
     global _pool
     if _pool is not None:
-        _pool[1].shutdown(cancel_futures=True)
+        for _, conn in _pool[1]:
+            conn.close()
+        for process, _ in _pool[1]:
+            process.join()
         _pool = None
+
+
+def _start_pool(size: int) -> list:
+    """``size`` processes of the default multiprocessing context, each
+    serving shares (see _serve) over its own socket pair."""
+    import multiprocessing
+    import socket
+    from multiprocessing.connection import Connection
+
+    pool = []
+    for _ in range(size):
+        pair = socket.socketpair()
+        for sock in pair:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCKET_BUFFER)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _SOCKET_BUFFER)
+        mine, theirs = (Connection(sock.detach()) for sock in pair)
+        # the process closes the caller's ends it inherits and the caller
+        # closes the process's end, so that a socket reads EOF once the
+        # process at its other end is gone
+        process = multiprocessing.Process(
+            target=_serve, args=(theirs, [conn for _, conn in pool] + [mine]), daemon=True)
+        process.start()
+        theirs.close()
+        pool.append((process, mine))
+    return pool
 
 
 def _run_share(fn, los, his) -> list:
@@ -185,18 +224,54 @@ def _run_share(fn, los, his) -> list:
     return list(map(fn, los, his))
 
 
+def _serve(conn, inherited) -> None:
+    """A pool process: run each share (fn, los, his) that arrives on
+    ``conn`` and send back (None, its chunks' results), or (the error it
+    raised, that error's traceback text); return at EOF."""
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            fn, los, his = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = None, _run_share(fn, los, his)
+        except Exception as exc:
+            import traceback
+            reply = exc, traceback.format_exc()
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has closed its end
+            return
+
+
+def _receive(conn) -> tuple:
+    """The reply (error, value) to the share sent on ``conn``, an error
+    chained to its traceback in the pool process; a _BrokenPool error when
+    the socket reads EOF or fails."""
+    try:
+        error, value = conn.recv()
+    except (EOFError, OSError):
+        return _BrokenPool("a pool process ended before it sent back its share"), None
+    if error is not None:
+        error.__cause__ = RuntimeError(f"raised in a pool process:\n{value}")
+    return error, value
+
+
 def _pooled(fn, los, his, workers: int) -> list:
     """fn over the chunks [los[i], his[i]) in ``workers`` processes: the
     chunks are cut into ``workers`` contiguous shares whose sizes differ by
-    at most one, each pool process runs one share as one task, and the
-    caller runs the last share itself. A call that makes the pool runs its
-    first chunk here before the pool forks, so the pool shares the code and
-    caches that chunk warmed instead of warming a private copy; that chunk
-    counts toward the caller's share, and the objects alive then are frozen
-    out of the cyclic collector (gc.freeze) for the life of the process.
-    Whatever the shares raise, every task has ended before the call
-    returns, and the error of the first failing chunk in chunk order is
-    raised."""
+    at most one, the larger first. The caller sends each pool process one
+    of the trailing shares, runs the first share itself and then receives
+    the others in chunk order. A call that makes the pool runs its first
+    chunk here before the pool forks, so the pool shares the code and
+    caches that chunk warmed instead of warming a private copy; the objects
+    alive then are frozen out of the cyclic collector (gc.freeze) for the
+    life of the process. Whatever the shares raise, every share has ended
+    before the call returns, and the error of the first failing chunk in
+    chunk order is raised; a pool process that died closes the pool and
+    raises _BrokenPool, unless an earlier share failed."""
     global _pool
     done = []
     if _pool is None or _pool[0] != workers:
@@ -205,17 +280,27 @@ def _pooled(fn, los, his, workers: int) -> list:
         # the caller's full collections would otherwise write to every
         # tracked object, copying each page it shares with the pool
         gc.freeze()
-        _pool = workers, ProcessPoolExecutor(max_workers=workers - 1)
-    cuts = [len(done) + len(los) * i // workers for i in range(workers)] + [len(los)]
-    shares = [_pool[1].submit(_run_share, fn, los[a:b], his[a:b])
-              for a, b in zip(cuts, cuts[1:-1])]
-    mine = Future()
+        _pool = workers, _start_pool(workers - 1)
+    cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
     try:
-        mine.set_result(_run_share(fn, los[cuts[-2]:], his[cuts[-2]:]))
-    except Exception as exc:
-        mine.set_exception(exc)
-    wait(shares)  # no task of this call runs on into the next
-    return done + [chunk for share in (*shares, mine) for chunk in share.result()]
+        for (_, conn), a, b in zip(_pool[1], cuts[1:], cuts[2:]):
+            with contextlib.suppress(OSError):  # a dead process: _receive says so
+                conn.send((fn, los[a:b], his[a:b]))
+        try:
+            replies = [(None, _run_share(fn, los[len(done):cuts[1]], his[len(done):cuts[1]]))]
+        except Exception as exc:
+            replies = [(exc, None)]
+        replies += [_receive(conn) for _, conn in _pool[1]]
+    except BaseException:
+        # a reply left unread would answer the next call's share
+        _close_pool()
+        raise
+    if any(isinstance(error, _BrokenPool) for error, _ in replies):
+        _close_pool()
+    for error, _ in replies:
+        if error is not None:
+            raise error
+    return done + [chunk for _, share in replies for chunk in share]
 
 
 def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
@@ -236,8 +321,7 @@ def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = 
         return list(map(fn, los, his))
     try:
         return _pooled(fn, los, his, workers)
-    except BrokenProcessPool:
-        _close_pool()
+    except _BrokenPool:
         return _pooled(fn, los, his, workers)
 
 

@@ -53,6 +53,10 @@ class ImpossibleOutcome(Exception):
             f"<= {NORMALIZATION_FLOOR}; the conditional state is undefined"
         )
 
+    def __reduce__(self):
+        # args hold only the message, which __init__ does not take
+        return type(self), (self.outcome, self.normalization)
+
 
 class BellLabel(enum.Enum):
     """The four maximally entangled two-qubit states."""
@@ -301,8 +305,8 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
     ``where`` and ``prob``. Returns the eigenvalues in descending order,
     as x_eigenvalues_batch gives them.
     """
-    finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
-    if not finite.all():
+    if not (np.isfinite(diag).all() and np.isfinite(coh).all()):
+        finite = np.isfinite(diag).all(axis=-1) & np.isfinite(coh).all(axis=-1)
         _raise_first(finite, ~finite, "finiteness invariant violated: NaN or Inf entry", where)
     weight = 1.0 if prob is None else np.minimum(prob, 1.0)
     total = diag[..., 0] + diag[..., 1] + diag[..., 2] + diag[..., 3]
@@ -368,7 +372,13 @@ def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     minus the radius."""
     p, q = diag[..., :2], diag[..., 3:1:-1]
     half_sum, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(coh))
-    return np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[..., ::-1]
+    top, bottom = half_sum + radius, half_sum - radius
+    a, c, b, d = top[..., 0], top[..., 1], bottom[..., 0], bottom[..., 1]
+    # a >= b and c >= d: max(a, c) is the largest of the four, min(b, d)
+    # the smallest, and min(a, c) and max(b, d) are the middle two
+    middle = np.minimum(a, c), np.maximum(b, d)
+    return np.stack([np.maximum(a, c), np.maximum(*middle), np.minimum(*middle),
+                     np.minimum(b, d)], axis=-1)
 
 
 def as_x_state(rho: DensityMatrix, tol: float = X_ENTRY_TOL) -> XState:
@@ -435,7 +445,7 @@ def concurrence_x_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
     """Closed-form concurrence of each state of an X stack."""
     # |c14| - sqrt(c22 c33) and |c23| - sqrt(c11 c44)
     gap = np.abs(coh) - np.sqrt(np.maximum(diag[..., :2] * diag[..., 3:1:-1], 0.0))[..., ::-1]
-    return np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0)
+    return np.clip(2.0 * np.maximum(gap[..., 0], gap[..., 1]), 0.0, 1.0)
 
 
 def pure_concurrence(amplitudes: np.ndarray) -> "float | np.ndarray":
@@ -458,7 +468,8 @@ def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TO
 
 def rank_batch(eigs: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical ranks from descending eigenvalues of shape (..., 4)."""
-    return np.count_nonzero(eigs > tol * eigs[..., :1], axis=-1)
+    above = eigs > tol * eigs[..., :1]
+    return above[..., 0].astype(np.intp) + above[..., 1] + above[..., 2] + above[..., 3]
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -254,11 +254,26 @@ def test_worker_calls_share_one_pool():
         assert multiprocessing.active_children() == workers
 
 
+_MARKS = []
+
+
+def _marking_chunk(rng, lo, hi):
+    """Marks its chunk in the process that runs it; that process's id and
+    the marks it holds."""
+    _MARKS.append(lo)
+    return os.getpid(), tuple(_MARKS)
+
+
 def test_a_new_worker_count_replaces_the_pool():
     _pool_call(2)
     old = multiprocessing.active_children()
-    # the call that makes a pool runs its first chunk here, before the fork
-    assert _pool_call(3)[0] == os.getpid()
+    _MARKS.clear()
+    making = ex.run_chunks(_marking_chunk, es.RngStream(seed=1, stream_id=0),
+                           12 * ex.DRAW_SAMPLES, 3)
+    # the call that makes a pool runs its first chunk here, before the fork:
+    # the new pool processes inherit its mark
+    assert making[0] == (os.getpid(), (0,))
+    assert all(pid != os.getpid() and marks[0] == 0 for pid, marks in making[4:])
     new = multiprocessing.active_children()
     assert len(new) == 2 and not set(new) & set(old)
     assert all(p.exitcode is not None for p in old)
@@ -270,24 +285,30 @@ def test_the_pool_has_at_most_one_worker_per_chunk():
     # pool process, and writes the same bytes
     one, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=1, fmt="csv")
     many, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=8, fmt="csv")
-    assert ex._pool[0] == 2
-    assert len(multiprocessing.active_children()) == 1
+    assert ex._pool[0] == 2 and len(ex._pool[1]) == 1
+    assert multiprocessing.active_children() == [ex._pool[1][0][0]]
     assert many.text == one.text
 
 
 def test_each_process_runs_one_contiguous_share():
-    # 12 chunks in 3 processes: shares of 4, the caller's last. A call that
+    # 12 chunks in 3 processes: shares of 4, the caller's first. A call that
     # makes the pool has run chunk 0 before the fork, and it counts toward
     # the caller's share.
     ex._close_pool()
     making, kept = _pool_call(3), _pool_call(3)
     me = os.getpid()
-    assert making[:1] + making[9:] == [me] * 4 and kept[8:] == [me] * 4
+    assert making[:4] == [me] * 4 and kept[:4] == [me] * 4
     children = {p.pid for p in multiprocessing.active_children()}
-    for theirs in (making[1:9], kept[:8]):
-        assert set(theirs) <= children
+    for theirs in (making[4:], kept[4:]):
+        assert set(theirs) <= children and me not in theirs
         runs = [pid for pid, _ in itertools.groupby(theirs)]
-        assert len(runs) == len(set(runs))
+        assert len(runs) == len(set(runs)) == 2
+
+
+def test_the_larger_shares_go_first():
+    # 5 chunks in 2 processes: the caller runs 3, the pool the last 2
+    pids = ex.run_chunks(_pid_chunk, es.RngStream(seed=1, stream_id=0), 5 * ex.DRAW_SAMPLES, 2)
+    assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
 
 
 def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
@@ -299,30 +320,91 @@ def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
     assert gc.get_freeze_count() > frozen
 
 
-def _chunk_failing_from(path, first_bad, rng, lo, hi):
-    """Raises from sample ``first_bad`` on; a chunk before it leaves a file
-    named after its first sample in ``path`` just before it returns."""
-    if lo >= first_bad:
-        raise ValueError(f"chunk {lo}")
+def _chunk_failing_at(path, bad, rng, lo, hi):
+    """Leaves a file named after its first sample in ``path``, then raises
+    if that sample is in ``bad``."""
     time.sleep(0.05)
     (path / str(lo)).touch()
+    if lo in bad:
+        raise ValueError(f"chunk {lo}")
     return lo
+
+
+def _chunks_run(path) -> list:
+    return sorted(int(f.name) for f in path.iterdir())
 
 
 def test_an_error_in_the_callers_share_waits_for_the_pool(tmp_path):
     n, size = 12 * ex.DRAW_SAMPLES, ex.DRAW_SAMPLES
     stream = es.RngStream(seed=1, stream_id=0)
     _pool_call(3)  # makes the pool, unless an earlier call did
-    with pytest.raises(ValueError, match=f"^chunk {8 * size}$"):
-        ex.run_chunks(_chunk_failing_from, stream, n, 3, (tmp_path, 8 * size))
+    with pytest.raises(ValueError, match=f"^chunk {size}$"):
+        ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, {size}))
     # the pool's two shares ran to their ends before the caller's error
-    assert sorted(int(f.name) for f in tmp_path.iterdir()) == list(range(0, 8 * size, size))
+    assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
     # with errors in every share, the first failing chunk's is raised, as on
     # one process
     for workers in (1, 3):
         with pytest.raises(ValueError, match=f"^chunk {size}$"):
-            ex.run_chunks(_chunk_failing_from, stream, n, workers, (tmp_path, size))
-    assert ex.run_chunks(_chunk_failing_from, stream, n, 3, (tmp_path, n)) == list(range(0, n, size))
+            ex.run_chunks(_chunk_failing_at, stream, n, workers, (tmp_path, range(size, n)))
+    assert ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, ())) == list(range(0, n, size))
+
+
+def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
+    n, size = 12 * ex.DRAW_SAMPLES, ex.DRAW_SAMPLES
+    stream = es.RngStream(seed=1, stream_id=0)
+    _pool_call(3)
+    workers = multiprocessing.active_children()
+    with pytest.raises(ValueError, match=f"^chunk {size}$"):
+        ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, {size, n - size}))
+    # the last share failed at its last chunk, after running all of it
+    assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
+    # failing shares leave the pool in service
+    assert multiprocessing.active_children() == workers
+    assert set(_pool_call(3)) == {os.getpid(), *(p.pid for p in workers)}
+
+
+def _chunk_raising(error, at, rng, lo, hi):
+    if lo == at:
+        raise error
+    return lo
+
+
+@pytest.mark.parametrize("error", [es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 0.0),
+                                   es.ValidationError("trace invariant violated")])
+def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error):
+    # 4 chunks in 2 processes: chunk 2 is the pool's
+    stream = es.RngStream(seed=1, stream_id=0)
+    ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
+    with pytest.raises(type(error)) as info:
+        ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
+                      (error, 2 * ex.DRAW_SAMPLES))
+    assert type(info.value) is type(error) and info.value.args == error.args
+    assert vars(info.value) == vars(error)
+
+
+_IMPORTS_AT_ONE_WORKER = """
+import sys
+from entswap import cli, experiments
+experiments.run_experiment("belldiag", 600, 5, fmt="csv")
+print(*sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+"""
+
+
+def _run_python(code: str, cwd) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    entswap; its standard output."""
+    src = str(Path(ex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def test_a_one_worker_run_imports_no_process_pool(tmp_path):
+    assert _run_python(_IMPORTS_AT_ONE_WORKER, tmp_path).strip() == ""
 
 
 # -------------------------------------------------------------- emission
@@ -681,12 +763,7 @@ sys.exit(max(cli.main(argv + ["--seed", "5"]) for argv in runs))
 
 
 def test_experiments_and_sample_run_without_scipy(tmp_path):
-    src = str(Path(ex.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr[-2000:]
+    _run_python(_WITHOUT_SCIPY, tmp_path)
     checks = json.loads((tmp_path / "pure.summary.json").read_text())["checks"]
     assert checks["pure_identity"]["violations"] == checks["schmidt_floor"]["violations"] == 0
 

@@ -134,13 +134,13 @@ def test_outputs_match_golden_hashes(tmp_path, case, workers):
 def test_a_killed_worker_is_replaced_by_a_fresh_pool(tmp_path):
     case = ("belldiag", 600, 7, (), "csv")
     assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
-    victim = multiprocessing.active_children()[0]
+    (victim, _), = experiments._pool[1]
     os.kill(victim.pid, signal.SIGKILL)
     assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
     assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
-    # a workers=2 call runs in the caller and one pool process
-    workers = multiprocessing.active_children()
-    assert len(workers) == 1 and victim not in workers
+    # a workers=2 call runs in the caller and one pool process, a fresh one
+    (fresh, _), = experiments._pool[1]
+    assert multiprocessing.active_children() == [fresh] and fresh is not victim
 
 
 def _in_blocks(outcomes, size):

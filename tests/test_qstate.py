@@ -1,10 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.ensembles import bell_diagonal_x
+from entswap.ensembles import _check_weights, bell_diagonal_x
 from entswap.qstate import (
     DEFAULT_RANK_TOL,
     EIGENVALUE_FLOOR,
@@ -23,6 +25,13 @@ from entswap.qstate import (
     x_matrices,
 )
 from entswap.swap import conditional_states
+
+
+def test_impossible_outcome_survives_pickling():
+    error = es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 3e-13)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is es.ImpossibleOutcome and str(copy) == str(error)
+    assert copy.outcome is es.BellLabel.PSI_MINUS and copy.normalization == 3e-13
 
 
 # ----------------------------------------------------------- Bell states
@@ -278,6 +287,54 @@ def test_validate_x_batch_names_invariant_value_and_sample(row, message):
         with pytest.raises(es.ValidationError) as excinfo:
             build()
         assert str(excinfo.value) == message
+
+
+def _tied_x_stack(rng, n):
+    """An X stack whose entries come from a few values, zeros of both signs
+    among them, so that eigenvalues tie within and across parity blocks."""
+    values = np.array([0.0, -0.0, 0.1, 0.25, 0.5, rng.random()])
+    diag = rng.choice(values, size=(n, 4))
+    coh = rng.choice(values, size=(n, 2)) * rng.choice([1, -1, 1j, -1j], size=(n, 2))
+    return diag, coh
+
+
+def test_x_route_networks_match_the_last_axis_reductions():
+    rng = np.random.default_rng(11)
+    diag, coh = _tied_x_stack(rng, 4000)
+    p, q = diag[:, :2], diag[:, 3:1:-1]
+    half_sum, radius = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(coh))
+    eigs = x_eigenvalues_batch(diag, coh)
+    assert np.array_equal(
+        eigs, np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[:, ::-1])
+    gap = np.abs(coh) - np.sqrt(np.maximum(p * q, 0.0))[:, ::-1]
+    assert np.array_equal(concurrence_x_batch(diag, coh),
+                          np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0))
+    for tol in (DEFAULT_RANK_TOL, 0.5):
+        rank = rank_batch(eigs, tol)
+        assert rank.dtype == np.intp
+        assert np.array_equal(rank, np.count_nonzero(eigs > tol * eigs[:, :1], axis=-1))
+    weights = rng.choice([0.0, -0.0, 0.25, 1.0, -1e-12, -2e-12, np.nan], size=(500, 4))
+    for w in weights:
+        try:
+            _check_weights(w)
+            negative = False
+        except ValueError as exc:
+            negative = str(exc).startswith("weights must be nonnegative")
+        assert negative == (not w.min() >= -1e-12), w
+
+
+def test_non_finite_rows_of_a_stack_name_the_first_one():
+    diag, coh = np.full((5, 4), 0.25), np.zeros((5, 2), dtype=complex)
+    diag[3, 1], coh[1, 0] = np.nan, complex(np.inf, 0.0)
+    with pytest.raises(es.ValidationError) as excinfo:
+        validate_x_batch(diag, coh, where=lambda n: f"input a of sample {n}")
+    assert str(excinfo.value) == ("finiteness invariant violated: NaN or Inf entry "
+                                  "(input a of sample 1)")
+    weights = np.full((5, 4), 0.25)
+    weights[2, :2], weights[4, 3] = (np.nan, 0.5), np.nan
+    with pytest.raises(ValueError) as excinfo:
+        _check_weights(weights)
+    assert str(excinfo.value) == "weights must be nonnegative, got (nan, 0.5, 0.25, 0.25)"
 
 
 def _accepted(build) -> bool:
