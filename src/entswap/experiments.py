@@ -6,9 +6,10 @@ random substream keyed by the chunk's first sample index, so results are
 reproducible bit-for-bit for a given seed regardless of how the chunks
 are partitioned across workers. Chunks emit records in sample-index
 (then outcome) order and floats are serialized with 17 significant
-digits, making repeated runs byte-identical. A run asked for a records
-format renders each chunk's rows in the process that swapped it, and
-joins the pieces in chunk order.
+digits, making repeated runs byte-identical. Each chunk expands its
+per-sample columns to its rows, tallies its row checks and renders its
+rows in the process that swapped it; the caller joins the columns,
+merges the tallies and writes the pieces in chunk order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import functools
 import gc
 import json
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -141,7 +143,8 @@ class Experiment(NamedTuple):
     chunk from ``rng``: stacked inputs a and b and their per-sample input
     columns; ``outcomes`` swaps them (see _general_outcomes). A run has
     ``combos`` input classes of ``args.samples`` samples each.
-    ``extras(report, per_sample)`` adds to the report's extras.
+    ``extras(report, per_sample)`` adds to the report's extras (per_sample
+    is {} unless a check reads it).
     """
 
     draw: Callable
@@ -163,59 +166,57 @@ def _keyed_chunk(chunk_fn, stream, args, lo, hi):
     return chunk_fn(*args, stream.substream(lo), lo, hi)
 
 
-# Bytes of each pool socket's send and receive buffers, so that a share's
-# pickled result (about 300 kB for 768 belldiag samples with CSV text)
-# crosses in one write, where the default buffer needs several wake-ups of
-# both processes. The kernel caps it at net.core.wmem_max / rmem_max.
-_SOCKET_BUFFER = 1 << 20
+# Bytes of each pool process's shared reply mapping (see _serve); a reply
+# is about 390 kB for 768 belldiag samples with CSV text.
+_REPLY_BYTES = 4 << 20
 
 
 class _BrokenPool(RuntimeError):
     """A pool process ended before it sent back its share's result."""
 
 
-# The process's one worker pool, as (workers, [(process, connection)]):
-# workers - 1 processes that run chunks beside the caller, each driven over
-# its own socket pair, made by the first call that asks for workers, kept
-# for later calls and replaced when a call asks for another worker count.
-# Keeping it pays in a process that makes several workers > 1 calls
-# (run_experiment in a loop); a one-shot CLI run forks one pool either way.
-_pool: "tuple[int, list] | None" = None
+# The process's one worker pool, as [(process, connection, reply mapping)]:
+# processes that run chunks beside the caller, each driven over its own
+# socket pair, made by the first call that asks for workers and kept for
+# later calls, which use its first processes; only a call that needs more
+# replaces it. Keeping it pays in a process that makes several workers > 1
+# calls (run_experiment in a loop); a one-shot CLI run forks one pool
+# either way.
+_pool: list = []
 
 
 def _close_pool() -> None:
     """End the pool: each process exits at EOF on its socket."""
-    global _pool
-    if _pool is not None:
-        for _, conn in _pool[1]:
-            conn.close()
-        for process, _ in _pool[1]:
-            process.join()
-        _pool = None
+    for _, conn, _ in _pool:
+        conn.close()
+    for process, _, _ in _pool:
+        process.join()
+    _pool.clear()
 
 
 def _start_pool(size: int) -> list:
     """``size`` processes of the default multiprocessing context, each
-    serving shares (see _serve) over its own socket pair."""
+    serving shares (see _serve) over its own socket pair, with an anonymous
+    shared reply mapping made before it forks (none unless it forks)."""
+    import mmap
     import multiprocessing
     import socket
     from multiprocessing.connection import Connection
 
+    fork = multiprocessing.get_start_method() == "fork"
     pool = []
     for _ in range(size):
-        pair = socket.socketpair()
-        for sock in pair:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCKET_BUFFER)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _SOCKET_BUFFER)
-        mine, theirs = (Connection(sock.detach()) for sock in pair)
+        mine, theirs = (Connection(sock.detach()) for sock in socket.socketpair())
+        mapping = mmap.mmap(-1, _REPLY_BYTES) if fork else None
         # the process closes the caller's ends it inherits and the caller
         # closes the process's end, so that a socket reads EOF once the
         # process at its other end is gone
         process = multiprocessing.Process(
-            target=_serve, args=(theirs, [conn for _, conn in pool] + [mine]), daemon=True)
+            target=_serve, args=(theirs, [conn for _, conn, _ in pool] + [mine], mapping),
+            daemon=True)
         process.start()
         theirs.close()
-        pool.append((process, mine))
+        pool.append((process, mine, mapping))
     return pool
 
 
@@ -224,10 +225,14 @@ def _run_share(fn, los, his) -> list:
     return list(map(fn, los, his))
 
 
-def _serve(conn, inherited) -> None:
+def _serve(conn, inherited, mapping) -> None:
     """A pool process: run each share (fn, los, his) that arrives on
-    ``conn`` and send back (None, its chunks' results), or (the error it
-    raised, that error's traceback text); return at EOF."""
+    ``conn`` and reply (None, its chunks' results), or (the error it
+    raised, that error's traceback text); return at EOF. The reply is
+    pickled into ``mapping`` and its length sent, unless it does not fit
+    there: then the reply itself is sent."""
+    from multiprocessing.reduction import ForkingPickler
+
     for other in inherited:
         other.close()
     while True:
@@ -240,20 +245,31 @@ def _serve(conn, inherited) -> None:
         except Exception as exc:
             import traceback
             reply = exc, traceback.format_exc()
+        message = reply
+        if mapping is not None:
+            mapping.seek(0)
+            with contextlib.suppress(ValueError):  # written past the mapping's end
+                ForkingPickler(mapping, 5).dump(reply)
+                message = mapping.tell()
         try:
-            conn.send(reply)
+            conn.send(message)
         except OSError:  # the caller has closed its end
             return
+        del reply, message  # freed once the caller has the length
 
 
-def _receive(conn) -> tuple:
-    """The reply (error, value) to the share sent on ``conn``, an error
-    chained to its traceback in the pool process; a _BrokenPool error when
-    the socket reads EOF or fails."""
+def _receive(conn, mapping) -> tuple:
+    """The reply (error, value) to the share sent on ``conn``, read from
+    ``mapping`` when its length comes, an error chained to its traceback in
+    the pool process; a _BrokenPool error when the socket reads EOF or
+    fails."""
     try:
-        error, value = conn.recv()
+        reply = conn.recv()
     except (EOFError, OSError):
         return _BrokenPool("a pool process ended before it sent back its share"), None
+    if isinstance(reply, int):
+        reply = pickle.loads(memoryview(mapping)[:reply])
+    error, value = reply
     if error is not None:
         error.__cause__ = RuntimeError(f"raised in a pool process:\n{value}")
     return error, value
@@ -272,25 +288,25 @@ def _pooled(fn, los, his, workers: int) -> list:
     before the call returns, and the error of the first failing chunk in
     chunk order is raised; a pool process that died closes the pool and
     raises _BrokenPool, unless an earlier share failed."""
-    global _pool
     done = []
-    if _pool is None or _pool[0] != workers:
+    if len(_pool) < workers - 1:
         _close_pool()
         done.append(fn(los[0], his[0]))
         # the caller's full collections would otherwise write to every
         # tracked object, copying each page it shares with the pool
         gc.freeze()
-        _pool = workers, _start_pool(workers - 1)
+        _pool.extend(_start_pool(workers - 1))
+    pool = _pool[:workers - 1]
     cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
     try:
-        for (_, conn), a, b in zip(_pool[1], cuts[1:], cuts[2:]):
+        for (_, conn, _), a, b in zip(pool, cuts[1:], cuts[2:]):
             with contextlib.suppress(OSError):  # a dead process: _receive says so
                 conn.send((fn, los[a:b], his[a:b]))
         try:
             replies = [(None, _run_share(fn, los[len(done):cuts[1]], his[len(done):cuts[1]]))]
         except Exception as exc:
             replies = [(exc, None)]
-        replies += [_receive(conn) for _, conn in _pool[1]]
+        replies += [_receive(conn, mapping) for _, conn, mapping in pool]
     except BaseException:
         # a reply left unread would answer the next call's share
         _close_pool()
@@ -382,12 +398,21 @@ def _no_outcomes(a, b, where, args):
     return _ALL_OUTCOMES[:0], empty.astype(bool), empty, np.zeros(0), np.zeros((0, 4)), {}
 
 
-def _swap_chunk(name, args, fmt, rng, lo, hi):
+class Chunk(NamedTuple):
+    """A draw chunk's record columns, skipped outcome count, check tallies
+    (see _row_tallies), per-sample columns ({} unless a check reads them)
+    and rendered rows (None when the run renders none)."""
+
+    cols: dict
+    skipped: int
+    tallies: tuple
+    per_sample: dict
+    text: "str | None"
+
+
+def _swap_chunk(name, args, fmt, rng, lo, hi) -> Chunk:
     """Swap the draw chunk [lo, hi) of experiment ``name``, drawn from
-    ``rng``: its per-sample columns, the sample index of each possible
-    outcome and that outcome's record columns, the number of impossible
-    ones skipped, and the records' rows rendered in records format ``fmt``
-    (None renders none)."""
+    ``rng``; its rows are rendered in records format ``fmt``."""
     spec = EXPERIMENTS[name]
     a, b, inputs = spec.draw(args, rng, lo, hi)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
@@ -395,8 +420,10 @@ def _swap_chunk(name, args, fmt, rng, lo, hi):
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
             "rank_f": rank_batch(eigs)}
     per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
-    return (per_sample, lo + n, rows, possible.size - n.size,
-            fmt and _render_rows(rows, fmt, per_sample, n))
+    cols = {**{key: column[n] for key, column in per_sample.items()}, **rows}
+    return Chunk(cols, possible.size - n.size, _row_tallies(spec.checks, cols, args),
+                 per_sample if any(check.per_sample for check in spec.checks) else {},
+                 fmt and _render_rows(rows, fmt, per_sample, n))
 
 
 # --------------------------------------------------------------------------
@@ -562,15 +589,36 @@ EXPERIMENTS = {
 _STREAM_IDS = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 
-def _apply_checks(report: BoundReport, checks, cols: dict, args, per_sample=None) -> None:
-    """Count each Check's violations over the record columns, or the
-    per-sample columns ``per_sample``, into report under the check's name."""
-    for name, deviation, tol, over_samples in checks:
-        dev = deviation(per_sample if over_samples else cols, args)
-        count = int(np.count_nonzero(dev > tol))
-        report.checks[name] = {"tol": tol, "violations": count,
-                               "worst": float(dev.max(initial=0.0))}
+def _tally(check: Check, cols: dict, args) -> tuple:
+    """A Check's (violations, worst deviation) over columns ``cols``."""
+    dev = check.deviation(cols, args)
+    return int(np.count_nonzero(dev > check.tol)), float(dev.max(initial=0.0))
+
+
+def _row_tallies(checks, cols: dict, args) -> tuple:
+    """Each Check's tally over record columns ``cols``, in order; None for
+    a per-sample check."""
+    return tuple(None if check.per_sample else _tally(check, cols, args) for check in checks)
+
+
+def _apply_checks(report: BoundReport, checks, tallies, args, per_sample=None) -> None:
+    """Report each Check under its name: a record check merged from its
+    tallies in ``tallies``, one _row_tallies tuple per chunk, a per-sample
+    check tallied over the run's per-sample columns ``per_sample``."""
+    for i, check in enumerate(checks):
+        parts = ([_tally(check, per_sample, args)] if check.per_sample
+                 else [tally[i] for tally in tallies])
+        counts, worsts = zip(*parts)
+        count = sum(counts)
+        # np.maximum keeps a NaN, as a max over the whole run's rows would
+        report.checks[check.name] = {"tol": check.tol, "violations": count,
+                                     "worst": float(functools.reduce(np.maximum, worsts))}
         report.hard_violations += count
+
+
+def _joined(parts) -> dict:
+    """Columns of consecutive parts, joined in order."""
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def run_experiment(name: str, samples: int, seed: int, *,
@@ -597,18 +645,13 @@ def run_experiment(name: str, samples: int, seed: int, *,
     total = spec.combos * samples
     chunks = run_chunks(_swap_chunk, RngStream(seed, _STREAM_IDS[name]), total, workers,
                         (name, args, fmt), samples)
-    # the chunks cover the samples in order from 0: a sample index is a row
-    # of the joined per-sample columns
-    sample_parts, index, row_parts, skipped, pieces = zip(*chunks)
-    per_sample, rows = ({key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-                        for parts in (sample_parts, row_parts))
-    index = np.concatenate(index)
-    cols = {**{key: column[index] for key, column in per_sample.items()}, **rows}
-    report = BoundReport(name, total, seed, skipped=sum(skipped))
-    _apply_checks(report, spec.checks, cols, args, per_sample)
+    # the chunks cover the samples in order from 0
+    cols, per_sample = _joined([c.cols for c in chunks]), _joined([c.per_sample for c in chunks])
+    report = BoundReport(name, total, seed, skipped=sum(c.skipped for c in chunks))
+    _apply_checks(report, spec.checks, [c.tallies for c in chunks], args, per_sample)
     if spec.extras:
         report.extras.update(spec.extras(report, per_sample))
-    records = Records(cols, fmt and _table(_names(cols), pieces, fmt))
+    records = Records(cols, fmt and _table(_names(cols), [c.text for c in chunks], fmt))
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return records, report
 
@@ -618,12 +661,17 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
 
 class Records(dict):
-    """Record columns by name. ``text`` is their records text as the run
-    rendered it, or None: it does not follow later edits of the columns."""
+    """Record columns by name. ``pieces`` hold their records text as the run
+    rendered it, or are None; ``text`` joins them. Neither follows later
+    edits of the columns."""
 
-    def __init__(self, cols=(), text=None):
+    def __init__(self, cols=(), pieces=None):
         super().__init__(cols)
-        self.text = text
+        self.pieces = pieces
+
+    @property
+    def text(self) -> "str | None":
+        return None if self.pieces is None else "".join(self.pieces)
 
 
 def _names(cols: dict) -> tuple:
@@ -704,19 +752,23 @@ def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
     return ("" if fmt == "csv" else ",").join(lines)
 
 
-def _table(names: tuple, pieces, fmt: str) -> str:
-    """The records text of the rows rendered in consecutive pieces."""
+def _table(names: tuple, pieces, fmt: str) -> list:
+    """The records text of the rows rendered in consecutive pieces, in
+    pieces."""
     if fmt == "csv":
-        return ",".join(names) + "\n" + "".join(pieces)
-    return "[" + ",".join(filter(None, pieces)) + "]\n"
+        return [",".join(names) + "\n", *pieces]
+    table = ["["]
+    for piece in filter(None, pieces):
+        table += (",", piece) if len(table) > 1 else (piece,)
+    return table + ["]\n"]
 
 
 def write_records(records: Records, path) -> None:
     """Write the text of records that run_experiment rendered."""
-    if records.text is None:
+    if records.pieces is None:
         raise ValueError("the records carry no text; run the experiment with a records format")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records.text)
+        fh.writelines(records.pieces)
 
 
 def write_summary(report: BoundReport, path) -> str:

@@ -159,15 +159,24 @@ def test_dispatcher_rejects_unknown_formats_and_rank_tolerances():
 
 
 def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
+    # pure's checks read record columns alone: its chunk sends back its rows,
+    # each per-sample column expanded to them, with the rows' check tallies
     args = ex.Args(300, "bures")
-    per_sample, index, rows, skipped, text = ex._swap_chunk("pure", args, None,
-                                                            np.random.default_rng(3), 256, 300)
-    assert {key: len(column) for key, column in per_sample.items()} == dict.fromkeys(
-        ("sample", "c_a", "c_b", "rank_a", "rank_b", "ratio"), 44)
-    assert per_sample["sample"].tolist() == list(range(256, 300))
-    assert index.tolist() == [n for n in range(256, 300) for _ in range(4)]
-    assert all(len(column) == 4 * 44 for column in rows.values())
-    assert (skipped, text) == (0, None)
+    chunk = ex._swap_chunk("pure", args, None, np.random.default_rng(3), 256, 300)
+    assert {key: len(column) for key, column in chunk.cols.items()} == dict.fromkeys(
+        ("sample", "c_a", "c_b", "rank_a", "rank_b", "ratio", "outcome", "c_f", "prob",
+         "rank_f"), 4 * 44)
+    assert chunk.cols["sample"].tolist() == [n for n in range(256, 300) for _ in range(4)]
+    assert (chunk.per_sample, chunk.skipped, chunk.text) == ({}, 0, None)
+    assert chunk.tallies == ex._row_tallies(ex.EXPERIMENTS["pure"].checks, chunk.cols, args)
+    assert [violations for violations, _ in chunk.tallies] == [0, 0, 0]
+    # haar-stats' checks read its per-sample columns: those come back unexpanded
+    chunk = ex._swap_chunk("haar-stats", args, None, np.random.default_rng(3), 256, 300)
+    assert {key: len(column) for key, column in chunk.per_sample.items()} == dict.fromkeys(
+        ("sample", "phase_sum", "phase_sq"), 44)
+    assert chunk.per_sample["sample"].tolist() == list(range(256, 300))
+    assert chunk.tallies == (None, None)
+    assert all(len(column) == 0 for column in chunk.cols.values())
 
 
 def test_a_per_sample_check_reads_the_per_sample_columns():
@@ -245,7 +254,8 @@ def _pool_call(workers):
 
 
 def test_worker_calls_share_one_pool():
-    _pool_call(2)  # makes the pool, unless an earlier call did
+    ex._close_pool()
+    _pool_call(2)
     # two processes run the chunks: the caller and one pool process
     workers = multiprocessing.active_children()
     assert len(workers) == 1
@@ -265,6 +275,8 @@ def _marking_chunk(rng, lo, hi):
 
 
 def test_a_new_worker_count_replaces_the_pool():
+    # a call that needs more processes than the pool holds replaces it
+    ex._close_pool()
     _pool_call(2)
     old = multiprocessing.active_children()
     _MARKS.clear()
@@ -283,10 +295,11 @@ def test_a_new_worker_count_replaces_the_pool():
 def test_the_pool_has_at_most_one_worker_per_chunk():
     # 2 draw chunks: a workers=8 call runs in 2 processes, the caller and one
     # pool process, and writes the same bytes
+    ex._close_pool()
     one, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=1, fmt="csv")
     many, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=8, fmt="csv")
-    assert ex._pool[0] == 2 and len(ex._pool[1]) == 1
-    assert multiprocessing.active_children() == [ex._pool[1][0][0]]
+    assert len(ex._pool) == 1
+    assert multiprocessing.active_children() == [ex._pool[0][0]]
     assert many.text == one.text
 
 
@@ -309,6 +322,58 @@ def test_the_larger_shares_go_first():
     # 5 chunks in 2 processes: the caller runs 3, the pool the last 2
     pids = ex.run_chunks(_pid_chunk, es.RngStream(seed=1, stream_id=0), 5 * ex.DRAW_SAMPLES, 2)
     assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
+
+
+def test_a_call_that_needs_fewer_processes_keeps_the_pool():
+    # 6 chunks need 2 pool processes at workers=3, 2 chunks need one: the
+    # smaller calls run on the pool's first process and keep the pool
+    ex._close_pool()
+    kept = []
+    for samples in (1500, 400) * 4:
+        ex.run_experiment("belldiag", samples, 3, workers=3, fmt="csv")
+        kept.append([process.pid for process, _, _ in ex._pool])
+    assert len(kept[0]) == 2 and kept == kept[:1] * 8
+    assert {p.pid for p in multiprocessing.active_children()} == set(kept[0])
+    assert _pool_call(2) == [os.getpid()] * 6 + [kept[0][0]] * 6
+    # one that needs more replaces it
+    _pool_call(4)
+    assert len(ex._pool) == 3 and not {p.pid for p, _, _ in ex._pool} & set(kept[0])
+
+
+def test_replies_that_overrun_the_mapping_cross_the_socket(monkeypatch):
+    # a share's reply is pickled into its process's mapping...
+    ex._close_pool()
+    ex.run_experiment("belldiag", 700, 9, workers=3, fmt="csv")
+    assert [mapping[:2] for _, _, mapping in ex._pool] == [b"\x80\x05"] * 2
+    # ...unless it is larger, as every one is than a 4 KiB mapping
+    monkeypatch.setattr(ex, "_REPLY_BYTES", 4096)
+    ex._close_pool()
+    try:
+        for fmt in ("csv", "json"):
+            runs = {}
+            for workers in (1, 2, 3):
+                records, report = ex.run_experiment("belldiag", 700, 9, workers=workers, fmt=fmt)
+                del report.runtime_ms
+                runs[workers] = records.text, vars(report)
+            assert runs[2] == runs[1] and runs[3] == runs[1], fmt
+            assert [len(mapping) for _, _, mapping in ex._pool] == [4096, 4096]
+    finally:
+        ex._close_pool()
+
+
+_SPAWNED_POOL = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from entswap import experiments
+texts = {experiments.run_experiment("belldiag", 700, 5, workers=w, fmt="csv")[0].text
+         for w in (1, 3)}
+print(len(texts), *(mapping for _, _, mapping in experiments._pool))
+"""
+
+
+def test_a_pool_of_another_start_method_replies_over_its_sockets(tmp_path):
+    # no mapping is inherited under spawn: the replies cross the sockets
+    assert _run_python(_SPAWNED_POOL, tmp_path).split() == ["1", "None", "None"]
 
 
 def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
@@ -353,6 +418,7 @@ def test_an_error_in_the_callers_share_waits_for_the_pool(tmp_path):
 def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
     n, size = 12 * ex.DRAW_SAMPLES, ex.DRAW_SAMPLES
     stream = es.RngStream(seed=1, stream_id=0)
+    ex._close_pool()
     _pool_call(3)
     workers = multiprocessing.active_children()
     with pytest.raises(ValueError, match=f"^chunk {size}$"):
@@ -372,15 +438,22 @@ def _chunk_raising(error, at, rng, lo, hi):
 
 @pytest.mark.parametrize("error", [es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 0.0),
                                    es.ValidationError("trace invariant violated")])
-def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error):
-    # 4 chunks in 2 processes: chunk 2 is the pool's
+def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error, monkeypatch):
+    # 4 chunks in 2 processes: chunk 2 is the pool's; its reply comes through
+    # the reply mapping, then, from a pool whose mapping it overruns, over
+    # the socket
     stream = es.RngStream(seed=1, stream_id=0)
-    ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
-    with pytest.raises(type(error)) as info:
-        ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
-                      (error, 2 * ex.DRAW_SAMPLES))
-    assert type(info.value) is type(error) and info.value.args == error.args
-    assert vars(info.value) == vars(error)
+    for mapping_bytes in (ex._REPLY_BYTES, 16):
+        monkeypatch.setattr(ex, "_REPLY_BYTES", mapping_bytes)
+        ex._close_pool()
+        ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
+        with pytest.raises(type(error)) as info:
+            ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
+                          (error, 2 * ex.DRAW_SAMPLES))
+        assert type(info.value) is type(error) and info.value.args == error.args
+        assert vars(info.value) == vars(error)
+        assert "raised in a pool process" in str(info.value.__cause__)
+    ex._close_pool()
 
 
 _IMPORTS_AT_ONE_WORKER = """
@@ -454,6 +527,17 @@ def test_write_records_refuses_records_without_text(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_write_records_writes_the_records_text_piece_by_piece(workers, tmp_path):
+    path = tmp_path / "records"
+    for name, samples in (("belldiag", 700), ("pure", 300), ("haar-stats", 600)):
+        for fmt in ("csv", "json"):
+            records, _ = ex.run_experiment(name, samples, 11, workers=workers, fmt=fmt)
+            ex.write_records(records, path)
+            assert path.read_bytes() == records.text.encode("utf-8"), (name, fmt)
+            assert len(records.pieces) > 1
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
     # rank's 16 combos of 20 samples make 16 chunks, each rendered apart
@@ -461,7 +545,7 @@ def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
                           ("rank2-selfswap", 19), ("oracle-equiv", 300)):
         for fmt in ("csv", "json"):
             records, _ = ex.run_experiment(name, samples, 17, workers=workers, fmt=fmt)
-            whole = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+            whole = _whole_table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
             assert records.text == whole, (name, fmt)
 
 
@@ -473,9 +557,14 @@ def test_rendered_pieces_join_around_a_chunk_without_rows():
         pieces = [ex._render_rows(part, fmt, {"sample": part["sample"]},
                                   np.arange(len(part["sample"]))) for part in parts]
         assert pieces[1] == ""
-        whole = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
-        assert ex._table(ex._names(records), pieces, fmt) == whole
-    assert ex._table(ex._names(records), [pieces[1]], "json") == "[]\n"
+        whole = _whole_table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+        assert _whole_table(ex._names(records), pieces, fmt) == whole
+    assert _whole_table(ex._names(records), [pieces[1]], "json") == "[]\n"
+
+
+def _whole_table(names, pieces, fmt):
+    """The records text of the rows rendered in ``pieces``."""
+    return "".join(ex._table(names, pieces, fmt))
 
 
 def _per_row_reference(cols, fmt):
@@ -505,7 +594,7 @@ _EDGE_INPUTS = {
 
 
 def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kept_prob=None):
-    """_swap_chunk's columns, expanded to its rows, and rendered rows of the
+    """_swap_chunk's record columns, skipped count and rendered rows of the
     edge chunk starting at ``lo``; ``c_f`` and ``kept_prob`` replace the
     rows' default c_f and prob."""
     kept = int(possible.sum())
@@ -525,10 +614,8 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kep
 
     monkeypatch.setitem(ex.EXPERIMENTS, "edge", ex.Experiment(draw, outcomes, ()))
     args = ex.Args(len(possible), "bures")
-    per_sample, index, rows, skipped, text = ex._swap_chunk("edge", args, fmt, None, lo,
-                                                            lo + len(possible))
-    cols = {**{key: column[index - lo] for key, column in per_sample.items()}, **rows}
-    return cols, skipped, text
+    chunk = ex._swap_chunk("edge", args, fmt, None, lo, lo + len(possible))
+    return chunk.cols, chunk.skipped, chunk.text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -542,7 +629,7 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
     for form in forms[fmt]:
         assert form in text, form
     # every column but the sample rendered per row, and so alike
-    whole = ex._table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
+    whole = _whole_table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
     rows = np.arange(len(cols["sample"]))
     assert ex._render_rows(cols, fmt, {"sample": cols["sample"]}, rows) == text
     if fmt == "json":
@@ -559,7 +646,7 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
     for name, samples in (("conserve", 60), ("belldiag", 300), ("pure", 300),
                           ("rank", 5), ("rank2-selfswap", 19), ("oracle-equiv", 60)):
         records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
-        reference = ex._table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
+        reference = _whole_table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
         assert records.text == reference, name
 
 
@@ -626,6 +713,24 @@ def test_oracle_run_refuses_the_first_pair_without_coincidence(monkeypatch):
         ex.run_experiment("oracle-equiv", 6, 5)
 
 
+def test_chunk_tallies_merge_to_the_whole_runs():
+    # three rows past product_upper, each in a chunk of its own
+    c_a = np.full(4, 0.5)
+    cols = {"c_a": c_a, "c_b": c_a, "c_f": 0.25 + np.array([1e-8, -0.05, 3e-8, 2e-8])}
+    checks = ex.EXPERIMENTS["belldiag"].checks[:1]
+    report = ex.BoundReport("belldiag", 4, 0)
+    ex._apply_checks(report, checks, _tallies_per_row(checks, cols, None), None)
+    assert report.checks["product_upper"]["violations"] == report.hard_violations == 3
+    assert report.checks["product_upper"]["worst"] == np.max(cols["c_f"] - 0.25)
+
+
+def _tallies_per_row(checks, cols, args) -> list:
+    """_row_tallies of ``cols`` cut into one chunk per row."""
+    rows = len(next(iter(cols.values())))
+    return [ex._row_tallies(checks, {key: column[i:i + 1] for key, column in cols.items()}, args)
+            for i in range(rows)]
+
+
 def test_rank_gap_is_the_lower_deviation():
     # ranks (1, 1), (1, 2) and (2, 2) at combos 0, 1 and 5 (one pair each);
     # only the middle row, with a pure input, misses R_F = max(R_A, R_B), by 2:
@@ -633,7 +738,9 @@ def test_rank_gap_is_the_lower_deviation():
     cols = {"sample": np.array([0, 1, 5]), "rank_a": np.array([1, 1, 2]),
             "rank_b": np.array([1, 2, 2]), "rank_f": np.array([1, 4, 3])}
     report = ex.BoundReport("rank", 3, 0)
-    ex._apply_checks(report, ex.EXPERIMENTS["rank"].checks, cols, ex.Args(1, "bures"))
+    checks, args = ex.EXPERIMENTS["rank"].checks, ex.Args(1, "bures")
+    # one chunk per row: the tallies merge to the whole run's
+    ex._apply_checks(report, checks, _tallies_per_row(checks, cols, args), args)
     assert report.checks == {"rank_floor": {"tol": 0, "violations": 0, "worst": 0.0},
                              "pure_rank_equality": {"tol": 0, "violations": 1, "worst": 2.0},
                              "input_rank": {"tol": 0, "violations": 0, "worst": 0.0}}
@@ -741,7 +848,8 @@ def test_a_row_past_a_floor_is_one_hard_violation(name, check_name):
     cols = {"c_a": c_a, "c_b": c_b, "c_f": c_f - [1e-8, 0.0], "prob": np.full(2, 0.25)}
     check, = (c for c in ex.EXPERIMENTS[name].checks if c.name == check_name)
     report = ex.BoundReport(name, 2, 0)
-    ex._apply_checks(report, [check], cols, None)
+    # one chunk per row, the one past the floor first
+    ex._apply_checks(report, [check], _tallies_per_row([check], cols, None), None)
     assert report.hard_violations == report.checks[check_name]["violations"] == 1
     assert report.checks[check_name]["worst"] == pytest.approx(1e-8, rel=1e-6)
 
