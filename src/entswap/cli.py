@@ -164,12 +164,14 @@ def _cmd_experiment(args) -> int:
     return EXIT_VIOLATION if report.hard_violations > 0 else EXIT_OK
 
 
-def _sample_chunk(ensemble, rng, lo, hi):
-    return ensembles.STATE_ENSEMBLES[ensemble](rng, hi - lo)
+def _sample_pass(ensemble, chunks):
+    """The states of one pass's draw chunks (rng, lo, hi), stacked."""
+    draw = ensembles.STATE_ENSEMBLES[ensemble]
+    return np.concatenate([draw(rng, hi - lo) for rng, lo, hi in chunks])
 
 
 def _cmd_sample(args) -> int:
-    mats = np.concatenate(experiments.run_chunks(_sample_chunk, ensembles.RngStream(args.seed),
+    mats = np.concatenate(experiments.run_passes(_sample_pass, ensembles.RngStream(args.seed),
                                                  args.samples, args.workers, (args.ensemble,)))
     states = map(DensityMatrix._checked, mats, validate_batch(mats, lambda n: f"sample {n}"))
     text = "".join(json.dumps(matrix_to_json_dict(rho)) + "\n" for rho in states)

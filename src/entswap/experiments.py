@@ -4,12 +4,17 @@ dual-path and Haar phase checks, with CSV/JSON emission.
 Every experiment draws its samples in fixed draw chunks, each from one
 random substream keyed by the chunk's first sample index, so results are
 reproducible bit-for-bit for a given seed regardless of how the chunks
-are partitioned across workers. Chunks emit records in sample-index
-(then outcome) order and floats are serialized with 17 significant
-digits, making repeated runs byte-identical. Each chunk expands its
-per-sample columns to its rows, tallies its row checks and renders its
-rows in the process that swapped it; the caller joins the columns,
-merges the tallies and writes the pieces in chunk order.
+are grouped. The unit of work is the pass: a process runs its contiguous
+share of the chunks as passes of at most PASS_CHUNKS consecutive chunks,
+and a pass draws each of its chunks from the chunk's own substream,
+stacks the draws, and validates, swaps, conditions, measures, tallies
+and renders them in one sequence of stacked calls. Passes emit records
+in sample-index (then outcome) order and floats are serialized with 17
+significant digits, making repeated runs byte-identical. Each pass
+expands its per-sample columns to its rows, tallies its row checks and
+renders its rows in the process that ran it; the caller merges the
+tallies and keeps the rendered pieces in pass order, and the records
+join their columns only when one is first read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import gc
 import json
 import pickle
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -95,12 +101,16 @@ _ALL_OUTCOMES = np.arange(len(_OUTCOMES))
 _LABELS = tuple(outcome.value for outcome in _OUTCOMES)
 _PSI = _OUTCOMES.index(BellLabel.PSI_MINUS)
 
-# Samples per draw chunk. A chunk draws all its samples in stacked calls
-# from one generator, keyed by its first sample index; chunk edges are the
-# multiples of this and of a run's input class size, counted from sample
-# 0. Changing it changes every drawn value. It also bounds the arrays of
-# a chunk's stacked engine calls (about 10 kB per sample).
+# Samples per draw chunk, the unit the random keys follow: a chunk draws
+# all its samples in stacked calls from one generator, keyed by its first
+# sample index; chunk edges are the multiples of this and of a run's input
+# class size, counted from sample 0. Changing it changes every drawn value.
 DRAW_SAMPLES = 256
+# Draw chunks per pass, the unit of work: a pass stacks the draws of at
+# most this many consecutive chunks of one process's share and swaps them
+# in one sequence of stacked calls, whose arrays it bounds (about 10 kB
+# per sample). It moves no drawn value and no output byte.
+PASS_CHUNKS = 4
 
 
 @dataclass
@@ -140,7 +150,9 @@ class Experiment(NamedTuple):
     """An experiment: draw, swap, measure, check, emit.
 
     ``draw(args, rng, lo, hi)`` draws the samples [lo, hi) of one draw
-    chunk from ``rng``: stacked inputs a and b and their per-sample input
+    chunk from ``rng``: a tuple of stacks. ``inputs(args, drawn, lo)``
+    turns a pass's draws, stacked (see _stacked), of the samples from
+    ``lo`` on, into validated inputs a and b and their per-sample input
     columns; ``outcomes`` swaps them (see _general_outcomes). A run has
     ``combos`` input classes of ``args.samples`` samples each.
     ``extras(report, per_sample)`` adds to the report's extras (per_sample
@@ -148,6 +160,7 @@ class Experiment(NamedTuple):
     """
 
     draw: Callable
+    inputs: Callable
     outcomes: Callable
     checks: tuple
     combos: int = 1
@@ -161,9 +174,10 @@ def _blocks(stop: int, group: "int | None" = None) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _keyed_chunk(chunk_fn, stream, args, lo, hi):
-    """chunk_fn on draw chunk [lo, hi), keyed in the process that runs it."""
-    return chunk_fn(*args, stream.substream(lo), lo, hi)
+def _keyed_pass(pass_fn, stream, args, los, his):
+    """pass_fn on the pass of draw chunks [los[i], his[i]), each keyed in
+    the process that runs it."""
+    return pass_fn(*args, [(stream.substream(lo), lo, hi) for lo, hi in zip(los, his)])
 
 
 # Bytes of each pool process's shared reply mapping (see _serve); a reply
@@ -176,7 +190,7 @@ class _BrokenPool(RuntimeError):
 
 
 # The process's one worker pool, as [(process, connection, reply mapping)]:
-# processes that run chunks beside the caller, each driven over its own
+# processes that run passes beside the caller, each driven over its own
 # socket pair, made by the first call that asks for workers and kept for
 # later calls, which use its first processes; only a call that needs more
 # replaces it. Keeping it pays in a process that makes several workers > 1
@@ -221,13 +235,16 @@ def _start_pool(size: int) -> list:
 
 
 def _run_share(fn, los, his) -> list:
-    """fn over the chunks [los[i], his[i]) in order: one process's share."""
-    return list(map(fn, los, his))
+    """One process's share of draw chunks [los[i], his[i]), run as passes
+    of at most PASS_CHUNKS consecutive chunks: fn(the pass's los, his) of
+    each, in order."""
+    return [fn(los[i:i + PASS_CHUNKS], his[i:i + PASS_CHUNKS])
+            for i in range(0, len(los), PASS_CHUNKS)]
 
 
 def _serve(conn, inherited, mapping) -> None:
     """A pool process: run each share (fn, los, his) that arrives on
-    ``conn`` and reply (None, its chunks' results), or (the error it
+    ``conn`` and reply (None, its passes' results), or (the error it
     raised, that error's traceback text); return at EOF. The reply is
     pickled into ``mapping`` and its length sent, unless it does not fit
     there: then the reply itself is sent."""
@@ -276,34 +293,36 @@ def _receive(conn, mapping) -> tuple:
 
 
 def _pooled(fn, los, his, workers: int) -> list:
-    """fn over the chunks [los[i], his[i]) in ``workers`` processes: the
-    chunks are cut into ``workers`` contiguous shares whose sizes differ by
-    at most one, the larger first. The caller sends each pool process one
-    of the trailing shares, runs the first share itself and then receives
-    the others in chunk order. A call that makes the pool runs its first
-    chunk here before the pool forks, so the pool shares the code and
-    caches that chunk warmed instead of warming a private copy; the objects
+    """fn over the passes of the draw chunks [los[i], his[i]) in
+    ``workers`` processes: the chunks are cut into ``workers`` contiguous
+    shares whose sizes differ by at most one, the larger first, and each
+    share into passes (see _run_share). The caller sends each pool process
+    one of the trailing shares, runs the first share itself and then
+    receives the others in order. A call that makes the pool runs its
+    first pass here before the pool forks, so the pool shares the code and
+    caches that pass warmed instead of warming a private copy; the objects
     alive then are frozen out of the cyclic collector (gc.freeze) for the
     life of the process. Whatever the shares raise, every share has ended
-    before the call returns, and the error of the first failing chunk in
-    chunk order is raised; a pool process that died closes the pool and
-    raises _BrokenPool, unless an earlier share failed."""
-    done = []
+    before the call returns, and the error of the first failing pass in
+    order is raised; a pool process that died closes the pool and raises
+    _BrokenPool, unless an earlier share failed."""
+    cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
+    done, ran = [], 0
     if len(_pool) < workers - 1:
         _close_pool()
-        done.append(fn(los[0], his[0]))
+        ran = min(PASS_CHUNKS, cuts[1])  # the caller's first pass
+        done = _run_share(fn, los[:ran], his[:ran])
         # the caller's full collections would otherwise write to every
         # tracked object, copying each page it shares with the pool
         gc.freeze()
         _pool.extend(_start_pool(workers - 1))
     pool = _pool[:workers - 1]
-    cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
     try:
         for (_, conn, _), a, b in zip(pool, cuts[1:], cuts[2:]):
             with contextlib.suppress(OSError):  # a dead process: _receive says so
                 conn.send((fn, los[a:b], his[a:b]))
         try:
-            replies = [(None, _run_share(fn, los[len(done):cuts[1]], his[len(done):cuts[1]]))]
+            replies = [(None, _run_share(fn, los[ran:cuts[1]], his[ran:cuts[1]]))]
         except Exception as exc:
             replies = [(exc, None)]
         replies += [_receive(conn, mapping) for _, conn, mapping in pool]
@@ -316,25 +335,27 @@ def _pooled(fn, los, his, workers: int) -> list:
     for error, _ in replies:
         if error is not None:
             raise error
-    return done + [chunk for _, share in replies for chunk in share]
+    return done + [result for _, share in replies for result in share]
 
 
-def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
+def run_passes(pass_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
                group: "int | None" = None) -> list:
-    """chunk_fn(*args, rng, lo, hi) of each draw chunk [lo, hi) of range(n),
-    none straddling a multiple of ``group``, in order; rng is
-    stream.substream(lo). ``workers`` counts the processes that run chunks,
-    the caller included: with workers > 1 and more than one chunk, in the
-    caller and the process's worker pool (see _pooled), at most one process
-    per chunk; a call whose pool broke, by a worker dying, runs again on a
-    fresh one."""
+    """pass_fn(*args, chunks) of each pass over range(n), in order. range(n)
+    is cut into draw chunks (see _blocks), none straddling a multiple of
+    ``group``; a pass is a run of at most PASS_CHUNKS consecutive chunks of
+    one process's share, and ``chunks`` lists them as (rng, lo, hi), rng
+    being stream.substream(lo). ``workers`` counts the processes that run
+    passes, the caller included: with workers > 1 and more than one chunk,
+    in the caller and the process's worker pool (see _pooled), at most one
+    process per chunk; a call whose pool broke, by a worker dying, runs
+    again on a fresh one."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     los, his = zip(*_blocks(n, group))
-    fn = functools.partial(_keyed_chunk, chunk_fn, stream, args)
+    fn = functools.partial(_keyed_pass, pass_fn, stream, args)
     workers = min(workers, len(los))
     if workers <= 1:
-        return list(map(fn, los, his))
+        return _run_share(fn, los, his)
     try:
         return _pooled(fn, los, his, workers)
     except _BrokenPool:
@@ -342,13 +363,13 @@ def run_chunks(chunk_fn, stream: RngStream, n: int, workers: int, args: tuple = 
 
 
 def _where(lo: int, what: str):
-    """Name state n (outcome k) of the draw chunk starting at sample ``lo``."""
+    """Name state n (outcome k) of the stack starting at sample ``lo``."""
     return lambda n, k=None: f"{what} of sample {lo + n}" + (
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
 def _input_columns(lo, mats, side, what=None):
-    """Validate a chunk of general inputs; their columns c_<side> and
+    """Validate a stack of general inputs; their columns c_<side> and
     rank_<side>, both from validation's eigendecomposition. Errors name
     each as ``what`` (default "input <side>")."""
     eigs, vecs = validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
@@ -357,7 +378,7 @@ def _input_columns(lo, mats, side, what=None):
 
 
 def _general_outcomes(rho_a, rho_b, where, args):
-    """Swap a chunk of pairs through all four outcomes. Returns the kept
+    """Swap a stack of pairs through all four outcomes. Returns the kept
     outcomes' indices into _OUTCOMES, the (N, kept) masks of the possible
     ones and their probabilities, the possible outputs' concurrences and
     eigenvalues, and further per-sample columns."""
@@ -367,7 +388,7 @@ def _general_outcomes(rho_a, rho_b, where, args):
 
 
 def _x_outcomes(x_a, x_b, where, args):
-    """_general_outcomes for a chunk of X-stack pairs, in closed form."""
+    """_general_outcomes for a stack of X-stack pairs, in closed form."""
     out, prob = swap_x_batch(x_a, x_b)
     possible, x, eigs = conditional_x_states(out, prob, where)
     return _ALL_OUTCOMES, possible, prob, concurrence_x_batch(*x), eigs, {}
@@ -398,49 +419,92 @@ def _no_outcomes(a, b, where, args):
     return _ALL_OUTCOMES[:0], empty.astype(bool), empty, np.zeros(0), np.zeros((0, 4)), {}
 
 
-class Chunk(NamedTuple):
-    """A draw chunk's record columns, skipped outcome count, check tallies
-    (see _row_tallies), per-sample columns ({} unless a check reads them)
-    and rendered rows (None when the run renders none)."""
+class Part(NamedTuple):
+    """A pass's record columns, skipped outcome count, check tallies (see
+    _row_tallies), per-sample columns ({} unless a check reads them) and
+    rendered rows, one piece per draw chunk (None when the run renders
+    none)."""
 
     cols: dict
     skipped: int
     tallies: tuple
     per_sample: dict
-    text: "str | None"
+    text: "list | None"
 
 
-def _swap_chunk(name, args, fmt, rng, lo, hi) -> Chunk:
-    """Swap the draw chunk [lo, hi) of experiment ``name``, drawn from
-    ``rng``; its rows are rendered in records format ``fmt``."""
-    spec = EXPERIMENTS[name]
-    a, b, inputs = spec.draw(args, rng, lo, hi)
+def _stacked(drawn: list) -> tuple:
+    """The draws of consecutive chunks, each a tuple of stacks, joined
+    stack by stack along the samples."""
+    return drawn[0] if len(drawn) == 1 else tuple(map(np.concatenate, zip(*drawn)))
+
+
+def _swapped(spec: Experiment, args, fmt, drawn: tuple, edges: list) -> Part:
+    """Swap the samples of the consecutive draw chunks between ``edges``
+    (the chunks' first samples, then the last one's end) of experiment
+    ``spec``, drawn as ``drawn``. Each chunk's rows are rendered on their
+    own in records format ``fmt``, which keeps the renderer's temporaries
+    to a chunk's size."""
+    lo, hi = edges[0], edges[-1]
+    a, b, inputs = spec.inputs(args, drawn, lo)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
     n, j = np.nonzero(possible)
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
             "rank_f": rank_batch(eigs)}
     per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
     cols = {**{key: column[n] for key, column in per_sample.items()}, **rows}
-    return Chunk(cols, possible.size - n.size, _row_tallies(spec.checks, cols, args),
-                 per_sample if any(check.per_sample for check in spec.checks) else {},
-                 fmt and _render_rows(rows, fmt, per_sample, n))
+    text = None
+    if fmt:
+        starts = [edge - lo for edge in edges]
+        cuts = np.searchsorted(n, starts).tolist()
+        text = [_render_rows({key: column[r0:r1] for key, column in rows.items()}, fmt,
+                             {key: column[s0:s1] for key, column in per_sample.items()},
+                             n[r0:r1] - s0)
+                for s0, s1, r0, r1 in zip(starts, starts[1:], cuts, cuts[1:])]
+    return Part(cols, possible.size - n.size, _row_tallies(spec.checks, cols, args),
+                per_sample if any(check.per_sample for check in spec.checks) else {}, text)
+
+
+def _swap_pass(name, args, fmt, chunks) -> Part:
+    """Swap one pass of experiment ``name``: its draw chunks (rng, lo, hi),
+    each drawn from its own rng, as one stack; its rows are rendered in
+    records format ``fmt`` (see _swapped). A pass that fails raises the
+    error of its first failing chunk swapped alone, so that the error a
+    run raises does not depend on how its chunks are grouped into
+    passes."""
+    spec = EXPERIMENTS[name]
+    drawn = [spec.draw(args, rng, lo, hi) for rng, lo, hi in chunks]
+    try:
+        return _swapped(spec, args, fmt, _stacked(drawn),
+                        [lo for _, lo, _ in chunks] + [chunks[-1][2]])
+    except Exception as exc:
+        error = exc
+    for part, (_, lo, hi) in zip(drawn, chunks):
+        _swapped(spec, args, fmt, part, [lo, hi])
+    raise error
 
 
 # --------------------------------------------------------------------------
-# chunk draws
+# chunk draws and pass inputs
 
 
 def _conserve_draw(args, rng, lo, hi):
-    rho = STATE_ENSEMBLES[args.ensemble](rng, hi - lo)
+    return STATE_ENSEMBLES[args.ensemble](rng, hi - lo),
+
+
+def _conserve_inputs(args, drawn, lo):
+    rho, = drawn
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
-    ones = np.ones(hi - lo, dtype=int)
+    ones = np.ones(len(rho), dtype=int)
     return rho, bell, {**_input_columns(lo, rho, "a", "input"),
                        "c_b": ones.astype(float), "rank_b": ones}
 
 
 def _belldiag_draw(args, rng, lo, hi):
-    x_a = bell_diagonal_x(random_bell_diagonal(rng, hi - lo))
-    x_b = bell_diagonal_x(random_bell_diagonal(rng, hi - lo))
+    return random_bell_diagonal(rng, hi - lo), random_bell_diagonal(rng, hi - lo)
+
+
+def _belldiag_inputs(args, drawn, lo):
+    x_a, x_b = map(bell_diagonal_x, drawn)
     columns = {}
     for side, x in (("a", x_a), ("b", x_b)):
         eigs = validate_x_batch(*x, _where(lo, f"input {side}"))
@@ -450,27 +514,40 @@ def _belldiag_draw(args, rng, lo, hi):
 
 
 def _pure_draw(args, rng, lo, hi):
-    va, vb = random_pure(rng, hi - lo), random_pure(rng, hi - lo)
+    return random_pure(rng, hi - lo), random_pure(rng, hi - lo)
+
+
+def _pure_inputs(args, drawn, lo):
+    va, vb = drawn
     c_a, c_b = pure_concurrence(va), pure_concurrence(vb)
     low = np.minimum(c_a, c_b)
-    ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(hi - lo, np.inf), where=low > 0.0)
+    ratio = np.divide(np.maximum(c_a, c_b), low, out=np.full(len(low), np.inf), where=low > 0.0)
     rho_a = pure_batch(va, _where(lo, "input a"))
     rho_b = pure_batch(vb, _where(lo, "input b"))
-    ones = np.ones(hi - lo, dtype=int)
+    ones = np.ones(len(low), dtype=int)
     return rho_a, rho_b, {"c_a": c_a, "c_b": c_b, "rank_a": ones, "rank_b": ones, "ratio": ratio}
+
+
+def _general_inputs(args, drawn, lo):
+    """Pairs of general states, each side validated for its columns."""
+    rho_a, rho_b = drawn
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
 
 
 def _rank_draw(args, rng, lo, hi):
     """Induced-measure pairs; combination c of ranks (c // 4 + 1, c % 4 + 1)
     fills samples [c * args.samples, (c + 1) * args.samples)."""
     combo = lo // args.samples  # draw chunks never straddle two combos
-    rho_a = random_induced(rng, combo // 4 + 1, size=hi - lo)
-    rho_b = random_induced(rng, combo % 4 + 1, size=hi - lo)
-    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
+    return (random_induced(rng, combo // 4 + 1, size=hi - lo),
+            random_induced(rng, combo % 4 + 1, size=hi - lo))
 
 
 def _rank2_draw(args, rng, lo, hi):
-    alphas = np.arange(lo + 1, hi + 1) / (args.samples + 1)
+    return np.arange(lo + 1, hi + 1) / (args.samples + 1),
+
+
+def _rank2_inputs(args, drawn, lo):
+    alphas, = drawn
     sigma = rank2_bell_mixtures(alphas)
     c = np.abs(2.0 * alphas - 1.0)
     r = rank_batch(validate_batch(sigma, _where(lo, "input")))
@@ -478,14 +555,18 @@ def _rank2_draw(args, rng, lo, hi):
 
 
 def _oracle_draw(args, rng, lo, hi):
-    rho_a, rho_b = random_bures(rng, size=hi - lo), random_bures(rng, size=hi - lo)
-    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
+    return random_bures(rng, size=hi - lo), random_bures(rng, size=hi - lo)
 
 
 def _haar_draw(args, rng, lo, hi):
-    """Per-sample phase sums and sums of squares of the eigenvalues of Haar
-    4x4 unitaries; nothing to swap."""
-    phases = np.angle(np.linalg.eigvals(haar_unitary(rng, 4, hi - lo)))
+    """Haar 4x4 unitaries; nothing to swap."""
+    return haar_unitary(rng, 4, hi - lo),
+
+
+def _haar_inputs(args, drawn, lo):
+    """Per-sample phase sums and sums of squares of the eigenvalues of the
+    drawn unitaries."""
+    phases = np.angle(np.linalg.eigvals(drawn[0]))
     return None, None, {"phase_sum": phases.sum(axis=1), "phase_sq": (phases ** 2).sum(axis=1)}
 
 
@@ -509,7 +590,7 @@ def _rank_mismatch(cols, args):
 
 def _phase_sums(per_sample) -> tuple:
     """The sample count and the run's sums of phase_sum and phase_sq, added
-    one sample at a time in sample order: the chunk layout moves no sum."""
+    one sample at a time in sample order: the pass layout moves no sum."""
     return (len(per_sample["phase_sum"]), sum(per_sample["phase_sum"].tolist()),
             sum(per_sample["phase_sq"].tolist()))
 
@@ -532,11 +613,11 @@ def _phase_z(per_sample) -> tuple:
 
 EXPERIMENTS = {
     # swapping anything with a Bell state preserves concurrence
-    "conserve": Experiment(_conserve_draw, _general_outcomes, (
+    "conserve": Experiment(_conserve_draw, _conserve_inputs, _general_outcomes, (
         Check("conservation", lambda c, _: np.abs(c["c_f"] - c["c_a"]), CONSERVATION_TOL),)),
     # Bell-diagonal pairs: C_A C_B >= C_F >= (C_A + C_B + C_A C_B - 1) / 2,
     # the floor proved in the README's "Bounds"
-    "belldiag": Experiment(_belldiag_draw, _x_outcomes, (
+    "belldiag": Experiment(_belldiag_draw, _belldiag_inputs, _x_outcomes, (
         Check("product_upper", lambda c, _: c["c_f"] - c["c_a"] * c["c_b"], UPPER_BOUND_TOL),
         Check("belldiag_floor",
               lambda c, _: 0.5 * (c["c_a"] + c["c_b"] + c["c_a"] * c["c_b"] - 1.0) - c["c_f"],
@@ -546,7 +627,7 @@ EXPERIMENTS = {
     # outcome, so C_F >= C_A C_B / (1 + s_A s_B), s = sqrt(1 - C^2), which
     # implies the paper's (C_A C_B)^2; float_power squares with C pow, as
     # Python's float ** does (a product can differ in the last bit)
-    "pure": Experiment(_pure_draw, _general_outcomes, (
+    "pure": Experiment(_pure_draw, _pure_inputs, _general_outcomes, (
         Check("squared_product_floor",
               lambda c, _: np.float_power(c["c_a"] * c["c_b"], 2) - c["c_f"], LOWER_BOUND_TOL),
         Check("pure_identity",
@@ -556,18 +637,18 @@ EXPERIMENTS = {
     )),
     # every rank combination (k1, k2) in 1..4: R_F >= max(R_A, R_B), with
     # equality (no rank gap) when either input is pure; inputs of ranks k1, k2
-    "rank": Experiment(_rank_draw, _general_outcomes, (
+    "rank": Experiment(_rank_draw, _general_inputs, _general_outcomes, (
         Check("rank_floor", lambda c, _: _rank_floor(c) - c["rank_f"], 0),
         Check("pure_rank_equality", lambda c, _: (np.minimum(c["rank_a"], c["rank_b"]) == 1)
               * np.abs(c["rank_f"] - _rank_floor(c)), 0),
         Check("input_rank", _rank_mismatch, 0),
     ), combos=16),
     # rank-2 Bell mixtures swapped with themselves: C_F = C_in^2 exactly
-    "rank2-selfswap": Experiment(_rank2_draw, _general_outcomes, (
+    "rank2-selfswap": Experiment(_rank2_draw, _rank2_inputs, _general_outcomes, (
         Check("self_swap_square", lambda c, _: np.abs(c["c_f"] - c["c_a"] * c["c_a"]),
               SELF_SWAP_TOL),)),
     # the closed-form psi- swap against the beamsplitter route
-    "oracle-equiv": Experiment(_oracle_draw, _oracle_outcomes, (
+    "oracle-equiv": Experiment(_oracle_draw, _general_inputs, _oracle_outcomes, (
         Check("trace_distance", lambda c, _: c["trace_distance"], ORACLE_TOL),
         Check("probability_diff", lambda c, _: c["prob_diff"], ORACLE_TOL),
     ), extras=lambda r, _: {"max_trace_distance": r.checks["trace_distance"]["worst"],
@@ -575,7 +656,7 @@ EXPERIMENTS = {
     # eigenvalue phases of Haar 4x4 unitaries: each sample's phase sum has
     # mean 0 and its sum of squares 4 pi^2 / 3, checked over the whole run
     # as z-scores (worst holds |z|); no swap, and no record rows
-    "haar-stats": Experiment(_haar_draw, _no_outcomes, (
+    "haar-stats": Experiment(_haar_draw, _haar_inputs, _no_outcomes, (
         Check("phase_mean_z", lambda s, _: np.abs(_phase_z(s)[0]), HAAR_Z_BOUND,
               per_sample=True),
         Check("phase_mean_square_z", lambda s, _: np.abs(_phase_z(s)[1]), HAAR_Z_BOUND,
@@ -603,7 +684,7 @@ def _row_tallies(checks, cols: dict, args) -> tuple:
 
 def _apply_checks(report: BoundReport, checks, tallies, args, per_sample=None) -> None:
     """Report each Check under its name: a record check merged from its
-    tallies in ``tallies``, one _row_tallies tuple per chunk, a per-sample
+    tallies in ``tallies``, one _row_tallies tuple per pass, a per-sample
     check tallied over the run's per-sample columns ``per_sample``."""
     for i, check in enumerate(checks):
         parts = ([_tally(check, per_sample, args)] if check.per_sample
@@ -626,12 +707,12 @@ def run_experiment(name: str, samples: int, seed: int, *,
                    fmt: "str | None" = None):
     """Run an experiment by CLI name; returns (Records, report). Given a
     records format ``fmt`` ("csv" or "json"), the records carry their text
-    in it, each draw chunk's rows rendered where the chunk ran.
+    in it, each pass's rows rendered where the pass ran.
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
     record rows. The name, ``ensemble`` and ``fmt`` are checked before any
-    chunk runs; every rank is counted at DEFAULT_RANK_TOL.
+    pass runs; every rank is counted at DEFAULT_RANK_TOL.
     """
     t0 = time.perf_counter()
     if name not in EXPERIMENTS:
@@ -643,15 +724,17 @@ def run_experiment(name: str, samples: int, seed: int, *,
                          f"expected one of {', '.join(STATE_ENSEMBLES)}")
     spec, args = EXPERIMENTS[name], Args(samples, ensemble)
     total = spec.combos * samples
-    chunks = run_chunks(_swap_chunk, RngStream(seed, _STREAM_IDS[name]), total, workers,
-                        (name, args, fmt), samples)
-    # the chunks cover the samples in order from 0
-    cols, per_sample = _joined([c.cols for c in chunks]), _joined([c.per_sample for c in chunks])
-    report = BoundReport(name, total, seed, skipped=sum(c.skipped for c in chunks))
-    _apply_checks(report, spec.checks, [c.tallies for c in chunks], args, per_sample)
+    parts = run_passes(_swap_pass, RngStream(seed, _STREAM_IDS[name]), total, workers,
+                       (name, args, fmt), samples)
+    # the passes cover the samples in order from 0
+    per_sample = _joined([part.per_sample for part in parts])
+    report = BoundReport(name, total, seed, skipped=sum(part.skipped for part in parts))
+    _apply_checks(report, spec.checks, [part.tallies for part in parts], args, per_sample)
     if spec.extras:
         report.extras.update(spec.extras(report, per_sample))
-    records = Records(cols, fmt and _table(_names(cols), [c.text for c in chunks], fmt))
+    cols = [part.cols for part in parts]
+    pieces = fmt and [piece for part in parts for piece in part.text]
+    records = Records(cols, fmt and _table(_names(cols[0]), pieces, fmt))
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return records, report
 
@@ -660,14 +743,32 @@ def run_experiment(name: str, samples: int, seed: int, *,
 # emission
 
 
-class Records(dict):
-    """Record columns by name. ``pieces`` hold their records text as the run
-    rendered it, or are None; ``text`` joins them. Neither follows later
-    edits of the columns."""
+class Records(Mapping):
+    """Record columns by name, joined from the columns of the run's
+    consecutive passes, ``parts``, when one is first read. ``pieces`` hold
+    the records text as the run rendered it, or are None; ``text`` joins
+    them."""
 
-    def __init__(self, cols=(), pieces=None):
-        super().__init__(cols)
+    def __init__(self, parts: list, pieces=None):
+        self._parts = parts
         self.pieces = pieces
+
+    @functools.cached_property
+    def _cols(self) -> dict:
+        return _joined(self._parts)
+
+    def __getitem__(self, name):
+        return self._cols[name]
+
+    # the names come from the first part, as every part has the same
+    def __iter__(self):
+        return iter(self._parts[0])
+
+    def __len__(self) -> int:
+        return len(self._parts[0])
+
+    def __contains__(self, name) -> bool:
+        return name in self._parts[0]
 
     @property
     def text(self) -> "str | None":

@@ -89,12 +89,13 @@ def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """
     slab_a = np.asarray(a).reshape(-1, 16)[:, _GATHER_A]  # [n, t, u, k, m1, m1']
     slab_b = np.asarray(b).reshape(-1, 16)[:, _GATHER_B]  # [n, t, u, k, m4, m4']
-    terms = slab_a[..., :, None, :, None] * slab_b[..., None, :, None, :]
-    terms *= _WEIGHTS
-    out = np.zeros((len(terms), 4, 2, 2, 2, 2), dtype=complex)  # [n, k, m1, m4, m1', m4']
+    out = np.zeros((len(slab_a), 4, 2, 2, 2, 2), dtype=complex)  # [n, k, m1, m4, m1', m4']
+    # one term pair (t, u) at a time, so no temporary outgrows ``out``
     for t in range(2):
         for u in range(2):
-            out += terms[:, t, u]
+            term = slab_a[:, t, u, :, :, None, :, None] * slab_b[:, t, u, :, None, :, None, :]
+            term *= _WEIGHTS[t, u]
+            out += term
     raw = out.reshape(-1, 4, 4, 4)
     return raw, raw.trace(axis1=-2, axis2=-1).real
 

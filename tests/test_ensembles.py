@@ -5,7 +5,7 @@ import pytest
 
 import entswap as es
 from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
-from entswap.experiments import run_chunks
+from entswap.experiments import run_passes
 from entswap.qstate import concurrence_batch
 
 N_MOMENT = 100_000
@@ -223,8 +223,9 @@ ANALYTIC_MEANS = {
 @pytest.mark.parametrize("ensemble", sorted(ANALYTIC_MEANS))
 def test_chunked_ensemble_draws_match_analytic_means(ensemble):
     draw = STATE_ENSEMBLES[ensemble]
-    mats = np.concatenate(run_chunks(lambda rng, lo, hi: draw(rng, hi - lo),
-                                     es.RngStream(seed=31, stream_id=0), 20_000, workers=1))
+    mats = np.concatenate(run_passes(
+        lambda chunks: np.concatenate([draw(rng, hi - lo) for rng, lo, hi in chunks]),
+        es.RngStream(seed=31, stream_id=0), 20_000, workers=1))
     assert mats.shape == (20_000, 4, 4)
     measure, mean = ANALYTIC_MEANS[ensemble]
     values = measure(mats)

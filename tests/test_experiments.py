@@ -32,8 +32,8 @@ def test_conservation_ensemble_choices(monkeypatch):
         _, report = ex.run_experiment("conserve", 20, 5, ensemble=ensemble)
         assert report.hard_violations == 0
     # an unknown ensemble is refused before any chunk runs, on any workers
-    calls, real = [], ex._swap_chunk
-    monkeypatch.setattr(ex, "_swap_chunk", lambda *a: calls.append(a) or real(*a))
+    calls, real = [], ex._swap_pass
+    monkeypatch.setattr(ex, "_swap_pass", lambda *a: calls.append(a) or real(*a))
     for workers in (1, 2):
         with pytest.raises(ValueError, match="unknown ensemble 'ornstein'"):
             ex.run_experiment("conserve", 3 * ex.DRAW_SAMPLES, 5, ensemble="ornstein",
@@ -104,12 +104,12 @@ def test_haar_stats_flags_a_planted_phase_bias(monkeypatch):
     # flag here; a shift of 0.1 (z = 4.94 at this seed) would stay under the bound
     spec = ex.EXPERIMENTS["haar-stats"]
 
-    def biased(args, rng, lo, hi):
-        a, b, cols = spec.draw(args, rng, lo, hi)
+    def biased(args, drawn, lo):
+        a, b, cols = spec.inputs(args, drawn, lo)
         return a, b, {"phase_sum": cols["phase_sum"] + 0.8,
                       "phase_sq": cols["phase_sq"] + 0.4 * cols["phase_sum"] + 0.16}
 
-    monkeypatch.setitem(ex.EXPERIMENTS, "haar-stats", spec._replace(draw=biased))
+    monkeypatch.setitem(ex.EXPERIMENTS, "haar-stats", spec._replace(inputs=biased))
     _, report = ex.run_experiment("haar-stats", 2000, 42)
     mean_z, square_z = report.checks["phase_mean_z"], report.checks["phase_mean_square_z"]
     assert (mean_z["violations"], square_z["violations"]) == (1, 0)
@@ -129,7 +129,8 @@ def test_haar_stats_of_one_or_two_samples_passes(samples):
 def test_haar_phase_sum_variances_match_monte_carlo():
     # 10^5 unitaries at a fixed seed: the standard error of each sample
     # variance is about 0.3%
-    _, _, cols = ex._haar_draw(None, np.random.default_rng(2001), 0, 100_000)
+    drawn = ex._haar_draw(None, np.random.default_rng(2001), 0, 100_000)
+    _, _, cols = ex._haar_inputs(None, drawn, 0)
     assert np.var(cols["phase_sum"]) == pytest.approx(ex.HAAR_VAR_SUM, rel=0.02)
     assert np.var(cols["phase_sq"]) == pytest.approx(ex.HAAR_VAR_SQ, rel=0.02)
     assert np.mean(cols["phase_sq"]) == pytest.approx(4.0 * np.pi ** 2 / 3.0, rel=0.005)
@@ -159,10 +160,10 @@ def test_dispatcher_rejects_unknown_formats_and_rank_tolerances():
 
 
 def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
-    # pure's checks read record columns alone: its chunk sends back its rows,
+    # pure's checks read record columns alone: its pass sends back its rows,
     # each per-sample column expanded to them, with the rows' check tallies
     args = ex.Args(300, "bures")
-    chunk = ex._swap_chunk("pure", args, None, np.random.default_rng(3), 256, 300)
+    chunk = ex._swap_pass("pure", args, None, [(np.random.default_rng(3), 256, 300)])
     assert {key: len(column) for key, column in chunk.cols.items()} == dict.fromkeys(
         ("sample", "c_a", "c_b", "rank_a", "rank_b", "ratio", "outcome", "c_f", "prob",
          "rank_f"), 4 * 44)
@@ -171,7 +172,7 @@ def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
     assert chunk.tallies == ex._row_tallies(ex.EXPERIMENTS["pure"].checks, chunk.cols, args)
     assert [violations for violations, _ in chunk.tallies] == [0, 0, 0]
     # haar-stats' checks read its per-sample columns: those come back unexpanded
-    chunk = ex._swap_chunk("haar-stats", args, None, np.random.default_rng(3), 256, 300)
+    chunk = ex._swap_pass("haar-stats", args, None, [(np.random.default_rng(3), 256, 300)])
     assert {key: len(column) for key, column in chunk.per_sample.items()} == dict.fromkeys(
         ("sample", "phase_sum", "phase_sq"), 44)
     assert chunk.per_sample["sample"].tolist() == list(range(256, 300))
@@ -243,14 +244,20 @@ def test_csv_bytes_deterministic():
 # ------------------------------------------------------------ worker pool
 
 
-def _pid_chunk(rng, lo, hi):
-    return os.getpid()
+def _pid_pass(chunks):
+    """The process id that ran each chunk of the pass."""
+    return [os.getpid()] * len(chunks)
+
+
+def _per_chunk(passes) -> list:
+    """The entries of passes that return one per chunk, in chunk order."""
+    return [entry for result in passes for entry in result]
 
 
 def _pool_call(workers):
-    """The process id that ran each chunk of a 12-chunk run_chunks call."""
+    """The process id that ran each chunk of a 12-chunk run_passes call."""
     stream = es.RngStream(seed=1, stream_id=0)
-    return ex.run_chunks(_pid_chunk, stream, 12 * ex.DRAW_SAMPLES, workers)
+    return _per_chunk(ex.run_passes(_pid_pass, stream, 12 * ex.DRAW_SAMPLES, workers))
 
 
 def test_worker_calls_share_one_pool():
@@ -267,11 +274,11 @@ def test_worker_calls_share_one_pool():
 _MARKS = []
 
 
-def _marking_chunk(rng, lo, hi):
-    """Marks its chunk in the process that runs it; that process's id and
-    the marks it holds."""
-    _MARKS.append(lo)
-    return os.getpid(), tuple(_MARKS)
+def _marking_pass(chunks):
+    """Marks its chunks in the process that runs it; for each chunk, that
+    process's id and the marks it then holds."""
+    _MARKS.extend(lo for _, lo, _ in chunks)
+    return [(os.getpid(), tuple(_MARKS))] * len(chunks)
 
 
 def test_a_new_worker_count_replaces_the_pool():
@@ -280,12 +287,13 @@ def test_a_new_worker_count_replaces_the_pool():
     _pool_call(2)
     old = multiprocessing.active_children()
     _MARKS.clear()
-    making = ex.run_chunks(_marking_chunk, es.RngStream(seed=1, stream_id=0),
-                           12 * ex.DRAW_SAMPLES, 3)
-    # the call that makes a pool runs its first chunk here, before the fork:
-    # the new pool processes inherit its mark
-    assert making[0] == (os.getpid(), (0,))
-    assert all(pid != os.getpid() and marks[0] == 0 for pid, marks in making[4:])
+    making = _per_chunk(ex.run_passes(_marking_pass, es.RngStream(seed=1, stream_id=0),
+                                      12 * ex.DRAW_SAMPLES, 3))
+    # the call that makes a pool runs its first pass, chunks 0 to 3, here,
+    # before the fork: the new pool processes inherit its marks
+    first = tuple(range(0, 4 * ex.DRAW_SAMPLES, ex.DRAW_SAMPLES))
+    assert making[:4] == [(os.getpid(), first)] * 4
+    assert all(pid != os.getpid() and marks[:4] == first for pid, marks in making[4:])
     new = multiprocessing.active_children()
     assert len(new) == 2 and not set(new) & set(old)
     assert all(p.exitcode is not None for p in old)
@@ -305,8 +313,8 @@ def test_the_pool_has_at_most_one_worker_per_chunk():
 
 def test_each_process_runs_one_contiguous_share():
     # 12 chunks in 3 processes: shares of 4, the caller's first. A call that
-    # makes the pool has run chunk 0 before the fork, and it counts toward
-    # the caller's share.
+    # makes the pool has run its first pass before the fork, and it counts
+    # toward the caller's share.
     ex._close_pool()
     making, kept = _pool_call(3), _pool_call(3)
     me = os.getpid()
@@ -320,8 +328,52 @@ def test_each_process_runs_one_contiguous_share():
 
 def test_the_larger_shares_go_first():
     # 5 chunks in 2 processes: the caller runs 3, the pool the last 2
-    pids = ex.run_chunks(_pid_chunk, es.RngStream(seed=1, stream_id=0), 5 * ex.DRAW_SAMPLES, 2)
+    pids = _per_chunk(ex.run_passes(_pid_pass, es.RngStream(seed=1, stream_id=0),
+                                    5 * ex.DRAW_SAMPLES, 2))
     assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
+
+
+def _layout_pass(chunks):
+    """The process that ran the pass and the indices of its draw chunks."""
+    return os.getpid(), [lo // ex.DRAW_SAMPLES for _, lo, _ in chunks]
+
+
+def test_each_share_runs_as_passes_of_at_most_four_chunks():
+    # 9 draw chunks: passes of 4, 4 and 1 in one process; at workers 2 the
+    # caller's share of 5 runs as passes of 4 and 1 and the pool's share of
+    # 4 as one, whether the call makes the pool or finds it
+    stream, me = es.RngStream(seed=1, stream_id=0), os.getpid()
+    alone = ex.run_passes(_layout_pass, stream, 9 * ex.DRAW_SAMPLES, 1)
+    assert alone == [(me, [0, 1, 2, 3]), (me, [4, 5, 6, 7]), (me, [8])]
+    ex._close_pool()
+    for _ in range(2):
+        passes = ex.run_passes(_layout_pass, stream, 9 * ex.DRAW_SAMPLES, 2)
+        assert [chunks for _, chunks in passes] == [[0, 1, 2, 3], [4], [5, 6, 7, 8]]
+        assert [pid == me for pid, _ in passes] == [True, True, False]
+
+
+def test_records_join_their_columns_when_first_read(monkeypatch):
+    one, _ = ex.run_experiment("belldiag", 9 * ex.DRAW_SAMPLES, 7, workers=1)
+    expected = dict(one)
+    joins, real = [], ex._joined
+    monkeypatch.setattr(ex, "_joined", lambda parts: joins.append(parts) or real(parts))
+    records, _ = ex.run_experiment("belldiag", 9 * ex.DRAW_SAMPLES, 7, workers=2, fmt="csv")
+    # the run joins only per-sample columns, which belldiag sends none of
+    assert all(part == {} for parts in joins for part in parts)
+    joins.clear()
+    # the names, their count, the pieces and the text take no join
+    assert list(records) == list(expected) and len(records) == len(expected)
+    assert "ratio" not in records and "c_f" in records
+    # the header, then each draw chunk's rows rendered as a piece of its own
+    assert len(records.pieces) == 1 + 9
+    assert records.text.count("\n") == 1 + 4 * 9 * ex.DRAW_SAMPLES
+    assert joins == []
+    # the first read joins the parts of the passes (4, 1) and (4), once
+    assert np.array_equal(records["c_f"], expected["c_f"])
+    assert len(joins) == 1 and len(joins[0]) == 3
+    for name, column in expected.items():
+        assert np.array_equal(records[name], column), name
+    assert len(joins) == 1
 
 
 def test_a_call_that_needs_fewer_processes_keeps_the_pool():
@@ -385,14 +437,16 @@ def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
     assert gc.get_freeze_count() > frozen
 
 
-def _chunk_failing_at(path, bad, rng, lo, hi):
-    """Leaves a file named after its first sample in ``path``, then raises
-    if that sample is in ``bad``."""
-    time.sleep(0.05)
-    (path / str(lo)).touch()
-    if lo in bad:
-        raise ValueError(f"chunk {lo}")
-    return lo
+def _pass_failing_at(path, bad, chunks):
+    """For each of its chunks in order, leaves a file named after the
+    chunk's first sample in ``path``, then raises if that sample is in
+    ``bad``; the chunks' first samples."""
+    for _, lo, _ in chunks:
+        time.sleep(0.05)
+        (path / str(lo)).touch()
+        if lo in bad:
+            raise ValueError(f"chunk {lo}")
+    return [lo for _, lo, _ in chunks]
 
 
 def _chunks_run(path) -> list:
@@ -404,15 +458,16 @@ def test_an_error_in_the_callers_share_waits_for_the_pool(tmp_path):
     stream = es.RngStream(seed=1, stream_id=0)
     _pool_call(3)  # makes the pool, unless an earlier call did
     with pytest.raises(ValueError, match=f"^chunk {size}$"):
-        ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, {size}))
+        ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, {size}))
     # the pool's two shares ran to their ends before the caller's error
     assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
     # with errors in every share, the first failing chunk's is raised, as on
     # one process
     for workers in (1, 3):
         with pytest.raises(ValueError, match=f"^chunk {size}$"):
-            ex.run_chunks(_chunk_failing_at, stream, n, workers, (tmp_path, range(size, n)))
-    assert ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, ())) == list(range(0, n, size))
+            ex.run_passes(_pass_failing_at, stream, n, workers, (tmp_path, range(size, n)))
+    passes = ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, ()))
+    assert _per_chunk(passes) == list(range(0, n, size))
 
 
 def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
@@ -422,7 +477,7 @@ def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
     _pool_call(3)
     workers = multiprocessing.active_children()
     with pytest.raises(ValueError, match=f"^chunk {size}$"):
-        ex.run_chunks(_chunk_failing_at, stream, n, 3, (tmp_path, {size, n - size}))
+        ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, {size, n - size}))
     # the last share failed at its last chunk, after running all of it
     assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
     # failing shares leave the pool in service
@@ -430,10 +485,10 @@ def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
     assert set(_pool_call(3)) == {os.getpid(), *(p.pid for p in workers)}
 
 
-def _chunk_raising(error, at, rng, lo, hi):
-    if lo == at:
+def _pass_raising(error, at, chunks):
+    if any(lo == at for _, lo, _ in chunks):
         raise error
-    return lo
+    return [lo for _, lo, _ in chunks]
 
 
 @pytest.mark.parametrize("error", [es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 0.0),
@@ -446,9 +501,9 @@ def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error, monkeypatc
     for mapping_bytes in (ex._REPLY_BYTES, 16):
         monkeypatch.setattr(ex, "_REPLY_BYTES", mapping_bytes)
         ex._close_pool()
-        ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
+        ex.run_passes(_pass_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
         with pytest.raises(type(error)) as info:
-            ex.run_chunks(_chunk_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
+            ex.run_passes(_pass_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
                           (error, 2 * ex.DRAW_SAMPLES))
         assert type(info.value) is type(error) and info.value.args == error.args
         assert vars(info.value) == vars(error)
@@ -594,9 +649,9 @@ _EDGE_INPUTS = {
 
 
 def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kept_prob=None):
-    """_swap_chunk's record columns, skipped count and rendered rows of the
-    edge chunk starting at ``lo``; ``c_f`` and ``kept_prob`` replace the
-    rows' default c_f and prob."""
+    """_swap_pass's record columns, skipped count and rendered rows of the
+    edge chunk starting at ``lo``, a pass of its own; ``c_f`` and
+    ``kept_prob`` replace the rows' default c_f and prob."""
     kept = int(possible.sum())
     if c_f is None:
         c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
@@ -606,16 +661,18 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kep
     if kept_prob is not None:
         prob[possible] = kept_prob
 
-    def draw(args, rng, lo, hi):
-        return None, None, {key: column[:hi - lo] for key, column in _EDGE_INPUTS.items()}
+    def inputs(args, drawn, lo):
+        return None, None, {key: column[:len(possible)] for key, column in _EDGE_INPUTS.items()}
 
     def outcomes(a, b, where, args):
         return ex._ALL_OUTCOMES, possible, prob, c_f, eigs, {}
 
-    monkeypatch.setitem(ex.EXPERIMENTS, "edge", ex.Experiment(draw, outcomes, ()))
+    monkeypatch.setitem(ex.EXPERIMENTS, "edge",
+                        ex.Experiment(lambda *_: (), inputs, outcomes, ()))
     args = ex.Args(len(possible), "bures")
-    chunk = ex._swap_chunk("edge", args, fmt, None, lo, lo + len(possible))
-    return chunk.cols, chunk.skipped, chunk.text
+    chunk = ex._swap_pass("edge", args, fmt, [(None, lo, lo + len(possible))])
+    text, = chunk.text  # one piece, of the one draw chunk
+    return chunk.cols, chunk.skipped, text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -785,6 +842,80 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
     with pytest.raises(es.ValidationError, match=r"^trace invariant violated: "
                        r"\|tr - 1\| = 1\.000e\+00 \(input a of sample 4\)$"):
         ex.run_experiment("belldiag", 6, 5)
+
+
+def _plant(monkeypatch, name, plants):
+    """Experiment ``name`` with plants[n](a, b, i) applied to the drawn pair
+    of sample n at index i of its draw chunk, in a fresh pool's processes
+    too."""
+    spec = ex.EXPERIMENTS[name]
+
+    def draw(args, rng, lo, hi):
+        a, b = spec.draw(args, rng, lo, hi)
+        for n, plant in plants.items():
+            if lo <= n < hi:
+                plant(a, b, n - lo)
+        return a, b
+
+    monkeypatch.setitem(ex.EXPERIMENTS, name, spec._replace(draw=draw))
+    ex._close_pool()
+
+
+def _doubled(a, b, i):
+    a[i] *= 2.0
+
+
+def _refused_by(normalization):
+    """A plant that leaves the pair's psi- the given normalization: modes
+    (2, 3) in |HV> with that weight and |HH> else."""
+    def plant(a, b, i):
+        a[i] = np.diag([1.0, 0.0, 0.0, 0.0])
+        b[i] = np.diag([1.0 - normalization, 0.0, normalization, 0.0])
+    return plant
+
+
+# samples 300 and 600 lie in the second and third of a 768-sample run's 3
+# draw chunks: one pass at workers 1, at workers 2 passes of 2 and 1 chunks
+# (the third chunk in the pool), at workers 3 one chunk per process
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_input_in_a_third_draw_chunk_is_named_by_its_sample(workers, monkeypatch):
+    _plant(monkeypatch, "oracle-equiv", {600: _doubled})
+    try:
+        with pytest.raises(es.ValidationError, match=r"^trace invariant violated: "
+                           r"\|tr - 1\| = 1\.000e\+00 \(input a of sample 600\)$"):
+            ex.run_experiment("oracle-equiv", 3 * ex.DRAW_SAMPLES, 5, workers=workers)
+    finally:
+        ex._close_pool()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_impossible_psi_minus_in_a_third_draw_chunk_is_refused(workers, monkeypatch):
+    # a refusal's words name no sample, the same on every route: sample
+    # 600's pair carries its index in its psi- normalization, 600e-16
+    _plant(monkeypatch, "oracle-equiv", {600: _refused_by(600e-16)})
+    try:
+        with pytest.raises(es.ImpossibleOutcome, match=r"^outcome psi- has normalization "
+                           r"6\.000e-14 <= 1e-12;") as info:
+            ex.run_experiment("oracle-equiv", 3 * ex.DRAW_SAMPLES, 5, workers=workers)
+        assert info.value.normalization == pytest.approx(600e-16, rel=1e-12)
+    finally:
+        ex._close_pool()
+
+
+def test_a_run_raises_its_first_failing_chunks_error_on_any_passes(monkeypatch):
+    # a pass validates its whole stack of inputs before it swaps: the bad
+    # input of sample 600 would win over the impossible psi- of sample 300
+    # in a one-pass run, had the pass not swapped its chunks alone again
+    _plant(monkeypatch, "oracle-equiv", {300: _refused_by(300e-16), 600: _doubled})
+    try:
+        for workers in (1, 2, 3):
+            with pytest.raises(es.ImpossibleOutcome, match=r"normalization 3\.000e-14 ") as info:
+                ex.run_experiment("oracle-equiv", 3 * ex.DRAW_SAMPLES, 5, workers=workers)
+            assert info.value.normalization == pytest.approx(300e-16, rel=1e-12), workers
+    finally:
+        ex._close_pool()
 
 
 def test_blocks_split_at_the_block_size_and_groups(monkeypatch):
