@@ -10,10 +10,7 @@ from .qstate import (
     BASIS_LABELS,
     BellLabel,
     DensityMatrix,
-    NotAnXState,
     ValidationError,
-    XState,
-    as_x_state,
     bell_density,
     bell_vector,
     concurrence,
@@ -34,7 +31,6 @@ from .swap import (
 )
 from .optics import beamsplitter_unitary, swap_via_beamsplitter
 from .ensembles import (
-    BellDiagonalParams,
     RngStream,
     ginibre,
     haar_unitary,
@@ -50,16 +46,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASIS_LABELS",
-    "BellDiagonalParams",
     "BellLabel",
     "DensityMatrix",
     "ImpossibleOutcome",
-    "NotAnXState",
     "RngStream",
     "SwapResult",
     "ValidationError",
-    "XState",
-    "as_x_state",
     "beamsplitter_unitary",
     "bell_density",
     "bell_vector",

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (BellLabel, DensityMatrix, XState, bell_vector, pure_batch,
-                     validate_x_batch, x_matrices)
+from .qstate import (BellLabel, DensityMatrix, bell_vector, pure_batch, validate_x_batch,
+                     x_matrices)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def random_pure(rng: np.random.Generator, size: "int | None" = None) -> np.ndarr
 
 
 def _check_weights(w: np.ndarray) -> None:
-    # BellDiagonalParams' invariants on weights (..., 4); names the first bad row
+    # Bell mixing weights (..., 4) are nonnegative and sum to 1; names the first bad row
     total = w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3]
     # negated bounds, so that NaN fails them
     low = np.minimum(np.minimum(w[..., 0], w[..., 1]), np.minimum(w[..., 2], w[..., 3]))
@@ -110,26 +110,6 @@ def _check_weights(w: np.ndarray) -> None:
         if bad.any():
             row = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"weights must {rule}, got {tuple(w[row].tolist())}")
-
-
-@dataclass(frozen=True)
-class BellDiagonalParams:
-    """Mixing weights (alpha, beta, gamma, delta) of psi+, psi-, phi+, phi-."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        _check_weights(np.array([self.alpha, self.beta, self.gamma, self.delta]))
-
-    def to_x_state(self) -> XState:
-        diag, coh = bell_diagonal_x(np.array([self.alpha, self.beta, self.gamma, self.delta]))
-        return XState(*diag, *coh)
-
-    def to_density_matrix(self) -> DensityMatrix:
-        return self.to_x_state().to_density_matrix()
 
 
 def bell_diagonal_x(weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -141,27 +121,25 @@ def bell_diagonal_x(weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
             0.5 * (w[..., [2, 0]] - w[..., [3, 1]]))
 
 
-def random_bell_diagonal(rng: np.random.Generator, size: "int | None" = None):
-    """Uniform sample from the 3-simplex of Bell mixing weights. An int
-    ``size`` gives the (size, 4) weight stack, checked once as a whole."""
+def random_bell_diagonal(rng: np.random.Generator, size: "int | None" = None) -> np.ndarray:
+    """Uniform sample from the 3-simplex of Bell mixing weights (see
+    bell_diagonal_x): checked (4,) weights, or for an int ``size`` the
+    (size, 4) stack, checked once as a whole."""
     w = rng.dirichlet(np.ones(4), size)
-    if size is None:
-        return BellDiagonalParams(*w)
     _check_weights(w)
     return w
 
 
 def random_x_state(rng: np.random.Generator, size: "int | None" = None):
     """Random X-state: Dirichlet diagonal, coherences uniform within the
-    positivity disks of the two parity blocks, phases uniform. An int
-    ``size`` gives the X stack (diag, coh), checked once as a whole."""
+    positivity disks of the two parity blocks, phases uniform: the checked
+    X state (diag (4,), coh (2,)), or for an int ``size`` the X stack
+    (diag, coh), checked once as a whole."""
     diag = rng.dirichlet(np.ones(4), size)
     radii = rng.uniform(size=diag.shape[:-1] + (2,))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=radii.shape)
     # the disks of (c14, c23) have radii sqrt(c11 c44), sqrt(c22 c33)
     coh = radii * np.sqrt(diag[..., :2] * diag[..., 3:1:-1]) * np.exp(1j * phases)
-    if size is None:
-        return XState(*diag, *coh)
     validate_x_batch(diag, coh)
     return diag, coh
 

@@ -43,9 +43,8 @@ from .ensembles import (
     rank2_bell_mixtures,
 )
 # swap_general, swap_all_outcomes, swap_x_params, swap_via_beamsplitter,
-# concurrence, concurrence_x, numerical_rank and trace_distance stay
-# importable here: the benchmark's span tracer (perfbench/tracer.py) wraps
-# them by name.
+# concurrence, numerical_rank and trace_distance stay importable here: the
+# benchmark's span tracer (perfbench/tracer.py) wraps them by name.
 from .optics import swap_via_beamsplitter, swap_via_beamsplitter_batch  # noqa: F401
 from .qstate import (  # noqa: F401
     BellLabel,
@@ -54,7 +53,6 @@ from .qstate import (  # noqa: F401
     conditional_x_states,
     concurrence,
     concurrence_x,
-    concurrence_x_batch,
     numerical_rank,
     pure_batch,
     pure_concurrence,
@@ -391,7 +389,7 @@ def _x_outcomes(x_a, x_b, where, args):
     """_general_outcomes for a stack of X-stack pairs, in closed form."""
     out, prob = swap_x_batch(x_a, x_b)
     possible, x, eigs = conditional_x_states(out, prob, where)
-    return _ALL_OUTCOMES, possible, prob, concurrence_x_batch(*x), eigs, {}
+    return _ALL_OUTCOMES, possible, prob, concurrence_x(*x), eigs, {}
 
 
 def _oracle_outcomes(rho_a, rho_b, where, args):
@@ -402,12 +400,13 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
     impossible raises ImpossibleOutcome."""
     raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
-    possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi],
-                                                        lambda n, _: where(n, _PSI), vectors=True)
-    refuse_impossible(possible, prob[:, psi], BellLabel.PSI_MINUS)
+    named = lambda n, *_: where(n, _PSI)
+    possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi], named,
+                                                        vectors=True)
+    refuse_impossible(possible, prob[:, psi], BellLabel.PSI_MINUS, named)
     out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, 0.5)
-    seen, physical, _ = conditional_states(out, coincidence, lambda n: where(n, _PSI))
-    refuse_impossible(seen, coincidence, BellLabel.PSI_MINUS)
+    seen, physical, _ = conditional_states(out, coincidence, named)
+    refuse_impossible(seen, coincidence, BellLabel.PSI_MINUS, named)
     return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
@@ -508,7 +507,7 @@ def _belldiag_inputs(args, drawn, lo):
     columns = {}
     for side, x in (("a", x_a), ("b", x_b)):
         eigs = validate_x_batch(*x, _where(lo, f"input {side}"))
-        columns[f"c_{side}"] = concurrence_x_batch(*x)
+        columns[f"c_{side}"] = concurrence_x(*x)
         columns[f"rank_{side}"] = rank_batch(eigs)
     return x_a, x_b, columns
 

@@ -9,7 +9,6 @@ ordered |HH>, |HV>, |VH>, |VV> with H=0, V=1, so the flat index of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,10 +19,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 # Relative eigenvalue cutoff for the numerical rank (fraction of the
-# largest eigenvalue). Overridable per call.
+# largest eigenvalue).
 DEFAULT_RANK_TOL = 1e-10
-# Modulus bound on the eight entries that must vanish in an X-state.
-X_ENTRY_TOL = 1e-10
 # An outcome whose normalization, twice its probability, is at or below
 # this is impossible: its conditional state 0/0 carries no information.
 NORMALIZATION_FLOOR = 1e-12
@@ -38,24 +35,23 @@ class ValidationError(ValueError):
     """A matrix failed one of the density-matrix invariants."""
 
 
-class NotAnXState(ValueError):
-    """A density matrix carries weight outside the X pattern."""
-
-
 class ImpossibleOutcome(Exception):
-    """The requested measurement outcome has (numerically) zero probability."""
+    """The requested measurement outcome has (numerically) zero probability;
+    ``where``, if given, names the state, as in a ValidationError."""
 
-    def __init__(self, outcome: "BellLabel", normalization: float):
+    def __init__(self, outcome: "BellLabel", normalization: float, where: "str | None" = None):
         self.outcome = outcome
         self.normalization = normalization
+        self.where = where
         super().__init__(
             f"outcome {outcome} has normalization {normalization:.3e} "
             f"<= {NORMALIZATION_FLOOR}; the conditional state is undefined"
+            + ("" if where is None else f" ({where})")
         )
 
     def __reduce__(self):
         # args hold only the message, which __init__ does not take
-        return type(self), (self.outcome, self.normalization)
+        return type(self), (self.outcome, self.normalization, self.where)
 
 
 class BellLabel(enum.Enum):
@@ -249,51 +245,6 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix(mat + (1.0 - p) * np.eye(4) / 4.0)
 
 
-@dataclass(frozen=True)
-class XState:
-    """Density matrix with decoupled parity sectors: nonzero entries only on
-    the main diagonal and the anti-diagonal.
-
-    Parameters are the four diagonal populations and the two independent
-    coherences; the remaining anti-diagonal entries are fixed by
-    Hermiticity (c41 = conj(c14), c32 = conj(c23)).
-    """
-
-    c11: float
-    c22: float
-    c33: float
-    c44: float
-    c14: complex = 0.0
-    c23: complex = 0.0
-
-    def __post_init__(self):
-        validate_x_batch(*self.to_stack())
-
-    @classmethod
-    def _checked(cls, diag, coh) -> "XState":
-        """Wrap the populations and coherences of an X stack of one that
-        validate_x_batch accepted."""
-        x = cls.__new__(cls)
-        for f, value in zip(fields(cls), (*diag, *coh)):
-            object.__setattr__(x, f.name, value)
-        return x
-
-    def to_stack(self) -> "tuple[np.ndarray, np.ndarray]":
-        """This state as an X stack of one (see validate_x_batch)."""
-        return (np.array([[self.c11, self.c22, self.c33, self.c44]], dtype=float),
-                np.array([[self.c14, self.c23]]))
-
-    def to_matrix(self) -> np.ndarray:
-        return x_matrices(*self.to_stack())[0]
-
-    def to_density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(self.to_matrix())
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order, from the two 2x2 parity blocks."""
-        return x_eigenvalues_batch(*self.to_stack())[0]
-
-
 def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -> np.ndarray:
     """validate_batch for an X stack: real populations diag (..., 4) =
     (c11, c22, c33, c44) and real or complex coherences coh (..., 2) =
@@ -322,12 +273,16 @@ def _possible(prob: np.ndarray, where):
     return possible, prob[possible], named
 
 
-def refuse_impossible(possible: np.ndarray, prob: np.ndarray, outcome: BellLabel) -> None:
+def refuse_impossible(possible: np.ndarray, prob: np.ndarray, outcome: BellLabel,
+                      where=None) -> None:
     """The one refusal of every route that swaps for a single outcome: raise
     ImpossibleOutcome for the first of the probabilities prob (...), in
-    row-major order, that the floor test's mask ``possible`` refused."""
+    row-major order, that the floor test's mask ``possible`` refused, named
+    by ``where(*index)`` if given."""
     if not possible.all():
-        raise ImpossibleOutcome(outcome, 2.0 * float(prob[~possible][0]))
+        index = np.unravel_index(np.argmin(possible), possible.shape)
+        raise ImpossibleOutcome(outcome, 2.0 * float(prob[index]),
+                                None if where is None else where(*(int(i) for i in index)))
 
 
 def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=False):
@@ -381,22 +336,7 @@ def x_eigenvalues_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
                      np.minimum(b, d)], axis=-1)
 
 
-def as_x_state(rho: DensityMatrix, tol: float = X_ENTRY_TOL) -> XState:
-    """Extract the X-state parameters of ``rho``.
-
-    Raises NotAnXState if any of the eight entries outside the diagonal
-    and anti-diagonal has modulus above ``tol``.
-    """
-    mat = rho.mat
-    x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # diagonal, anti-diagonal
-    off_x = np.argwhere(~x_pattern & (np.abs(mat) >= tol))  # in row-major order
-    if off_x.size:
-        i, j = off_x[0]
-        raise NotAnXState(f"entry ({i + 1},{j + 1}) has modulus {abs(mat[i, j]):.3e} >= {tol}")
-    return XState(*mat.diagonal().real, complex(mat[0, 3]), complex(mat[1, 2]))
-
-
-def concurrence(state: "DensityMatrix | XState") -> float:
+def concurrence(state: DensityMatrix) -> float:
     """Concurrence of a two-qubit state, in [0, 1].
 
     For a general density matrix this is the spin-flip construction:
@@ -406,12 +346,7 @@ def concurrence(state: "DensityMatrix | XState") -> float:
     one eigendecomposition rho = V L V^dagger (see wootters_batch), as the
     singular values of W^T (sy x sy) W with W = V sqrt(L), which stays
     accurate when eigenvalues underflow toward zero.
-
-    X-states take the exact algebraic branch
-    2 max[0, |c14| - sqrt(c22 c33), |c23| - sqrt(c11 c44)].
     """
-    if isinstance(state, XState):
-        return concurrence_x(state)
     return float(concurrence_batch(state.mat))
 
 
@@ -436,16 +371,13 @@ def wootters_batch(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.clip(lam0 - lam1 - lam2 - lam3, 0.0, 1.0)
 
 
-def concurrence_x(x: XState) -> float:
-    """Closed-form concurrence of an X-state."""
-    return float(concurrence_x_batch(*x.to_stack())[0])
-
-
-def concurrence_x_batch(diag: np.ndarray, coh: np.ndarray) -> np.ndarray:
-    """Closed-form concurrence of each state of an X stack."""
-    # |c14| - sqrt(c22 c33) and |c23| - sqrt(c11 c44)
+def concurrence_x(diag: np.ndarray, coh: np.ndarray) -> "float | np.ndarray":
+    """Closed-form concurrence 2 max[0, |c14| - sqrt(c22 c33), |c23| -
+    sqrt(c11 c44)] of an X state (diag (4,), coh (2,)), or of each state of
+    an X stack (..., 4), (..., 2)."""
     gap = np.abs(coh) - np.sqrt(np.maximum(diag[..., :2] * diag[..., 3:1:-1], 0.0))[..., ::-1]
-    return np.clip(2.0 * np.maximum(gap[..., 0], gap[..., 1]), 0.0, 1.0)
+    c = np.clip(2.0 * np.maximum(gap[..., 0], gap[..., 1]), 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def pure_concurrence(amplitudes: np.ndarray) -> "float | np.ndarray":
@@ -461,14 +393,14 @@ def pure_concurrence(amplitudes: np.ndarray) -> "float | np.ndarray":
     return float(c) if c.ndim == 0 else c
 
 
-def numerical_rank(state: "DensityMatrix | XState", tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of eigenvalues above ``tol`` times the largest eigenvalue."""
-    return int(rank_batch(state.eigenvalues(), tol))
+def numerical_rank(state: DensityMatrix) -> int:
+    """Number of eigenvalues above DEFAULT_RANK_TOL times the largest one."""
+    return int(rank_batch(state.eigenvalues()))
 
 
-def rank_batch(eigs: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Numerical ranks from descending eigenvalues of shape (..., 4)."""
-    above = eigs > tol * eigs[..., :1]
+def rank_batch(eigs: np.ndarray) -> np.ndarray:
+    """numerical_rank of each state from descending eigenvalues (..., 4)."""
+    above = eigs > DEFAULT_RANK_TOL * eigs[..., :1]
     return above[..., 0].astype(np.intp) + above[..., 1] + above[..., 2] + above[..., 3]
 
 

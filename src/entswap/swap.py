@@ -26,11 +26,11 @@ from .qstate import (  # noqa: F401
     BellLabel,
     DensityMatrix,
     ImpossibleOutcome,
-    XState,
     bell_vector,
     conditional_states,
     conditional_x_states,
     refuse_impossible,
+    validate_x_batch,
 )
 
 _OUTCOMES = tuple(BellLabel)
@@ -150,18 +150,21 @@ def swap_general(
     return _swap_one(swap_batch, rho_a, rho_b, outcome)
 
 
-def swap_x_params(
-    chi_a: XState, chi_b: XState, outcome: BellLabel
-) -> "tuple[XState, float]":
-    """X-state fast path; returns the output X parameters and probability.
+def swap_x_params(x_a, x_b, outcome: BellLabel):
+    """swap_general for one pair of X states x = (diag (4,), coh (2,)) (see
+    qstate.validate_x_batch), each validated, as swap_x_batch's batch of
+    one. Returns the output X state (diag, coh) and its probability.
 
     Raises ImpossibleOutcome on a vanishing normalization.
     """
     k = _OUTCOMES.index(outcome)
-    (diag, coh), prob = swap_x_batch(chi_a.to_stack(), chi_b.to_stack())
+    a, b = ((np.asarray(d, dtype=float)[None], np.asarray(c)[None]) for d, c in (x_a, x_b))
+    validate_x_batch(*a)
+    validate_x_batch(*b)
+    (diag, coh), prob = swap_x_batch(a, b)
     (diag, coh), _, probability = _conditioned(conditional_x_states, (diag[:, k], coh[:, k]),
                                                prob[:, k], outcome)
-    return XState._checked(diag[0], coh[0]), probability
+    return (diag[0], coh[0]), probability
 
 
 def swap_all_outcomes(rho_a: DensityMatrix, rho_b: DensityMatrix) -> "list[SwapResult]":

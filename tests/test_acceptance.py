@@ -12,7 +12,7 @@ import pytest
 
 import entswap as es
 from entswap import experiments as ex
-from entswap.qstate import concurrence_batch, concurrence_x_batch, x_matrices
+from entswap.qstate import concurrence_batch, concurrence_x, x_matrices
 from entswap.swap import conditional_states, conditional_x_states, swap_batch, swap_x_batch
 from tests.test_swap import PSI_MINUS_LOOKUP
 
@@ -130,7 +130,7 @@ def test_criterion_09_x_state_machinery():
     rng = np.random.default_rng(SEED + 9)
     x_a, x_b = es.random_x_state(rng, 10_000), es.random_x_state(rng, 10_000)
     dm_a, dm_b = x_matrices(*x_a), x_matrices(*x_b)
-    max_conc_dev = max(np.abs(concurrence_batch(dm) - concurrence_x_batch(*x)).max()
+    max_conc_dev = max(np.abs(concurrence_batch(dm) - concurrence_x(*x)).max()
                        for x, dm in ((x_a, dm_a), (x_b, dm_b)))
     raw, prob = swap_batch(dm_a, dm_b)
     possible, general, _ = conditional_states(raw, prob)
@@ -142,7 +142,7 @@ def test_criterion_09_x_state_machinery():
                and np.abs(general[:, off_x]).max() < 1e-12)
     out_x = general[:, range(4), range(4)].real, general[:, [0, 1], [3, 2]]
     max_conc_dev = max(max_conc_dev, np.abs(concurrence_batch(general)
-                                            - concurrence_x_batch(*out_x)).max())
+                                            - concurrence_x(*out_x)).max())
     max_path_dev = np.abs(x_matrices(*fast) - general).max()
     max_prob_dev = np.abs(prob_x - prob).max()
     ok = (stays_x and max_conc_dev < 1e-9

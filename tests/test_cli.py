@@ -10,6 +10,7 @@ from entswap.cli import EXIT_VIOLATION, main
 from entswap.ensembles import STATE_ENSEMBLES
 from entswap.qstate import EIGENVALUE_FLOOR
 from entswap.swap import swap_x_params
+from tests.test_qstate import x_params
 
 
 def _write_state(path, rho):
@@ -178,7 +179,7 @@ def test_sample_command_all_ensembles(ensemble, capsys):
         if ensemble == "induced-2":
             assert es.numerical_rank(rho) == 2
         if ensemble in ("bell-diagonal", "x"):
-            es.as_x_state(rho)
+            x_params(rho.mat)
 
 
 def test_sample_command_names_the_failing_sample(monkeypatch, tmp_path, capsys):
@@ -211,7 +212,7 @@ def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, 
 
     monkeypatch.setattr("entswap.experiments.random_bures", bunched)
     message = (r"entswap: outcome psi- has normalization 0\.000e\+00 <= 1e-12; "
-               r"the conditional state is undefined\n")
+               r"the conditional state is undefined \(output of sample 0, outcome psi-\)\n")
     argv = ["experiment", "oracle-equiv", "--out", str(tmp_path / "o.csv")]
     assert main([*argv, "--samples", "3", "--seed", "1"]) == EXIT_VIOLATION
     captured = capsys.readouterr()
@@ -222,12 +223,13 @@ def test_impossible_psi_minus_in_an_oracle_run_exits_one(monkeypatch, tmp_path, 
 def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, capsys):
     # psi- of |HH><HH| x |HH><HH| has probability 0 on every route: the
     # kernel, the 16x16 oracle, the beamsplitter, the X route, the harness's
-    # stacked oracle run (on a stack that holds the pair) and the CLI
+    # stacked oracle run (on a stack that holds the pair, which it names)
+    # and the CLI
     message = ("outcome psi- has normalization 0.000e+00 <= 1e-12; "
                "the conditional state is undefined")
     psi = es.BellLabel.PSI_MINUS
     hh = es.DensityMatrix.from_pure([1, 0, 0, 0])
-    x_hh = es.as_x_state(hh)
+    x_hh = x_params(hh.mat)
     rng = np.random.default_rng(3)
     a, b = es.random_bures(rng, size=4), es.random_bures(rng, size=4)
     a[2], b[2] = hh.mat, hh.mat
@@ -237,10 +239,10 @@ def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, c
               lambda: swap_x_params(x_hh, x_hh, psi),
               lambda: ex._oracle_outcomes(a, b, lambda n, k: f"sample {n}",
                                           ex.Args(4, "bures")))
-    for route in routes:
+    for route, where in zip(routes, ["", "", "", "", " (sample 2)"]):
         with pytest.raises(es.ImpossibleOutcome) as info:
             route()
-        assert str(info.value) == message
+        assert str(info.value) == message + where
     path = _write_state(tmp_path / "hh.json", hh)
     assert main(["swap", path, path, "--outcome", "psi-"]) == EXIT_VIOLATION
     captured = capsys.readouterr()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import entswap as es
-from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
+from entswap.ensembles import STATE_ENSEMBLES, _check_weights, bell_diagonal_x
 from entswap.experiments import run_passes
-from entswap.qstate import concurrence_batch
+from entswap.qstate import concurrence_batch, x_matrices
+from tests.test_qstate import x_params
 
 N_MOMENT = 100_000
 
@@ -131,12 +132,7 @@ def test_random_pure_properties():
 
 def test_bell_diagonal_simplex():
     rng = _rng(8)
-    draws = np.array(
-        [
-            [b.alpha, b.beta, b.gamma, b.delta]
-            for b in (es.random_bell_diagonal(rng) for _ in range(N_MOMENT))
-        ]
-    )
+    draws = np.array([es.random_bell_diagonal(rng) for _ in range(N_MOMENT)])
     assert np.abs(draws.sum(axis=1) - 1.0).max() < 1e-12
     # Dirichlet(1,1,1,1) marginals: mean 1/4, var 3/80
     bound = 3.0 * np.sqrt(3.0 / 80.0 / N_MOMENT)
@@ -146,36 +142,34 @@ def test_bell_diagonal_simplex():
 def test_bell_diagonal_is_x_state():
     rng = _rng(9)
     for _ in range(50):
-        params = es.random_bell_diagonal(rng)
-        x = es.as_x_state(params.to_density_matrix())
+        weights = es.random_bell_diagonal(rng)
+        x = x_params(es.DensityMatrix(x_matrices(*bell_diagonal_x(weights))).mat)
         # concurrence of a Bell mixture: max(0, 2 max weight - 1)
-        expected = max(
-            0.0, 2.0 * max(params.alpha, params.beta, params.gamma, params.delta) - 1.0
-        )
-        assert es.concurrence_x(x) == pytest.approx(expected, abs=1e-12)
+        expected = max(0.0, 2.0 * weights.max() - 1.0)
+        assert es.concurrence_x(*x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_bell_diagonal_rejects_bad_weights():
     with pytest.raises(ValueError):
-        es.BellDiagonalParams(0.5, 0.5, 0.5, -0.5)
+        _check_weights(np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValueError):
-        es.BellDiagonalParams(0.5, 0.4, 0.2, 0.2)
+        _check_weights(np.array([0.5, 0.4, 0.2, 0.2]))
 
 
 def test_bell_diagonal_rejects_nan_weights():
     with pytest.raises(ValueError, match=r"^weights must be nonnegative, got \(nan, "):
-        es.BellDiagonalParams(np.nan, 0.5, 0.25, 0.25)
+        _check_weights(np.array([np.nan, 0.5, 0.25, 0.25]))
 
 
 def test_bell_diagonal_stack_matches_scalar_draws():
     stack = es.random_bell_diagonal(_rng(20), size=10)
     rng = _rng(20)
     scalar = [es.random_bell_diagonal(rng) for _ in range(10)]
-    assert np.array_equal(stack, [[p.alpha, p.beta, p.gamma, p.delta] for p in scalar])
+    assert np.array_equal(stack, scalar)
     diag, coh = bell_diagonal_x(stack)
-    for n, params in enumerate(scalar):
-        d, c = params.to_x_state().to_stack()
-        assert np.array_equal(d[0], diag[n]) and np.array_equal(c[0], coh[n])
+    for n, weights in enumerate(scalar):
+        d, c = bell_diagonal_x(weights)
+        assert np.array_equal(d, diag[n]) and np.array_equal(c, coh[n])
 
 
 def test_bell_diagonal_stack_is_checked_as_a_whole():
@@ -192,8 +186,7 @@ def test_bell_diagonal_stack_is_checked_as_a_whole():
 def test_random_x_states_are_valid():
     rng = _rng(10)
     for _ in range(500):
-        x = es.random_x_state(rng)
-        x.to_density_matrix().validate()
+        es.DensityMatrix(x_matrices(*es.random_x_state(rng))).validate()
 
 
 def test_rank2_bell_mixture():

@@ -15,7 +15,7 @@ import pytest
 import entswap as es
 from entswap import experiments as ex
 from entswap.ensembles import STATE_ENSEMBLES, bell_diagonal_x
-from entswap.qstate import concurrence_batch, concurrence_x_batch, pure_batch, pure_concurrence
+from entswap.qstate import concurrence_batch, concurrence_x, pure_batch, pure_concurrence
 from entswap.swap import conditional_states, conditional_x_states, swap_batch, swap_x_batch
 
 
@@ -892,12 +892,12 @@ def test_a_bad_input_in_a_third_draw_chunk_is_named_by_its_sample(workers, monke
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_impossible_psi_minus_in_a_third_draw_chunk_is_refused(workers, monkeypatch):
-    # a refusal's words name no sample, the same on every route: sample
-    # 600's pair carries its index in its psi- normalization, 600e-16
+    # the refusal names the sample, also from a pool share
     _plant(monkeypatch, "oracle-equiv", {600: _refused_by(600e-16)})
     try:
         with pytest.raises(es.ImpossibleOutcome, match=r"^outcome psi- has normalization "
-                           r"6\.000e-14 <= 1e-12;") as info:
+                           r"6\.000e-14 <= 1e-12; the conditional state is undefined "
+                           r"\(output of sample 600, outcome psi-\)$") as info:
             ex.run_experiment("oracle-equiv", 3 * ex.DRAW_SAMPLES, 5, workers=workers)
         assert info.value.normalization == pytest.approx(600e-16, rel=1e-12)
     finally:
@@ -959,9 +959,9 @@ def test_disjoint_bell_weights_meet_the_bell_diagonal_floor(a, b):
     x_b = bell_diagonal_x(np.array([[b, 0.0, 1.0 - b, 0.0]]))
     possible, x, _ = conditional_x_states(*swap_x_batch(x_a, x_b))
     assert possible.all()
-    c_a, c_b = concurrence_x_batch(*x_a), concurrence_x_batch(*x_b)
+    c_a, c_b = concurrence_x(*x_a), concurrence_x(*x_b)
     floor = 0.5 * (c_a + c_b + c_a * c_b - 1.0)
-    assert np.abs(concurrence_x_batch(*x) - max(0.0, floor[0])).max() < 1e-12
+    assert np.abs(concurrence_x(*x) - max(0.0, floor[0])).max() < 1e-12
 
 
 @pytest.mark.parametrize("name, check_name", [("belldiag", "belldiag_floor"),

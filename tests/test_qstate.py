@@ -12,10 +12,8 @@ from entswap.qstate import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     TRACE_TOL,
-    X_ENTRY_TOL,
     _hermitize,
     concurrence_batch,
-    concurrence_x_batch,
     pure_batch,
     rank_batch,
     validate_batch,
@@ -24,14 +22,29 @@ from entswap.qstate import (
     x_eigenvalues_batch,
     x_matrices,
 )
-from entswap.swap import conditional_states
+from entswap.swap import conditional_states, swap_x_params
+
+
+def x_params(mat: np.ndarray, tol: float = 1e-10):
+    """The X state (diag, coh) of a 4x4 matrix; ValueError naming the first
+    entry, in row-major order, off the X pattern with modulus tol or more."""
+    x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # diagonal, anti-diagonal
+    off_x = np.argwhere(~x_pattern & (np.abs(mat) >= tol))
+    if off_x.size:
+        i, j = off_x[0]
+        raise ValueError(f"entry ({i + 1},{j + 1}) has modulus {abs(mat[i, j]):.3e} >= {tol}")
+    return mat.diagonal().real.copy(), mat[[0, 1], [3, 2]]
 
 
 def test_impossible_outcome_survives_pickling():
-    error = es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 3e-13)
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is es.ImpossibleOutcome and str(copy) == str(error)
-    assert copy.outcome is es.BellLabel.PSI_MINUS and copy.normalization == 3e-13
+    for where in (None, "output of sample 600, outcome psi-"):
+        error = es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 3e-13, where)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is es.ImpossibleOutcome and str(copy) == str(error)
+        assert copy.outcome is es.BellLabel.PSI_MINUS and copy.normalization == 3e-13
+        assert copy.where == where
+    assert str(error).endswith("the conditional state is undefined (output of sample 600, "
+                               "outcome psi-)")
 
 
 # ----------------------------------------------------------- Bell states
@@ -123,8 +136,8 @@ def test_concurrence_matches_x_closed_form():
     rng = np.random.default_rng(21)
     for _ in range(1000):
         x = es.random_x_state(rng)
-        general = es.concurrence(x.to_density_matrix())
-        assert general == pytest.approx(es.concurrence_x(x), abs=1e-9)
+        general = es.concurrence(es.DensityMatrix(x_matrices(*x)))
+        assert general == pytest.approx(es.concurrence_x(*x), abs=1e-9)
 
 
 def test_concurrence_rejects_non_psd_input():
@@ -161,8 +174,7 @@ def test_rank_unitary_invariance():
 
 def test_rank_respects_relative_tolerance():
     rho = es.DensityMatrix(np.diag([0.9, 0.1 - 1e-12, 1e-12, 0.0]).astype(complex))
-    assert es.numerical_rank(rho, tol=1e-10) == 2
-    assert es.numerical_rank(rho, tol=1e-13) == 3
+    assert es.numerical_rank(rho) == 2
 
 
 @pytest.mark.parametrize("top", [1.0, 0.25])  # 1/4: the least top eigenvalue of a state
@@ -179,14 +191,14 @@ def test_rank_cutoff_is_relative_to_the_largest_eigenvalue(top, factor, counted)
 
 
 def test_as_x_state_werner():
-    x = es.as_x_state(es.werner(0.6))
-    assert x.c14 == pytest.approx(0.3, abs=1e-12)
-    assert x.c11 == pytest.approx(0.4, abs=1e-12)
+    diag, coh = x_params(es.werner(0.6).mat)
+    assert coh[0] == pytest.approx(0.3, abs=1e-12)
+    assert diag[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_as_x_state_accepts_bell():
-    x = es.as_x_state(es.bell_density(es.BellLabel.PHI_PLUS))
-    assert x.c14 == pytest.approx(0.5, abs=1e-12)
+    _, coh = x_params(es.bell_density(es.BellLabel.PHI_PLUS).mat)
+    assert coh[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_as_x_state_rejects_off_pattern_entry():
@@ -195,8 +207,8 @@ def test_as_x_state_rejects_off_pattern_entry():
     plus[0] = plus[1] = 1.0 / np.sqrt(2.0)
     rho = es.DensityMatrix(0.8 * es.werner(0.5).mat + 0.2 * np.outer(plus, plus.conj()))
     assert abs(rho.mat[0, 1]) == pytest.approx(0.1, abs=1e-12)
-    with pytest.raises(es.NotAnXState, match=r"\(1,2\)"):
-        es.as_x_state(rho)
+    with pytest.raises(ValueError, match=r"\(1,2\)"):
+        x_params(rho.mat)
 
 
 def test_as_x_state_tolerance_boundary():
@@ -206,11 +218,11 @@ def test_as_x_state_tolerance_boundary():
         mat[0, 1] = mat[1, 0] = mat[2, 0] = mat[0, 2] = entry
         return es.DensityMatrix(mat)
 
-    x = es.as_x_state(perturbed(0.999 * X_ENTRY_TOL))
-    assert x.c14 == pytest.approx(0.25, abs=1e-12)
+    _, coh = x_params(perturbed(0.999e-10).mat)
+    assert coh[0] == pytest.approx(0.25, abs=1e-12)
     # the first entry in row-major order is named
-    with pytest.raises(es.NotAnXState, match=r"^entry \(1,2\) has modulus 1\.000e-10 >= 1e-10$"):
-        es.as_x_state(perturbed(X_ENTRY_TOL))
+    with pytest.raises(ValueError, match=r"^entry \(1,2\) has modulus 1\.000e-10 >= 1e-10$"):
+        x_params(perturbed(1e-10).mat)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
@@ -219,41 +231,51 @@ def test_concurrence_continuous_near_zero_on_werner_states(delta):
     expected = max(0.0, (3.0 * p - 1.0) / 2.0)
     rho = es.werner(p)
     assert es.concurrence(rho) == pytest.approx(expected, rel=0, abs=1e-12)
-    assert es.concurrence_x(es.as_x_state(rho)) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert es.concurrence_x(*x_params(rho.mat)) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_x_state_invariants_enforced():
     with pytest.raises(es.ValidationError, match="trace"):
-        es.XState(c11=0.5, c22=0.5, c33=0.5, c44=0.5)
+        validate_x_batch(np.full(4, 0.5), np.zeros(2))
+    # c14 = 0.4 is outside its coherence disk of radius sqrt(c11 c44) = 0.25
+    outside = np.full(4, 0.25), np.array([0.4, 0.0])
     with pytest.raises(es.ValidationError, match="eigenvalue"):
-        es.XState(c11=0.25, c22=0.25, c33=0.25, c44=0.25, c14=0.4)
+        validate_x_batch(*outside)
+    inside = np.full(4, 0.25), np.zeros(2)
+    message = r"^eigenvalue invariant violated: min eigenvalue = -1\.500e-01$"
+    for pair in ((outside, inside), (inside, outside)):
+        for outcome in es.BellLabel:
+            with pytest.raises(es.ValidationError, match=message):
+                swap_x_params(*pair, outcome)
 
 
 def test_x_state_eigenvalues_match_dense():
     rng = np.random.default_rng(24)
     for _ in range(200):
         x = es.random_x_state(rng)
-        dense = np.linalg.eigvalsh(_hermitize(x.to_matrix()))[::-1]
-        assert np.abs(x.eigenvalues() - dense).max() < 1e-12
+        dense = np.linalg.eigvalsh(_hermitize(x_matrices(*x)))[::-1]
+        assert np.abs(x_eigenvalues_batch(*x) - dense).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
 def test_stacked_x_measures_match_scalar_and_dense(kind):
     rng = np.random.default_rng(27)
     draw = (es.random_x_state if kind == "x"
-            else lambda g: es.random_bell_diagonal(g).to_x_state())
+            else lambda g: bell_diagonal_x(es.random_bell_diagonal(g)))
     states = [draw(rng) for _ in range(100)]
-    diag = np.concatenate([x.to_stack()[0] for x in states])
-    coh = np.concatenate([x.to_stack()[1] for x in states])
+    diag, coh = map(np.stack, zip(*states))
     eigs = validate_x_batch(diag, coh)
     assert np.array_equal(eigs, x_eigenvalues_batch(diag, coh))
     dense = validate_batch(x_matrices(diag, coh))
     assert np.abs(eigs - dense).max() < 1e-12
-    conc = concurrence_x_batch(diag, coh)
-    for n, x in enumerate(states):
-        assert np.abs(x.eigenvalues() - eigs[n]).max() < 1e-12
-        assert es.concurrence_x(x) == conc[n]
-        assert es.numerical_rank(x) == rank_batch(eigs[n])
+    conc = es.concurrence_x(diag, coh)
+    for n, (d, c) in enumerate(states):
+        assert np.abs(validate_x_batch(d, c) - eigs[n]).max() < 1e-12
+        # one state gives a float, bit-equal to its value in any stack
+        one = es.concurrence_x(d, c)
+        assert type(one) is float and one == conc[n]
+        assert np.array_equal(es.concurrence_x(d[None], c[None]), [one])
+        assert rank_batch(validate_x_batch(d, c)) == rank_batch(eigs[n])
     assert np.array_equal(rank_batch(eigs), rank_batch(dense))
 
 
@@ -282,8 +304,9 @@ def test_validate_x_batch_names_invariant_value_and_sample(row, message):
     with pytest.raises(es.ValidationError) as excinfo:
         validate_x_batch(diag, coh, where=lambda n: f"input a of sample {n}")
     assert str(excinfo.value) == f"{message} (input a of sample 2)"
-    # the scalar path and the matrix route give the same message
-    for build in (lambda: es.XState(*row), lambda: es.DensityMatrix(x_matrices(diag[2], coh[2]))):
+    # one unstacked state and the matrix route give the same message
+    for build in (lambda: validate_x_batch(diag[2], coh[2]),
+                  lambda: es.DensityMatrix(x_matrices(diag[2], coh[2]))):
         with pytest.raises(es.ValidationError) as excinfo:
             build()
         assert str(excinfo.value) == message
@@ -307,12 +330,10 @@ def test_x_route_networks_match_the_last_axis_reductions():
     assert np.array_equal(
         eigs, np.sort(np.concatenate([half_sum + radius, half_sum - radius], axis=-1))[:, ::-1])
     gap = np.abs(coh) - np.sqrt(np.maximum(p * q, 0.0))[:, ::-1]
-    assert np.array_equal(concurrence_x_batch(diag, coh),
-                          np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0))
-    for tol in (DEFAULT_RANK_TOL, 0.5):
-        rank = rank_batch(eigs, tol)
-        assert rank.dtype == np.intp
-        assert np.array_equal(rank, np.count_nonzero(eigs > tol * eigs[:, :1], axis=-1))
+    assert np.array_equal(es.concurrence_x(diag, coh), np.clip(2.0 * gap.max(axis=-1), 0.0, 1.0))
+    rank = rank_batch(eigs)
+    assert rank.dtype == np.intp
+    assert np.array_equal(rank, np.count_nonzero(eigs > DEFAULT_RANK_TOL * eigs[:, :1], axis=-1))
     weights = rng.choice([0.0, -0.0, 0.25, 1.0, -1e-12, -2e-12, np.nan], size=(500, 4))
     for w in weights:
         try:
@@ -363,7 +384,7 @@ def test_x_states_and_matrices_agree_at_the_eigenvalue_floor(block, pops, factor
     diag = np.array([[p0, p1, q1, q0]])
     coh = np.array([[c0, c1]])
     assert x_eigenvalues_batch(diag, coh)[0, -1] == pytest.approx(low, rel=1e-5)
-    x_ok = _accepted(lambda: es.XState(*diag[0], *coh[0]))
+    x_ok = _accepted(lambda: validate_x_batch(diag, coh))
     assert x_ok == _accepted(lambda: es.DensityMatrix(x_matrices(diag, coh)[0]))
     assert x_ok == (factor < 1.0)
 
@@ -371,10 +392,10 @@ def test_x_states_and_matrices_agree_at_the_eigenvalue_floor(block, pops, factor
 def test_x_state_round_trip():
     rng = np.random.default_rng(25)
     for _ in range(50):
-        x = es.random_x_state(rng)
-        back = es.as_x_state(x.to_density_matrix())
-        assert back.c14 == pytest.approx(x.c14, abs=1e-14)
-        assert back.c23 == pytest.approx(x.c23, abs=1e-14)
+        diag, coh = es.random_x_state(rng)
+        back = x_params(es.DensityMatrix(x_matrices(diag, coh)).mat)
+        assert np.array_equal(back[0], diag)
+        assert np.abs(back[1] - coh).max() <= 1e-14
 
 
 # --------------------------------------------------------- trace distance
@@ -565,7 +586,7 @@ def test_fused_concurrence_matches_the_x_closed_form(kind):
     rng = np.random.default_rng(64)
     x = es.random_x_state(rng, 300) if kind == "x" else bell_diagonal_x(
         es.random_bell_diagonal(rng, 300))
-    assert np.abs(_fused_concurrence(x_matrices(*x)) - concurrence_x_batch(*x)).max() < 1e-12
+    assert np.abs(_fused_concurrence(x_matrices(*x)) - es.concurrence_x(*x)).max() < 1e-12
 
 
 def test_fused_concurrence_matches_the_pure_closed_form():
@@ -639,7 +660,7 @@ def test_batched_measures_match_scalar_ones():
     mats = np.stack([rho.mat for rho in states])
     eigs = validate_batch(mats)
     conc = concurrence_batch(mats)
-    ranks = rank_batch(eigs, 1e-10)
+    ranks = rank_batch(eigs)
     for i, rho in enumerate(states):
         assert conc[i] == es.concurrence(rho)
         assert ranks[i] == es.numerical_rank(rho)

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entswap as es
-from entswap.qstate import (
-    EIGENVALUE_FLOOR,
-    concurrence_batch,
-    concurrence_x_batch,
-    x_eigenvalues_batch,
-)
+from entswap.ensembles import bell_diagonal_x
+from entswap.qstate import EIGENVALUE_FLOOR, concurrence_batch, x_eigenvalues_batch, x_matrices
 from entswap.swap import (
     conditional_states,
     conditional_x_states,
@@ -21,6 +17,7 @@ from entswap.swap import (
     swap_x_batch,
     swap_x_params,
 )
+from tests.test_qstate import x_params
 
 B = es.BellLabel
 
@@ -276,11 +273,11 @@ def test_swap_x_matches_general():
     rng = np.random.default_rng(35)
     for _ in range(1000):
         xa, xb = es.random_x_state(rng), es.random_x_state(rng)
-        dm_a, dm_b = xa.to_density_matrix(), xb.to_density_matrix()
+        dm_a, dm_b = es.DensityMatrix(x_matrices(*xa)), es.DensityMatrix(x_matrices(*xb))
         for outcome in B:
             fast, probability = swap_x_params(xa, xb, outcome)
             general = es.swap_general(dm_a, dm_b, outcome)
-            assert np.abs(fast.to_matrix() - general.state.mat).max() < 1e-12
+            assert np.abs(x_matrices(*fast) - general.state.mat).max() < 1e-12
             assert probability == pytest.approx(general.probability, abs=1e-12)
 
 
@@ -289,8 +286,9 @@ def test_swap_of_x_states_stays_x():
     for _ in range(300):
         xa, xb = es.random_x_state(rng), es.random_x_state(rng)
         for outcome in B:
-            out = es.swap_general(xa.to_density_matrix(), xb.to_density_matrix(), outcome)
-            es.as_x_state(out.state, tol=1e-12)  # raises if any stray entry
+            out = es.swap_general(es.DensityMatrix(x_matrices(*xa)),
+                                  es.DensityMatrix(x_matrices(*xb)), outcome)
+            x_params(out.state.mat, tol=1e-12)  # raises if any stray entry
 
 
 def test_rank2_self_swap_values():
@@ -301,33 +299,32 @@ def test_rank2_self_swap_values():
     assert res.state.mat[1, 2].real == pytest.approx(-0.32, abs=1e-12)
     assert es.concurrence(res.state) == pytest.approx(0.64, abs=1e-12)
     assert res.probability == pytest.approx(0.25, abs=1e-12)
-    x = es.as_x_state(sigma)
+    x = x_params(sigma.mat)
     fast, _ = swap_x_params(x, x, B.PSI_MINUS)
-    assert fast.c23.real == pytest.approx(-0.32, abs=1e-12)
-    assert es.concurrence_x(fast) == pytest.approx(0.64, abs=1e-12)
+    assert fast[1][1].real == pytest.approx(-0.32, abs=1e-12)
+    assert es.concurrence_x(*fast) == pytest.approx(0.64, abs=1e-12)
 
 
 def test_swap_x_bell_lookup():
     for (la, lb), lout in PSI_MINUS_LOOKUP.items():
-        xa = es.as_x_state(es.bell_density(la))
-        xb = es.as_x_state(es.bell_density(lb))
+        xa = x_params(es.bell_density(la).mat)
+        xb = x_params(es.bell_density(lb).mat)
         out, _ = swap_x_params(xa, xb, B.PSI_MINUS)
-        assert es.trace_distance(out.to_density_matrix(), es.bell_density(lout)) < 1e-12
+        assert es.trace_distance(es.DensityMatrix(x_matrices(*out)), es.bell_density(lout)) < 1e-12
 
 
 # ------------------------------------------------ stacked X-state kernel
 
 
 def _x_stack(states):
-    return (np.concatenate([x.to_stack()[0] for x in states]),
-            np.concatenate([x.to_stack()[1] for x in states]))
+    return tuple(map(np.stack, zip(*states)))
 
 
 def _x_pairs(kind, seed, n=40):
     # complex coherences (random X-states) or real ones (Bell-diagonal)
     rng = np.random.default_rng(seed)
     draw = (es.random_x_state if kind == "x"
-            else lambda g: es.random_bell_diagonal(g).to_x_state())
+            else lambda g: bell_diagonal_x(es.random_bell_diagonal(g)))
     return [(draw(rng), draw(rng)) for _ in range(n)]
 
 
@@ -339,14 +336,15 @@ def test_stacked_x_kernel_is_bit_equal_to_batch_of_one(kind):
     assert possible.all()
     assert coh.dtype == (complex if kind == "x" else float)
     diag, coh, eigs = diag.reshape(-1, 4, 4), coh.reshape(-1, 4, 2), eigs.reshape(-1, 4, 4)
+    conc = es.concurrence_x(diag, coh)
     for n, (xa, xb) in enumerate(pairs):
         for k, outcome in enumerate(B):
             x, p = swap_x_params(xa, xb, outcome)
             assert p == prob[n, k]
-            assert np.array_equal(x.to_stack()[0][0], diag[n, k])
-            assert np.array_equal(x.to_stack()[1][0], coh[n, k])
-            assert es.concurrence_x(x) == concurrence_x_batch(diag[n, k], coh[n, k])
-            assert np.array_equal(x.eigenvalues(), eigs[n, k])
+            assert np.array_equal(x[0], diag[n, k])
+            assert np.array_equal(x[1], coh[n, k])
+            assert es.concurrence_x(*x) == conc[n, k]
+            assert np.array_equal(x_eigenvalues_batch(*x), eigs[n, k])
 
 
 @pytest.mark.parametrize("kind", ["x", "bell-diagonal"])
@@ -354,19 +352,18 @@ def test_stacked_x_kernel_agrees_with_the_general_engine(kind):
     pairs = _x_pairs(kind, 44)
     out, prob_x = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
     _, (diag, coh), eigs_x = conditional_x_states(out, prob_x)
-    raw, prob = swap_batch(np.stack([a.to_matrix() for a, _ in pairs]),
-                           np.stack([b.to_matrix() for _, b in pairs]))
+    raw, prob = swap_batch(x_matrices(*_x_stack([a for a, _ in pairs])),
+                           x_matrices(*_x_stack([b for _, b in pairs])))
     _, states, eigs = conditional_states(raw, prob)
-    embedded = np.stack([es.XState(*d, *c).to_matrix() for d, c in zip(diag, coh)])
-    assert np.abs(embedded - states).max() < 1e-12
+    assert np.abs(x_matrices(diag, coh) - states).max() < 1e-12
     assert np.abs(prob_x - prob).max() < 1e-12
     assert np.abs(eigs_x - eigs).max() < 1e-12
-    assert np.abs(concurrence_x_batch(diag, coh) - concurrence_batch(states)).max() < 1e-12
+    assert np.abs(es.concurrence_x(diag, coh) - concurrence_batch(states)).max() < 1e-12
 
 
 def test_stacked_x_kernel_skips_impossible_outcomes_like_the_scalar_path():
     # the X-state |HH><HH| paired with itself kills both psi outcomes
-    hh = es.XState(1.0, 0.0, 0.0, 0.0)
+    hh = np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(2)
     pairs = [*_x_pairs("x", 45, n=2), (hh, hh), *_x_pairs("bell-diagonal", 46, n=2)]
     out, prob = swap_x_batch(_x_stack([a for a, _ in pairs]), _x_stack([b for _, b in pairs]))
     possible, (diag, _), eigs = conditional_x_states(out, prob)
@@ -424,8 +421,8 @@ def test_all_outcomes_probabilities_sum_to_one():
 def test_all_outcomes_complete_for_bell_diagonal(weights_a, weights_b):
     wa = np.array(weights_a) / sum(weights_a)
     wb = np.array(weights_b) / sum(weights_b)
-    rho_a = es.BellDiagonalParams(*wa).to_density_matrix()
-    rho_b = es.BellDiagonalParams(*wb).to_density_matrix()
+    rho_a = es.DensityMatrix(x_matrices(*bell_diagonal_x(wa)))
+    rho_b = es.DensityMatrix(x_matrices(*bell_diagonal_x(wb)))
     results = es.swap_all_outcomes(rho_a, rho_b)
     assert sum(r.probability for r in results) == pytest.approx(1.0, abs=1e-10)
 
@@ -477,14 +474,12 @@ def test_bell_swap_of_x_states_conserves_exactly():
     # for X inputs the closed-form concurrence makes conservation exact:
     # the swap only permutes populations and re-phases the coherences
     rng = np.random.default_rng(39)
-    bell_x = es.as_x_state(es.bell_density(B.PHI_PLUS))
+    bell_x = x_params(es.bell_density(B.PHI_PLUS).mat)
     for _ in range(300):
         x = es.random_x_state(rng)
         for outcome in B:
             out, _ = swap_x_params(x, bell_x, outcome)
-            assert es.concurrence_x(out) == pytest.approx(
-                es.concurrence_x(x), abs=1e-12
-            )
+            assert es.concurrence_x(*out) == pytest.approx(es.concurrence_x(*x), abs=1e-12)
 
 
 # ----------------------------------------------- pure-state swap identity
@@ -659,20 +654,22 @@ def _x_pair_at_normalization(rng, norm, low):
 
 
 def _swap_x(chi_a, chi_b, outcome):
-    return es.SwapResult(*swap_x_params(chi_a, chi_b, outcome), outcome)
+    # the X state as a matrix with the X route's own eigenvalues
+    x, p = swap_x_params(chi_a, chi_b, outcome)
+    return es.SwapResult(es.DensityMatrix._checked(x_matrices(*x), x_eigenvalues_batch(*x)),
+                         p, outcome)
 
 
 def _routes_at_normalization(rng, norm, low):
     """Every swap route's results for a pair of _x_pair_at_normalization,
-    with a random unitary on modes 1 and 4 for the general routes (the X
-    route's results as SwapResults of XStates), and the refusals of
-    impossible outcomes."""
+    with a random unitary on modes 1 and 4 for the general routes, and the
+    refusals of impossible outcomes."""
     x_a, x_b = _x_pair_at_normalization(rng, norm, low)
     u1, u4 = es.haar_unitary(rng, 2), es.haar_unitary(rng, 2)
     local = (np.kron(u1, np.eye(2)), np.kron(np.eye(2), u4))
-    rho_a, rho_b = (es.DensityMatrix(u @ es.qstate.x_matrices(*x)[0] @ u.conj().T)
+    rho_a, rho_b = (es.DensityMatrix(u @ x_matrices(*x)[0] @ u.conj().T)
                     for u, x in zip(local, (x_a, x_b)))
-    chi_a, chi_b = (es.XState(*x[0][0], *x[1][0]) for x in (x_a, x_b))
+    chi_a, chi_b = ((x[0][0], x[1][0]) for x in (x_a, x_b))
     results, impossible = [], []
     calls = [lambda: es.swap_all_outcomes(rho_a, rho_b),
              lambda: [es.swap_via_beamsplitter(rho_a, rho_b)]]
@@ -769,7 +766,7 @@ def test_x_routes_reject_the_same_improbable_outcome_past_its_disk(monkeypatch):
     with pytest.raises(es.ValidationError, match=message):
         conditional_x_states(out, prob)
     monkeypatch.setattr(es.swap, "swap_x_batch", lambda a, b: (out, prob))
-    chi = es.XState(0.25, 0.25, 0.25, 0.25)
+    chi = np.full(4, 0.25), np.zeros(2)
     for outcome in B:
         with pytest.raises(es.ValidationError, match=message):
             swap_x_params(chi, chi, outcome)
