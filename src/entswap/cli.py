@@ -9,6 +9,7 @@ invariant check), 2 on usage, parse or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -36,7 +37,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
+def _seed(flag: "int | None") -> int:
+    """--seed's value, else ENTSWAP_SEED's, else 42."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("ENTSWAP_SEED")
     if raw is None:
         return 42
@@ -107,7 +111,7 @@ def _load_state(path: str) -> DensityMatrix:
             obj = json.load(fh)
     except OSError as exc:
         raise _UsageFailure(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding, or too deep
         raise _UsageFailure(f"parse error in {path}: {exc}")
     try:
         return matrix_from_json_dict(obj)
@@ -117,6 +121,18 @@ def _load_state(path: str) -> DensityMatrix:
 
 class _UsageFailure(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _run_parameters():
+    """A ValueError by which the library refuses a run parameter, as a usage
+    failure; a ValidationError (a drawn or derived state) stays one."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        raise _UsageFailure(str(exc))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -129,7 +145,7 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_swap(args) -> int:
     rho_a = _load_state(args.state_a)
     rho_b = _load_state(args.state_b)
-    outcome = BellLabel.from_string(args.outcome)
+    outcome = BellLabel(args.outcome)
     result = swap_general(rho_a, rho_b, outcome)
     payload = {
         "outcome": outcome.value,
@@ -146,14 +162,10 @@ def _cmd_swap(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
+    with _run_parameters():
         records, report = experiments.run_experiment(
-            args.name, args.samples, args.seed, ensemble=args.ensemble,
+            args.name, args.samples, _seed(args.seed), ensemble=args.ensemble,
             workers=args.workers, fmt=args.fmt)
-    except ValidationError:
-        raise  # a drawn or derived state, not the usage
-    except ValueError as exc:
-        raise _UsageFailure(str(exc))
     out = Path(args.out) if args.out else Path(f"{args.name}.{args.fmt}")
     try:
         experiments.write_records(records, out)
@@ -171,8 +183,10 @@ def _sample_pass(ensemble, chunks):
 
 
 def _cmd_sample(args) -> int:
-    mats = np.concatenate(experiments.run_passes(_sample_pass, ensembles.RngStream(args.seed),
-                                                 args.samples, args.workers, (args.ensemble,)))
+    with _run_parameters():
+        mats = np.concatenate(experiments.run_passes(
+            functools.partial(_sample_pass, args.ensemble), ensembles.RngStream(_seed(args.seed)),
+            args.samples, args.workers))
     states = map(DensityMatrix._checked, mats, validate_batch(mats, lambda n: f"sample {n}"))
     text = "".join(json.dumps(matrix_to_json_dict(rho)) + "\n" for rho in states)
     if args.out:
@@ -190,14 +204,6 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
     }
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
-        if getattr(args, "samples", 1) < 1:
-            raise _UsageFailure(f"--samples must be at least 1, got {args.samples}")
-        if getattr(args, "workers", 1) < 1:
-            raise _UsageFailure(f"--workers must be at least 1, got {args.workers}")
-        if getattr(args, "seed", 0) < 0:
-            raise _UsageFailure(f"--seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)
     except _UsageFailure as exc:
         print(f"entswap: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (BellLabel, DensityMatrix, bell_vector, pure_batch, validate_x_batch,
-                     x_matrices)
+from .qstate import (NORM_TOL, BellLabel, DensityMatrix, bell_vector, pure_batch,
+                     validate_x_batch, x_matrices)
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,15 @@ class RngStream:
     derives an independent generator keyed by (seed, stream_id, i). The
     experiments key one per draw chunk by its first sample index, so
     draws are reproducible no matter how the chunks are spread across
-    workers.
+    workers. A negative seed raises ValueError.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng((self.seed, self.stream_id))
@@ -105,8 +109,8 @@ def _check_weights(w: np.ndarray) -> None:
     total = w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3]
     # negated bounds, so that NaN fails them
     low = np.minimum(np.minimum(w[..., 0], w[..., 1]), np.minimum(w[..., 2], w[..., 3]))
-    for bad, rule in ((~(low >= -1e-12), "be nonnegative"),
-                      (~(np.abs(total - 1.0) <= 1e-12), "sum to 1")):
+    for bad, rule in ((~(low >= -NORM_TOL), "be nonnegative"),
+                      (~(np.abs(total - 1.0) <= NORM_TOL), "sum to 1")):
         if bad.any():
             row = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"weights must {rule}, got {tuple(w[row].tolist())}")

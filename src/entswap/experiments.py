@@ -148,10 +148,10 @@ class Experiment(NamedTuple):
     """An experiment: draw, swap, measure, check, emit.
 
     ``draw(args, rng, lo, hi)`` draws the samples [lo, hi) of one draw
-    chunk from ``rng``: a tuple of stacks. ``inputs(args, drawn, lo)``
-    turns a pass's draws, stacked (see _stacked), of the samples from
-    ``lo`` on, into validated inputs a and b and their per-sample input
-    columns; ``outcomes`` swaps them (see _general_outcomes). A run has
+    chunk from ``rng``: a tuple of stacks. ``inputs(drawn, lo)`` turns a
+    pass's draws, stacked (see _stacked), of the samples from ``lo`` on,
+    into validated inputs a and b and their per-sample input columns;
+    ``outcomes(a, b, where)`` swaps them (see _general_outcomes). A run has
     ``combos`` input classes of ``args.samples`` samples each.
     ``extras(report, per_sample)`` adds to the report's extras (per_sample
     is {} unless a check reads it).
@@ -172,10 +172,10 @@ def _blocks(stop: int, group: "int | None" = None) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _keyed_pass(pass_fn, stream, args, los, his):
+def _keyed_pass(pass_fn, stream, los, his):
     """pass_fn on the pass of draw chunks [los[i], his[i]), each keyed in
     the process that runs it."""
-    return pass_fn(*args, [(stream.substream(lo), lo, hi) for lo, hi in zip(los, his)])
+    return pass_fn([(stream.substream(lo), lo, hi) for lo, hi in zip(los, his)])
 
 
 # Bytes of each pool process's shared reply mapping (see _serve); a reply
@@ -212,13 +212,11 @@ def _start_pool(size: int) -> list:
     shared reply mapping made before it forks (none unless it forks)."""
     import mmap
     import multiprocessing
-    import socket
-    from multiprocessing.connection import Connection
 
     fork = multiprocessing.get_start_method() == "fork"
     pool = []
     for _ in range(size):
-        mine, theirs = (Connection(sock.detach()) for sock in socket.socketpair())
+        mine, theirs = multiprocessing.Pipe()  # a socket pair on POSIX
         mapping = mmap.mmap(-1, _REPLY_BYTES) if fork else None
         # the process closes the caller's ends it inherits and the caller
         # closes the process's end, so that a socket reads EOF once the
@@ -336,21 +334,23 @@ def _pooled(fn, los, his, workers: int) -> list:
     return done + [result for _, share in replies for result in share]
 
 
-def run_passes(pass_fn, stream: RngStream, n: int, workers: int, args: tuple = (),
-               group: "int | None" = None) -> list:
-    """pass_fn(*args, chunks) of each pass over range(n), in order. range(n)
-    is cut into draw chunks (see _blocks), none straddling a multiple of
-    ``group``; a pass is a run of at most PASS_CHUNKS consecutive chunks of
-    one process's share, and ``chunks`` lists them as (rng, lo, hi), rng
-    being stream.substream(lo). ``workers`` counts the processes that run
-    passes, the caller included: with workers > 1 and more than one chunk,
-    in the caller and the process's worker pool (see _pooled), at most one
-    process per chunk; a call whose pool broke, by a worker dying, runs
-    again on a fresh one."""
+def run_passes(pass_fn, stream: RngStream, n: int, workers: int, classes: int = 1) -> list:
+    """pass_fn(chunks) of each pass over range(classes * n), ``classes``
+    input classes of ``n`` samples, in order. It is cut into draw chunks
+    (see _blocks), none straddling two classes; a pass is a run of at most
+    PASS_CHUNKS consecutive chunks of one process's share, and ``chunks``
+    lists them as (rng, lo, hi), rng being stream.substream(lo).
+    ``workers`` counts the processes that run passes, the caller included:
+    with workers > 1 and more than one chunk, in the caller and the
+    process's worker pool (see _pooled), at most one process per chunk; a
+    call whose pool broke, by a worker dying, runs again on a fresh one.
+    An ``n`` or ``workers`` below 1 is a ValueError."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    los, his = zip(*_blocks(n, group))
-    fn = functools.partial(_keyed_pass, pass_fn, stream, args)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    los, his = zip(*_blocks(classes * n, n))
+    fn = functools.partial(_keyed_pass, pass_fn, stream)
     workers = min(workers, len(los))
     if workers <= 1:
         return _run_share(fn, los, his)
@@ -375,7 +375,7 @@ def _input_columns(lo, mats, side, what=None):
             f"rank_{side}": rank_batch(eigs)}
 
 
-def _general_outcomes(rho_a, rho_b, where, args):
+def _general_outcomes(rho_a, rho_b, where):
     """Swap a stack of pairs through all four outcomes. Returns the kept
     outcomes' indices into _OUTCOMES, the (N, kept) masks of the possible
     ones and their probabilities, the possible outputs' concurrences and
@@ -385,14 +385,14 @@ def _general_outcomes(rho_a, rho_b, where, args):
     return _ALL_OUTCOMES, possible, prob, wootters_batch(eigs, vecs), eigs, {}
 
 
-def _x_outcomes(x_a, x_b, where, args):
+def _x_outcomes(x_a, x_b, where):
     """_general_outcomes for a stack of X-stack pairs, in closed form."""
     out, prob = swap_x_batch(x_a, x_b)
     possible, x, eigs = conditional_x_states(out, prob, where)
     return _ALL_OUTCOMES, possible, prob, concurrence_x(*x), eigs, {}
 
 
-def _oracle_outcomes(rho_a, rho_b, where, args):
+def _oracle_outcomes(rho_a, rho_b, where):
     """_general_outcomes for psi- alone, also swapped by the balanced
     beamsplitter (only at reflectivity 1/2 does a coincidence herald psi-
     alone), conditioned alike: the columns trace_distance and prob_diff
@@ -412,7 +412,7 @@ def _oracle_outcomes(rho_a, rho_b, where, args):
              "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
 
 
-def _no_outcomes(a, b, where, args):
+def _no_outcomes(a, b, where):
     """_general_outcomes of an experiment that swaps nothing: no outcome."""
     empty = np.zeros((0, 0))
     return _ALL_OUTCOMES[:0], empty.astype(bool), empty, np.zeros(0), np.zeros((0, 4)), {}
@@ -444,8 +444,8 @@ def _swapped(spec: Experiment, args, fmt, drawn: tuple, edges: list) -> Part:
     own in records format ``fmt``, which keeps the renderer's temporaries
     to a chunk's size."""
     lo, hi = edges[0], edges[-1]
-    a, b, inputs = spec.inputs(args, drawn, lo)
-    kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"), args)
+    a, b, inputs = spec.inputs(drawn, lo)
+    kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"))
     n, j = np.nonzero(possible)
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
             "rank_f": rank_batch(eigs)}
@@ -490,7 +490,7 @@ def _conserve_draw(args, rng, lo, hi):
     return STATE_ENSEMBLES[args.ensemble](rng, hi - lo),
 
 
-def _conserve_inputs(args, drawn, lo):
+def _conserve_inputs(drawn, lo):
     rho, = drawn
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
     ones = np.ones(len(rho), dtype=int)
@@ -502,7 +502,7 @@ def _belldiag_draw(args, rng, lo, hi):
     return random_bell_diagonal(rng, hi - lo), random_bell_diagonal(rng, hi - lo)
 
 
-def _belldiag_inputs(args, drawn, lo):
+def _belldiag_inputs(drawn, lo):
     x_a, x_b = map(bell_diagonal_x, drawn)
     columns = {}
     for side, x in (("a", x_a), ("b", x_b)):
@@ -516,7 +516,7 @@ def _pure_draw(args, rng, lo, hi):
     return random_pure(rng, hi - lo), random_pure(rng, hi - lo)
 
 
-def _pure_inputs(args, drawn, lo):
+def _pure_inputs(drawn, lo):
     va, vb = drawn
     c_a, c_b = pure_concurrence(va), pure_concurrence(vb)
     low = np.minimum(c_a, c_b)
@@ -527,7 +527,7 @@ def _pure_inputs(args, drawn, lo):
     return rho_a, rho_b, {"c_a": c_a, "c_b": c_b, "rank_a": ones, "rank_b": ones, "ratio": ratio}
 
 
-def _general_inputs(args, drawn, lo):
+def _general_inputs(drawn, lo):
     """Pairs of general states, each side validated for its columns."""
     rho_a, rho_b = drawn
     return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
@@ -545,7 +545,7 @@ def _rank2_draw(args, rng, lo, hi):
     return np.arange(lo + 1, hi + 1) / (args.samples + 1),
 
 
-def _rank2_inputs(args, drawn, lo):
+def _rank2_inputs(drawn, lo):
     alphas, = drawn
     sigma = rank2_bell_mixtures(alphas)
     c = np.abs(2.0 * alphas - 1.0)
@@ -562,7 +562,7 @@ def _haar_draw(args, rng, lo, hi):
     return haar_unitary(rng, 4, hi - lo),
 
 
-def _haar_inputs(args, drawn, lo):
+def _haar_inputs(drawn, lo):
     """Per-sample phase sums and sums of squares of the eigenvalues of the
     drawn unitaries."""
     phases = np.angle(np.linalg.eigvals(drawn[0]))
@@ -710,8 +710,8 @@ def run_experiment(name: str, samples: int, seed: int, *,
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
-    record rows. The name, ``ensemble`` and ``fmt`` are checked before any
-    pass runs; every rank is counted at DEFAULT_RANK_TOL.
+    record rows. Each argument is checked before any pass runs (ValueError);
+    every rank is counted at DEFAULT_RANK_TOL.
     """
     t0 = time.perf_counter()
     if name not in EXPERIMENTS:
@@ -722,12 +722,12 @@ def run_experiment(name: str, samples: int, seed: int, *,
         raise ValueError(f"unknown ensemble {ensemble!r}; "
                          f"expected one of {', '.join(STATE_ENSEMBLES)}")
     spec, args = EXPERIMENTS[name], Args(samples, ensemble)
-    total = spec.combos * samples
-    parts = run_passes(_swap_pass, RngStream(seed, _STREAM_IDS[name]), total, workers,
-                       (name, args, fmt), samples)
+    parts = run_passes(functools.partial(_swap_pass, name, args, fmt),
+                       RngStream(seed, _STREAM_IDS[name]), samples, workers, spec.combos)
     # the passes cover the samples in order from 0
     per_sample = _joined([part.per_sample for part in parts])
-    report = BoundReport(name, total, seed, skipped=sum(part.skipped for part in parts))
+    report = BoundReport(name, spec.combos * samples, seed,
+                         skipped=sum(part.skipped for part in parts))
     _apply_checks(report, spec.checks, [part.tallies for part in parts], args, per_sample)
     if spec.extras:
         report.extras.update(spec.extras(report, per_sample))

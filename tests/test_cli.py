@@ -48,11 +48,14 @@ def test_swap_command_unwritable_output(phi_plus_file, tmp_path, capsys):
 
 
 def test_swap_command_rejects_malformed_json(tmp_path, capsys):
+    # bytes that are not UTF-8 and nesting past the recursion limit used to
+    # escape as UnicodeDecodeError and RecursionError tracebacks
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["swap", str(bad), str(bad)])
-    assert rc == 2
-    assert "parse error" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{", b"[" * 200_000 + b"]" * 200_000):
+        bad.write_bytes(content)
+        rc = main(["swap", str(bad), str(bad)])
+        assert rc == 2
+        assert re.fullmatch(r"entswap: parse error in .*\n", capsys.readouterr().err)
 
 
 def test_swap_command_refuses_a_malformed_entry(tmp_path, capsys):
@@ -60,11 +63,16 @@ def test_swap_command_refuses_a_malformed_entry(tmp_path, capsys):
     # part loaded as 0 into a valid state
     bool_part = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
     bool_part["matrix"][3][3] = [0.25, False]
-    for payload in ({"basis": ",".join(es.BASIS_LABELS), "matrix": [[{}]]}, bool_part):
+    # an integer too large for a float used to escape as an OverflowError
+    huge_part = es.matrix_to_json_dict(es.DensityMatrix.maximally_mixed())
+    huge_part["matrix"][0][1] = [10 ** 400, 0]
+    for payload in ({"basis": ",".join(es.BASIS_LABELS), "matrix": [[{}]]}, bool_part,
+                    huge_part):
         bad = tmp_path / "entry.json"
         bad.write_text(json.dumps(payload))
         assert main(["swap", str(bad), str(bad)]) == 2
-        assert "invalid state" in capsys.readouterr().err
+        assert re.fullmatch(r"entswap: invalid state in .*: malformed matrix entries: .*\n",
+                            capsys.readouterr().err)
 
 
 def test_swap_command_names_violated_invariant(tmp_path, capsys):
@@ -237,8 +245,7 @@ def test_every_route_refuses_an_impossible_outcome_in_the_same_words(tmp_path, c
               lambda: es.swap_oracle_16(hh, hh, psi),
               lambda: es.swap_via_beamsplitter(hh, hh),
               lambda: swap_x_params(x_hh, x_hh, psi),
-              lambda: ex._oracle_outcomes(a, b, lambda n, k: f"sample {n}",
-                                          ex.Args(4, "bures")))
+              lambda: ex._oracle_outcomes(a, b, lambda n, k: f"sample {n}"))
     for route, where in zip(routes, ["", "", "", "", " (sample 2)"]):
         with pytest.raises(es.ImpossibleOutcome) as info:
             route()

@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib.util
 import itertools
@@ -104,8 +105,8 @@ def test_haar_stats_flags_a_planted_phase_bias(monkeypatch):
     # flag here; a shift of 0.1 (z = 4.94 at this seed) would stay under the bound
     spec = ex.EXPERIMENTS["haar-stats"]
 
-    def biased(args, drawn, lo):
-        a, b, cols = spec.inputs(args, drawn, lo)
+    def biased(drawn, lo):
+        a, b, cols = spec.inputs(drawn, lo)
         return a, b, {"phase_sum": cols["phase_sum"] + 0.8,
                       "phase_sq": cols["phase_sq"] + 0.4 * cols["phase_sum"] + 0.16}
 
@@ -130,7 +131,7 @@ def test_haar_phase_sum_variances_match_monte_carlo():
     # 10^5 unitaries at a fixed seed: the standard error of each sample
     # variance is about 0.3%
     drawn = ex._haar_draw(None, np.random.default_rng(2001), 0, 100_000)
-    _, _, cols = ex._haar_inputs(None, drawn, 0)
+    _, _, cols = ex._haar_inputs(drawn, 0)
     assert np.var(cols["phase_sum"]) == pytest.approx(ex.HAAR_VAR_SUM, rel=0.02)
     assert np.var(cols["phase_sq"]) == pytest.approx(ex.HAAR_VAR_SQ, rel=0.02)
     assert np.mean(cols["phase_sq"]) == pytest.approx(4.0 * np.pi ** 2 / 3.0, rel=0.005)
@@ -206,11 +207,26 @@ def test_every_check_is_reported_under_its_own_name(name, samples):
         assert 0.0 <= reported["worst"] <= check.tol, check.name
 
 
-def test_runners_reject_empty_sample_counts():
+def test_runners_reject_empty_sample_counts(monkeypatch):
     with pytest.raises(ValueError, match="at least 1"):
         ex.run_experiment("conserve", 0, 1)
     with pytest.raises(ValueError, match="at least 1"):
         ex.run_experiment("rank2-selfswap", 0, 0)
+    # rank's count is named as given, not as the total of its 16 classes
+    with pytest.raises(ValueError, match="^sample count must be at least 1, got -2$"):
+        ex.run_experiment("rank", -2, 0)
+    # worker counts below 1 and a negative seed are refused too, each by
+    # its value, before any pass runs
+    calls, real = [], ex._swap_pass
+    monkeypatch.setattr(ex, "_swap_pass", lambda *a: calls.append(a) or real(*a))
+    for workers in (0, -1, -3):
+        with pytest.raises(ValueError, match=f"^worker count must be at least 1, got {workers}$"):
+            ex.run_experiment("pure", 300, 1, workers=workers)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        ex.run_experiment("pure", 300, -1)
+    assert calls == []
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        es.RngStream(-1)
 
 
 # ------------------------------------------------------------ determinism
@@ -458,15 +474,16 @@ def test_an_error_in_the_callers_share_waits_for_the_pool(tmp_path):
     stream = es.RngStream(seed=1, stream_id=0)
     _pool_call(3)  # makes the pool, unless an earlier call did
     with pytest.raises(ValueError, match=f"^chunk {size}$"):
-        ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, {size}))
+        ex.run_passes(functools.partial(_pass_failing_at, tmp_path, {size}), stream, n, 3)
     # the pool's two shares ran to their ends before the caller's error
     assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
     # with errors in every share, the first failing chunk's is raised, as on
     # one process
     for workers in (1, 3):
         with pytest.raises(ValueError, match=f"^chunk {size}$"):
-            ex.run_passes(_pass_failing_at, stream, n, workers, (tmp_path, range(size, n)))
-    passes = ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, ()))
+            ex.run_passes(functools.partial(_pass_failing_at, tmp_path, range(size, n)), stream,
+                          n, workers)
+    passes = ex.run_passes(functools.partial(_pass_failing_at, tmp_path, ()), stream, n, 3)
     assert _per_chunk(passes) == list(range(0, n, size))
 
 
@@ -477,7 +494,8 @@ def test_the_callers_error_wins_over_a_pool_shares(tmp_path):
     _pool_call(3)
     workers = multiprocessing.active_children()
     with pytest.raises(ValueError, match=f"^chunk {size}$"):
-        ex.run_passes(_pass_failing_at, stream, n, 3, (tmp_path, {size, n - size}))
+        ex.run_passes(functools.partial(_pass_failing_at, tmp_path, {size, n - size}), stream,
+                      n, 3)
     # the last share failed at its last chunk, after running all of it
     assert _chunks_run(tmp_path) == [0, size, *range(4 * size, n, size)]
     # failing shares leave the pool in service
@@ -501,10 +519,11 @@ def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error, monkeypatc
     for mapping_bytes in (ex._REPLY_BYTES, 16):
         monkeypatch.setattr(ex, "_REPLY_BYTES", mapping_bytes)
         ex._close_pool()
-        ex.run_passes(_pass_raising, stream, 4 * ex.DRAW_SAMPLES, 2, (None, None))
+        ex.run_passes(functools.partial(_pass_raising, None, None), stream,
+                      4 * ex.DRAW_SAMPLES, 2)
         with pytest.raises(type(error)) as info:
-            ex.run_passes(_pass_raising, stream, 4 * ex.DRAW_SAMPLES, 2,
-                          (error, 2 * ex.DRAW_SAMPLES))
+            ex.run_passes(functools.partial(_pass_raising, error, 2 * ex.DRAW_SAMPLES), stream,
+                          4 * ex.DRAW_SAMPLES, 2)
         assert type(info.value) is type(error) and info.value.args == error.args
         assert vars(info.value) == vars(error)
         assert "raised in a pool process" in str(info.value.__cause__)
@@ -661,10 +680,10 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kep
     if kept_prob is not None:
         prob[possible] = kept_prob
 
-    def inputs(args, drawn, lo):
+    def inputs(drawn, lo):
         return None, None, {key: column[:len(possible)] for key, column in _EDGE_INPUTS.items()}
 
-    def outcomes(a, b, where, args):
+    def outcomes(a, b, where):
         return ex._ALL_OUTCOMES, possible, prob, c_f, eigs, {}
 
     monkeypatch.setitem(ex.EXPERIMENTS, "edge",

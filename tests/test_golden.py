@@ -150,12 +150,12 @@ def _in_blocks(outcomes, size):
     def take(stack, rows):
         return tuple(part[rows] for part in stack) if isinstance(stack, tuple) else stack[rows]
 
-    def split(a, b, where, args):
+    def split(a, b, where):
         parts = []
         for lo in range(0, len(b[0] if isinstance(b, tuple) else b), size):
             rows = slice(lo, lo + size)
             parts.append(outcomes(take(a, rows), take(b, rows),
-                                  lambda n, k=None, lo=lo: where(lo + n, k), args))
+                                  lambda n, k=None, lo=lo: where(lo + n, k)))
         kept, *stacks, extra = zip(*parts)
         return (kept[0], *map(np.concatenate, stacks),
                 {key: np.concatenate([part[key] for part in extra]) for key in extra[0]})

@@ -72,9 +72,9 @@ def test_bell_orthonormality():
 
 def test_bell_label_round_trip():
     for label in es.BellLabel:
-        assert es.BellLabel.from_string(label.value) is label
-    with pytest.raises(ValueError, match="unknown Bell label"):
-        es.BellLabel.from_string("sigma+")
+        assert es.BellLabel(label.value) is label
+    with pytest.raises(ValueError, match="not a valid BellLabel"):
+        es.BellLabel("sigma+")
 
 
 # ------------------------------------------------------------ validation
