@@ -103,6 +103,16 @@ SAMPLE_GOLDEN = {
     "x": "7c851c6f2fbdec09f640969c9640703c7f0b6a642129e9e509f0fd222d429358",
 }
 
+# sha256 of `entswap swap a.json b.json --outcome <outcome> --out out.json`,
+# stdout and out.json alike (the same text), for the pair a, b written by
+# `entswap sample bures --samples 2 --seed 3`: all four outcomes possible.
+SWAP_GOLDEN = {
+    "psi+": "26bcaf39ee02c328f0090347a670cfbb7c17dd49f4968bb3bc4f697563201d28",
+    "psi-": "e6d411d2550842da0d626248616120ff89bb80f1b086330dba1c3562e2b51e09",
+    "phi+": "84fa074f9b0c3b1b4ab7d8578c96f0320d0219945aeb312860acba394dc65a6a",
+    "phi-": "0cccffca2ed773e7e7261b55432c616e73740dc79e6aa3edfc27ddbf7913d1bc",
+}
+
 # haar-stats writes header-only records; its phase sums are accumulated in
 # sample order, so its summary is the same on any worker count. Its two
 # checks' worst values are the |z| of the phase sum and the sum of squares.
@@ -187,3 +197,19 @@ def test_sample_output_matches_golden_hashes(capsys, ensemble):
         assert cli.main(argv) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_GOLDEN[ensemble], workers
+
+
+@pytest.mark.parametrize("outcome", sorted(SWAP_GOLDEN))
+def test_swap_output_matches_golden_hashes(tmp_path, capsys, outcome):
+    pair = tmp_path / "pair.jsonl"
+    assert cli.main(["sample", "bures", "--samples", "2", "--seed", "3",
+                     "--out", str(pair)]) == cli.EXIT_OK
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, line in zip(paths, pair.read_text().splitlines()):
+        path.write_text(line)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert cli.main(["swap", *map(str, paths), "--outcome", outcome,
+                     "--out", str(out)]) == cli.EXIT_OK
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert stdout == hashlib.sha256(out.read_bytes()).hexdigest() == SWAP_GOLDEN[outcome]
