@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (NORM_TOL, BellLabel, DensityMatrix, bell_vector, pure_batch,
+from .qstate import (NORM_TOL, BellLabel, DensityMatrix, _trace, bell_vector, pure_batch,
                      validate_x_batch, x_matrices)
 
 
@@ -68,7 +68,7 @@ def haar_unitary(rng: np.random.Generator, n: int, size: "int | None" = None) ->
 
 def _normalized(m: np.ndarray, size: "int | None"):
     # unit trace; a validated state, or for an int size the raw stack
-    m = m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    m = m / _trace(m).real[..., None, None]
     return DensityMatrix(m) if size is None else m
 
 

@@ -366,13 +366,16 @@ def _where(lo: int, what: str):
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
-def _input_columns(lo, mats, side, what=None):
-    """Validate a stack of general inputs; their columns c_<side> and
-    rank_<side>, both from validation's eigendecomposition. Errors name
-    each as ``what`` (default "input <side>")."""
-    eigs, vecs = validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
-    return {f"c_{side}": wootters_batch(eigs, vecs),
-            f"rank_{side}": rank_batch(eigs)}
+def _input_columns(lo, what=None, **sides):
+    """Validate each stack ``sides[side]`` of N general inputs on its own, in
+    order, as if alone; then measure their columns c_<side> and rank_<side>
+    in one stacked call. Errors name each as ``what`` (default "input <side>")."""
+    eigs, vecs = map(np.concatenate, zip(*(
+        validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
+        for side, mats in sides.items())))
+    c, r = (col.reshape(len(sides), -1) for col in (wootters_batch(eigs, vecs), rank_batch(eigs)))
+    return {f"{key}_{side}": col[i] for i, side in enumerate(sides)
+            for key, col in (("c", c), ("rank", r))}
 
 
 def _general_outcomes(rho_a, rho_b, where):
@@ -398,18 +401,17 @@ def _oracle_outcomes(rho_a, rho_b, where):
     alone), conditioned alike: the columns trace_distance and prob_diff
     compare the two routes. The first pair whose psi- either route finds
     impossible raises ImpossibleOutcome."""
-    raw, prob = swap_batch(rho_a, rho_b)
     psi = slice(_PSI, _PSI + 1)
+    raw, prob = swap_batch(rho_a, rho_b, psi)
     named = lambda n, *_: where(n, _PSI)
-    possible, states, (eigs, vecs) = conditional_states(raw[:, psi], prob[:, psi], named,
-                                                        vectors=True)
-    refuse_impossible(possible, prob[:, psi], BellLabel.PSI_MINUS, named)
+    possible, states, (eigs, vecs) = conditional_states(raw, prob, named, vectors=True)
+    refuse_impossible(possible, prob, BellLabel.PSI_MINUS, named)
     out, coincidence = swap_via_beamsplitter_batch(rho_a, rho_b, 0.5)
     seen, physical, _ = conditional_states(out, coincidence, named)
     refuse_impossible(seen, coincidence, BellLabel.PSI_MINUS, named)
-    return (_ALL_OUTCOMES[psi], possible, prob[:, psi], wootters_batch(eigs, vecs), eigs,
+    return (_ALL_OUTCOMES[psi], possible, prob, wootters_batch(eigs, vecs), eigs,
             {"trace_distance": trace_distance_batch(states, physical),
-             "prob_diff": np.abs(prob[:, _PSI] - coincidence)})
+             "prob_diff": np.abs(prob[:, 0] - coincidence)})
 
 
 def _no_outcomes(a, b, where):
@@ -494,7 +496,7 @@ def _conserve_inputs(drawn, lo):
     rho, = drawn
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
     ones = np.ones(len(rho), dtype=int)
-    return rho, bell, {**_input_columns(lo, rho, "a", "input"),
+    return rho, bell, {**_input_columns(lo, "input", a=rho),
                        "c_b": ones.astype(float), "rank_b": ones}
 
 
@@ -530,7 +532,7 @@ def _pure_inputs(drawn, lo):
 def _general_inputs(drawn, lo):
     """Pairs of general states, each side validated for its columns."""
     rho_a, rho_b = drawn
-    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
+    return rho_a, rho_b, _input_columns(lo, a=rho_a, b=rho_b)
 
 
 def _rank_draw(args, rng, lo, hi):

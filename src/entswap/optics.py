@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .qstate import BellLabel, DensityMatrix, conditional_states, refuse_impossible
+from .qstate import BellLabel, DensityMatrix, _trace, conditional_states, refuse_impossible
 from .swap import SwapResult
 
 MODE_LABELS = (
@@ -138,7 +138,7 @@ def swap_via_beamsplitter_batch(a, b, eta: float) -> "tuple[np.ndarray, np.ndarr
                     np.reshape(a, (-1, 2, 2, 2, 2)), np.reshape(b, (-1, 2, 2, 2, 2)),
                     optimize=["einsum_path", (0, 1), (0, 1)])
     out = out.reshape(-1, 4, 4)
-    return out, out.trace(axis1=-2, axis2=-1).real
+    return out, _trace(out).real
 
 
 def swap_via_beamsplitter(

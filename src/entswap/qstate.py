@@ -93,6 +93,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trace(m: np.ndarray) -> np.ndarray:
+    """m.trace(axis1=-2, axis2=-1) of a complex stack (..., 4, 4), bit for bit but
+    without the strided reduction: numpy's pairwise order, from its +0.0."""
+    return 0.0 + ((m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3]))
+
+
 def _raise_first(values: np.ndarray, bad: np.ndarray, message, where) -> None:
     # ValidationError for the first flagged matrix of a stack, if any
     if not bad.any():
@@ -150,7 +156,7 @@ def validate_batch(mats: np.ndarray, where=None, prob=None, vectors=False):
                      "hermiticity invariant violated: max |m_ij - conj(m_ji)| = {:.3e}", where)
     # eigvalsh and eigh read one triangle, which Hermiticity (checked
     # above) makes equivalent to the Hermitized matrix to within tolerance
-    traces = mats.trace(axis1=-2, axis2=-1)
+    traces = _trace(mats)
     if not vectors:
         return _check_spectrum(traces, np.linalg.eigvalsh(mats), weight, where)
     eigs, vecs = np.linalg.eigh(mats)
@@ -253,11 +259,14 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
 
 def _possible(prob: np.ndarray, where):
     """The one floor test: the mask of the outcomes of probabilities prob
-    (...) that can be conditioned on, their probabilities, and ``where``
-    naming the j-th of them, in row-major mask order, by its index."""
+    (...) that can be conditioned on, ``take`` gathering a stack (..., *) at
+    them in row-major order (a reshape when all are), their probabilities,
+    and ``where`` naming the j-th of them by its index."""
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
+    take = ((lambda x: x.reshape((-1,) + x.shape[possible.ndim:])) if possible.all()
+            else (lambda x: x[possible]))
     named = None if where is None else (lambda j: where(*np.argwhere(possible)[j]))
-    return possible, prob[possible], named
+    return possible, take, take(prob), named
 
 
 def refuse_impossible(possible: np.ndarray, prob: np.ndarray, outcome: BellLabel,
@@ -283,8 +292,8 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=Fa
     place; ``where(*index)`` names a state that fails validation, at
     tolerances divided by its probability.
     """
-    possible, kept, named = _possible(prob, where)
-    states = raw[possible] / kept[:, None, None]
+    possible, take, kept, named = _possible(prob, where)
+    states = take(raw) / kept[:, None, None]
     return possible, states, validate_batch(states, named, kept, vectors)
 
 
@@ -293,9 +302,9 @@ def conditional_x_states(out, prob: np.ndarray, where=None):
     coh (..., 2)), whose traces are twice the probabilities prob (...): the
     mask, the validated X stack (M, 4), (M, 2) in row-major mask order and
     its descending eigenvalues (M, 4)."""
-    possible, kept, named = _possible(prob, where)
+    possible, take, kept, named = _possible(prob, where)
     norm = 2.0 * kept[:, None]
-    x = out[0][possible] / norm, out[1][possible] / norm
+    x = take(out[0]) / norm, take(out[1]) / norm
     return possible, x, validate_x_batch(*x, named, kept)
 
 

@@ -26,6 +26,7 @@ from .qstate import (  # noqa: F401
     BellLabel,
     DensityMatrix,
     ImpossibleOutcome,
+    _trace,
     bell_vector,
     conditional_states,
     conditional_x_states,
@@ -77,27 +78,28 @@ class SwapResult:
     outcome: BellLabel
 
 
-def swap_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """All four outcomes for a stack of input pairs a, b of shape (N, 4, 4).
+def swap_batch(a, b, outcomes: slice = slice(None)) -> "tuple[np.ndarray, np.ndarray]":
+    """The K outcomes that the slice ``outcomes`` selects (default all four)
+    for a stack of input pairs a, b of shape (N, 4, 4).
 
     Returns the unnormalized operators on modes (1, 4) left by projecting
-    modes (2, 3) of a (x) b onto each Bell state, shape (N, 4, 4, 4)
+    modes (2, 3) of a (x) b onto each Bell state, shape (N, K, 4, 4)
     indexed [sample, outcome (BellLabel order), row, col], and their
-    traces, the outcome probabilities (N, 4). Each entry is the four-term
+    traces, the outcome probabilities (N, K). Each entry is the four-term
     bilinear combination of input entries given by the two Bell
     amplitudes, summed in a fixed order so it is reproducible bit for bit.
     """
-    slab_a = np.asarray(a).reshape(-1, 16)[:, _GATHER_A]  # [n, t, u, k, m1, m1']
-    slab_b = np.asarray(b).reshape(-1, 16)[:, _GATHER_B]  # [n, t, u, k, m4, m4']
-    out = np.zeros((len(slab_a), 4, 2, 2, 2, 2), dtype=complex)  # [n, k, m1, m4, m1', m4']
-    # one term pair (t, u) at a time, so no temporary outgrows ``out``
+    slab_a = np.asarray(a).reshape(-1, 16)[:, _GATHER_A[:, :, outcomes]]  # [n, t, u, k, m1, m1']
+    slab_b = np.asarray(b).reshape(-1, 16)[:, _GATHER_B[:, :, outcomes]]  # [n, t, u, k, m4, m4']
+    out = np.zeros((len(slab_a), slab_a.shape[3], 2, 2, 2, 2), dtype=complex)
+    # out[n, k, m1, m4, m1', m4'], one term pair (t, u) at a time: no temporary outgrows it
     for t in range(2):
         for u in range(2):
             term = slab_a[:, t, u, :, :, None, :, None] * slab_b[:, t, u, :, None, :, None, :]
-            term *= _WEIGHTS[t, u]
+            term *= _WEIGHTS[t, u, outcomes]
             out += term
-    raw = out.reshape(-1, 4, 4, 4)
-    return raw, raw.trace(axis1=-2, axis2=-1).real
+    raw = out.reshape(out.shape[:2] + (4, 4))
+    return raw, _trace(raw).real
 
 
 def swap_x_batch(a, b):
@@ -132,10 +134,10 @@ def _conditioned(condition, out, prob: np.ndarray, outcome: BellLabel):
 
 
 def _swap_one(route, rho_a: DensityMatrix, rho_b: DensityMatrix, outcome: BellLabel) -> SwapResult:
-    """One outcome of a stacked route on the pair as a batch of one."""
+    """One outcome of a stacked route, swapped alone, on the pair as a batch of one."""
     k = _OUTCOMES.index(outcome)
-    raw, prob = route(rho_a.mat[None], rho_b.mat[None])
-    states, eigs, probability = _conditioned(conditional_states, raw[:, k], prob[:, k], outcome)
+    raw, prob = route(rho_a.mat[None], rho_b.mat[None], slice(k, k + 1))
+    states, eigs, probability = _conditioned(conditional_states, raw[:, 0], prob[:, 0], outcome)
     return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
 
 
@@ -191,20 +193,20 @@ _V = np.array([np.kron(np.kron(np.eye(2), bell_vector(label).conj()[None]), np.e
                for label in _OUTCOMES])
 
 
-def swap_oracle_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+def swap_oracle_batch(a, b, outcomes: slice = slice(None)) -> "tuple[np.ndarray, np.ndarray]":
     """Brute-force reference with swap_batch's contract: form each pair's
     16x16 joint state a (x) b on modes (1, 2, 3, 4) and compress it to
-    modes (1, 4) as V_k (a (x) b) V_k^dag for each outcome k, the Bell
-    projection of modes (2, 3) and their partial trace in one step.
+    modes (1, 4) as V_k (a (x) b) V_k^dag for each selected outcome k, the
+    Bell projection of modes (2, 3) and their partial trace in one step.
 
-    Returns the unnormalized outputs (N, 4, 4, 4) and their traces, the
-    outcome probabilities (N, 4). Kept deliberately independent of
+    Returns the unnormalized outputs (N, K, 4, 4) and their traces, the
+    outcome probabilities (N, K). Kept deliberately independent of
     swap_batch's gather tables so the two can cross-check each other.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    a, b, v = np.asarray(a), np.asarray(b), _V[outcomes]
     joint = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 16, 16)
-    raw = _V @ joint[:, None] @ _V.conj().swapaxes(-1, -2)
-    return raw, raw.trace(axis1=-2, axis2=-1).real
+    raw = v @ joint[:, None] @ v.conj().swapaxes(-1, -2)
+    return raw, _trace(raw).real
 
 
 def swap_oracle_16(

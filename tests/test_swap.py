@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import entswap as es
 from entswap.ensembles import bell_diagonal_x
-from entswap.qstate import EIGENVALUE_FLOOR, concurrence_batch, x_eigenvalues_batch, x_matrices
+from entswap.qstate import (
+    EIGENVALUE_FLOOR,
+    concurrence_batch,
+    pure_batch,
+    x_eigenvalues_batch,
+    x_matrices,
+)
 from entswap.swap import (
     conditional_states,
     conditional_x_states,
@@ -391,6 +397,33 @@ def test_stacked_x_outputs_name_sample_and_outcome():
 
 
 # -------------------------------------------------------- all outcomes
+
+
+def _input_stacks(kind, seed, n=30):
+    """Stacks a, b (n, 4, 4) of Bures, pure or X-matrix inputs, or empty ones."""
+    rng = np.random.default_rng(seed)
+    if kind == "bures":
+        return es.random_bures(rng, size=n), es.random_bures(rng, size=n)
+    if kind == "pure":
+        return pure_batch(es.random_pure(rng, n)), pure_batch(es.random_pure(rng, n))
+    if kind == "x":
+        pairs = _x_pairs("x", seed, n)
+        return tuple(x_matrices(*_x_stack(side)) for side in zip(*pairs))
+    return np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 4, 4), dtype=complex)
+
+
+@pytest.mark.parametrize("route", [swap_batch, swap_oracle_batch])
+@pytest.mark.parametrize("kind", ["bures", "pure", "x", "empty"])
+def test_selected_outcomes_are_bit_equal_to_the_full_call(kind, route):
+    a, b = _input_stacks(kind, 47)
+    raw, prob = route(a, b)
+    assert raw.shape == (len(a), 4, 4, 4) and prob.shape == (len(a), 4)
+    for k in range(4):
+        one_raw, one_prob = route(a, b, slice(k, k + 1))
+        assert one_raw.shape == (len(a), 1, 4, 4) and one_prob.shape == (len(a), 1)
+        # bytes, so that a -0.0 in place of a 0.0 fails too
+        assert one_raw.tobytes() == np.ascontiguousarray(raw[:, k:k + 1]).tobytes()
+        assert one_prob.tobytes() == np.ascontiguousarray(prob[:, k:k + 1]).tobytes()
 
 
 def test_projection_is_bilinear_in_the_inputs():
