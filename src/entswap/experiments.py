@@ -366,16 +366,13 @@ def _where(lo: int, what: str):
         "" if k is None else f", outcome {_OUTCOMES[k]}")
 
 
-def _input_columns(lo, what=None, **sides):
-    """Validate each stack ``sides[side]`` of N general inputs on its own, in
-    order, as if alone; then measure their columns c_<side> and rank_<side>
-    in one stacked call. Errors name each as ``what`` (default "input <side>")."""
-    eigs, vecs = map(np.concatenate, zip(*(
-        validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
-        for side, mats in sides.items())))
-    c, r = (col.reshape(len(sides), -1) for col in (wootters_batch(eigs, vecs), rank_batch(eigs)))
-    return {f"{key}_{side}": col[i] for i, side in enumerate(sides)
-            for key, col in (("c", c), ("rank", r))}
+def _input_columns(lo, mats, side, what=None):
+    """Validate a stack of general inputs; their columns c_<side> and
+    rank_<side>, both from validation's eigendecomposition. Errors name
+    each as ``what`` (default "input <side>")."""
+    eigs, vecs = validate_batch(mats, _where(lo, what or f"input {side}"), vectors=True)
+    return {f"c_{side}": wootters_batch(eigs, vecs),
+            f"rank_{side}": rank_batch(eigs)}
 
 
 def _general_outcomes(rho_a, rho_b, where):
@@ -496,7 +493,7 @@ def _conserve_inputs(drawn, lo):
     rho, = drawn
     bell = np.broadcast_to(bell_density(BellLabel.PHI_PLUS).mat, rho.shape)
     ones = np.ones(len(rho), dtype=int)
-    return rho, bell, {**_input_columns(lo, "input", a=rho),
+    return rho, bell, {**_input_columns(lo, rho, "a", "input"),
                        "c_b": ones.astype(float), "rank_b": ones}
 
 
@@ -532,7 +529,7 @@ def _pure_inputs(drawn, lo):
 def _general_inputs(drawn, lo):
     """Pairs of general states, each side validated for its columns."""
     rho_a, rho_b = drawn
-    return rho_a, rho_b, _input_columns(lo, a=rho_a, b=rho_b)
+    return rho_a, rho_b, {**_input_columns(lo, rho_a, "a"), **_input_columns(lo, rho_b, "b")}
 
 
 def _rank_draw(args, rng, lo, hi):

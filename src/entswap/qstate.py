@@ -95,7 +95,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _trace(m: np.ndarray) -> np.ndarray:
     """m.trace(axis1=-2, axis2=-1) of a complex stack (..., 4, 4), bit for bit but
-    without the strided reduction: numpy's pairwise order, from its +0.0."""
+    without the strided reduction: numpy's pairwise order, from its +0.0. (A
+    stack stored sample-innermost, as in Fortran order, numpy adds left to right.)"""
     return 0.0 + ((m[..., 0, 0] + m[..., 1, 1]) + (m[..., 2, 2] + m[..., 3, 3]))
 
 
@@ -259,14 +260,11 @@ def validate_x_batch(diag: np.ndarray, coh: np.ndarray, where=None, prob=None) -
 
 def _possible(prob: np.ndarray, where):
     """The one floor test: the mask of the outcomes of probabilities prob
-    (...) that can be conditioned on, ``take`` gathering a stack (..., *) at
-    them in row-major order (a reshape when all are), their probabilities,
-    and ``where`` naming the j-th of them by its index."""
+    (...) that can be conditioned on, their probabilities, and ``where``
+    naming the j-th of them, in row-major mask order, by its index."""
     possible = ~(2.0 * prob <= NORMALIZATION_FLOOR)  # NaN stays, for validation
-    take = ((lambda x: x.reshape((-1,) + x.shape[possible.ndim:])) if possible.all()
-            else (lambda x: x[possible]))
     named = None if where is None else (lambda j: where(*np.argwhere(possible)[j]))
-    return possible, take, take(prob), named
+    return possible, prob[possible], named
 
 
 def refuse_impossible(possible: np.ndarray, prob: np.ndarray, outcome: BellLabel,
@@ -292,8 +290,8 @@ def conditional_states(raw: np.ndarray, prob: np.ndarray, where=None, vectors=Fa
     place; ``where(*index)`` names a state that fails validation, at
     tolerances divided by its probability.
     """
-    possible, take, kept, named = _possible(prob, where)
-    states = take(raw) / kept[:, None, None]
+    possible, kept, named = _possible(prob, where)
+    states = raw[possible] / kept[:, None, None]
     return possible, states, validate_batch(states, named, kept, vectors)
 
 
@@ -302,9 +300,9 @@ def conditional_x_states(out, prob: np.ndarray, where=None):
     coh (..., 2)), whose traces are twice the probabilities prob (...): the
     mask, the validated X stack (M, 4), (M, 2) in row-major mask order and
     its descending eigenvalues (M, 4)."""
-    possible, take, kept, named = _possible(prob, where)
+    possible, kept, named = _possible(prob, where)
     norm = 2.0 * kept[:, None]
-    x = take(out[0]) / norm, take(out[1]) / norm
+    x = out[0][possible] / norm, out[1][possible] / norm
     return possible, x, validate_x_batch(*x, named, kept)
 
 

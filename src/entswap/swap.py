@@ -134,10 +134,10 @@ def _conditioned(condition, out, prob: np.ndarray, outcome: BellLabel):
 
 
 def _swap_one(route, rho_a: DensityMatrix, rho_b: DensityMatrix, outcome: BellLabel) -> SwapResult:
-    """One outcome of a stacked route, swapped alone, on the pair as a batch of one."""
+    """One outcome of a stacked route on the pair as a batch of one."""
     k = _OUTCOMES.index(outcome)
-    raw, prob = route(rho_a.mat[None], rho_b.mat[None], slice(k, k + 1))
-    states, eigs, probability = _conditioned(conditional_states, raw[:, 0], prob[:, 0], outcome)
+    raw, prob = route(rho_a.mat[None], rho_b.mat[None])
+    states, eigs, probability = _conditioned(conditional_states, raw[:, k], prob[:, k], outcome)
     return SwapResult(DensityMatrix._checked(states[0], eigs[0]), probability, outcome)
 
 
@@ -193,19 +193,19 @@ _V = np.array([np.kron(np.kron(np.eye(2), bell_vector(label).conj()[None]), np.e
                for label in _OUTCOMES])
 
 
-def swap_oracle_batch(a, b, outcomes: slice = slice(None)) -> "tuple[np.ndarray, np.ndarray]":
+def swap_oracle_batch(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Brute-force reference with swap_batch's contract: form each pair's
     16x16 joint state a (x) b on modes (1, 2, 3, 4) and compress it to
-    modes (1, 4) as V_k (a (x) b) V_k^dag for each selected outcome k, the
-    Bell projection of modes (2, 3) and their partial trace in one step.
+    modes (1, 4) as V_k (a (x) b) V_k^dag for each outcome k, the Bell
+    projection of modes (2, 3) and their partial trace in one step.
 
-    Returns the unnormalized outputs (N, K, 4, 4) and their traces, the
-    outcome probabilities (N, K). Kept deliberately independent of
+    Returns the unnormalized outputs (N, 4, 4, 4) and their traces, the
+    outcome probabilities (N, 4). Kept deliberately independent of
     swap_batch's gather tables so the two can cross-check each other.
     """
-    a, b, v = np.asarray(a), np.asarray(b), _V[outcomes]
+    a, b = np.asarray(a), np.asarray(b)
     joint = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 16, 16)
-    raw = v @ joint[:, None] @ v.conj().swapaxes(-1, -2)
+    raw = _V @ joint[:, None] @ _V.conj().swapaxes(-1, -2)
     return raw, _trace(raw).real
 
 

@@ -863,28 +863,6 @@ def test_belldiag_input_errors_name_the_sample(monkeypatch):
         ex.run_experiment("belldiag", 6, 5)
 
 
-def test_fused_input_columns_match_each_side_measured_alone():
-    rng = np.random.default_rng(5)
-    a, b = es.random_bures(rng, size=37), es.random_induced(rng, 2, size=37)
-    fused = ex._input_columns(11, a=a, b=b)
-    alone = {**ex._input_columns(11, a=a), **ex._input_columns(11, b=b)}
-    assert list(fused) == list(alone) == ["c_a", "rank_a", "c_b", "rank_b"]
-    for key, column in alone.items():
-        assert fused[key].dtype == column.dtype and fused[key].tobytes() == column.tobytes()
-
-
-def test_fused_input_columns_raise_the_first_broken_side_as_if_alone():
-    # side a's Hermiticity fault at sample 5 is checked before side b's NaN
-    # at sample 0, which one check of both stacks would report first
-    rng = np.random.default_rng(5)
-    a, b = es.random_bures(rng, size=8), es.random_bures(rng, size=8)
-    a[5, 0, 1] += 1e-6
-    b[0, 2, 2] = np.nan
-    with pytest.raises(es.ValidationError, match=r"^hermiticity invariant violated: "
-                       r".*\(input a of sample 5\)$"):
-        ex._input_columns(0, a=a, b=b)
-
-
 def _plant(monkeypatch, name, plants):
     """Experiment ``name`` with plants[n](a, b, i) applied to the drawn pair
     of sample n at index i of its draw chunk, in a fresh pool's processes
