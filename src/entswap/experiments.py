@@ -23,7 +23,6 @@ import contextlib
 import functools
 import gc
 import json
-import pickle
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -178,55 +177,45 @@ def _keyed_pass(pass_fn, stream, los, his):
     return pass_fn([(stream.substream(lo), lo, hi) for lo, hi in zip(los, his)])
 
 
-# Bytes of each pool process's shared reply mapping (see _serve); a reply
-# is about 390 kB for 768 belldiag samples with CSV text.
-_REPLY_BYTES = 4 << 20
-
-
 class _BrokenPool(RuntimeError):
     """A pool process ended before it sent back its share's result."""
 
 
-# The process's one worker pool, as [(process, connection, reply mapping)]:
-# processes that run passes beside the caller, each driven over its own
-# socket pair, made by the first call that asks for workers and kept for
-# later calls, which use its first processes; only a call that needs more
-# replaces it. Keeping it pays in a process that makes several workers > 1
-# calls (run_experiment in a loop); a one-shot CLI run forks one pool
-# either way.
+# The process's one worker pool, as [(process, connection)]: processes that
+# run passes beside the caller, each driven over its own socket pair, which
+# carries each share to it and its reply back, made by the first call that
+# asks for workers and kept for later calls, which use its first processes;
+# only a call that needs more replaces it. Keeping it pays in a process that
+# makes several workers > 1 calls (run_experiment in a loop); a one-shot CLI
+# run forks one pool either way.
 _pool: list = []
 
 
 def _close_pool() -> None:
     """End the pool: each process exits at EOF on its socket."""
-    for _, conn, _ in _pool:
+    for _, conn in _pool:
         conn.close()
-    for process, _, _ in _pool:
+    for process, _ in _pool:
         process.join()
     _pool.clear()
 
 
 def _start_pool(size: int) -> list:
     """``size`` processes of the default multiprocessing context, each
-    serving shares (see _serve) over its own socket pair, with an anonymous
-    shared reply mapping made before it forks (none unless it forks)."""
-    import mmap
+    serving shares (see _serve) over its own socket pair."""
     import multiprocessing
 
-    fork = multiprocessing.get_start_method() == "fork"
     pool = []
     for _ in range(size):
         mine, theirs = multiprocessing.Pipe()  # a socket pair on POSIX
-        mapping = mmap.mmap(-1, _REPLY_BYTES) if fork else None
         # the process closes the caller's ends it inherits and the caller
         # closes the process's end, so that a socket reads EOF once the
         # process at its other end is gone
         process = multiprocessing.Process(
-            target=_serve, args=(theirs, [conn for _, conn, _ in pool] + [mine], mapping),
-            daemon=True)
+            target=_serve, args=(theirs, [conn for _, conn in pool] + [mine]), daemon=True)
         process.start()
         theirs.close()
-        pool.append((process, mine, mapping))
+        pool.append((process, mine))
     return pool
 
 
@@ -238,14 +227,10 @@ def _run_share(fn, los, his) -> list:
             for i in range(0, len(los), PASS_CHUNKS)]
 
 
-def _serve(conn, inherited, mapping) -> None:
+def _serve(conn, inherited) -> None:
     """A pool process: run each share (fn, los, his) that arrives on
-    ``conn`` and reply (None, its passes' results), or (the error it
-    raised, that error's traceback text); return at EOF. The reply is
-    pickled into ``mapping`` and its length sent, unless it does not fit
-    there: then the reply itself is sent."""
-    from multiprocessing.reduction import ForkingPickler
-
+    ``conn`` and send back (None, its passes' results), or (the error it
+    raised, that error's traceback text); return at EOF."""
     for other in inherited:
         other.close()
     while True:
@@ -258,31 +243,21 @@ def _serve(conn, inherited, mapping) -> None:
         except Exception as exc:
             import traceback
             reply = exc, traceback.format_exc()
-        message = reply
-        if mapping is not None:
-            mapping.seek(0)
-            with contextlib.suppress(ValueError):  # written past the mapping's end
-                ForkingPickler(mapping, 5).dump(reply)
-                message = mapping.tell()
         try:
-            conn.send(message)
+            conn.send(reply)
         except OSError:  # the caller has closed its end
             return
-        del reply, message  # freed once the caller has the length
+        del reply  # held while the next share runs, it raised the pool's peak memory
 
 
-def _receive(conn, mapping) -> tuple:
-    """The reply (error, value) to the share sent on ``conn``, read from
-    ``mapping`` when its length comes, an error chained to its traceback in
-    the pool process; a _BrokenPool error when the socket reads EOF or
-    fails."""
+def _receive(conn) -> tuple:
+    """The reply (error, value) to the share sent on ``conn``, an error
+    chained to its traceback in the pool process; a _BrokenPool error when
+    the socket reads EOF or fails."""
     try:
-        reply = conn.recv()
+        error, value = conn.recv()
     except (EOFError, OSError):
         return _BrokenPool("a pool process ended before it sent back its share"), None
-    if isinstance(reply, int):
-        reply = pickle.loads(memoryview(mapping)[:reply])
-    error, value = reply
     if error is not None:
         error.__cause__ = RuntimeError(f"raised in a pool process:\n{value}")
     return error, value
@@ -293,15 +268,17 @@ def _pooled(fn, los, his, workers: int) -> list:
     ``workers`` processes: the chunks are cut into ``workers`` contiguous
     shares whose sizes differ by at most one, the larger first, and each
     share into passes (see _run_share). The caller sends each pool process
-    one of the trailing shares, runs the first share itself and then
-    receives the others in order. A call that makes the pool runs its
-    first pass here before the pool forks, so the pool shares the code and
-    caches that pass warmed instead of warming a private copy; the objects
-    alive then are frozen out of the cyclic collector (gc.freeze) for the
-    life of the process. Whatever the shares raise, every share has ended
-    before the call returns, and the error of the first failing pass in
-    order is raised; a pool process that died closes the pool and raises
-    _BrokenPool, unless an earlier share failed."""
+    one of the trailing shares over its socket, runs the first share itself
+    and then receives the others' replies over the same sockets, in order;
+    each reply crosses its socket whole, whatever its size. A call that
+    makes the pool runs its first pass here before the pool forks, so the
+    pool shares the code and caches that pass warmed instead of warming a
+    private copy; the objects alive then are frozen out of the cyclic
+    collector (gc.freeze) for the life of the process. Whatever the shares
+    raise, every share has ended before the call returns, and the error of
+    the first failing pass in order is raised; a pool process that died
+    closes the pool and raises _BrokenPool, unless an earlier share
+    failed."""
     cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
     done, ran = [], 0
     if len(_pool) < workers - 1:
@@ -314,14 +291,14 @@ def _pooled(fn, los, his, workers: int) -> list:
         _pool.extend(_start_pool(workers - 1))
     pool = _pool[:workers - 1]
     try:
-        for (_, conn, _), a, b in zip(pool, cuts[1:], cuts[2:]):
+        for (_, conn), a, b in zip(pool, cuts[1:], cuts[2:]):
             with contextlib.suppress(OSError):  # a dead process: _receive says so
                 conn.send((fn, los[a:b], his[a:b]))
         try:
             replies = [(None, _run_share(fn, los[ran:cuts[1]], his[ran:cuts[1]]))]
         except Exception as exc:
             replies = [(exc, None)]
-        replies += [_receive(conn, mapping) for _, conn, mapping in pool]
+        replies += [_receive(conn) for _, conn in pool]
     except BaseException:
         # a reply left unread would answer the next call's share
         _close_pool()

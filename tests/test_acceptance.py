@@ -12,7 +12,7 @@ import pytest
 
 import entswap as es
 from entswap import experiments as ex
-from entswap.qstate import concurrence_batch, concurrence_x, x_matrices
+from entswap.qstate import concurrence_batch, concurrence_x, validate_batch, x_matrices
 from entswap.swap import conditional_states, conditional_x_states, swap_batch, swap_x_batch
 from tests.test_swap import PSI_MINUS_LOOKUP
 
@@ -154,11 +154,14 @@ def test_criterion_09_x_state_machinery():
 
 
 def test_criterion_10_probability_completeness():
+    # the stacked engine; the scalar swap_all_outcomes is covered by
+    # tests/test_swap.py::test_all_outcomes_probabilities_sum_to_one
     rng = np.random.default_rng(SEED + 10)
-    worst = 0.0
-    for _ in range(10_000):
-        rho_a, rho_b = es.random_bures(rng), es.random_bures(rng)
-        total = sum(r.probability for r in es.swap_all_outcomes(rho_a, rho_b))
-        worst = max(worst, abs(total - 1.0))
+    rho_a, rho_b = es.random_bures(rng, size=10_000), es.random_bures(rng, size=10_000)
+    validate_batch(rho_a)
+    validate_batch(rho_b)
+    raw, prob = swap_batch(rho_a, rho_b)
+    conditional_states(raw, prob)  # each possible outcome's state is valid
+    worst = np.abs(prob.sum(axis=1) - 1.0).max()
     ok = worst < 1e-10
     _report(10, ok, f"10^4 Bures pairs, max |sum of probabilities - 1| = {worst:.2e}")

@@ -132,7 +132,7 @@ def test_random_pure_properties():
 
 def test_bell_diagonal_simplex():
     rng = _rng(8)
-    draws = np.array([es.random_bell_diagonal(rng) for _ in range(N_MOMENT)])
+    draws = es.random_bell_diagonal(rng, N_MOMENT)
     assert np.abs(draws.sum(axis=1) - 1.0).max() < 1e-12
     # Dirichlet(1,1,1,1) marginals: mean 1/4, var 3/80
     bound = 3.0 * np.sqrt(3.0 / 80.0 / N_MOMENT)

@@ -399,22 +399,18 @@ def test_a_call_that_needs_fewer_processes_keeps_the_pool():
     kept = []
     for samples in (1500, 400) * 4:
         ex.run_experiment("belldiag", samples, 3, workers=3, fmt="csv")
-        kept.append([process.pid for process, _, _ in ex._pool])
+        kept.append([process.pid for process, _ in ex._pool])
     assert len(kept[0]) == 2 and kept == kept[:1] * 8
     assert {p.pid for p in multiprocessing.active_children()} == set(kept[0])
     assert _pool_call(2) == [os.getpid()] * 6 + [kept[0][0]] * 6
     # one that needs more replaces it
     _pool_call(4)
-    assert len(ex._pool) == 3 and not {p.pid for p, _, _ in ex._pool} & set(kept[0])
+    assert len(ex._pool) == 3 and not {p.pid for p, _ in ex._pool} & set(kept[0])
 
 
-def test_replies_that_overrun_the_mapping_cross_the_socket(monkeypatch):
-    # a share's reply is pickled into its process's mapping...
-    ex._close_pool()
-    ex.run_experiment("belldiag", 700, 9, workers=3, fmt="csv")
-    assert [mapping[:2] for _, _, mapping in ex._pool] == [b"\x80\x05"] * 2
-    # ...unless it is larger, as every one is than a 4 KiB mapping
-    monkeypatch.setattr(ex, "_REPLY_BYTES", 4096)
+def test_replies_cross_the_sockets_and_match_one_process():
+    # every pool share's reply, records and tallies, crosses its process's
+    # socket; the text and the summary are those of one process
     ex._close_pool()
     try:
         for fmt in ("csv", "json"):
@@ -424,7 +420,7 @@ def test_replies_that_overrun_the_mapping_cross_the_socket(monkeypatch):
                 del report.runtime_ms
                 runs[workers] = records.text, vars(report)
             assert runs[2] == runs[1] and runs[3] == runs[1], fmt
-            assert [len(mapping) for _, _, mapping in ex._pool] == [4096, 4096]
+            assert len(ex._pool) == 2
     finally:
         ex._close_pool()
 
@@ -435,13 +431,14 @@ multiprocessing.set_start_method("spawn")
 from entswap import experiments
 texts = {experiments.run_experiment("belldiag", 700, 5, workers=w, fmt="csv")[0].text
          for w in (1, 3)}
-print(len(texts), *(mapping for _, _, mapping in experiments._pool))
+print(len(texts))
 """
 
 
 def test_a_pool_of_another_start_method_replies_over_its_sockets(tmp_path):
-    # no mapping is inherited under spawn: the replies cross the sockets
-    assert _run_python(_SPAWNED_POOL, tmp_path).split() == ["1", "None", "None"]
+    # the pool's processes are spawned, not forked: the replies cross the
+    # sockets all the same, and the text is one process's
+    assert _run_python(_SPAWNED_POOL, tmp_path).split() == ["1"]
 
 
 def test_making_the_pool_freezes_the_objects_alive_at_the_fork():
@@ -511,22 +508,19 @@ def _pass_raising(error, at, chunks):
 
 @pytest.mark.parametrize("error", [es.ImpossibleOutcome(es.BellLabel.PSI_MINUS, 0.0),
                                    es.ValidationError("trace invariant violated")])
-def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error, monkeypatch):
-    # 4 chunks in 2 processes: chunk 2 is the pool's; its reply comes through
-    # the reply mapping, then, from a pool whose mapping it overruns, over
-    # the socket
+def test_an_error_in_a_pool_share_reaches_the_caller_as_itself(error):
+    # 4 chunks in 2 processes: chunk 2 is the pool's; its reply crosses the
+    # socket
     stream = es.RngStream(seed=1, stream_id=0)
-    for mapping_bytes in (ex._REPLY_BYTES, 16):
-        monkeypatch.setattr(ex, "_REPLY_BYTES", mapping_bytes)
-        ex._close_pool()
-        ex.run_passes(functools.partial(_pass_raising, None, None), stream,
+    ex._close_pool()
+    ex.run_passes(functools.partial(_pass_raising, None, None), stream,
+                  4 * ex.DRAW_SAMPLES, 2)
+    with pytest.raises(type(error)) as info:
+        ex.run_passes(functools.partial(_pass_raising, error, 2 * ex.DRAW_SAMPLES), stream,
                       4 * ex.DRAW_SAMPLES, 2)
-        with pytest.raises(type(error)) as info:
-            ex.run_passes(functools.partial(_pass_raising, error, 2 * ex.DRAW_SAMPLES), stream,
-                          4 * ex.DRAW_SAMPLES, 2)
-        assert type(info.value) is type(error) and info.value.args == error.args
-        assert vars(info.value) == vars(error)
-        assert "raised in a pool process" in str(info.value.__cause__)
+    assert type(info.value) is type(error) and info.value.args == error.args
+    assert vars(info.value) == vars(error)
+    assert "raised in a pool process" in str(info.value.__cause__)
     ex._close_pool()
 
 

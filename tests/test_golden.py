@@ -145,12 +145,12 @@ def test_a_killed_worker_is_replaced_by_a_fresh_pool(tmp_path):
     case = ("belldiag", 600, 7, (), "csv")
     experiments._close_pool()
     assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
-    (victim, _, _), = experiments._pool
+    (victim, _), = experiments._pool
     os.kill(victim.pid, signal.SIGKILL)
     assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
     assert _run_hashes(tmp_path, *case, 2) == GOLDEN[case]
     # a workers=2 call runs in the caller and one pool process, a fresh one
-    (fresh, _, _), = experiments._pool
+    (fresh, _), = experiments._pool
     assert multiprocessing.active_children() == [fresh] and fresh is not victim
 
 
