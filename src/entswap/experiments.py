@@ -23,6 +23,7 @@ import contextlib
 import functools
 import gc
 import json
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -171,23 +172,17 @@ def _blocks(stop: int, group: "int | None" = None) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _keyed_pass(pass_fn, stream, los, his):
-    """pass_fn on the pass of draw chunks [los[i], his[i]), each keyed in
-    the process that runs it."""
-    return pass_fn([(stream.substream(lo), lo, hi) for lo, hi in zip(los, his)])
-
-
 class _BrokenPool(RuntimeError):
     """A pool process ended before it sent back its share's result."""
 
 
 # The process's one worker pool, as [(process, connection)]: processes that
 # run passes beside the caller, each driven over its own socket pair, which
-# carries each share to it and its reply back, made by the first call that
-# asks for workers and kept for later calls, which use its first processes;
-# only a call that needs more replaces it. Keeping it pays in a process that
-# makes several workers > 1 calls (run_experiment in a loop); a one-shot CLI
-# run forks one pool either way.
+# carries each share, (pass_fn, stream, blocks), to it and its reply back,
+# made by the first call that asks for workers and kept for later calls,
+# which use its first processes; only a call that needs more replaces it.
+# Keeping it pays in a process that makes several workers > 1 calls
+# (run_experiment in a loop); a one-shot CLI run forks one pool either way.
 _pool: list = []
 
 
@@ -219,27 +214,27 @@ def _start_pool(size: int) -> list:
     return pool
 
 
-def _run_share(fn, los, his) -> list:
-    """One process's share of draw chunks [los[i], his[i]), run as passes
-    of at most PASS_CHUNKS consecutive chunks: fn(the pass's los, his) of
-    each, in order."""
-    return [fn(los[i:i + PASS_CHUNKS], his[i:i + PASS_CHUNKS])
-            for i in range(0, len(los), PASS_CHUNKS)]
+def _run_share(pass_fn, stream, blocks) -> list:
+    """One process's share of the draw chunks ``blocks``, (lo, hi) each, as
+    passes of at most PASS_CHUNKS consecutive chunks: pass_fn of each pass's
+    chunks, keyed here as (stream.substream(lo), lo, hi), in order."""
+    return [pass_fn([(stream.substream(lo), lo, hi) for lo, hi in blocks[i:i + PASS_CHUNKS]])
+            for i in range(0, len(blocks), PASS_CHUNKS)]
 
 
 def _serve(conn, inherited) -> None:
-    """A pool process: run each share (fn, los, his) that arrives on
-    ``conn`` and send back (None, its passes' results), or (the error it
+    """A pool process: run each share (pass_fn, stream, blocks) that arrives
+    on ``conn`` and send back (None, its passes' results), or (the error it
     raised, that error's traceback text); return at EOF."""
     for other in inherited:
         other.close()
     while True:
         try:
-            fn, los, his = conn.recv()
+            share = conn.recv()
         except EOFError:
             return
         try:
-            reply = None, _run_share(fn, los, his)
+            reply = None, _run_share(*share)
         except Exception as exc:
             import traceback
             reply = exc, traceback.format_exc()
@@ -263,28 +258,28 @@ def _receive(conn) -> tuple:
     return error, value
 
 
-def _pooled(fn, los, his, workers: int) -> list:
-    """fn over the passes of the draw chunks [los[i], his[i]) in
+def _pooled(pass_fn, stream, blocks, workers: int) -> list:
+    """pass_fn over the passes of the draw chunks ``blocks`` in
     ``workers`` processes: the chunks are cut into ``workers`` contiguous
     shares whose sizes differ by at most one, the larger first, and each
     share into passes (see _run_share). The caller sends each pool process
-    one of the trailing shares over its socket, runs the first share itself
-    and then receives the others' replies over the same sockets, in order;
-    each reply crosses its socket whole, whatever its size. A call that
-    makes the pool runs its first pass here before the pool forks, so the
-    pool shares the code and caches that pass warmed instead of warming a
-    private copy; the objects alive then are frozen out of the cyclic
-    collector (gc.freeze) for the life of the process. Whatever the shares
-    raise, every share has ended before the call returns, and the error of
-    the first failing pass in order is raised; a pool process that died
-    closes the pool and raises _BrokenPool, unless an earlier share
-    failed."""
-    cuts = [-(-len(los) * i // workers) for i in range(workers + 1)]
+    one of the trailing shares, as (pass_fn, stream, its chunks), over its
+    socket, runs the first share itself and then receives the others'
+    replies over the same sockets, in order; each reply crosses its socket
+    whole, whatever its size. A call that makes the pool runs its first
+    pass here before the pool forks, so the pool shares the code and caches
+    that pass warmed instead of warming a private copy; the objects alive
+    then are frozen out of the cyclic collector (gc.freeze) for the life of
+    the process. Whatever the shares raise, every share has ended before
+    the call returns, and the error of the first failing pass in order is
+    raised; a pool process that died closes the pool and raises
+    _BrokenPool, unless an earlier share failed."""
+    cuts = [-(-len(blocks) * i // workers) for i in range(workers + 1)]
     done, ran = [], 0
     if len(_pool) < workers - 1:
         _close_pool()
         ran = min(PASS_CHUNKS, cuts[1])  # the caller's first pass
-        done = _run_share(fn, los[:ran], his[:ran])
+        done = _run_share(pass_fn, stream, blocks[:ran])
         # the caller's full collections would otherwise write to every
         # tracked object, copying each page it shares with the pool
         gc.freeze()
@@ -293,9 +288,9 @@ def _pooled(fn, los, his, workers: int) -> list:
     try:
         for (_, conn), a, b in zip(pool, cuts[1:], cuts[2:]):
             with contextlib.suppress(OSError):  # a dead process: _receive says so
-                conn.send((fn, los[a:b], his[a:b]))
+                conn.send((pass_fn, stream, blocks[a:b]))
         try:
-            replies = [(None, _run_share(fn, los[ran:cuts[1]], his[ran:cuts[1]]))]
+            replies = [(None, _run_share(pass_fn, stream, blocks[ran:cuts[1]]))]
         except Exception as exc:
             replies = [(exc, None)]
         replies += [_receive(conn) for _, conn in pool]
@@ -316,25 +311,25 @@ def run_passes(pass_fn, stream: RngStream, n: int, workers: int, classes: int = 
     input classes of ``n`` samples, in order. It is cut into draw chunks
     (see _blocks), none straddling two classes; a pass is a run of at most
     PASS_CHUNKS consecutive chunks of one process's share, and ``chunks``
-    lists them as (rng, lo, hi), rng being stream.substream(lo).
-    ``workers`` counts the processes that run passes, the caller included:
-    with workers > 1 and more than one chunk, in the caller and the
-    process's worker pool (see _pooled), at most one process per chunk; a
-    call whose pool broke, by a worker dying, runs again on a fresh one.
-    An ``n`` or ``workers`` below 1 is a ValueError."""
+    lists them as (rng, lo, hi), rng being stream.substream(lo), made
+    where the pass runs. ``workers`` counts the processes that run passes,
+    the caller included: with workers > 1 and more than one chunk, in the
+    caller and the process's worker pool, which gets each share as
+    (pass_fn, stream, its chunks' edges) (see _pooled), at most one
+    process per chunk; a call whose pool broke, by a worker dying, runs
+    again on a fresh one. An ``n`` or ``workers`` below 1 is a ValueError."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    los, his = zip(*_blocks(classes * n, n))
-    fn = functools.partial(_keyed_pass, pass_fn, stream)
-    workers = min(workers, len(los))
+    blocks = _blocks(classes * n, n)
+    workers = min(workers, len(blocks))
     if workers <= 1:
-        return _run_share(fn, los, his)
+        return _run_share(pass_fn, stream, blocks)
     try:
-        return _pooled(fn, los, his, workers)
+        return _pooled(pass_fn, stream, blocks, workers)
     except _BrokenPool:
-        return _pooled(fn, los, his, workers)
+        return _pooled(pass_fn, stream, blocks, workers)
 
 
 def _where(lo: int, what: str):
@@ -564,10 +559,10 @@ def _rank_mismatch(cols, args):
 
 
 def _phase_sums(per_sample) -> tuple:
-    """The sample count and the run's sums of phase_sum and phase_sq, added
-    one sample at a time in sample order: the pass layout moves no sum."""
-    return (len(per_sample["phase_sum"]), sum(per_sample["phase_sum"].tolist()),
-            sum(per_sample["phase_sq"].tolist()))
+    """The sample count and the run's exactly rounded (math.fsum) sums of
+    phase_sum and phase_sq, which no sample order or Python version moves."""
+    return (len(per_sample["phase_sum"]), math.fsum(per_sample["phase_sum"]),
+            math.fsum(per_sample["phase_sq"]))
 
 
 def _phase_stats(per_sample) -> tuple:

@@ -107,12 +107,11 @@ def test_criterion_07_beamsplitter_equivalence():
     t0 = time.perf_counter()
     _, report = ex.run_experiment("oracle-equiv", 1000, SEED + 7)
     elapsed = time.perf_counter() - t0
-    ok = (report.extras["max_trace_distance"] < 1e-10
-          and report.extras["max_probability_diff"] < 1e-10
-          and elapsed < 30.0)
-    _report(7, ok, f"10^3 Bures pairs, max trace distance "
-                   f"{report.extras['max_trace_distance']:.2e}, max prob diff "
-                   f"{report.extras['max_probability_diff']:.2e}, {elapsed:.1f}s")
+    trace = report.checks["trace_distance"]["worst"]
+    prob = report.checks["probability_diff"]["worst"]
+    ok = trace < 1e-10 and prob < 1e-10 and elapsed < 30.0
+    _report(7, ok, f"10^3 Bures pairs, max trace distance {trace:.2e}, "
+                   f"max prob diff {prob:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_08_haar_phase_statistics():

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -78,8 +79,8 @@ def test_rank2_selfswap_grid():
 def test_oracle_equiv_small_run():
     _, report = ex.run_experiment("oracle-equiv", 25, 5)
     assert report.hard_violations == 0
-    assert report.extras["max_trace_distance"] < 1e-10
-    assert report.extras["max_probability_diff"] < 1e-10
+    assert report.checks["trace_distance"]["worst"] < 1e-10
+    assert report.checks["probability_diff"]["worst"] < 1e-10
     # the benchmark's two keys copy the checks' worst values
     assert report.extras == {"max_trace_distance": report.checks["trace_distance"]["worst"],
                              "max_probability_diff": report.checks["probability_diff"]["worst"]}
@@ -135,6 +136,12 @@ def test_haar_phase_sum_variances_match_monte_carlo():
     assert np.var(cols["phase_sum"]) == pytest.approx(ex.HAAR_VAR_SUM, rel=0.02)
     assert np.var(cols["phase_sq"]) == pytest.approx(ex.HAAR_VAR_SQ, rel=0.02)
     assert np.mean(cols["phase_sq"]) == pytest.approx(4.0 * np.pi ** 2 / 3.0, rel=0.005)
+    # the run's sums are exactly rounded, so no order and no Python version
+    # (3.12 made the built-in sum compensated) moves them
+    sums = ex._phase_sums(cols)
+    assert sums == (100_000, math.fsum(cols["phase_sum"]), math.fsum(cols["phase_sq"]))
+    order = np.random.default_rng(7).permutation(100_000)
+    assert ex._phase_sums({key: column[order] for key, column in cols.items()}) == sums
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -113,11 +113,12 @@ SWAP_GOLDEN = {
     "phi-": "0cccffca2ed773e7e7261b55432c616e73740dc79e6aa3edfc27ddbf7913d1bc",
 }
 
-# haar-stats writes header-only records; its phase sums are accumulated in
-# sample order, so its summary is the same on any worker count. Its two
-# checks' worst values are the |z| of the phase sum and the sum of squares.
+# haar-stats writes header-only records; its phase sums are exactly rounded
+# (math.fsum), so its summary is the same on any worker count and Python
+# version. Its two checks' worst values are the |z| of the phase sum and
+# the sum of squares.
 HAAR_RECORDS = "d385aea90d72c4220184d1350b92753f8b3b50c1012d6e93bb5f872890df9fad"
-HAAR_SUMMARY = "b9c30a72d051e222cfc9771fe9123786cd38037001bb32f1fb72105349589fbe"
+HAAR_SUMMARY = "ba63815ec10d2abf5a9e75d08144a24b262b4b4412fb9a683c8d6891e2d99dbd"
 
 
 def _run_hashes(tmp_path, name, samples, seed, extra, fmt, workers):
