@@ -11,10 +11,11 @@ stacks the draws, and validates, swaps, conditions, measures, tallies
 and renders them in one sequence of stacked calls. Passes emit records
 in sample-index (then outcome) order and floats are serialized with 17
 significant digits, making repeated runs byte-identical. Each pass
-expands its per-sample columns to its rows, tallies its row checks and
-renders its rows in the process that ran it; the caller merges the
-tallies and keeps the rendered pieces in pass order, and the records
-join their columns only when one is first read.
+expands its per-sample columns to its rows and tallies its row checks in
+the process that ran it, and sends back its records in one form: its
+columns, or, given a records format, its rows rendered. The caller
+merges the tallies and joins the columns, or keeps the rendered pieces
+in pass order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import gc
 import json
 import math
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -390,16 +390,15 @@ def _no_outcomes(a, b, where):
 
 
 class Part(NamedTuple):
-    """A pass's record columns, skipped outcome count, check tallies (see
-    _row_tallies), per-sample columns ({} unless a check reads them) and
-    rendered rows, one piece per draw chunk (None when the run renders
-    none)."""
+    """A pass's records (its record columns, or its rows rendered in the
+    run's records format, see _swapped), skipped outcome count, check
+    tallies over its record columns (see _row_tallies) and per-sample
+    columns ({} unless a check reads them)."""
 
-    cols: dict
+    records: "dict | list"
     skipped: int
     tallies: tuple
     per_sample: dict
-    text: "list | None"
 
 
 def _stacked(drawn: list) -> tuple:
@@ -411,9 +410,11 @@ def _stacked(drawn: list) -> tuple:
 def _swapped(spec: Experiment, args, fmt, drawn: tuple, edges: list) -> Part:
     """Swap the samples of the consecutive draw chunks between ``edges``
     (the chunks' first samples, then the last one's end) of experiment
-    ``spec``, drawn as ``drawn``. Each chunk's rows are rendered on their
-    own in records format ``fmt``, which keeps the renderer's temporaries
-    to a chunk's size."""
+    ``spec``, drawn as ``drawn``. Without a records format ``fmt`` the
+    part's records are the pass's record columns; with one, its rows
+    rendered in it, each chunk's on its own as one piece, which keeps the
+    renderer's temporaries to a chunk's size. In CSV the pass of sample 0
+    renders the header first."""
     lo, hi = edges[0], edges[-1]
     a, b, inputs = spec.inputs(drawn, lo)
     kept, possible, prob, c_f, eigs, extra = spec.outcomes(a, b, _where(lo, "output"))
@@ -421,17 +422,17 @@ def _swapped(spec: Experiment, args, fmt, drawn: tuple, edges: list) -> Part:
     rows = {"outcome": kept[j], "c_f": c_f, "prob": prob[n, j],
             "rank_f": rank_batch(eigs)}
     per_sample = {"sample": np.arange(lo, hi), **inputs, **extra}
-    cols = {**{key: column[n] for key, column in per_sample.items()}, **rows}
-    text = None
+    cols = records = {**{key: column[n] for key, column in per_sample.items()}, **rows}
     if fmt:
         starts = [edge - lo for edge in edges]
         cuts = np.searchsorted(n, starts).tolist()
-        text = [_render_rows({key: column[r0:r1] for key, column in rows.items()}, fmt,
-                             {key: column[s0:s1] for key, column in per_sample.items()},
-                             n[r0:r1] - s0)
-                for s0, s1, r0, r1 in zip(starts, starts[1:], cuts, cuts[1:])]
-    return Part(cols, possible.size - n.size, _row_tallies(spec.checks, cols, args),
-                per_sample if any(check.per_sample for check in spec.checks) else {}, text)
+        records = [",".join(_names(cols)) + "\n"] if fmt == "csv" and lo == 0 else []
+        records += [_render_rows({key: column[r0:r1] for key, column in rows.items()}, fmt,
+                                 {key: column[s0:s1] for key, column in per_sample.items()},
+                                 n[r0:r1] - s0)
+                    for s0, s1, r0, r1 in zip(starts, starts[1:], cuts, cuts[1:])]
+    return Part(records, possible.size - n.size, _row_tallies(spec.checks, cols, args),
+                per_sample if any(check.per_sample for check in spec.checks) else {})
 
 
 def _swap_pass(name, args, fmt, chunks) -> Part:
@@ -675,9 +676,10 @@ def _joined(parts) -> dict:
 def run_experiment(name: str, samples: int, seed: int, *,
                    ensemble: str = "bures", workers: int = 1,
                    fmt: "str | None" = None):
-    """Run an experiment by CLI name; returns (Records, report). Given a
-    records format ``fmt`` ("csv" or "json"), the records carry their text
-    in it, each pass's rows rendered where the pass ran.
+    """Run an experiment by CLI name; returns (records, report). The
+    records are the record columns by name, or, given a records format
+    ``fmt`` ("csv" or "json"), the records text in it as a list of pieces
+    (see write_records), each pass's rows rendered where the pass ran.
 
     For 'rank' ``samples`` counts pairs per rank combination, for
     'rank2-selfswap' it is the mixing-grid size. haar-stats keeps no
@@ -702,47 +704,16 @@ def run_experiment(name: str, samples: int, seed: int, *,
     _apply_checks(report, spec.checks, [part.tallies for part in parts], args, per_sample)
     if spec.extras:
         report.extras.update(spec.extras(report, per_sample))
-    cols = [part.cols for part in parts]
-    pieces = fmt and [piece for part in parts for piece in part.text]
-    records = Records(cols, fmt and _table(_names(cols[0]), pieces, fmt))
+    if fmt:
+        records = _table([piece for part in parts for piece in part.records], fmt)
+    else:
+        records = _joined([part.records for part in parts])
     report.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return records, report
 
 
 # --------------------------------------------------------------------------
 # emission
-
-
-class Records(Mapping):
-    """Record columns by name, joined from the columns of the run's
-    consecutive passes, ``parts``, when one is first read. ``pieces`` hold
-    the records text as the run rendered it, or are None; ``text`` joins
-    them."""
-
-    def __init__(self, parts: list, pieces=None):
-        self._parts = parts
-        self.pieces = pieces
-
-    @functools.cached_property
-    def _cols(self) -> dict:
-        return _joined(self._parts)
-
-    def __getitem__(self, name):
-        return self._cols[name]
-
-    # the names come from the first part, as every part has the same
-    def __iter__(self):
-        return iter(self._parts[0])
-
-    def __len__(self) -> int:
-        return len(self._parts[0])
-
-    def __contains__(self, name) -> bool:
-        return name in self._parts[0]
-
-    @property
-    def text(self) -> "str | None":
-        return None if self.pieces is None else "".join(self.pieces)
 
 
 def _names(cols: dict) -> tuple:
@@ -823,23 +794,25 @@ def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
     return ("" if fmt == "csv" else ",").join(lines)
 
 
-def _table(names: tuple, pieces, fmt: str) -> list:
-    """The records text of the rows rendered in consecutive pieces, in
-    pieces."""
+def _table(pieces: list, fmt: str) -> list:
+    """The records text of consecutive rendered pieces, in pieces: CSV's as
+    they are (the pass of sample 0 rendered the header), JSON's objects in
+    brackets, joined by commas."""
     if fmt == "csv":
-        return [",".join(names) + "\n", *pieces]
+        return pieces
     table = ["["]
     for piece in filter(None, pieces):
         table += (",", piece) if len(table) > 1 else (piece,)
     return table + ["]\n"]
 
 
-def write_records(records: Records, path) -> None:
-    """Write the text of records that run_experiment rendered."""
-    if records.pieces is None:
+def write_records(records: list, path) -> None:
+    """Write the records text that run_experiment rendered, piece by piece;
+    record columns, which carry no text, are a ValueError."""
+    if isinstance(records, dict):
         raise ValueError("the records carry no text; run the experiment with a records format")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(records.pieces)
+        fh.writelines(records)
 
 
 def write_summary(report: BoundReport, path) -> str:

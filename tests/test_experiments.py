@@ -149,9 +149,10 @@ def test_haar_stats_keeps_no_rows(workers):
     for fmt, text in (("csv", ",".join(ex.CSV_COLUMNS) + "\n"), ("json", "[]\n")):
         records, report = ex.run_experiment("haar-stats", 3 * ex.DRAW_SAMPLES, 5,
                                             workers=workers, fmt=fmt)
-        assert records.text == text
-        assert all(len(column) == 0 for column in records.values())
+        assert "".join(records) == text
         assert (report.samples, report.skipped) == (3 * ex.DRAW_SAMPLES, 0)
+    cols, _ = ex.run_experiment("haar-stats", 3 * ex.DRAW_SAMPLES, 5, workers=workers)
+    assert all(len(column) == 0 for column in cols.values())
 
 
 def test_dispatcher_rejects_unknown_name():
@@ -172,20 +173,31 @@ def test_swap_chunk_returns_its_per_sample_columns_unexpanded():
     # each per-sample column expanded to them, with the rows' check tallies
     args = ex.Args(300, "bures")
     chunk = ex._swap_pass("pure", args, None, [(np.random.default_rng(3), 256, 300)])
-    assert {key: len(column) for key, column in chunk.cols.items()} == dict.fromkeys(
+    cols = chunk.records
+    assert {key: len(column) for key, column in cols.items()} == dict.fromkeys(
         ("sample", "c_a", "c_b", "rank_a", "rank_b", "ratio", "outcome", "c_f", "prob",
          "rank_f"), 4 * 44)
-    assert chunk.cols["sample"].tolist() == [n for n in range(256, 300) for _ in range(4)]
-    assert (chunk.per_sample, chunk.skipped, chunk.text) == ({}, 0, None)
-    assert chunk.tallies == ex._row_tallies(ex.EXPERIMENTS["pure"].checks, chunk.cols, args)
+    assert cols["sample"].tolist() == [n for n in range(256, 300) for _ in range(4)]
+    assert (chunk.per_sample, chunk.skipped) == ({}, 0)
+    assert chunk.tallies == ex._row_tallies(ex.EXPERIMENTS["pure"].checks, cols, args)
     assert [violations for violations, _ in chunk.tallies] == [0, 0, 0]
+    # a rendering pass sends back its rows' text alone, one piece for its one
+    # chunk, tallied over the same columns; only the pass of sample 0 renders
+    # the CSV header
+    for fmt in ("csv", "json"):
+        text = ex._swap_pass("pure", args, fmt, [(np.random.default_rng(3), 256, 300)])
+        assert [type(piece) for piece in text.records] == [str]
+        assert (text.per_sample, text.skipped, text.tallies) == ({}, 0, chunk.tallies)
+        first = ex._swap_pass("pure", args, fmt, [(np.random.default_rng(3), 0, 256)]).records
+        header = [",".join(ex.CSV_COLUMNS) + ",ratio\n"] if fmt == "csv" else []
+        assert first[:len(header)] == header and len(first) == len(header) + 1
     # haar-stats' checks read its per-sample columns: those come back unexpanded
     chunk = ex._swap_pass("haar-stats", args, None, [(np.random.default_rng(3), 256, 300)])
     assert {key: len(column) for key, column in chunk.per_sample.items()} == dict.fromkeys(
         ("sample", "phase_sum", "phase_sq"), 44)
     assert chunk.per_sample["sample"].tolist() == list(range(256, 300))
     assert chunk.tallies == (None, None)
-    assert all(len(column) == 0 for column in chunk.cols.values())
+    assert all(len(column) == 0 for column in chunk.records.values())
 
 
 def test_a_per_sample_check_reads_the_per_sample_columns():
@@ -240,10 +252,10 @@ def test_runners_reject_empty_sample_counts(monkeypatch):
 
 
 def test_records_reproducible():
-    a = ex.run_experiment("belldiag", 200, 17, fmt="csv")[0].text
-    b = ex.run_experiment("belldiag", 200, 17, fmt="csv")[0].text
+    a = "".join(ex.run_experiment("belldiag", 200, 17, fmt="csv")[0])
+    b = "".join(ex.run_experiment("belldiag", 200, 17, fmt="csv")[0])
     assert a == b
-    c = ex.run_experiment("belldiag", 200, 18, fmt="csv")[0].text
+    c = "".join(ex.run_experiment("belldiag", 200, 18, fmt="csv")[0])
     assert a != c
 
 
@@ -252,16 +264,16 @@ def test_records_independent_of_worker_count():
     # chunk edges off the multiples of DRAW_SAMPLES
     for name, samples in (("conserve", 60), ("belldiag", 700), ("pure", 700),
                           ("oracle-equiv", 700), ("rank", 300)):
-        one = ex.run_experiment(name, samples, 17, workers=1, fmt="csv")[0].text
+        one = "".join(ex.run_experiment(name, samples, 17, workers=1, fmt="csv")[0])
         for workers in (2, 3):
-            many = ex.run_experiment(name, samples, 17, workers=workers, fmt="csv")[0].text
+            many = "".join(ex.run_experiment(name, samples, 17, workers=workers, fmt="csv")[0])
             assert many == one, (name, workers)
 
 
 def test_csv_bytes_deterministic():
     recs1, _ = ex.run_experiment("pure", 40, 3, fmt="csv")
     recs2, _ = ex.run_experiment("pure", 40, 3, fmt="csv")
-    assert recs1.text == recs2.text
+    assert "".join(recs1) == "".join(recs2)
 
 
 # ------------------------------------------------------------ worker pool
@@ -331,7 +343,7 @@ def test_the_pool_has_at_most_one_worker_per_chunk():
     many, _ = ex.run_experiment("belldiag", 2 * ex.DRAW_SAMPLES, 17, workers=8, fmt="csv")
     assert len(ex._pool) == 1
     assert multiprocessing.active_children() == [ex._pool[0][0]]
-    assert many.text == one.text
+    assert many == one
 
 
 def test_each_process_runs_one_contiguous_share():
@@ -375,28 +387,24 @@ def test_each_share_runs_as_passes_of_at_most_four_chunks():
         assert [pid == me for pid, _ in passes] == [True, True, False]
 
 
-def test_records_join_their_columns_when_first_read(monkeypatch):
-    one, _ = ex.run_experiment("belldiag", 9 * ex.DRAW_SAMPLES, 7, workers=1)
-    expected = dict(one)
-    joins, real = [], ex._joined
-    monkeypatch.setattr(ex, "_joined", lambda parts: joins.append(parts) or real(parts))
+def test_a_rendering_run_joins_no_record_column(monkeypatch):
+    ex._close_pool()
+    joins, real_join = [], ex._joined
+    monkeypatch.setattr(ex, "_joined", lambda parts: joins.append(parts) or real_join(parts))
+    replies, real_receive = [], ex._receive
+    monkeypatch.setattr(ex, "_receive", lambda conn: replies.append(real_receive(conn))
+                        or replies[-1])
     records, _ = ex.run_experiment("belldiag", 9 * ex.DRAW_SAMPLES, 7, workers=2, fmt="csv")
     # the run joins only per-sample columns, which belldiag sends none of
     assert all(part == {} for parts in joins for part in parts)
-    joins.clear()
-    # the names, their count, the pieces and the text take no join
-    assert list(records) == list(expected) and len(records) == len(expected)
-    assert "ratio" not in records and "c_f" in records
     # the header, then each draw chunk's rows rendered as a piece of its own
-    assert len(records.pieces) == 1 + 9
-    assert records.text.count("\n") == 1 + 4 * 9 * ex.DRAW_SAMPLES
-    assert joins == []
-    # the first read joins the parts of the passes (4, 1) and (4), once
-    assert np.array_equal(records["c_f"], expected["c_f"])
-    assert len(joins) == 1 and len(joins[0]) == 3
-    for name, column in expected.items():
-        assert np.array_equal(records[name], column), name
-    assert len(joins) == 1
+    assert len(records) == 1 + 9 and all(type(piece) is str for piece in records)
+    assert "".join(records).count("\n") == 1 + 4 * 9 * ex.DRAW_SAMPLES
+    # the pool's share, one pass of 4 chunks, sent back its text alone
+    (error, parts), = replies
+    assert error is None and len(parts) == 1
+    assert [type(piece) for piece in parts[0].records] == [str] * 4
+    ex._close_pool()
 
 
 def test_a_call_that_needs_fewer_processes_keeps_the_pool():
@@ -425,7 +433,7 @@ def test_replies_cross_the_sockets_and_match_one_process():
             for workers in (1, 2, 3):
                 records, report = ex.run_experiment("belldiag", 700, 9, workers=workers, fmt=fmt)
                 del report.runtime_ms
-                runs[workers] = records.text, vars(report)
+                runs[workers] = "".join(records), vars(report)
             assert runs[2] == runs[1] and runs[3] == runs[1], fmt
             assert len(ex._pool) == 2
     finally:
@@ -436,7 +444,7 @@ _SPAWNED_POOL = """
 import multiprocessing
 multiprocessing.set_start_method("spawn")
 from entswap import experiments
-texts = {experiments.run_experiment("belldiag", 700, 5, workers=w, fmt="csv")[0].text
+texts = {"".join(experiments.run_experiment("belldiag", 700, 5, workers=w, fmt="csv")[0])
          for w in (1, 3)}
 print(len(texts))
 """
@@ -564,7 +572,7 @@ def test_csv_header_and_shape(tmp_path):
     ex.write_records(records, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "sample,outcome,c_a,c_b,c_f,prob,rank_a,rank_b,rank_f"
-    assert len(lines) == 1 + len(records["sample"])
+    assert len(lines) == 1 + len(ex.run_experiment("conserve", 10, 2)[0]["sample"])
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] in {l.value for l in es.BellLabel}
 
@@ -579,8 +587,9 @@ def test_pure_csv_carries_ratio_column(tmp_path):
 
 def test_float_serialization_has_17_significant_digits():
     records, _ = ex.run_experiment("belldiag", 3, 2, fmt="csv")
-    row = records.text.splitlines()[1].split(",")
-    assert float(row[2]) == records["c_a"][0]  # round-trips exactly
+    row = "".join(records).splitlines()[1].split(",")
+    cols, _ = ex.run_experiment("belldiag", 3, 2)
+    assert float(row[2]) == cols["c_a"][0]  # round-trips exactly
 
 
 def test_json_records_round_trip(tmp_path):
@@ -588,15 +597,16 @@ def test_json_records_round_trip(tmp_path):
     path = tmp_path / "out.json"
     ex.write_records(records, path)
     rows = json.loads(path.read_text())
-    assert len(rows) == len(records["sample"])
-    assert rows[0]["outcome"] == list(es.BellLabel)[records["outcome"][0]].value
-    assert rows[0]["c_f"] == records["c_f"][0]
+    cols, _ = ex.run_experiment("pure", 4, 2)
+    assert len(rows) == len(cols["sample"])
+    assert rows[0]["outcome"] == list(es.BellLabel)[cols["outcome"][0]].value
+    assert rows[0]["c_f"] == cols["c_f"][0]
     assert "ratio" in rows[0]
 
 
 def test_write_records_refuses_records_without_text(tmp_path):
     records, _ = ex.run_experiment("pure", 4, 2)
-    assert records.text is None
+    assert isinstance(records, dict)
     with pytest.raises(ValueError, match="no text"):
         ex.write_records(records, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
@@ -609,8 +619,8 @@ def test_write_records_writes_the_records_text_piece_by_piece(workers, tmp_path)
         for fmt in ("csv", "json"):
             records, _ = ex.run_experiment(name, samples, 11, workers=workers, fmt=fmt)
             ex.write_records(records, path)
-            assert path.read_bytes() == records.text.encode("utf-8"), (name, fmt)
-            assert len(records.pieces) > 1
+            assert path.read_bytes() == "".join(records).encode("utf-8"), (name, fmt)
+            assert len(records) > 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -620,8 +630,9 @@ def test_records_rendered_in_the_chunks_match_the_whole_table(workers):
                           ("rank2-selfswap", 19), ("oracle-equiv", 300)):
         for fmt in ("csv", "json"):
             records, _ = ex.run_experiment(name, samples, 17, workers=workers, fmt=fmt)
-            whole = _whole_table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
-            assert records.text == whole, (name, fmt)
+            cols, _ = ex.run_experiment(name, samples, 17, workers=workers)
+            whole = _whole_table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
+            assert "".join(records) == whole, (name, fmt)
 
 
 def test_rendered_pieces_join_around_a_chunk_without_rows():
@@ -638,8 +649,10 @@ def test_rendered_pieces_join_around_a_chunk_without_rows():
 
 
 def _whole_table(names, pieces, fmt):
-    """The records text of the rows rendered in ``pieces``."""
-    return "".join(ex._table(names, pieces, fmt))
+    """The records text of the rows rendered in ``pieces``, under the
+    header ``names`` in CSV."""
+    header = [",".join(names) + "\n"] if fmt == "csv" else []
+    return "".join(ex._table(header + pieces, fmt))
 
 
 def _per_row_reference(cols, fmt):
@@ -670,8 +683,9 @@ _EDGE_INPUTS = {
 
 def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kept_prob=None):
     """_swap_pass's record columns, skipped count and rendered rows of the
-    edge chunk starting at ``lo``, a pass of its own; ``c_f`` and
-    ``kept_prob`` replace the rows' default c_f and prob."""
+    edge chunk starting at ``lo``, a pass of its own, swapped once for its
+    columns and once for its rows; ``c_f`` and ``kept_prob`` replace the
+    rows' default c_f and prob."""
     kept = int(possible.sum())
     if c_f is None:
         c_f = np.resize([0.0, 1.0, 1e-5, 5e-324, 1.0 / 3.0, 0.1], kept)
@@ -690,9 +704,9 @@ def _edge_chunk(monkeypatch, fmt, possible=_EDGE_POSSIBLE, lo=256, c_f=None, kep
     monkeypatch.setitem(ex.EXPERIMENTS, "edge",
                         ex.Experiment(lambda *_: (), inputs, outcomes, ()))
     args = ex.Args(len(possible), "bures")
-    chunk = ex._swap_pass("edge", args, fmt, [(None, lo, lo + len(possible))])
-    text, = chunk.text  # one piece, of the one draw chunk
-    return chunk.cols, chunk.skipped, text
+    chunk = ex._swap_pass("edge", args, None, [(None, lo, lo + len(possible))])
+    text, = ex._swap_pass("edge", args, fmt, [(None, lo, lo + len(possible))]).records
+    return chunk.records, chunk.skipped, text  # one piece, of the one draw chunk
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -723,8 +737,9 @@ def test_renderer_matches_the_per_row_formatter_at_its_edges(fmt, monkeypatch):
     for name, samples in (("conserve", 60), ("belldiag", 300), ("pure", 300),
                           ("rank", 5), ("rank2-selfswap", 19), ("oracle-equiv", 60)):
         records, _ = ex.run_experiment(name, samples, 23, fmt=fmt)
-        reference = _whole_table(ex._names(records), [_per_row_reference(records, fmt)], fmt)
-        assert records.text == reference, name
+        cols, _ = ex.run_experiment(name, samples, 23)
+        reference = _whole_table(ex._names(cols), [_per_row_reference(cols, fmt)], fmt)
+        assert "".join(records) == reference, name
 
 
 # a quiet NaN with a payload and a negative quiet NaN: their bits differ
