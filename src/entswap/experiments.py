@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import itertools
 import json
 import math
 import time
@@ -774,9 +775,10 @@ def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
 
     ``cols`` hold one value per row. Columns of ``per_sample`` hold one
     value per sample, row i taking sample n[i]'s: each sample's fields are
-    formatted once, into a row template of its own that each of its rows
-    fills with the row's own fields. Values that repeat in a float column
-    of the rows' own fields are formatted once (see _cell)."""
+    formatted once, into a row template of its own. The rows' templates,
+    joined in row order, take every row's own fields in one formatting.
+    Values that repeat in a float column of the rows' own fields are
+    formatted once (see _cell)."""
     if not len(n):
         return ""
     specs, sample_values, row_values = [], [], []
@@ -784,14 +786,14 @@ def _render_rows(cols: dict, fmt: str, per_sample: dict, n) -> str:
         shared = name in per_sample
         spec, values = _cell(name, (per_sample if shared else cols)[name], fmt, not shared)
         # a row's own field stays a conversion spec in its sample's template
-        # (no formatted number holds a %)
+        # (no formatted number, label or column name holds a %)
         specs.append(spec if shared else spec.replace("%", "%%"))
         (sample_values if shared else row_values).append(values)
     row = ",".join(specs)
     row = row + "\n" if fmt == "csv" else "{" + row + "}"
     templates = [row % cells for cells in zip(*sample_values)]
-    lines = [templates[i] % cells for i, cells in zip(n.tolist(), zip(*row_values))]
-    return ("" if fmt == "csv" else ",").join(lines)
+    joined = ("" if fmt == "csv" else ",").join(map(templates.__getitem__, n.tolist()))
+    return joined % tuple(itertools.chain.from_iterable(zip(*row_values)))
 
 
 def _table(pieces: list, fmt: str) -> list:

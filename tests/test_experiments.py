@@ -774,6 +774,21 @@ def test_renderer_formats_each_repeated_row_value_once_by_its_bits(fmt, monkeypa
         assert text == _per_row_reference(cols, fmt)
 
 
+def test_no_rendered_name_label_or_field_holds_a_percent_sign():
+    # _render_rows fills a chunk's joined row templates in one formatting,
+    # so a % in any text formatted into a template would be read as a spec
+    rng = np.random.default_rng(3)
+    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 1e-5, 1.0 / 3.0,
+              *rng.integers(-2**63, 2**63, 2000).view(np.float64).tolist()]
+    texts = [*ex._names({}), *ex._names({"ratio": None}), *ex._LABELS,
+             *ex._fields(list(ex._LABELS), "json")]
+    for fmt in ("csv", "json"):
+        texts += ex._fields(floats, fmt) + ex._fields(list(range(-5, 300)), fmt)
+    assert {"ratio", "outcome", '"psi-"', "nan", "NaN", "-inf", "-Infinity", "-0", "-0.0",
+            "5e-324", "1e+300"} <= set(texts)
+    assert not [text for text in texts if "%" in text]
+
+
 def test_summary_json_fields(tmp_path):
     _, report = ex.run_experiment("belldiag", 50, 2)
     path = tmp_path / "summary.json"

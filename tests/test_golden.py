@@ -88,6 +88,15 @@ GOLDEN = {
         "953a5ca42883677a8c2a11e4efc32771cac39bb72cc1f440b4f5708ada1437d4",
         "2cbcdb38de6207ceacfd9f1aaacb722f4ebb20ca47220d9d693263bb7cde69ca",
     ),
+    # the X route's rows and rank2-selfswap's fields in JSON text
+    ("belldiag", 600, 7, (), "json"): (
+        "4568a76874b1339f31865d1d5ef60f942ec4f58efb654608bf541d5cc210e060",
+        "8df0b306aa3185f15f92a9692a18184801943910e9248f3bb660068c06d6567e",
+    ),
+    ("rank2-selfswap", 19, 5, (), "json"): (
+        "f7f0318e7bdf6952c9cedecbbda7b9602f10a4e6534f5d120ec61868517f00be",
+        "31defd57795b92b66575ee8a9f74d4df6b39a602b3c8026b5e9e797f37930c22",
+    ),
 }
 
 # sha256 of the output of `entswap sample <ensemble> --samples 7 --seed 3`,
